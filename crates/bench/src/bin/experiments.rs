@@ -81,8 +81,10 @@
 //! compressed companion columns after generation, so bandwidth-bound
 //! plans run their fused decompress-and-select scans. `compression`
 //! compares flat versus encoded directly: runtime and bytes-scanned for
-//! Q1/Q6/Q14/SSB Q1.1 on both block-at-a-time engines, recorded as
-//! `BENCH_compression.json` with `--json`.
+//! Q1/Q6/Q14/SSB Q1.1 on both block-at-a-time engines (`--throttle`
+//! adds the same cells read through the emulated 1.4 GB/s SSD of
+//! `table5`), recorded as `BENCH_compression.json` with `--json` —
+//! host fingerprint, median and min/max per cell.
 
 use dbep_bench::{counters_note, fmt_ms, measure_counters, per_tuple_header, per_tuple_row, time_median};
 use dbep_core::Session;
@@ -133,6 +135,9 @@ struct Args {
     /// `serve`: attach the observability layer — span sink, metrics
     /// bundle, per-scenario metric snapshots (`--obs`).
     obs: bool,
+    /// `compression`: also time every cell through the emulated
+    /// 1.4 GB/s SSD (`--throttle`).
+    throttle: bool,
 }
 
 impl Args {
@@ -237,6 +242,7 @@ fn parse_args() -> Args {
         per_stage: false,
         prom: false,
         obs: false,
+        throttle: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -259,6 +265,7 @@ fn parse_args() -> Args {
             "--per-stage" => args.per_stage = true,
             "--prom" => args.prom = true,
             "--obs" => args.obs = true,
+            "--throttle" => args.throttle = true,
             "--trace" => {
                 args.trace = Some(flag_value(&mut it, "--trace", "<path>, e.g. --trace trace.json"));
             }
@@ -1994,10 +2001,12 @@ fn metrics_cmd(a: &Args) {
 // plans — runtime and scheduler-side bytes_scanned per (query, engine),
 // with the reduction ratios. Results are asserted identical. Volcano is
 // excluded by default (it always scans flat; pick it via --engine to
-// see the unchanged baseline).
+// see the unchanged baseline). `--throttle` adds the same pair read
+// through the emulated 1.4 GB/s SSD, exactly as `table5` paces it: a
+// fresh `Throttle::paper_ssd()` per run, so no idle budget is banked.
 // ---------------------------------------------------------------------
 fn compression(a: &Args) {
-    use dbep_bench::json;
+    use dbep_bench::{json, time_spread, TimeSpread};
     let sf = a.sf.unwrap_or(0.1);
     let threads = a.threads.unwrap_or(1);
     let queries = a.queries(&[QueryId::Q1, QueryId::Q6, QueryId::Q14, QueryId::Ssb1_1]);
@@ -2024,11 +2033,14 @@ fn compression(a: &Args) {
     struct Row {
         query: QueryId,
         engine: Engine,
-        flat_ms: f64,
-        enc_ms: f64,
+        flat: TimeSpread,
+        enc: TimeSpread,
+        /// (flat, encoded) through the throttled device (`--throttle`).
+        ssd: Option<(TimeSpread, TimeSpread)>,
         flat_bytes: u64,
         enc_bytes: u64,
     }
+    let ms = |d: Duration| d.as_secs_f64() * 1e3;
     let mut rows = Vec::new();
     for q in queries {
         let i = session_pair(&mut sessions, QueryId::SSB.contains(&q), sf, cfg);
@@ -2044,39 +2056,64 @@ fn compression(a: &Args) {
                 "{} on {engine:?}: encoded result differs",
                 q.name()
             );
-            let t_flat = time_median(a.reps, || std::mem::drop(pf.run(engine)));
-            let t_enc = time_median(a.reps, || std::mem::drop(pe.run(engine)));
+            let ssd_run = |db: &Database| {
+                time_spread(a.reps, || {
+                    let throttle = dbep_storage::throttle::Throttle::paper_ssd();
+                    let cfg = ExecCfg {
+                        threads,
+                        throttle: Some(&throttle),
+                        ..Default::default()
+                    };
+                    std::mem::drop(run(engine, q, db, &cfg));
+                })
+            };
             rows.push(Row {
                 query: q,
                 engine,
-                flat_ms: t_flat.as_secs_f64() * 1e3,
-                enc_ms: t_enc.as_secs_f64() * 1e3,
+                flat: time_spread(a.reps, || std::mem::drop(pf.run(engine))),
+                enc: time_spread(a.reps, || std::mem::drop(pe.run(engine))),
+                ssd: a.throttle.then(|| (ssd_run(flat.db()), ssd_run(enc.db()))),
                 flat_bytes: s_flat.bytes_scanned,
                 enc_bytes: s_enc.bytes_scanned,
             });
         }
     }
     if a.json {
+        // `<prefix>_ms` is the median; min/max are the run-to-run spread.
+        let cell = |o: json::Object, prefix: &str, t: &TimeSpread| {
+            o.field(&format!("{prefix}_ms"), json::number(ms(t.median)))
+                .field(&format!("{prefix}_min_ms"), json::number(ms(t.min)))
+                .field(&format!("{prefix}_max_ms"), json::number(ms(t.max)))
+        };
+        let pair = |o: json::Object, flat: &TimeSpread, enc: &TimeSpread| {
+            cell(cell(o, "flat", flat), "encoded", enc)
+                .field("speedup", json::number(ms(flat.median) / ms(enc.median)))
+        };
         let rendered = rows.iter().map(|r| {
-            json::Object::new()
+            let o = json::Object::new()
                 .field("query", json::string(r.query.name()))
-                .field("engine", json::string(r.engine.name()))
-                .field("flat_ms", json::number(r.flat_ms))
-                .field("encoded_ms", json::number(r.enc_ms))
-                .field("speedup", json::number(r.flat_ms / r.enc_ms))
+                .field("engine", json::string(r.engine.name()));
+            let mut o = pair(o, &r.flat, &r.enc)
                 .field("flat_bytes_scanned", format!("{}", r.flat_bytes))
                 .field("encoded_bytes_scanned", format!("{}", r.enc_bytes))
                 .field(
                     "bytes_reduction",
                     json::number(r.flat_bytes as f64 / r.enc_bytes.max(1) as f64),
-                )
-                .build()
+                );
+            if let Some((flat, enc)) = &r.ssd {
+                o = o.field("paper_ssd", pair(json::Object::new(), flat, enc).build());
+            }
+            o.build()
         });
+        let hwinfo = dbep_bench::hwinfo::fields()
+            .into_iter()
+            .fold(json::Object::new(), |o, (k, v)| o.field(&k, json::string(&v)));
         let doc = json::Object::new()
             .field("experiment", json::string("compression"))
             .field("sf", json::number(sf))
             .field("threads", format!("{threads}"))
             .field("reps", format!("{}", a.reps))
+            .field("hwinfo", hwinfo.build())
             .field("queries", json::array(rendered))
             .build();
         println!("{doc}");
@@ -2090,13 +2127,30 @@ fn compression(a: &Args) {
             println!(
                 "{:<18} {:>9.2} {:>9.2} {:>7.2} {:>12.1} {:>12.1} {:>7.2}",
                 format!("{}/{}", r.query.name(), r.engine.name()),
-                r.flat_ms,
-                r.enc_ms,
-                r.flat_ms / r.enc_ms,
+                ms(r.flat.median),
+                ms(r.enc.median),
+                ms(r.flat.median) / ms(r.enc.median),
                 r.flat_bytes as f64 / 1e6,
                 r.enc_bytes as f64 / 1e6,
                 r.flat_bytes as f64 / r.enc_bytes.max(1) as f64,
             );
+        }
+        if a.throttle {
+            println!("# the same scans through the emulated 1.4 GB/s SSD [ms]");
+            println!(
+                "{:<18} {:>9} {:>9} {:>7}",
+                "query/engine", "flat", "encoded", "spdup"
+            );
+            for r in &rows {
+                let (flat, enc) = r.ssd.as_ref().expect("--throttle fills every row");
+                println!(
+                    "{:<18} {:>9.2} {:>9.2} {:>7.2}",
+                    format!("{}/{}", r.query.name(), r.engine.name()),
+                    ms(flat.median),
+                    ms(enc.median),
+                    ms(flat.median) / ms(enc.median),
+                );
+            }
         }
     }
 }

@@ -25,7 +25,8 @@ fn meminfo_gib(field: &str) -> Option<f64> {
     Some(kb / 1024.0 / 1024.0)
 }
 
-fn cache(index: usize) -> Option<String> {
+/// `(level, size)` of data/unified cache `index` of cpu0.
+fn cache(index: usize) -> Option<(String, String)> {
     let base = format!("/sys/devices/system/cpu/cpu0/cache/index{index}");
     let level = read(&format!("{base}/level"))?;
     let typ = read(&format!("{base}/type"))?;
@@ -33,34 +34,42 @@ fn cache(index: usize) -> Option<String> {
     if typ == "Instruction" {
         return None;
     }
-    Some(format!("L{level} cache: {size}"))
+    Some((level, size))
+}
+
+/// Host description as ordered `(attribute, value)` rows — the host
+/// fingerprint recorded beside a measurement.
+pub fn fields() -> Vec<(String, String)> {
+    let mut rows: Vec<(String, String)> = Vec::new();
+    let mut push = |k: &str, v: String| rows.push((k.to_string(), v));
+    push(
+        "model",
+        cpuinfo_field("model name").unwrap_or_else(|| "unknown".into()),
+    );
+    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    push("logical cores", cores.to_string());
+    if let Some(mhz) = cpuinfo_field("cpu MHz") {
+        push("clock", format!("{mhz} MHz (current)"));
+    }
+    push(
+        "tsc rate",
+        format!("{:.2} GHz", dbep_runtime::counters::tsc_per_ns()),
+    );
+    for i in 0..4 {
+        if let Some((level, size)) = cache(i) {
+            push(&format!("L{level} cache"), size);
+        }
+    }
+    if let Some(gib) = meminfo_gib("MemTotal") {
+        push("memory", format!("{gib:.1} GiB"));
+    }
+    push("simd", dbep_runtime::simd::describe());
+    rows
 }
 
 /// Multi-line host description in the spirit of the paper's Table 4.
 pub fn report() -> String {
-    let mut lines = Vec::new();
-    lines.push(format!(
-        "model: {}",
-        cpuinfo_field("model name").unwrap_or_else(|| "unknown".into())
-    ));
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    lines.push(format!("logical cores: {cores}"));
-    if let Some(mhz) = cpuinfo_field("cpu MHz") {
-        lines.push(format!("clock: {mhz} MHz (current)"));
-    }
-    lines.push(format!(
-        "tsc rate: {:.2} GHz",
-        dbep_runtime::counters::tsc_per_ns()
-    ));
-    for i in 0..4 {
-        if let Some(c) = cache(i) {
-            lines.push(c);
-        }
-    }
-    if let Some(gib) = meminfo_gib("MemTotal") {
-        lines.push(format!("memory: {gib:.1} GiB"));
-    }
-    lines.push(format!("simd: {}", dbep_runtime::simd::describe()));
+    let lines: Vec<String> = fields().iter().map(|(k, v)| format!("{k}: {v}")).collect();
     lines.join("\n")
 }
 

@@ -10,8 +10,17 @@ pub mod serve_stats;
 use dbep_runtime::counters::{self, CounterValues};
 use std::time::{Duration, Instant};
 
-/// Median wall time of `reps` runs after one warm-up run.
-pub fn time_median(reps: usize, mut f: impl FnMut()) -> Duration {
+/// Wall time of `reps` runs after one warm-up run: the median with the
+/// run-to-run spread beside it.
+#[derive(Clone, Copy, Debug)]
+pub struct TimeSpread {
+    pub median: Duration,
+    pub min: Duration,
+    pub max: Duration,
+}
+
+/// Time `reps` runs of `f` after one warm-up run.
+pub fn time_spread(reps: usize, mut f: impl FnMut()) -> TimeSpread {
     f(); // warm-up
     let mut times: Vec<Duration> = (0..reps.max(1))
         .map(|_| {
@@ -21,7 +30,16 @@ pub fn time_median(reps: usize, mut f: impl FnMut()) -> Duration {
         })
         .collect();
     times.sort_unstable();
-    times[times.len() / 2]
+    TimeSpread {
+        median: times[times.len() / 2],
+        min: times[0],
+        max: times[times.len() - 1],
+    }
+}
+
+/// Median wall time of `reps` runs after one warm-up run.
+pub fn time_median(reps: usize, f: impl FnMut()) -> Duration {
+    time_spread(reps, f).median
 }
 
 /// One counter-instrumented run (after one warm-up run).

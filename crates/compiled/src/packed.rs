@@ -1,35 +1,54 @@
-//! Unpack-in-register scan cursors for bit-packed columns.
+//! Block-wise scan access to bit-packed columns for the fused loops.
 //!
 //! The compiled engine's fused loops keep attribute values in registers
-//! (Fig. 2a); scanning a compressed column must not break that shape
-//! with a decode-to-buffer pass. [`PackedReader`] is the generated-code
-//! idiom for a sequential scan over a [`PackedInts`] column: each
-//! `next()` reads the 8-byte window holding the value and shifts/masks
-//! it out — branch-free, with no loop-carried state beyond one running
-//! bit offset, so four interleaved cursors (a Q6 scan) pipeline freely.
-//! Decompression is fused into the consuming loop, exactly parallel to
-//! the vectorized engine's `sel_*_packed` primitives.
+//! (Fig. 2a), but decoding a [`PackedInts`] value per row *inside* such
+//! a loop costs a width `match`, a variable shift and a loop-carried bit
+//! cursor per value per column, which the morsel closure does not get
+//! unswitched: measured at SF 0.5, Q6 read 4.2× fewer bytes that way and
+//! ran 4× slower than flat. Scans therefore take the paper's own closing
+//! point about hybrid models (HyPer scans compressed Data Blocks
+//! vector-at-a-time and feeds the compiled pipeline from the decoded
+//! vectors): [`scan_blocks`] unpacks each scanned column [`BLOCK`] rows
+//! at a time into a stack buffer through the format's one decode kernel
+//! ([`PackedInts::unpack`] — width matched once per block, every shift
+//! an immediate) and runs the fused row body over the buffers, which
+//! stay L1-resident. The vectorized engine's `sel_*_packed` primitives
+//! keep their own fused decompress-and-select form.
+//!
+//! [`PackedReader`] is the cursor underneath: [`PackedReader::fill`] is
+//! the block accessor; [`PackedReader::next`] decodes a single value and
+//! is the tail/point accessor, not a scan path. (The benchmark's
+//! `compiled.packed_read_ns_per_elem` probe times `next()`, i.e. the
+//! tail accessor; a later `benchmark/` change should repoint it at
+//! `fill`.)
 
 use dbep_storage::encoded::MAX_PACKED_WIDTH;
 use dbep_storage::PackedInts;
+use std::ops::Range;
 
-/// Sequential register-resident decoder over a bit-packed FOR column.
+/// Rows decoded per column per step of [`scan_blocks`]. 128 × 8 bytes is
+/// 1 KiB per scanned column: five columns (Q1) stay far inside L1, and
+/// the per-block width dispatch is amortised over 128 values.
+pub const BLOCK: usize = 128;
+
+/// Sequential decoder over a bit-packed FOR column.
 ///
-/// Constructed once per morsel at the morsel's start row; `next()`
-/// yields decoded values in row order. All-equal (width 0) and raw
-/// (width 64) columns take dedicated branches predicted perfectly in
-/// the hot loop; packed widths (1..=[`MAX_PACKED_WIDTH`]) decode
-/// through an unaligned 8-byte window — the column's pad word keeps the
-/// window of every in-bounds row inside the allocation, the same
-/// invariant the AVX-512 gather kernels rely on.
+/// Constructed once per morsel at the morsel's start row. Scans pull
+/// whole blocks with [`fill`](PackedReader::fill); `next()` yields one
+/// value. All-equal (width 0) and raw (width 64) columns take dedicated
+/// branches; packed widths (1..=[`MAX_PACKED_WIDTH`]) decode through an
+/// unaligned 8-byte window — the column's pad word keeps the window of
+/// every in-bounds row inside the allocation, the same invariant the
+/// AVX-512 gather kernels rely on.
 pub struct PackedReader<'a> {
+    col: &'a PackedInts,
     words: &'a [u64],
     /// Bit position of the next value (packed widths only).
     bit: usize,
     width: u32,
     mask: u64,
     min: i64,
-    /// Row the next `next()` call decodes (raw/width-0 fast paths).
+    /// Row the next `next()`/`fill()` call decodes first.
     row: usize,
 }
 
@@ -40,6 +59,7 @@ impl<'a> PackedReader<'a> {
         let width = col.width();
         debug_assert!(width == 0 || width == 64 || width <= MAX_PACKED_WIDTH);
         PackedReader {
+            col,
             words: col.words(),
             bit: start_row * width as usize,
             width,
@@ -49,20 +69,29 @@ impl<'a> PackedReader<'a> {
         }
     }
 
+    /// Decode the next `out.len()` values — fewer when the column ends
+    /// first — into the front of `out`, advance past them and return how
+    /// many were written.
+    pub fn fill(&mut self, out: &mut [i64]) -> usize {
+        let n = out.len().min(self.col.len().saturating_sub(self.row));
+        self.col.unpack(self.row, &mut out[..n]);
+        self.row += n;
+        self.bit += n * self.width as usize;
+        n
+    }
+
     /// Decode the next value. Caller stays within the column length
     /// (morsel ranges are in bounds by construction).
     // Not `Iterator`: an `Option<i64>` per row would put an end-check
-    // back into the fused loop the cursor exists to avoid.
+    // into every caller's loop.
     #[allow(clippy::should_implement_trait)]
     #[inline(always)]
     pub fn next(&mut self) -> i64 {
+        let row = self.row;
+        self.row = row + 1;
         match self.width {
             0 => self.min,
-            64 => {
-                let v = self.words[self.row] as i64;
-                self.row += 1;
-                v
-            }
+            64 => self.words[row] as i64,
             w => {
                 let bit = self.bit;
                 self.bit = bit + w as usize;
@@ -79,6 +108,39 @@ impl<'a> PackedReader<'a> {
                 self.min.wrapping_add(((win >> (bit & 7)) & self.mask) as i64)
             }
         }
+    }
+}
+
+/// The compiled engine's scan over `N` packed columns: for every row of
+/// `rows`, in order, call `body(row, values)` with that row's decoded
+/// value of each column.
+///
+/// Per [`BLOCK`] rows every column is unpacked into a stack buffer, then
+/// `body` runs over the buffers as a plain indexed loop — after inlining
+/// it is the flat fused loop with the column slices swapped for the
+/// buffers. Flat companions (char flags, dictionary codes) are indexed
+/// by `row` as before.
+#[inline]
+pub fn scan_blocks<const N: usize>(
+    cols: [&PackedInts; N],
+    rows: Range<usize>,
+    mut body: impl FnMut(usize, [i64; N]),
+) {
+    let mut readers = cols.map(|c| PackedReader::new(c, rows.start));
+    let mut bufs = [[0i64; BLOCK]; N];
+    let mut row = rows.start;
+    while row < rows.end {
+        let n = (rows.end - row).min(BLOCK);
+        for (reader, buf) in readers.iter_mut().zip(bufs.iter_mut()) {
+            let got = reader.fill(&mut buf[..n]);
+            assert_eq!(got, n, "scan range runs past a packed column");
+        }
+        // `k` indexes the row inside every column's buffer, not `bufs`.
+        #[allow(clippy::needless_range_loop)]
+        for k in 0..n {
+            body(row + k, std::array::from_fn(|c| bufs[c][k]));
+        }
+        row += n;
     }
 }
 
@@ -117,10 +179,10 @@ mod tests {
         };
         let rows: usize = if cfg!(miri) { 80 } else { 300 };
         for &w in widths {
-            let vals: Vec<i64> = (0..rows)
-                .map(|i| ((i as u64).wrapping_mul(0x9e37_79b9) & ((1u64 << w) - 1)) as i64 - 17)
-                .collect();
-            check(&vals, &[0, 1, 7, 8, 63, 64, 65, rows / 2, rows - 1, rows]);
+            check(
+                &column_of_width(w, rows),
+                &[0, 1, 7, 8, 63, 64, 65, rows / 2, rows - 1, rows],
+            );
         }
     }
 
@@ -136,6 +198,96 @@ mod tests {
         check(&[], &[0]);
         // Distinct two-row column exercises a nonzero width.
         check(&[5, 9], &[0, 1, 2]);
+    }
+
+    /// `rows` values that pack to exactly `width` bits (0 = all-equal,
+    /// 64 = raw): rows 0 and 1 pin the two ends of the range.
+    fn column_of_width(width: u32, rows: usize) -> Vec<i64> {
+        (0..rows as u64)
+            .map(|i| match (width, i) {
+                (0, _) => 99,
+                (64, 0) => i64::MIN,
+                (64, 1) => i64::MAX,
+                (64, _) => i.wrapping_mul(0x9e37_79b9_7f4a_7c15) as i64,
+                (w, 0) => ((1u64 << w) - 1) as i64 - 17,
+                (_, 1) => -17,
+                (w, _) => (i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - w)) as i64 - 17,
+            })
+            .collect()
+    }
+
+    fn sweep_widths() -> Vec<u32> {
+        if cfg!(miri) {
+            vec![0, 1, 12, 31, 57, 64]
+        } else {
+            (0..=MAX_PACKED_WIDTH).chain([64]).collect()
+        }
+    }
+
+    /// `fill` against `get` for every width and cursor start, with block
+    /// lengths on and off the group-of-eight grid and `next()` calls in
+    /// between (which knock the cursor off the grid, so later fills take
+    /// the head path); the final over-long fill must stop at the last
+    /// row — the one whose window reaches into the pad word.
+    #[test]
+    fn fill_interleaved_with_next_matches_get() {
+        let rows: usize = if cfg!(miri) { 141 } else { 301 };
+        let arena = Arena::new();
+        let lens = [8usize, 1, 7, 9, 0, 63, 64, 127, 128, 129];
+        let mut buf = [0i64; 129];
+        for w in sweep_widths() {
+            let col = PackedInts::encode(&column_of_width(w, rows), &arena);
+            assert_eq!(col.width(), w, "fixture width");
+            for start in [0, 1, 7, 8, 9, 63, 64, 65, rows / 2, rows - 1, rows] {
+                let mut r = PackedReader::new(&col, start);
+                let mut row = start;
+                for (step, &len) in lens.iter().cycle().enumerate() {
+                    let want = len.min(rows - row);
+                    assert_eq!(r.fill(&mut buf[..len]), want, "width {w} row {row} len {len}");
+                    for (k, &v) in buf[..want].iter().enumerate() {
+                        assert_eq!(v, col.get(row + k), "width {w} start {start} row {}", row + k);
+                    }
+                    row += want;
+                    if row == rows {
+                        break;
+                    }
+                    for _ in 0..step % 3 {
+                        if row < rows {
+                            assert_eq!(r.next(), col.get(row), "width {w} next() at row {row}");
+                            row += 1;
+                        }
+                    }
+                }
+                assert_eq!(r.fill(&mut buf), 0, "width {w}: fill past the end");
+            }
+        }
+    }
+
+    /// `scan_blocks` hands the body every row of the range exactly once,
+    /// in order, with that row's value of each column — over ranges that
+    /// start and end off the block and group grids.
+    #[test]
+    fn scan_blocks_visits_each_row_once_in_order() {
+        let rows = if cfg!(miri) { 141 } else { 2 * BLOCK + 45 };
+        let arena = Arena::new();
+        let a = PackedInts::encode(&column_of_width(13, rows), &arena);
+        let b = PackedInts::encode(&column_of_width(4, rows), &arena);
+        for range in [
+            0..rows,
+            5..rows,
+            3..3,
+            BLOCK..BLOCK + 1,
+            9..BLOCK + 9,
+            rows - 1..rows,
+        ] {
+            let mut next_row = range.start;
+            scan_blocks([&a, &b], range.clone(), |i, [x, y]| {
+                assert_eq!(i, next_row, "range {range:?}");
+                assert_eq!((x, y), (a.get(i), b.get(i)), "range {range:?} row {i}");
+                next_row += 1;
+            });
+            assert_eq!(next_row, range.end, "range {range:?}");
+        }
     }
 
     #[test]

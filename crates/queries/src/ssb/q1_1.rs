@@ -10,7 +10,7 @@
 use crate::params::SsbQ11Params;
 use crate::result::{QueryResult, Value};
 use crate::{ExecCfg, Params};
-use dbep_compiled::PackedReader;
+use dbep_compiled::packed::scan_blocks;
 use dbep_runtime::JoinHt;
 use dbep_storage::{Database, PackedInts, Table};
 use dbep_vectorized as tw;
@@ -45,8 +45,8 @@ fn build_date_ht(db: &Database, hf: dbep_runtime::hash::HashFn, year: i32) -> Jo
     )
 }
 
-/// Typer over encoded storage: the fused filter + probe + sum loop with
-/// all four fact columns unpacked in registers.
+/// Typer over encoded storage: the fused filter + probe + sum body, fed
+/// a block at a time by [`scan_blocks`] from all four packed fact columns.
 fn typer_encoded(
     db: &Database,
     lo: &Table,
@@ -61,28 +61,20 @@ fn typer_encoded(
         build_date_ht(db, hf, p.year)
     };
     let _stage = cfg.stage(1);
-    let [od, disc, qty, ext] = cols;
     let locals = cfg.map_scan(
         lo.len(),
         lo.row_bits(&LO_COLS),
         |_| 0i64,
         |local, r| {
-            let mut od_r = PackedReader::new(od, r.start);
-            let mut disc_r = PackedReader::new(disc, r.start);
-            let mut qty_r = PackedReader::new(qty, r.start);
-            let mut ext_r = PackedReader::new(ext, r.start);
-            for _ in r {
-                let o = od_r.next() as i32;
-                let d = disc_r.next();
-                let q = qty_r.next();
-                let e = ext_r.next();
+            scan_blocks(cols, r, |_, [o, d, q, e]| {
                 if d >= disc_lo && d <= disc_hi && q < qty_hi {
+                    let o = o as i32;
                     let h = hf.hash(o as u64);
                     if ht_d.probe(h).any(|entry| entry.row == o) {
                         *local += e * d;
                     }
                 }
-            }
+            });
         },
     );
     finish(locals.into_iter().sum())

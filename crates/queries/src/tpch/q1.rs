@@ -17,7 +17,7 @@
 use crate::params::Q1Params;
 use crate::result::{avg_i64, OrderBy, QueryResult, Value};
 use crate::{ExecCfg, Params};
-use dbep_compiled::PackedReader;
+use dbep_compiled::packed::scan_blocks;
 use dbep_runtime::agg_ht::merge_partitions;
 use dbep_runtime::GroupByShard;
 use dbep_storage::{Database, PackedInts, Table};
@@ -110,11 +110,11 @@ fn finish(groups: Vec<((u8, u8), Q1Agg)>) -> QueryResult {
     )
 }
 
-/// Typer over encoded storage: the same fused loop with every numeric
-/// column unpacked in registers by [`PackedReader`] cursors.
+/// Typer over encoded storage: the same fused loop body, fed by
+/// [`scan_blocks`] — the five numeric columns are unpacked a block at a
+/// time into L1-resident buffers; the char flags stay flat.
 fn typer_encoded(li: &Table, cols: [&PackedInts; 5], cfg: &ExecCfg, p: &Q1Params) -> QueryResult {
     let ship_cut = p.ship_cut as i64;
-    let [ship, qty, ext, disc, tax] = cols;
     let rf = li.col("l_returnflag").chars();
     let ls = li.col("l_linestatus").chars();
     let hf = cfg.typer_hash();
@@ -123,17 +123,7 @@ fn typer_encoded(li: &Table, cols: [&PackedInts; 5], cfg: &ExecCfg, p: &Q1Params
         li.row_bits(&COLS),
         |_| GroupByShard::<(u8, u8), Q1Agg>::new(PREAGG_GROUPS),
         |shard, r| {
-            let mut ship_r = PackedReader::new(ship, r.start);
-            let mut qty_r = PackedReader::new(qty, r.start);
-            let mut ext_r = PackedReader::new(ext, r.start);
-            let mut disc_r = PackedReader::new(disc, r.start);
-            let mut tax_r = PackedReader::new(tax, r.start);
-            for i in r {
-                let s = ship_r.next();
-                let q = qty_r.next();
-                let e = ext_r.next();
-                let d = disc_r.next();
-                let t = tax_r.next();
+            scan_blocks(cols, r, |i, [s, q, e, d, t]| {
                 if s <= ship_cut {
                     let disc_price = e * (100 - d);
                     let charge = disc_price as i128 * (100 + t) as i128;
@@ -148,7 +138,7 @@ fn typer_encoded(li: &Table, cols: [&PackedInts; 5], cfg: &ExecCfg, p: &Q1Params
                         a.count += 1;
                     });
                 }
-            }
+            });
         },
     );
     let shards = shards.into_iter().map(GroupByShard::finish).collect();

@@ -21,7 +21,7 @@
 use crate::params::Q14Params;
 use crate::result::{QueryResult, Value};
 use crate::{ExecCfg, Params};
-use dbep_compiled::PackedReader;
+use dbep_compiled::packed::scan_blocks;
 use dbep_runtime::join_ht::JoinHtShard;
 use dbep_runtime::JoinHt;
 use dbep_storage::{Database, DictStrColumn, PackedInts, Table};
@@ -66,8 +66,8 @@ fn finish(promo: i128, total: i128) -> QueryResult {
 }
 
 /// Typer over encoded storage: the build side reads dictionary codes
-/// and flags them through [`promo_flags`]; the probe side unpacks all
-/// four lineitem columns in registers.
+/// and flags them through [`promo_flags`]; both sides pull their packed
+/// columns a block at a time through [`scan_blocks`].
 fn typer_encoded(
     part: &Table,
     li: &Table,
@@ -88,11 +88,10 @@ fn typer_encoded(
         part.row_bits(&PART_COLS),
         |_| JoinHtShard::<(i32, u8)>::new(),
         |sh, r| {
-            let mut pk_r = PackedReader::new(pkey, r.start);
-            for i in r {
-                let pk = pk_r.next() as i32;
+            scan_blocks([pkey], r, |i, [pk]| {
+                let pk = pk as i32;
                 sh.push(hf.hash(pk as u64), (pk, flags[codes[i] as usize]));
-            }
+            });
         },
     );
     let ht_part = JoinHt::from_shards(shards, &cfg.exec());
@@ -100,22 +99,14 @@ fn typer_encoded(
 
     // Pipeline 2: σ(lineitem) ⋈ HT_part → (promo, total).
     let _s1 = cfg.stage(1);
-    let [lpk, ship, ext, disc] = lcols;
     let parts = cfg.map_scan(
         li.len(),
         li.row_bits(&LI_COLS),
         |_| (0i128, 0i128),
         |(promo, total), r| {
-            let mut lpk_r = PackedReader::new(lpk, r.start);
-            let mut ship_r = PackedReader::new(ship, r.start);
-            let mut ext_r = PackedReader::new(ext, r.start);
-            let mut disc_r = PackedReader::new(disc, r.start);
-            for _ in r {
-                let pk = lpk_r.next() as i32;
-                let s = ship_r.next();
-                let e = ext_r.next();
-                let d = disc_r.next();
+            scan_blocks(lcols, r, |_, [pk, s, e, d]| {
                 if s >= ship_lo && s < ship_hi {
+                    let pk = pk as i32;
                     let h = hf.hash(pk as u64);
                     for entry in ht_part.probe(h) {
                         if entry.row.0 == pk {
@@ -125,7 +116,7 @@ fn typer_encoded(
                         }
                     }
                 }
-            }
+            });
         },
     );
     let (promo, total) = parts.into_iter().fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
@@ -218,11 +209,10 @@ fn tectorwise_encoded(
         part.row_bits(&PART_COLS),
         |_| JoinHtShard::<(i32, u8)>::new(),
         |sh, r| {
-            let mut pk_r = PackedReader::new(pkey, r.start);
-            for i in r {
-                let pk = pk_r.next() as i32;
+            scan_blocks([pkey], r, |i, [pk]| {
+                let pk = pk as i32;
                 sh.push(hf.hash(pk as u64), (pk, flags[codes[i] as usize]));
-            }
+            });
         },
     );
     let ht_part = JoinHt::from_shards(shards, &cfg.exec());

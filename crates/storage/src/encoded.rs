@@ -332,19 +332,118 @@ impl PackedInts {
         }
     }
 
+    /// Decode the dense run of rows `start_row .. start_row + out.len()`
+    /// into `out` — the one block decode kernel of the packed format.
+    ///
+    /// Eight consecutive width-`w` values starting at a row that is a
+    /// multiple of eight occupy exactly `w` whole bytes, so inside such
+    /// a group every value's byte offset and sub-byte shift is a
+    /// compile-time constant of `w`. The width is matched **once per
+    /// call** to a const-generic loop over whole groups; the rows before
+    /// the first and after the last whole group go through [`get`].
+    /// All-equal columns fill, raw columns copy.
+    ///
+    /// [`get`]: PackedInts::get
+    pub fn unpack(&self, start_row: usize, out: &mut [i64]) {
+        // Not a debug_assert: the window reads below rely on it.
+        assert!(
+            start_row <= self.len && out.len() <= self.len - start_row,
+            "unpack of rows {start_row}..+{} beyond a column of {}",
+            out.len(),
+            self.len
+        );
+        match self.width {
+            0 => out.fill(self.min),
+            64 => {
+                for (o, &w) in out.iter_mut().zip(&self.words[start_row..]) {
+                    *o = w as i64;
+                }
+            }
+            w => {
+                let head = ((GROUP - start_row % GROUP) % GROUP).min(out.len());
+                let (head_out, rest) = out.split_at_mut(head);
+                for (k, o) in head_out.iter_mut().enumerate() {
+                    *o = self.get(start_row + k);
+                }
+                let first_group = (start_row + head) / GROUP;
+                let whole = rest.len() / GROUP * GROUP;
+                let (groups_out, tail_out) = rest.split_at_mut(whole);
+                // SAFETY: every row the groups cover is in bounds (the
+                // assert above), and `width <= MAX_PACKED_WIDTH` plus the
+                // trailing pad word keep the 8-byte window of any
+                // in-bounds row inside the allocation — group
+                // `first_group + g` starts at byte `(first_group + g) * w`
+                // and its value `j` reads the window of row
+                // `(first_group + g) * 8 + j`.
+                unsafe {
+                    let src = (self.words.as_ptr() as *const u8).add(first_group * w as usize);
+                    unpack_groups(w, src, self.min, groups_out);
+                }
+                let tail_row = start_row + head + whole;
+                for (k, o) in tail_out.iter_mut().enumerate() {
+                    *o = self.get(tail_row + k);
+                }
+            }
+        }
+    }
+
     /// Decode everything into `out` (test oracle / fallback path).
     pub fn decode_into(&self, out: &mut Vec<i64>) {
         out.clear();
-        out.reserve(self.len);
-        for i in 0..self.len {
-            out.push(self.get(i));
-        }
+        out.resize(self.len, 0);
+        self.unpack(0, out);
     }
 
     /// Allocated payload bytes (what a full scan actually touches).
     pub fn byte_size(&self) -> usize {
         self.words.len() * 8
     }
+}
+
+/// Values per unpack group: eight width-`w` values are `w` whole bytes.
+const GROUP: usize = 8;
+
+/// Decode whole groups of eight width-`W` values from `src` into `out`.
+/// `W` is a constant, so after unrolling each of the eight extractions
+/// is a load at a fixed displacement, an immediate shift and a mask.
+///
+/// # Safety
+/// `out.len()` is a multiple of eight, `src` points at the first byte of
+/// a group of a width-`W` payload, and the 8-byte window of every value
+/// decoded lies inside that payload's allocation.
+unsafe fn unpack_groups_w<const W: usize>(src: *const u8, min: i64, out: &mut [i64]) {
+    let mask = (1u64 << W) - 1;
+    for (g, group) in out.chunks_exact_mut(GROUP).enumerate() {
+        // SAFETY: group `g` starts `g * W` bytes in (caller's contract).
+        let base = unsafe { src.add(g * W) };
+        for (j, o) in group.iter_mut().enumerate() {
+            let bit = j * W;
+            // SAFETY: the window of an in-bounds value (caller's
+            // contract: MAX_PACKED_WIDTH + the trailing pad word).
+            let win = unsafe { base.add(bit >> 3).cast::<u64>().read_unaligned() };
+            *o = min.wrapping_add(((win >> (bit & 7)) & mask) as i64);
+        }
+    }
+}
+
+/// The single width dispatch of [`PackedInts::unpack`]: one `match` per
+/// call, expanded over every packed width.
+///
+/// # Safety
+/// As [`unpack_groups_w`], with `width` in `1..=MAX_PACKED_WIDTH` the
+/// payload's width.
+unsafe fn unpack_groups(width: u32, src: *const u8, min: i64, out: &mut [i64]) {
+    macro_rules! dispatch {
+        ($($w:literal)*) => {
+            match width {
+                // SAFETY: forwarded contract; the arm fixes W = width.
+                $($w => unsafe { unpack_groups_w::<$w>(src, min, out) },)*
+                _ => unreachable!("packed width {width} outside 1..={MAX_PACKED_WIDTH}"),
+            }
+        };
+    }
+    dispatch!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29
+              30 31 32 33 34 35 36 37 38 39 40 41 42 43 44 45 46 47 48 49 50 51 52 53 54 55 56 57)
 }
 
 /// Dictionary-coded string column: one `u8` code per row plus a sorted
@@ -597,6 +696,79 @@ mod tests {
         let mut out = Vec::new();
         p.decode_into(&mut out);
         assert_eq!(out, vec![-50, -20, -50, -21]);
+    }
+
+    /// `rows` values whose packed form has exactly `width` bits (0 =
+    /// all-equal, 64 = raw fallback): rows 0 and 1 pin the range's two
+    /// ends, the rest are a multiplicative-hash scramble inside it.
+    fn column_of_width(width: u32, rows: usize) -> Vec<i64> {
+        let min = -17i64;
+        (0..rows as u64)
+            .map(|i| match (width, i) {
+                (0, _) => min,
+                (64, 0) => i64::MIN,
+                (64, 1) => i64::MAX,
+                (64, _) => i.wrapping_mul(0x9e37_79b9_7f4a_7c15) as i64,
+                (w, 0) => min + ((1u64 << w) - 1) as i64,
+                (_, 1) => min,
+                (w, _) => min + (i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - w)) as i64,
+            })
+            .collect()
+    }
+
+    /// Property suite for the block decode kernel: every width × start
+    /// × length, against the encoded source values and against `get`.
+    /// Starts off the group-of-eight grid take the head path, lengths
+    /// that are not whole groups the tail path, and every run reaching
+    /// `rows` decodes the last row, whose 8-byte window extends into the
+    /// pad word.
+    #[test]
+    fn unpack_matches_get_for_every_width_start_and_length() {
+        // Miri runs at interpreter speed: shrink the sweep there while
+        // keeping sub-byte, byte-multiple, widest, all-equal and raw
+        // columns and every head/tail shape.
+        let widths: Vec<u32> = if cfg!(miri) {
+            vec![0, 1, 12, 31, 56, 57, 64]
+        } else {
+            (0..=MAX_PACKED_WIDTH).chain([64]).collect()
+        };
+        let rows: usize = if cfg!(miri) { 141 } else { 301 };
+        let a = arena();
+        let mut out = vec![0i64; rows];
+        for w in widths {
+            let vals = column_of_width(w, rows);
+            let p = PackedInts::encode(&vals, &a);
+            assert_eq!(p.width(), w, "fixture width");
+            for start in [0, 1, 7, 8, 9, 63, 64, 65, rows / 2, rows - 1, rows] {
+                for len in [0, 1, 7, 8, 9, 63, 64, 127, 128, 129, rows - start] {
+                    if start + len > rows {
+                        continue;
+                    }
+                    out.fill(i64::MIN + 1);
+                    p.unpack(start, &mut out[..len]);
+                    for k in 0..len {
+                        assert_eq!(
+                            out[k],
+                            vals[start + k],
+                            "width {w} start {start} len {len} row +{k}"
+                        );
+                        assert_eq!(out[k], p.get(start + k), "width {w}: unpack vs get");
+                    }
+                    assert!(
+                        out[len..].iter().all(|&v| v == i64::MIN + 1),
+                        "width {w} start {start} len {len}: wrote past the run"
+                    );
+                }
+            }
+            a.recycle(p.words);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond a column of 10")]
+    fn unpack_rejects_runs_past_the_column() {
+        let p = PackedInts::encode(&column_of_width(9, 10), &arena());
+        p.unpack(3, &mut [0i64; 8]);
     }
 
     #[test]
