@@ -18,6 +18,10 @@
 //!   fused loops exactly in the shape of Fig. 2a, over the shared
 //!   substrate (`dbep-runtime`'s hash tables, hash functions and
 //!   morsel-driven scheduler).
+//! * [`scan`] — the column reader of the plans that scan encoded
+//!   tables: [`RowScan`] + [`for_each_row!`] run one fused row body
+//!   over flat slices or, through [`packed`]'s block-wise unpack, over
+//!   bit-packed columns.
 //!
 //! Pipeline breakers (hash-table build, pre-aggregation) end a fused
 //! loop; the next pipeline starts after all workers finish the previous
@@ -25,7 +29,9 @@
 
 pub mod packed;
 pub mod pipeline;
+pub mod scan;
 pub mod stage;
 
 pub use packed::PackedReader;
 pub use pipeline::{Filter, Map, Pipeline, Sink};
+pub use scan::RowScan;

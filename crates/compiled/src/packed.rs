@@ -111,9 +111,9 @@ impl<'a> PackedReader<'a> {
     }
 }
 
-/// The compiled engine's scan over `N` packed columns: for every row of
-/// `rows`, in order, call `body(row, values)` with that row's decoded
-/// value of each column.
+/// The packed arm of [`for_each_row!`](crate::for_each_row): for every row
+/// of `rows`, in order, call `body(row, a_values, b_values)` with that
+/// row's decoded value of each column of `a` and of `b`.
 ///
 /// Per [`BLOCK`] rows every column is unpacked into a stack buffer, then
 /// `body` runs over the buffers as a plain indexed loop — after inlining
@@ -121,24 +121,33 @@ impl<'a> PackedReader<'a> {
 /// buffers. Flat companions (char flags, dictionary codes) are indexed
 /// by `row` as before.
 #[inline]
-pub fn scan_blocks<const N: usize>(
-    cols: [&PackedInts; N],
+pub fn scan_blocks<const A: usize, const B: usize>(
+    a: [&PackedInts; A],
+    b: [&PackedInts; B],
     rows: Range<usize>,
-    mut body: impl FnMut(usize, [i64; N]),
+    mut body: impl FnMut(usize, [i64; A], [i64; B]),
 ) {
-    let mut readers = cols.map(|c| PackedReader::new(c, rows.start));
-    let mut bufs = [[0i64; BLOCK]; N];
+    let mut readers_a = a.map(|c| PackedReader::new(c, rows.start));
+    let mut readers_b = b.map(|c| PackedReader::new(c, rows.start));
+    let mut bufs_a = [[0i64; BLOCK]; A];
+    let mut bufs_b = [[0i64; BLOCK]; B];
     let mut row = rows.start;
     while row < rows.end {
         let n = (rows.end - row).min(BLOCK);
-        for (reader, buf) in readers.iter_mut().zip(bufs.iter_mut()) {
+        let columns = readers_a
+            .iter_mut()
+            .zip(bufs_a.iter_mut())
+            .chain(readers_b.iter_mut().zip(bufs_b.iter_mut()));
+        for (reader, buf) in columns {
             let got = reader.fill(&mut buf[..n]);
             assert_eq!(got, n, "scan range runs past a packed column");
         }
-        // `k` indexes the row inside every column's buffer, not `bufs`.
-        #[allow(clippy::needless_range_loop)]
         for k in 0..n {
-            body(row + k, std::array::from_fn(|c| bufs[c][k]));
+            body(
+                row + k,
+                std::array::from_fn(|c| bufs_a[c][k]),
+                std::array::from_fn(|c| bufs_b[c][k]),
+            );
         }
         row += n;
     }
@@ -281,7 +290,7 @@ mod tests {
             rows - 1..rows,
         ] {
             let mut next_row = range.start;
-            scan_blocks([&a, &b], range.clone(), |i, [x, y]| {
+            scan_blocks([&a], [&b], range.clone(), |i, [x], [y]| {
                 assert_eq!(i, next_row, "range {range:?}");
                 assert_eq!((x, y), (a.get(i), b.get(i)), "range {range:?} row {i}");
                 next_row += 1;

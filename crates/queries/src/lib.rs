@@ -124,9 +124,10 @@ impl<'a> ExecCfg<'a> {
     /// Account a scan morsel: record the touched bytes into the run's
     /// scheduler stats and pace against the configured storage device.
     ///
-    /// `row_bits` is the per-row payload width in **bits** — encoded
-    /// companions contribute their packed width (`Table::row_bits`),
-    /// flat columns their byte width × 8.
+    /// `row_bits` is the per-row payload width in **bits**, summed from
+    /// the column readers the stage holds (`RowScan::bits`, `Col::bits`):
+    /// packed columns contribute their packed width, flat columns their
+    /// byte width × 8.
     #[inline]
     pub fn pace(&self, rows: usize, row_bits: usize) {
         let bytes = rows * row_bits / 8;

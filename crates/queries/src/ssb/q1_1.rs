@@ -6,34 +6,26 @@
 //! WHERE lo_orderdate = d_datekey AND d_year = 1993
 //!   AND lo_discount BETWEEN 1 AND 3 AND lo_quantity < 25
 //! ```
+//!
+//! Each engine has one body; the four fact columns come through the
+//! engine's column reader (`dbep_compiled::RowScan`,
+//! `dbep_vectorized::Col`) in whichever format `lineorder` holds, and
+//! the scan is charged the widths the readers report.
 
 use crate::params::SsbQ11Params;
 use crate::result::{QueryResult, Value};
 use crate::{ExecCfg, Params};
-use dbep_compiled::packed::scan_blocks;
+use dbep_compiled::{for_each_row, RowScan};
 use dbep_runtime::JoinHt;
-use dbep_storage::{Database, PackedInts, Table};
+use dbep_storage::Database;
 use dbep_vectorized as tw;
-
-const LO_BITS: usize = 8 * (4 + 8 + 8 + 8);
-
-/// The four scanned fact columns, bandwidth-accounting order.
-const LO_COLS: [&str; 4] = ["lo_orderdate", "lo_discount", "lo_quantity", "lo_extendedprice"];
-
-/// Bit-packed companions for all four fact columns, if present. The tiny
-/// date dimension stays flat — compressing it saves nothing measurable.
-fn packed_cols(lo: &Table) -> Option<[&PackedInts; 4]> {
-    let mut out = [None; 4];
-    for (slot, name) in out.iter_mut().zip(LO_COLS) {
-        *slot = Some(lo.encoded(name)?.packed());
-    }
-    Some(out.map(|c| c.expect("filled above")))
-}
 
 fn finish(revenue: i64) -> QueryResult {
     QueryResult::new(&["revenue"], vec![vec![Value::dec4(revenue as i128)]], &[], None)
 }
 
+/// The tiny date dimension is walked flat, single-threaded and
+/// uncharged in every layout — compressing it saves nothing measurable.
 fn build_date_ht(db: &Database, hf: dbep_runtime::hash::HashFn, year: i32) -> JoinHt<i32> {
     let d = db.table("date");
     let dk = d.col("d_datekey").i32s();
@@ -45,15 +37,9 @@ fn build_date_ht(db: &Database, hf: dbep_runtime::hash::HashFn, year: i32) -> Jo
     )
 }
 
-/// Typer over encoded storage: the fused filter + probe + sum body, fed
-/// a block at a time by [`scan_blocks`] from all four packed fact columns.
-fn typer_encoded(
-    db: &Database,
-    lo: &Table,
-    cols: [&PackedInts; 4],
-    cfg: &ExecCfg,
-    p: &SsbQ11Params,
-) -> QueryResult {
+/// Typer: fused filter + probe + sum.
+pub fn typer(db: &Database, cfg: &ExecCfg, p: &SsbQ11Params) -> QueryResult {
+    let lo = db.table("lineorder");
     let (disc_lo, disc_hi, qty_hi) = (p.disc_lo, p.disc_hi, p.qty_hi);
     let hf = cfg.typer_hash();
     let ht_d = {
@@ -61,12 +47,17 @@ fn typer_encoded(
         build_date_ht(db, hf, p.year)
     };
     let _stage = cfg.stage(1);
+    let scan = RowScan::of(
+        lo,
+        ["lo_orderdate"],
+        ["lo_discount", "lo_quantity", "lo_extendedprice"],
+    );
     let locals = cfg.map_scan(
         lo.len(),
-        lo.row_bits(&LO_COLS),
+        scan.bits(),
         |_| 0i64,
         |local, r| {
-            scan_blocks(cols, r, |_, [o, d, q, e]| {
+            for_each_row!(scan, r, |_, [o], [d, q, e]| {
                 if d >= disc_lo && d <= disc_hi && q < qty_hi {
                     let o = o as i32;
                     let h = hf.hash(o as u64);
@@ -80,16 +71,9 @@ fn typer_encoded(
     finish(locals.into_iter().sum())
 }
 
-/// Tectorwise over encoded storage: one fused BETWEEN kernel and one
-/// fused sparse comparison replace the flat cascade; join keys and
-/// measures decode through conditional-aggregate readers.
-fn tectorwise_encoded(
-    db: &Database,
-    lo: &Table,
-    cols: [&PackedInts; 4],
-    cfg: &ExecCfg,
-    p: &SsbQ11Params,
-) -> QueryResult {
+/// Tectorwise: two selections, one probe, gather/multiply/sum.
+pub fn tectorwise(db: &Database, cfg: &ExecCfg, p: &SsbQ11Params) -> QueryResult {
+    let lo = db.table("lineorder");
     let (disc_lo, disc_hi, qty_hi) = (p.disc_lo, p.disc_hi, p.qty_hi);
     let hf = cfg.tw_hash();
     let policy = cfg.policy;
@@ -98,7 +82,10 @@ fn tectorwise_encoded(
         build_date_ht(db, hf, p.year)
     };
     let _stage = cfg.stage(1);
-    let [od, disc, qty, ext] = cols;
+    let od = tw::Col::<i32>::of(lo, "lo_orderdate");
+    let disc = tw::Col::<i64>::of(lo, "lo_discount");
+    let qty = tw::Col::<i64>::of(lo, "lo_quantity");
+    let ext = tw::Col::<i64>::of(lo, "lo_extendedprice");
     #[derive(Default)]
     struct Scratch {
         local: i64,
@@ -113,19 +100,17 @@ fn tectorwise_encoded(
     }
     let locals = cfg.map_scan(
         lo.len(),
-        lo.row_bits(&LO_COLS),
+        od.bits() + disc.bits() + qty.bits() + ext.bits(),
         |_| Scratch::default(),
         |st, r| {
             for c in tw::chunks(r, cfg.vector_size) {
-                if tw::sel::sel_between_i64_for(disc, disc_lo, disc_hi, c, &mut st.s1, policy) == 0 {
+                if disc.sel_between(disc_lo, disc_hi, c, &mut st.s1, policy) == 0 {
                     continue;
                 }
-                if tw::sel::sel_lt_i64_packed_sparse(qty, qty_hi, &st.s1, &mut st.s2, policy) == 0 {
+                if qty.sel_lt_sparse(qty_hi, &st.s1, &mut st.s2, policy) == 0 {
                     continue;
                 }
-                tw::gather::gather_packed_i64(od, &st.s2, policy, &mut st.v_od);
-                st.hashes.clear();
-                st.hashes.extend(st.v_od.iter().map(|&k| hf.hash(k as u64)));
+                od.hash(&st.s2, hf, &mut st.v_od, &mut st.hashes, policy);
                 if tw::probe::probe_join(
                     &ht_d,
                     &st.hashes,
@@ -137,114 +122,8 @@ fn tectorwise_encoded(
                 {
                     continue;
                 }
-                tw::gather::gather_packed_i64(ext, &st.bufs.match_tuple, policy, &mut st.v_ext);
-                tw::gather::gather_packed_i64(disc, &st.bufs.match_tuple, policy, &mut st.v_disc);
-                tw::map::map_mul_i64(&st.v_ext, &st.v_disc, &mut st.v_rev);
-                st.local += tw::map::sum_i64(&st.v_rev, policy);
-            }
-        },
-    );
-    finish(locals.into_iter().map(|s| s.local).sum())
-}
-
-/// Typer: fused filter + probe + sum.
-pub fn typer(db: &Database, cfg: &ExecCfg, p: &SsbQ11Params) -> QueryResult {
-    let lo = db.table("lineorder");
-    if let Some(cols) = packed_cols(lo) {
-        return typer_encoded(db, lo, cols, cfg, p);
-    }
-    let (disc_lo, disc_hi, qty_hi) = (p.disc_lo, p.disc_hi, p.qty_hi);
-    let hf = cfg.typer_hash();
-    let ht_d = {
-        let _s = cfg.stage(0);
-        build_date_ht(db, hf, p.year)
-    };
-    let _stage = cfg.stage(1);
-    let od = lo.col("lo_orderdate").i32s();
-    let disc = lo.col("lo_discount").i64s();
-    let qty = lo.col("lo_quantity").i64s();
-    let ext = lo.col("lo_extendedprice").i64s();
-    let locals = cfg.map_scan(
-        lo.len(),
-        LO_BITS,
-        |_| 0i64,
-        |local, r| {
-            for i in r {
-                if disc[i] >= disc_lo && disc[i] <= disc_hi && qty[i] < qty_hi {
-                    let h = hf.hash(od[i] as u64);
-                    if ht_d.probe(h).any(|e| e.row == od[i]) {
-                        *local += ext[i] * disc[i];
-                    }
-                }
-            }
-        },
-    );
-    finish(locals.into_iter().sum())
-}
-
-/// Tectorwise: two selections, one probe, gather/multiply/sum.
-pub fn tectorwise(db: &Database, cfg: &ExecCfg, p: &SsbQ11Params) -> QueryResult {
-    let lo = db.table("lineorder");
-    if let Some(cols) = packed_cols(lo) {
-        return tectorwise_encoded(db, lo, cols, cfg, p);
-    }
-    let (disc_lo, disc_hi, qty_hi) = (p.disc_lo, p.disc_hi, p.qty_hi);
-    let hf = cfg.tw_hash();
-    let policy = cfg.policy;
-    let ht_d = {
-        let _s = cfg.stage(0);
-        build_date_ht(db, hf, p.year)
-    };
-    let _stage = cfg.stage(1);
-    let od = lo.col("lo_orderdate").i32s();
-    let disc = lo.col("lo_discount").i64s();
-    let qty = lo.col("lo_quantity").i64s();
-    let ext = lo.col("lo_extendedprice").i64s();
-    #[derive(Default)]
-    struct Scratch {
-        local: i64,
-        s1: Vec<u32>,
-        s2: Vec<u32>,
-        hashes: Vec<u64>,
-        bufs: tw::ProbeBuffers,
-        v_ext: Vec<i64>,
-        v_disc: Vec<i64>,
-        v_rev: Vec<i64>,
-    }
-    let locals = cfg.map_scan(
-        lo.len(),
-        LO_BITS,
-        |_| Scratch::default(),
-        |st, r| {
-            for c in tw::chunks(r, cfg.vector_size) {
-                if tw::sel::sel_between_i64_dense(
-                    &disc[c.clone()],
-                    disc_lo,
-                    disc_hi,
-                    c.start as u32,
-                    &mut st.s1,
-                    policy,
-                ) == 0
-                {
-                    continue;
-                }
-                if tw::sel::sel_lt_i64_sparse(qty, qty_hi, &st.s1, &mut st.s2, policy) == 0 {
-                    continue;
-                }
-                tw::hashp::hash_i32(od, &st.s2, hf, &mut st.hashes);
-                if tw::probe::probe_join(
-                    &ht_d,
-                    &st.hashes,
-                    &st.s2,
-                    |row, t| *row == od[t as usize],
-                    policy,
-                    &mut st.bufs,
-                ) == 0
-                {
-                    continue;
-                }
-                tw::gather::gather_i64(ext, &st.bufs.match_tuple, policy, &mut st.v_ext);
-                tw::gather::gather_i64(disc, &st.bufs.match_tuple, policy, &mut st.v_disc);
+                ext.gather(&st.bufs.match_tuple, policy, &mut st.v_ext);
+                disc.gather(&st.bufs.match_tuple, policy, &mut st.v_disc);
                 tw::map::map_mul_i64(&st.v_ext, &st.v_disc, &mut st.v_rev);
                 st.local += tw::map::sum_i64(&st.v_rev, policy);
             }

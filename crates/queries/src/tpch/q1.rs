@@ -13,39 +13,26 @@
 //! This is the query where Typer's register-resident intermediates pay
 //! off most (§4.1): the Tectorwise version must materialize every
 //! arithmetic step into vectors.
+//!
+//! Each engine has one body; the five numeric columns come through the
+//! engine's column reader (`dbep_compiled::RowScan`,
+//! `dbep_vectorized::Col`) in whichever format `lineitem` holds, and
+//! the scan is charged the widths the readers report plus the two flat
+//! char flags.
 
 use crate::params::Q1Params;
 use crate::result::{avg_i64, OrderBy, QueryResult, Value};
 use crate::{ExecCfg, Params};
-use dbep_compiled::packed::scan_blocks;
+use dbep_compiled::{for_each_row, RowScan};
 use dbep_runtime::agg_ht::merge_partitions;
 use dbep_runtime::GroupByShard;
-use dbep_storage::{Database, PackedInts, Table};
+use dbep_storage::Database;
 use dbep_vectorized as tw;
 
-/// Bytes read per scanned lineitem row (5×i64 + date + 2×char), flat.
-const ROW_BITS: usize = 8 * (5 * 8 + 4 + 2);
+/// `l_returnflag` and `l_linestatus`: `Char` columns have no encoded
+/// form, so both layouts read them flat, one byte each.
+const FLAG_BITS: usize = 2 * 8;
 
-/// All seven scanned columns (bandwidth accounting); the first five are
-/// bit-packed, the two char flags stay flat (already one byte).
-const COLS: [&str; 7] = [
-    "l_shipdate",
-    "l_quantity",
-    "l_extendedprice",
-    "l_discount",
-    "l_tax",
-    "l_returnflag",
-    "l_linestatus",
-];
-
-/// Bit-packed companions for the five numeric columns, if present.
-fn packed_cols(li: &Table) -> Option<[&PackedInts; 5]> {
-    let mut out = [None; 5];
-    for (slot, name) in out.iter_mut().zip(COLS) {
-        *slot = Some(li.encoded(name)?.packed());
-    }
-    Some(out.map(|c| c.expect("filled above")))
-}
 /// Pre-aggregation capacity: Q1 has 4 groups, but sizing generously
 /// keeps the shard generic.
 const PREAGG_GROUPS: usize = 1 << 12;
@@ -110,21 +97,28 @@ fn finish(groups: Vec<((u8, u8), Q1Agg)>) -> QueryResult {
     )
 }
 
-/// Typer over encoded storage: the same fused loop body, fed by
-/// [`scan_blocks`] — the five numeric columns are unpacked a block at a
-/// time into L1-resident buffers; the char flags stay flat.
-fn typer_encoded(li: &Table, cols: [&PackedInts; 5], cfg: &ExecCfg, p: &Q1Params) -> QueryResult {
+/// Typer: the fused loop a data-centric generator emits (Fig. 2a shape).
+pub fn typer(db: &Database, cfg: &ExecCfg, p: &Q1Params) -> QueryResult {
+    let _stage = cfg.stage(0);
+    let li = db.table("lineitem");
     let ship_cut = p.ship_cut as i64;
+    let scan = RowScan::of(
+        li,
+        ["l_shipdate"],
+        ["l_quantity", "l_extendedprice", "l_discount", "l_tax"],
+    );
     let rf = li.col("l_returnflag").chars();
     let ls = li.col("l_linestatus").chars();
     let hf = cfg.typer_hash();
     let shards = cfg.map_scan(
         li.len(),
-        li.row_bits(&COLS),
+        scan.bits() + FLAG_BITS,
         |_| GroupByShard::<(u8, u8), Q1Agg>::new(PREAGG_GROUPS),
         |shard, r| {
-            scan_blocks(cols, r, |i, [s, q, e, d, t]| {
+            for_each_row!(scan, r, |i, [s], [q, e, d, t]| {
                 if s <= ship_cut {
+                    // All intermediates live in registers until the
+                    // single aggregate update — the fused pipeline.
                     let disc_price = e * (100 - d);
                     let charge = disc_price as i128 * (100 + t) as i128;
                     let key = (rf[i], ls[i]);
@@ -145,161 +139,19 @@ fn typer_encoded(li: &Table, cols: [&PackedInts; 5], cfg: &ExecCfg, p: &Q1Params
     finish(merge_partitions(shards, &cfg.exec(), Q1Agg::merge))
 }
 
-/// Typer: the fused loop a data-centric generator emits (Fig. 2a shape).
-pub fn typer(db: &Database, cfg: &ExecCfg, p: &Q1Params) -> QueryResult {
-    let _stage = cfg.stage(0);
-    let li = db.table("lineitem");
-    if let Some(cols) = packed_cols(li) {
-        return typer_encoded(li, cols, cfg, p);
-    }
-    let ship_cut = p.ship_cut;
-    let ship = li.col("l_shipdate").dates();
-    let qty = li.col("l_quantity").i64s();
-    let ext = li.col("l_extendedprice").i64s();
-    let disc = li.col("l_discount").i64s();
-    let tax = li.col("l_tax").i64s();
-    let rf = li.col("l_returnflag").chars();
-    let ls = li.col("l_linestatus").chars();
-    let hf = cfg.typer_hash();
-    let shards = cfg.map_scan(
-        li.len(),
-        ROW_BITS,
-        |_| GroupByShard::<(u8, u8), Q1Agg>::new(PREAGG_GROUPS),
-        |shard, r| {
-            for i in r {
-                if ship[i] <= ship_cut {
-                    // All intermediates live in registers until the
-                    // single aggregate update — the fused pipeline.
-                    let disc_price = ext[i] * (100 - disc[i]);
-                    let charge = disc_price as i128 * (100 + tax[i]) as i128;
-                    let key = (rf[i], ls[i]);
-                    let h = hf.rehash(hf.hash(key.0 as u64), key.1 as u64);
-                    shard.update(h, key, Q1Agg::default, |a| {
-                        a.qty += qty[i];
-                        a.base += ext[i];
-                        a.disc_price += disc_price;
-                        a.charge += charge;
-                        a.disc += disc[i];
-                        a.count += 1;
-                    });
-                }
-            }
-        },
-    );
-    let shards = shards.into_iter().map(GroupByShard::finish).collect();
-    finish(merge_partitions(shards, &cfg.exec(), Q1Agg::merge))
-}
-
-/// Tectorwise over encoded storage: the dense selection becomes a fused
-/// decompress-and-select kernel and every measure gather becomes a
-/// conditional-aggregate reader; the arithmetic/aggregate primitives are
-/// unchanged and never see compressed data.
-fn tectorwise_encoded(li: &Table, cols: [&PackedInts; 5], cfg: &ExecCfg, p: &Q1Params) -> QueryResult {
-    let ship_cut = p.ship_cut;
-    let [ship, qty, ext, disc, tax] = cols;
-    let rf = li.col("l_returnflag").chars();
-    let ls = li.col("l_linestatus").chars();
-    let hf = cfg.tw_hash();
-    let policy = cfg.policy;
-    #[derive(Default)]
-    struct Scratch {
-        sel: Vec<u32>,
-        hashes: Vec<u64>,
-        gb: tw::grouping::GroupBuffers,
-        v_qty: Vec<i64>,
-        v_ext: Vec<i64>,
-        v_disc: Vec<i64>,
-        v_tax: Vec<i64>,
-        v_om: Vec<i64>,
-        v_dp: Vec<i64>,
-        v_ot: Vec<i64>,
-        v_ch: Vec<i64>,
-    }
-    let shards = cfg.map_scan(
-        li.len(),
-        li.row_bits(&COLS),
-        |_| {
-            (
-                GroupByShard::<(u8, u8), Q1Agg>::new(PREAGG_GROUPS),
-                Scratch::default(),
-            )
-        },
-        |(shard, st), r| {
-            for c in tw::chunks(r, cfg.vector_size) {
-                let n = tw::sel::sel_le_i32_packed(ship, ship_cut, c, &mut st.sel, policy);
-                if n == 0 {
-                    continue;
-                }
-                tw::hashp::hash_u8(rf, &st.sel, hf, &mut st.hashes);
-                tw::hashp::rehash_u8(ls, &st.sel, hf, &mut st.hashes);
-                tw::grouping::find_groups(
-                    &shard.ht,
-                    &st.hashes,
-                    &st.sel,
-                    |k, t| k.0 == rf[t as usize] && k.1 == ls[t as usize],
-                    &mut st.gb,
-                );
-                // Misses: per-tuple find-or-insert on the private shard.
-                for &t in &st.gb.miss_sel {
-                    let ti = t as usize;
-                    let key = (rf[ti], ls[ti]);
-                    let h = hf.rehash(hf.hash(key.0 as u64), key.1 as u64);
-                    let (e, d) = (ext.get(ti), disc.get(ti));
-                    let disc_price = e * (100 - d);
-                    shard.update(h, key, Q1Agg::default, |a| {
-                        a.qty += qty.get(ti);
-                        a.base += e;
-                        a.disc_price += disc_price;
-                        a.charge += disc_price as i128 * (100 + tax.get(ti)) as i128;
-                        a.disc += d;
-                        a.count += 1;
-                    });
-                }
-                if st.gb.groups.is_empty() {
-                    continue;
-                }
-                // Hits: vector-at-a-time; measures decode straight into
-                // the dense vectors the aggregate primitives consume.
-                tw::gather::gather_packed_i64(qty, &st.gb.group_sel, policy, &mut st.v_qty);
-                tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_qty, |a, v| a.qty += v);
-                tw::gather::gather_packed_i64(ext, &st.gb.group_sel, policy, &mut st.v_ext);
-                tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_ext, |a, v| a.base += v);
-                tw::gather::gather_packed_i64(disc, &st.gb.group_sel, policy, &mut st.v_disc);
-                tw::map::map_rsub_const_i64(100, &st.v_disc, &mut st.v_om);
-                tw::map::map_mul_i64(&st.v_ext, &st.v_om, &mut st.v_dp);
-                tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_dp, |a, v| {
-                    a.disc_price += v
-                });
-                tw::gather::gather_packed_i64(tax, &st.gb.group_sel, policy, &mut st.v_tax);
-                tw::map::map_add_const_i64(100, &st.v_tax, &mut st.v_ot);
-                tw::map::map_mul_i64(&st.v_dp, &st.v_ot, &mut st.v_ch);
-                tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_ch, |a, v| {
-                    a.charge += v as i128
-                });
-                tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_disc, |a, v| a.disc += v);
-                tw::grouping::agg_update_unit(&mut shard.ht, &st.gb.groups, |a| a.count += 1);
-            }
-        },
-    );
-    let shards = shards.into_iter().map(|(shard, _)| shard.finish()).collect();
-    finish(merge_partitions(shards, &cfg.exec(), Q1Agg::merge))
-}
-
 /// Tectorwise: selection → hash → find-groups → one aggregate-update
 /// primitive per sum, with every intermediate materialized (Fig. 2b
-/// shape).
+/// shape). The arithmetic and aggregate primitives only ever see the
+/// dense vectors the column readers gather.
 pub fn tectorwise(db: &Database, cfg: &ExecCfg, p: &Q1Params) -> QueryResult {
     let _stage = cfg.stage(0);
     let li = db.table("lineitem");
-    if let Some(cols) = packed_cols(li) {
-        return tectorwise_encoded(li, cols, cfg, p);
-    }
     let ship_cut = p.ship_cut;
-    let ship = li.col("l_shipdate").dates();
-    let qty = li.col("l_quantity").i64s();
-    let ext = li.col("l_extendedprice").i64s();
-    let disc = li.col("l_discount").i64s();
-    let tax = li.col("l_tax").i64s();
+    let ship = tw::Col::<i32>::of(li, "l_shipdate");
+    let qty = tw::Col::<i64>::of(li, "l_quantity");
+    let ext = tw::Col::<i64>::of(li, "l_extendedprice");
+    let disc = tw::Col::<i64>::of(li, "l_discount");
+    let tax = tw::Col::<i64>::of(li, "l_tax");
     let rf = li.col("l_returnflag").chars();
     let ls = li.col("l_linestatus").chars();
     let hf = cfg.tw_hash();
@@ -320,7 +172,7 @@ pub fn tectorwise(db: &Database, cfg: &ExecCfg, p: &Q1Params) -> QueryResult {
     }
     let shards = cfg.map_scan(
         li.len(),
-        ROW_BITS,
+        ship.bits() + qty.bits() + ext.bits() + disc.bits() + tax.bits() + FLAG_BITS,
         |_| {
             (
                 GroupByShard::<(u8, u8), Q1Agg>::new(PREAGG_GROUPS),
@@ -329,14 +181,7 @@ pub fn tectorwise(db: &Database, cfg: &ExecCfg, p: &Q1Params) -> QueryResult {
         },
         |(shard, st), r| {
             for c in tw::chunks(r, cfg.vector_size) {
-                let n = tw::sel::sel_le_i32_dense(
-                    &ship[c.clone()],
-                    ship_cut,
-                    c.start as u32,
-                    &mut st.sel,
-                    policy,
-                );
-                if n == 0 {
+                if ship.sel_le(ship_cut, c, &mut st.sel, policy) == 0 {
                     continue;
                 }
                 tw::hashp::hash_u8(rf, &st.sel, hf, &mut st.hashes);
@@ -354,13 +199,14 @@ pub fn tectorwise(db: &Database, cfg: &ExecCfg, p: &Q1Params) -> QueryResult {
                     let t = t as usize;
                     let key = (rf[t], ls[t]);
                     let h = hf.rehash(hf.hash(key.0 as u64), key.1 as u64);
-                    let disc_price = ext[t] * (100 - disc[t]);
+                    let (e, d) = (ext.get(t), disc.get(t));
+                    let disc_price = e * (100 - d);
                     shard.update(h, key, Q1Agg::default, |a| {
-                        a.qty += qty[t];
-                        a.base += ext[t];
+                        a.qty += qty.get(t);
+                        a.base += e;
                         a.disc_price += disc_price;
-                        a.charge += disc_price as i128 * (100 + tax[t]) as i128;
-                        a.disc += disc[t];
+                        a.charge += disc_price as i128 * (100 + tax.get(t)) as i128;
+                        a.disc += d;
                         a.count += 1;
                     });
                 }
@@ -368,17 +214,17 @@ pub fn tectorwise(db: &Database, cfg: &ExecCfg, p: &Q1Params) -> QueryResult {
                     continue;
                 }
                 // Hits: vector-at-a-time, one primitive per step/aggregate.
-                tw::gather::gather_i64(qty, &st.gb.group_sel, policy, &mut st.v_qty);
+                qty.gather(&st.gb.group_sel, policy, &mut st.v_qty);
                 tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_qty, |a, v| a.qty += v);
-                tw::gather::gather_i64(ext, &st.gb.group_sel, policy, &mut st.v_ext);
+                ext.gather(&st.gb.group_sel, policy, &mut st.v_ext);
                 tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_ext, |a, v| a.base += v);
-                tw::gather::gather_i64(disc, &st.gb.group_sel, policy, &mut st.v_disc);
+                disc.gather(&st.gb.group_sel, policy, &mut st.v_disc);
                 tw::map::map_rsub_const_i64(100, &st.v_disc, &mut st.v_om);
                 tw::map::map_mul_i64(&st.v_ext, &st.v_om, &mut st.v_dp);
                 tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_dp, |a, v| {
                     a.disc_price += v
                 });
-                tw::gather::gather_i64(tax, &st.gb.group_sel, policy, &mut st.v_tax);
+                tax.gather(&st.gb.group_sel, policy, &mut st.v_tax);
                 tw::map::map_add_const_i64(100, &st.v_tax, &mut st.v_ot);
                 tw::map::map_mul_i64(&st.v_dp, &st.v_ot, &mut st.v_ch);
                 tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_ch, |a, v| {

@@ -13,187 +13,102 @@
 //! runs the paper's five-primitive selection cascade — one dense
 //! selection, four sparse ones (§5.1) — which is also the SIMD showcase
 //! of Fig. 6c.
+//!
+//! Each engine has one body. Which format `lineitem` holds is the
+//! column reader's business (`dbep_compiled::RowScan`,
+//! `dbep_vectorized::Col`): over an encoded table the same Typer loop is
+//! fed block-wise unpacked values and the same Tectorwise cascade runs
+//! the fused decompress-and-select kernels (two BETWEENs and one sparse
+//! comparison in place of the five flat selections). Bytes are charged
+//! from the readers' widths.
 
 use crate::params::Q6Params;
 use crate::result::{QueryResult, Value};
 use crate::{ExecCfg, Params};
-use dbep_compiled::packed::scan_blocks;
-use dbep_storage::{Database, PackedInts, Table};
+use dbep_compiled::{for_each_row, RowScan};
+use dbep_storage::Database;
 use dbep_vectorized as tw;
-
-/// Bytes read per scanned row (date + 3×i64), flat storage.
-const ROW_BITS: usize = 8 * (4 + 3 * 8);
-
-/// The four scanned columns, in encoding/bandwidth-accounting order.
-const COLS: [&str; 4] = ["l_shipdate", "l_discount", "l_quantity", "l_extendedprice"];
-
-/// Bit-packed companions for all four scanned columns, if present.
-fn packed_cols(li: &Table) -> Option<[&PackedInts; 4]> {
-    let mut out = [None; 4];
-    for (slot, name) in out.iter_mut().zip(COLS) {
-        *slot = Some(li.encoded(name)?.packed());
-    }
-    Some(out.map(|c| c.expect("filled above")))
-}
 
 fn finish(revenue: i64) -> QueryResult {
     QueryResult::new(&["revenue"], vec![vec![Value::dec4(revenue as i128)]], &[], None)
-}
-
-/// Typer over encoded storage: the same fused loop body, fed by
-/// [`scan_blocks`] — each column is unpacked a block at a time into an
-/// L1-resident buffer, so width dispatch is paid per block, not per row.
-fn typer_encoded(li: &Table, cols: [&PackedInts; 4], cfg: &ExecCfg, p: &Q6Params) -> QueryResult {
-    let (ship_lo, ship_hi) = (p.ship_lo as i64, p.ship_hi as i64);
-    let (disc_lo, disc_hi, qty_hi) = (p.disc_lo, p.disc_hi, p.qty_hi);
-    let locals = cfg.map_scan(
-        li.len(),
-        li.row_bits(&COLS),
-        |_| 0i64,
-        |local, r| {
-            scan_blocks(cols, r, |_, [s, d, q, e]| {
-                let ok = (s >= ship_lo) & (s < ship_hi) & (d >= disc_lo) & (d <= disc_hi) & (q < qty_hi);
-                // `ok * (e * d)`, not `ok * e * d`: the latter becomes
-                // `select(ok, load e, 0) * d`, which LLVM turns into a
-                // branch on a ~50 % predicate to skip the load.
-                *local += (ok as i64) * (e * d);
-            });
-        },
-    );
-    finish(locals.into_iter().sum())
-}
-
-/// Tectorwise over encoded storage: fused decompress-and-select
-/// cascade — two BETWEEN kernels and one sparse comparison replace the
-/// five flat selections, then conditional-aggregate readers unpack only
-/// the surviving rows' measures.
-fn tectorwise_encoded(li: &Table, cols: [&PackedInts; 4], cfg: &ExecCfg, p: &Q6Params) -> QueryResult {
-    let (ship_lo, ship_hi) = (p.ship_lo, p.ship_hi);
-    let (disc_lo, disc_hi, qty_hi) = (p.disc_lo, p.disc_hi, p.qty_hi);
-    let [ship, disc, qty, ext] = cols;
-    let policy = cfg.policy;
-    #[derive(Default)]
-    struct Scratch {
-        local: i64,
-        s1: Vec<u32>,
-        s2: Vec<u32>,
-        s3: Vec<u32>,
-        v_ext: Vec<i64>,
-        v_disc: Vec<i64>,
-        v_rev: Vec<i64>,
-    }
-    let locals = cfg.map_scan(
-        li.len(),
-        li.row_bits(&COLS),
-        |_| Scratch::default(),
-        |st, r| {
-            for c in tw::chunks(r, cfg.vector_size) {
-                // BETWEEN is inclusive: shipdate < hi becomes <= hi-1.
-                if tw::sel::sel_between_i32_for(ship, ship_lo, ship_hi - 1, c, &mut st.s1, policy) == 0 {
-                    continue;
-                }
-                if tw::sel::sel_between_i64_for_sparse(disc, disc_lo, disc_hi, &st.s1, &mut st.s2, policy)
-                    == 0
-                {
-                    continue;
-                }
-                if tw::sel::sel_lt_i64_packed_sparse(qty, qty_hi, &st.s2, &mut st.s3, policy) == 0 {
-                    continue;
-                }
-                tw::gather::gather_packed_i64(ext, &st.s3, policy, &mut st.v_ext);
-                tw::gather::gather_packed_i64(disc, &st.s3, policy, &mut st.v_disc);
-                tw::map::map_mul_i64(&st.v_ext, &st.v_disc, &mut st.v_rev);
-                st.local += tw::map::sum_i64(&st.v_rev, policy);
-            }
-        },
-    );
-    finish(locals.into_iter().map(|s| s.local).sum())
 }
 
 /// Typer: one fused, branch-free loop.
 pub fn typer(db: &Database, cfg: &ExecCfg, p: &Q6Params) -> QueryResult {
     let _stage = cfg.stage(0);
     let li = db.table("lineitem");
-    if let Some(cols) = packed_cols(li) {
-        return typer_encoded(li, cols, cfg, p);
-    }
-    let (ship_lo, ship_hi) = (p.ship_lo, p.ship_hi);
+    let (ship_lo, ship_hi) = (p.ship_lo as i64, p.ship_hi as i64);
     let (disc_lo, disc_hi, qty_hi) = (p.disc_lo, p.disc_hi, p.qty_hi);
-    let ship = li.col("l_shipdate").dates();
-    let disc = li.col("l_discount").i64s();
-    let qty = li.col("l_quantity").i64s();
-    let ext = li.col("l_extendedprice").i64s();
+    let scan = RowScan::of(
+        li,
+        ["l_shipdate"],
+        ["l_discount", "l_quantity", "l_extendedprice"],
+    );
     let locals = cfg.map_scan(
         li.len(),
-        ROW_BITS,
+        scan.bits(),
         |_| 0i64,
         |local, r| {
-            for i in r {
+            // A morsel-local sum: with no store in the loop the bounds
+            // stay in registers beside it.
+            let mut revenue = 0i64;
+            for_each_row!(scan, r, |_, [s], [d, q, e]| {
                 // Predicated evaluation: no branches, all columns read.
-                let ok = (ship[i] >= ship_lo)
-                    & (ship[i] < ship_hi)
-                    & (disc[i] >= disc_lo)
-                    & (disc[i] <= disc_hi)
-                    & (qty[i] < qty_hi);
-                *local += (ok as i64) * ext[i] * disc[i];
-            }
+                let ok = (s >= ship_lo) & (s < ship_hi) & (d >= disc_lo) & (d <= disc_hi) & (q < qty_hi);
+                // `ok * (e * d)`, not `ok * e * d`: the latter becomes
+                // `select(ok, load e, 0) * d`, which LLVM turns into a
+                // branch on a ~50 % predicate to skip the load.
+                revenue += (ok as i64) * (e * d);
+            });
+            *local += revenue;
         },
     );
     finish(locals.into_iter().sum())
 }
 
-/// Tectorwise: five selection primitives, then gather/multiply/sum.
+/// Tectorwise: the selection cascade, then gather/multiply/sum of the
+/// surviving rows' measures.
 pub fn tectorwise(db: &Database, cfg: &ExecCfg, p: &Q6Params) -> QueryResult {
     let _stage = cfg.stage(0);
     let li = db.table("lineitem");
-    if let Some(cols) = packed_cols(li) {
-        return tectorwise_encoded(li, cols, cfg, p);
-    }
     let (ship_lo, ship_hi) = (p.ship_lo, p.ship_hi);
     let (disc_lo, disc_hi, qty_hi) = (p.disc_lo, p.disc_hi, p.qty_hi);
-    let ship = li.col("l_shipdate").dates();
-    let disc = li.col("l_discount").i64s();
-    let qty = li.col("l_quantity").i64s();
-    let ext = li.col("l_extendedprice").i64s();
+    let ship = tw::Col::<i32>::of(li, "l_shipdate");
+    let disc = tw::Col::<i64>::of(li, "l_discount");
+    let qty = tw::Col::<i64>::of(li, "l_quantity");
+    let ext = tw::Col::<i64>::of(li, "l_extendedprice");
     let policy = cfg.policy;
     #[derive(Default)]
     struct Scratch {
         local: i64,
+        tmp: Vec<u32>,
         s1: Vec<u32>,
         s2: Vec<u32>,
         s3: Vec<u32>,
-        s4: Vec<u32>,
-        s5: Vec<u32>,
         v_ext: Vec<i64>,
         v_disc: Vec<i64>,
         v_rev: Vec<i64>,
     }
     let locals = cfg.map_scan(
         li.len(),
-        ROW_BITS,
+        ship.bits() + disc.bits() + qty.bits() + ext.bits(),
         |_| Scratch::default(),
         |st, r| {
             for c in tw::chunks(r, cfg.vector_size) {
-                // 1 dense + 4 sparse selections (§5.1's cascade).
-                if tw::sel::sel_ge_i32_dense(&ship[c.clone()], ship_lo, c.start as u32, &mut st.s1, policy)
-                    == 0
-                {
+                // Flat: 1 dense + 4 sparse selections (§5.1's cascade);
+                // packed: two fused BETWEENs and one sparse comparison.
+                // BETWEEN is inclusive: shipdate < hi becomes <= hi-1.
+                if ship.sel_between(ship_lo, ship_hi - 1, c, &mut st.tmp, &mut st.s1, policy) == 0 {
                     continue;
                 }
-                if tw::sel::sel_lt_i32_sparse(ship, ship_hi, &st.s1, &mut st.s2, policy) == 0 {
+                if disc.sel_between_sparse(disc_lo, disc_hi, &st.s1, &mut st.tmp, &mut st.s2, policy) == 0 {
                     continue;
                 }
-                if tw::sel::sel_ge_i64_sparse(disc, disc_lo, &st.s2, &mut st.s3, policy) == 0 {
+                if qty.sel_lt_sparse(qty_hi, &st.s2, &mut st.s3, policy) == 0 {
                     continue;
                 }
-                if tw::sel::sel_le_i64_sparse(disc, disc_hi, &st.s3, &mut st.s4, policy) == 0 {
-                    continue;
-                }
-                if tw::sel::sel_lt_i64_sparse(qty, qty_hi, &st.s4, &mut st.s5, policy) == 0 {
-                    continue;
-                }
-                tw::gather::gather_i64(ext, &st.s5, policy, &mut st.v_ext);
-                tw::gather::gather_i64(disc, &st.s5, policy, &mut st.v_disc);
+                ext.gather(&st.s3, policy, &mut st.v_ext);
+                disc.gather(&st.s3, policy, &mut st.v_disc);
                 tw::map::map_mul_i64(&st.v_ext, &st.v_disc, &mut st.v_rev);
                 st.local += tw::map::sum_i64(&st.v_rev, policy);
             }

@@ -164,6 +164,30 @@ fn randomized_params_agree_with_oracles_on_encoded_storage() {
             done += 1;
         }
     }
+    // Mixed layouts: each stage reads its table in the format that table
+    // holds, so Q14 — the one fused-scan plan over two tables — must
+    // agree with the oracle with only its probe side or only its build
+    // side encoded, whatever the morsel split.
+    let flat = dbep_datagen::tpch::generate(0.01, 7);
+    let q = QueryId::Q14;
+    for only in ["lineitem", "part"] {
+        let mut table = flat.table(only).clone();
+        table.encode_all(&dbep_storage::Arena::new());
+        let mut mixed = flat.clone();
+        mixed.add(table);
+        for params in [Params::default_for(q), draw(q, &mut rng), draw(q, &mut rng)] {
+            let oracle = common::oracle(q, &mixed, &params);
+            for engine in [Engine::Typer, Engine::Tectorwise] {
+                for threads in [1, 3] {
+                    let got = run_with(engine, q, &mixed, &ExecCfg::with_threads(threads), &params);
+                    assert_eq!(
+                        got, oracle,
+                        "Q14 with only {only} encoded, {engine:?} × {threads}, deviates under {params:?}"
+                    );
+                }
+            }
+        }
+    }
 }
 
 /// `db` with table `name` cut to its first `rows` rows (flat columns

@@ -8,14 +8,22 @@ use std::collections::HashMap;
 ///
 /// Lookup by column name happens once per query during plan construction;
 /// execution holds on to the column slices directly.
+///
+/// **A table is flat or fully encoded.** [`Table::encode_all`] is the
+/// only way to build compressed companions, and it builds one for every
+/// column that has an encoding: always for `I32`/`I64`/`Date`, for `Str`
+/// when the dictionary fits 256 entries, never for `Char`. So "some
+/// numeric columns packed, some not" is not a state a table can be in,
+/// and the engines' column readers pick one format per table. The flat
+/// columns stay in either state (Volcano and the oracles read them).
 #[derive(Clone, Debug, Default)]
 pub struct Table {
     name: String,
     len: usize,
     columns: Vec<(String, ColumnData)>,
     by_name: HashMap<String, usize>,
-    /// Compressed companions (ROADMAP item 3): the flat column stays the
-    /// canonical form; plans that know the fused kernels scan these.
+    /// Compressed companions, keyed by column name; empty on a flat
+    /// table.
     encoded: HashMap<String, EncodedColumn>,
 }
 
@@ -89,46 +97,19 @@ impl Table {
         self.columns.iter().map(|(_, c)| c.byte_size()).sum()
     }
 
-    /// Build the compressed companion for one column. Returns whether an
-    /// encoding applied (`Char` and high-cardinality string columns stay
-    /// flat-only).
-    pub fn encode_column(&mut self, name: &str, arena: &Arena) -> bool {
-        match EncodedColumn::from_column(self.col(name), arena) {
-            Some(enc) => {
-                self.encoded.insert(name.to_string(), enc);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Build compressed companions for every column that supports one.
+    /// Build compressed companions for every column that supports one
+    /// (`Char` and high-cardinality string columns stay flat-only).
     pub fn encode_all(&mut self, arena: &Arena) {
-        let names: Vec<String> = self.column_names().map(str::to_string).collect();
-        for name in names {
-            self.encode_column(&name, arena);
+        for (name, data) in &self.columns {
+            if let Some(enc) = EncodedColumn::from_column(data, arena) {
+                self.encoded.insert(name.clone(), enc);
+            }
         }
     }
 
     /// Compressed companion of a column, if one was built.
     pub fn encoded(&self, name: &str) -> Option<&EncodedColumn> {
         self.encoded.get(name)
-    }
-
-    /// Bits one row contributes to a scan over the named columns:
-    /// the encoded width where a companion exists, otherwise the flat
-    /// width. Feeds the `bytes_scanned` accounting and the bandwidth
-    /// throttle.
-    pub fn row_bits(&self, cols: &[&str]) -> usize {
-        if self.len == 0 {
-            return 0;
-        }
-        cols.iter()
-            .map(|name| match self.encoded(name) {
-                Some(enc) => enc.bits_per_value(),
-                None => self.col(name).byte_size() * 8 / self.len,
-            })
-            .sum()
     }
 
     /// Encoded payload bytes across all companions.
@@ -155,7 +136,7 @@ mod tests {
     }
 
     #[test]
-    fn companion_encoding_and_row_bits() {
+    fn companion_encoding() {
         use crate::encoded::Arena;
         let mut t = Table::new("li");
         t.add_column("qty", ColumnData::I32(vec![1, 7, 3, 7]))
@@ -167,12 +148,7 @@ mod tests {
         assert_eq!(t.encoded("qty").unwrap().bits_per_value(), 3);
         assert_eq!(t.encoded("price").unwrap().bits_per_value(), 7);
         assert!(t.encoded("flag").is_none());
-        assert_eq!(t.row_bits(&["qty", "price", "flag"]), 3 + 7 + 8);
         assert!(t.encoded_byte_size() > 0);
-        // Flat-only table reports flat widths.
-        let mut flat = Table::new("flat");
-        flat.add_column("qty", ColumnData::I32(vec![1, 2]));
-        assert_eq!(flat.row_bits(&["qty"]), 32);
     }
 
     #[test]

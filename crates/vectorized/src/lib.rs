@@ -25,6 +25,7 @@
 
 pub mod adaptive;
 pub mod chunk;
+pub mod col;
 pub mod gather;
 pub mod grouping;
 pub mod hashp;
@@ -34,6 +35,7 @@ pub mod sel;
 pub mod stage;
 
 pub use chunk::{chunks, ChunkSource, Chunks, DEFAULT_VECTOR_SIZE};
+pub use col::Col;
 pub use probe::ProbeBuffers;
 
 /// Which implementation of the hot primitives a plan uses (§5).

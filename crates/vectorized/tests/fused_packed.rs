@@ -312,3 +312,126 @@ fn dense_i64_simd_satellite_matches_scalar() {
         }
     }
 }
+
+/// The column reader over a flat and a packed view of the same values:
+/// every method must select the same rows / gather the same values as a
+/// plain-Rust model, under every policy — this is what lets a plan stage
+/// be written once for both storage formats.
+#[test]
+fn col_reader_matches_across_formats() {
+    use dbep_runtime::hash::HashFn;
+    use dbep_vectorized::Col;
+    let arena = Arena::new();
+    let mut rng = Rng::new(0xfced_0008);
+    for target_width in [0u32, 1, 5, 12, 17, 24, 29] {
+        // 64-bit measures: dense/sparse ranges, sparse `<`, gather, get.
+        let (packed, flat) = random_column(&mut rng, &arena, target_width);
+        let n = flat.len();
+        let a = flat[rng.below(n as u64) as usize];
+        let b = flat[rng.below(n as u64) as usize];
+        let (lo, hi) = (a.min(b), a.max(b));
+        let chunk = rng.below(n as u64) as usize..n;
+        let in_sel = random_sel(&mut rng, n);
+        let between = |i: &u32| (lo..=hi).contains(&flat[*i as usize]);
+        let dense_model: Vec<u32> = chunk.clone().map(|i| i as u32).filter(between).collect();
+        let sparse_model: Vec<u32> = in_sel.iter().copied().filter(between).collect();
+        let lt_model: Vec<u32> = in_sel
+            .iter()
+            .copied()
+            .filter(|&i| flat[i as usize] < hi)
+            .collect();
+        let gather_model: Vec<i64> = in_sel.iter().map(|&i| flat[i as usize]).collect();
+        let views = [Col::<i64>::Flat(&flat), Col::Packed(&packed)];
+        assert_eq!(views[0].bits(), 64);
+        assert_eq!(views[1].bits(), packed.width() as usize);
+        for col in views {
+            let format = if matches!(col, Col::Flat(_)) {
+                "flat"
+            } else {
+                "packed"
+            };
+            let what = format!("{format} w={target_width}");
+            for policy in POLICIES {
+                // Scratch starts dirty: the reader must overwrite it.
+                let (mut tmp, mut out, mut vals) = (vec![7], vec![7, 7], vec![7]);
+                col.sel_between(lo, hi, chunk.clone(), &mut out, policy);
+                assert_eq!(out, dense_model, "sel_between {what} {policy:?}");
+                col.sel_between_sparse(lo, hi, &in_sel, &mut tmp, &mut out, policy);
+                assert_eq!(out, sparse_model, "sel_between_sparse {what} {policy:?}");
+                // An empty first step must leave an empty result behind.
+                let n_out = col.sel_between_sparse(i64::MAX, i64::MAX, &in_sel, &mut tmp, &mut out, policy);
+                assert_eq!((n_out, out.len()), (0, 0), "empty sparse range {what} {policy:?}");
+                col.sel_lt_sparse(hi, &in_sel, &mut out, policy);
+                assert_eq!(out, lt_model, "sel_lt_sparse {what} {policy:?}");
+                col.gather(&in_sel, policy, &mut vals);
+                assert_eq!(vals, gather_model, "gather {what} {policy:?}");
+            }
+            assert!((0..n).all(|i| col.get(i) == flat[i]), "get {what}");
+        }
+
+        // 32-bit keys and dates: dense `<=`, dense range, hash, get.
+        let flat32: Vec<i32> = flat.iter().map(|&v| v as i32).collect();
+        let packed32 = PackedInts::encode(&flat32, &arena);
+        let (lo, hi) = (lo as i32, hi as i32);
+        let le_model: Vec<u32> = chunk
+            .clone()
+            .map(|i| i as u32)
+            .filter(|&i| flat32[i as usize] <= hi)
+            .collect();
+        let views = [Col::<i32>::Flat(&flat32), Col::Packed(&packed32)];
+        assert_eq!(views[0].bits(), 32);
+        for col in views {
+            let format = if matches!(col, Col::Flat(_)) {
+                "flat"
+            } else {
+                "packed"
+            };
+            let what = format!("{format} w={target_width}");
+            for policy in POLICIES {
+                let (mut tmp, mut out) = (vec![7], vec![7, 7]);
+                col.sel_le(hi, chunk.clone(), &mut out, policy);
+                assert_eq!(out, le_model, "sel_le {what} {policy:?}");
+                col.sel_between(lo, hi, chunk.clone(), &mut tmp, &mut out, policy);
+                assert_eq!(out, dense_model, "sel_between i32 {what} {policy:?}");
+                let n_out = col.sel_between(i32::MAX, i32::MAX, chunk.clone(), &mut tmp, &mut out, policy);
+                assert_eq!((n_out, out.len()), (0, 0), "empty dense range {what} {policy:?}");
+                for hf in [HashFn::Murmur2, HashFn::Crc] {
+                    let (mut keys, mut hashes) = (vec![7], vec![7]);
+                    col.hash(&in_sel, hf, &mut keys, &mut hashes, policy);
+                    let model: Vec<u64> = in_sel
+                        .iter()
+                        .map(|&i| hf.hash(flat32[i as usize] as u64))
+                        .collect();
+                    assert_eq!(hashes, model, "hash {hf:?} {what} {policy:?}");
+                }
+            }
+            assert!((0..n).all(|i| col.get(i) == flat32[i] as i64), "get i32 {what}");
+        }
+    }
+}
+
+/// `Col::of` hands out the format the table holds: flat slices before
+/// `encode_all`, packed companions after — for `I32`, `Date` and `I64`.
+#[test]
+fn col_of_follows_the_table() {
+    use dbep_storage::{ColumnData, Table};
+    use dbep_vectorized::Col;
+    let mut t = Table::new("t");
+    t.add_column("k", ColumnData::I32(vec![3, 1, 2]))
+        .add_column("d", ColumnData::Date(vec![9000, 9001, 9002]))
+        .add_column("v", ColumnData::I64(vec![10, 30, 20]));
+    assert!(matches!(Col::<i32>::of(&t, "k"), Col::Flat([3, 1, 2])));
+    assert!(matches!(Col::<i32>::of(&t, "d"), Col::Flat([9000, 9001, 9002])));
+    assert!(matches!(Col::<i64>::of(&t, "v"), Col::Flat([10, 30, 20])));
+    t.encode_all(&Arena::new());
+    for (col, want) in [
+        (Col::<i32>::of(&t, "k"), [3, 1, 2]),
+        (Col::<i32>::of(&t, "d"), [9000, 9001, 9002]),
+    ] {
+        assert!(matches!(col, Col::Packed(_)));
+        assert_eq!([col.get(0), col.get(1), col.get(2)], want);
+    }
+    let v = Col::<i64>::of(&t, "v");
+    assert!(matches!(v, Col::Packed(_)));
+    assert_eq!([v.get(0), v.get(1), v.get(2)], [10, 30, 20]);
+}

@@ -1,11 +1,13 @@
 //! Bandwidth accounting for compressed scans: the whole point of the
 //! encoded storage layer is that bandwidth-bound plans touch fewer
 //! bytes. This pins the claim with the scheduler-side `bytes_scanned`
-//! counter: on TPC-H at SF 0.1, Q6 and Q1 over encoded storage must
-//! scan at most half the bytes of the flat layout — with identical
-//! results — on both block-at-a-time engines. Volcano always scans the
-//! flat columns, so its byte volume must not change (it is the honest
-//! uncompressed baseline in the comparison).
+//! counter: at SF 0.1, the four fused-scan plans (Q6, Q1, Q14 on TPC-H,
+//! Q1.1 on SSB) over encoded storage must scan at most half the bytes
+//! of the flat layout — with identical results — on both
+//! block-at-a-time engines, and the two engines, whose column readers
+//! charge what they hold, must charge the same bytes on each layout.
+//! Volcano always scans the flat columns, so its byte volume must not
+//! change (it is the honest uncompressed baseline in the comparison).
 
 use db_engine_paradigms::prelude::*;
 
@@ -22,7 +24,25 @@ fn q6_q1_bytes_scanned_at_least_halved_by_encoding() {
         dbep_datagen::tpch::generate_encoded_par(SF, 42, THREADS),
         ExecCfg::with_threads(THREADS),
     );
-    for q in [QueryId::Q6, QueryId::Q1] {
+    bytes_at_least_halved(&flat, &enc, &[QueryId::Q6, QueryId::Q1, QueryId::Q14]);
+}
+
+#[test]
+fn ssb_q1_1_bytes_scanned_at_least_halved_by_encoding() {
+    let flat = Session::with_cfg(
+        dbep_datagen::ssb::generate_par(SF, 42, THREADS),
+        ExecCfg::with_threads(THREADS),
+    );
+    let enc = Session::with_cfg(
+        dbep_datagen::ssb::generate_encoded_par(SF, 42, THREADS),
+        ExecCfg::with_threads(THREADS),
+    );
+    bytes_at_least_halved(&flat, &enc, &[QueryId::Ssb1_1]);
+}
+
+fn bytes_at_least_halved(flat: &Session, enc: &Session, queries: &[QueryId]) {
+    for &q in queries {
+        let mut charged = Vec::new();
         for engine in [Engine::Typer, Engine::Tectorwise] {
             let (r_flat, s_flat) = flat.prepare(q).run_with_stats(engine);
             let (r_enc, s_enc) = enc.prepare(q).run_with_stats(engine);
@@ -46,7 +66,14 @@ fn q6_q1_bytes_scanned_at_least_halved_by_encoding() {
                 s_enc.bytes_scanned,
                 s_flat.bytes_scanned
             );
+            charged.push((s_flat.bytes_scanned, s_enc.bytes_scanned));
         }
+        assert_eq!(
+            charged[0],
+            charged[1],
+            "{}: Typer and Tectorwise charge different (flat, encoded) bytes",
+            q.name()
+        );
         // Volcano ignores companions: same plan, same flat byte volume.
         let (rv_flat, sv_flat) = flat.prepare(q).run_with_stats(Engine::Volcano);
         let (rv_enc, sv_enc) = enc.prepare(q).run_with_stats(Engine::Volcano);

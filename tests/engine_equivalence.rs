@@ -110,6 +110,32 @@ fn encoded_storage_agrees_with_flat_on_all_36_pairs() {
             }
         }
     }
+    // The format is chosen per stage from what that stage's table holds:
+    // Q14, the one fused-scan plan over two tables, must also match with
+    // only its probe side or only its build side encoded.
+    let q = QueryId::Q14;
+    let reference = run(Engine::Typer, q, tpch_db_001(), &ExecCfg::default());
+    for only in ["lineitem", "part"] {
+        let mut table = tpch_db_001().table(only).clone();
+        table.encode_all(&dbep_storage::Arena::new());
+        let mut mixed = tpch_db_001().clone();
+        mixed.add(table);
+        for e in [Engine::Typer, Engine::Tectorwise] {
+            for policy in [SimdPolicy::Scalar, SimdPolicy::Simd, SimdPolicy::Auto] {
+                let cfg = ExecCfg {
+                    policy,
+                    ..Default::default()
+                };
+                let r = run(e, q, &mixed, &cfg);
+                assert_equal(
+                    q,
+                    &reference,
+                    &r,
+                    &format!("only {only} encoded, {e:?} {policy:?}"),
+                );
+            }
+        }
+    }
 }
 
 /// Encoded scans must also commute with morsel parallelism: the
