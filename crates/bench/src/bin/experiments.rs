@@ -1501,9 +1501,8 @@ struct ServeScenario {
     reprepare_total: usize,
     reprepare_avg_ns: f64,
     /// Learned per-stage assignments (`Engine::Adaptive` scenarios
-    /// only): `(query index, "stage=engine ..." rendering, pure
-    /// fallback)`.
-    adaptive: Vec<(usize, String, Engine)>,
+    /// only): `(query index, "stage=engine ..." rendering)`.
+    adaptive: Vec<(usize, String)>,
     /// `--obs`: the scenario ran with the span sink and metrics bundle
     /// attached; snapshot taken after the drain.
     obs: Option<ObsReport>,
@@ -1614,7 +1613,7 @@ fn serve_scenario(
             .iter()
             .enumerate()
             .filter_map(|(i, p)| {
-                let (choices, pure) = p.adaptive_choices()?;
+                let (choices, _) = p.adaptive_choices()?;
                 let stages = dbep_queries::plan(queries[i]).stages();
                 let rendered = stages
                     .iter()
@@ -1622,7 +1621,7 @@ fn serve_scenario(
                     .map(|(s, e)| format!("{}={}", s.name, e.name()))
                     .collect::<Vec<_>>()
                     .join(" ");
-                Some((i, rendered, pure))
+                Some((i, rendered))
             })
             .collect()
     } else {
@@ -1757,13 +1756,8 @@ fn serve_text(sf: f64, threads: usize, queries: &[QueryId], scenarios: &[ServeSc
             sc.reprepare_total,
             sc.reprepare_avg_ns / 1e3,
         );
-        for (i, rendered, pure) in &sc.adaptive {
-            println!(
-                "       {}: {} (pure fallback {})",
-                queries[*i].name(),
-                rendered,
-                pure.name()
-            );
+        for (i, rendered) in &sc.adaptive {
+            println!("       {}: {}", queries[*i].name(), rendered);
         }
     }
     if scenarios.iter().any(|s| s.obs.is_some()) {
@@ -1870,11 +1864,10 @@ fn serve_json(a: &Args, sf: f64, threads: usize, queries: &[QueryId], scenarios:
                     .build(),
             )
         });
-        let adaptive_choices = sc.adaptive.iter().map(|(i, rendered, pure)| {
+        let adaptive_choices = sc.adaptive.iter().map(|(i, rendered)| {
             json::Object::new()
                 .field("query", json::string(queries[*i].name()))
                 .field("stages", json::string(rendered))
-                .field("pure_fallback", json::string(pure.name()))
                 .build()
         });
         json::Object::new()

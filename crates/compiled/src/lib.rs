@@ -30,7 +30,6 @@
 pub mod packed;
 pub mod pipeline;
 pub mod scan;
-pub mod stage;
 
 pub use packed::PackedReader;
 pub use pipeline::{Filter, Map, Pipeline, Sink};

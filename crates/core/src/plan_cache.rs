@@ -9,22 +9,21 @@
 //!
 //! Adaptive selection is *measure-then-commit*, per stage:
 //!
-//! 1. the first execution runs pure **Typer** with a
+//! 1. the first execution runs the uniform **Typer** assignment with a
 //!    [`StageTrace`](dbep_scheduler::StageTrace) attached and records
 //!    per-stage wall time;
-//! 2. the next execution does the same for pure **Tectorwise**;
-//! 3. every later execution uses the learned assignment — the
-//!    per-stage minimum when the plan supports mixed execution
-//!    ([`dbep_queries::QueryPlan::run_mix`]), otherwise the pure
-//!    engine with the lower measured total.
+//! 2. the next execution does the same for uniform **Tectorwise**;
+//! 3. every later execution runs the per-stage minimum through
+//!    [`dbep_queries::QueryPlan::run_stages`] — for every plan; there is
+//!    no whole-plan fallback.
 //!
 //! Both exploration runs return correct results (they *are* the pure
 //! engines), so learning costs no extra query executions. Volcano is
 //! never a candidate: it exists as the paper's interpreted baseline,
 //! not as a paradigm that wins any stage. While an exploration run is
-//! in flight on another thread, concurrent executions fall back to the
-//! static paper heuristic (probe-heavy → Tectorwise, fused → Typer)
-//! rather than duplicating the measurement.
+//! in flight on another thread, concurrent executions run the static
+//! paper heuristic (probe stages → Tectorwise, the rest → Typer) rather
+//! than duplicating the measurement.
 //!
 //! Invalidation: there is none, by design. Data is immutable once
 //! loaded and plans are compiled into the binary, so a cache entry can
@@ -133,48 +132,25 @@ pub enum Decision {
     /// [`AdaptiveState::record`] the snapshot.
     Explore(Engine),
     /// Both candidates are measured: run the learned per-stage
-    /// assignment, falling back to `pure` if the plan rejects mixing.
-    Use { choices: Arc<Vec<Engine>>, pure: Engine },
+    /// assignment.
+    Use { choices: Arc<Vec<Engine>> },
     /// An exploration run is in flight elsewhere; execute via the
     /// static paper heuristic without recording anything.
     Heuristic,
 }
 
-/// One exploration run's measurement: per-stage wall time, plus the
-/// run's whole-query instructions-per-cycle when hardware counters
-/// were readable (IPC is the paper's §3.1 headline difference between
-/// the paradigms, so it is the natural secondary signal).
-#[derive(Clone, Debug, PartialEq)]
-pub struct Measured {
-    pub stage_ns: Vec<u64>,
-    pub ipc: Option<f64>,
-}
-
-#[derive(Clone)]
+/// One candidate's exploration run: not started, running somewhere,
+/// or its per-stage wall times.
 enum Slot {
     Empty,
     InFlight,
-    Done(Measured),
-}
-
-impl Slot {
-    fn done(&self) -> Option<&Measured> {
-        match self {
-            Slot::Done(m) => Some(m),
-            _ => None,
-        }
-    }
-}
-
-struct Learned {
-    choices: Arc<Vec<Engine>>,
-    pure: Engine,
+    Done(Vec<u64>),
 }
 
 struct Inner {
     typer: Slot,
     tw: Slot,
-    learned: Option<Learned>,
+    learned: Option<Arc<Vec<Engine>>>,
 }
 
 /// Explore-then-commit engine selection for one cached plan. All
@@ -198,10 +174,9 @@ impl AdaptiveState {
     /// Pick the action for the next execution (see [`Decision`]).
     pub fn decide(&self) -> Decision {
         let mut inner = self.inner.lock().unwrap();
-        if let Some(learned) = &inner.learned {
+        if let Some(choices) = &inner.learned {
             return Decision::Use {
-                choices: Arc::clone(&learned.choices),
-                pure: learned.pure,
+                choices: Arc::clone(choices),
             };
         }
         if matches!(inner.typer, Slot::Empty) {
@@ -217,69 +192,47 @@ impl AdaptiveState {
 
     /// Commit an exploration measurement (per-stage nanoseconds from a
     /// [`StageTrace`](dbep_scheduler::StageTrace) snapshot). Once both
-    /// candidates are in, the learned assignment is derived and every
-    /// later [`AdaptiveState::decide`] returns it.
+    /// candidates are in, the per-stage minima (ties to Typer) become
+    /// the learned assignment every later [`AdaptiveState::decide`]
+    /// returns.
     pub fn record(&self, candidate: Engine, stage_ns: Vec<u64>) {
-        self.record_with_ipc(candidate, stage_ns, None);
-    }
-
-    /// [`AdaptiveState::record`] carrying hardware-counter evidence:
-    /// the candidate run's whole-query IPC, when counters were
-    /// readable. Wall time stays the primary signal; IPC breaks the
-    /// near-ties — when the measured totals are within 2% of each
-    /// other, noise decides a pure-time comparison, so the candidate
-    /// that retired more instructions per cycle wins instead.
-    pub fn record_with_ipc(&self, candidate: Engine, stage_ns: Vec<u64>, ipc: Option<f64>) {
-        let measured = Measured { stage_ns, ipc };
         let mut inner = self.inner.lock().unwrap();
         match candidate {
-            Engine::Typer => inner.typer = Slot::Done(measured),
-            Engine::Tectorwise => inner.tw = Slot::Done(measured),
+            Engine::Typer => inner.typer = Slot::Done(stage_ns),
+            Engine::Tectorwise => inner.tw = Slot::Done(stage_ns),
             other => unreachable!("{} is not an adaptive candidate", other.name()),
         }
         if inner.learned.is_none() {
-            if let (Some(typer), Some(tw)) = (inner.typer.done(), inner.tw.done()) {
-                let choices: Vec<Engine> = typer
-                    .stage_ns
+            if let (Slot::Done(typer), Slot::Done(tw)) = (&inner.typer, &inner.tw) {
+                let choices = typer
                     .iter()
-                    .zip(tw.stage_ns.iter())
+                    .zip(tw)
                     .map(|(&t, &v)| if v < t { Engine::Tectorwise } else { Engine::Typer })
                     .collect();
-                let t_total = typer.stage_ns.iter().sum::<u64>();
-                let v_total = tw.stage_ns.iter().sum::<u64>();
-                let near_tie = t_total.abs_diff(v_total) * 50 <= t_total.max(v_total);
-                let pure = match (near_tie, typer.ipc, tw.ipc) {
-                    (true, Some(ti), Some(vi)) if vi > ti => Engine::Tectorwise,
-                    (true, Some(_), Some(_)) => Engine::Typer,
-                    _ if v_total < t_total => Engine::Tectorwise,
-                    _ => Engine::Typer,
-                };
-                inner.learned = Some(Learned {
-                    choices: Arc::new(choices),
-                    pure,
-                });
+                inner.learned = Some(Arc::new(choices));
             }
         }
     }
 
-    /// The learned `(per-stage choices, pure fallback)` once both
-    /// exploration runs have committed; `None` while still exploring.
+    /// The learned per-stage assignment once both exploration runs have
+    /// committed; `None` while still exploring. The second element is
+    /// the uniform assignment with the lower measured total (ties to
+    /// Typer) — a report value computed here from the two recorded stage
+    /// vectors, stored nowhere and consulted by no dispatch path. It is
+    /// part of the return type because the frozen benchmark of record
+    /// (`benchmark/src/data.rs`) destructures this pair.
     pub fn learned(&self) -> Option<(Vec<Engine>, Engine)> {
         let inner = self.inner.lock().unwrap();
-        inner
-            .learned
-            .as_ref()
-            .map(|l| (l.choices.as_ref().clone(), l.pure))
-    }
-
-    /// The raw exploration measurements committed so far, as
-    /// `(typer, tectorwise)` — the evidence behind [`learned`], for
-    /// reports and the observability surfaces.
-    ///
-    /// [`learned`]: AdaptiveState::learned
-    pub fn evidence(&self) -> (Option<Measured>, Option<Measured>) {
-        let inner = self.inner.lock().unwrap();
-        (inner.typer.done().cloned(), inner.tw.done().cloned())
+        let choices = inner.learned.as_deref()?.clone();
+        let (Slot::Done(typer), Slot::Done(tw)) = (&inner.typer, &inner.tw) else {
+            unreachable!("an assignment is learned from two committed runs")
+        };
+        let faster = if tw.iter().sum::<u64>() < typer.iter().sum::<u64>() {
+            Engine::Tectorwise
+        } else {
+            Engine::Typer
+        };
+        Some((choices, faster))
     }
 }
 
@@ -327,14 +280,11 @@ mod tests {
         state.record(Engine::Typer, vec![100, 900]);
         assert!(matches!(state.decide(), Decision::Heuristic));
         state.record(Engine::Tectorwise, vec![300, 400]);
-        let (choices, pure) = state.learned().expect("both candidates measured");
+        let (choices, faster) = state.learned().expect("both candidates measured");
         assert_eq!(choices, vec![Engine::Typer, Engine::Tectorwise]);
-        assert_eq!(pure, Engine::Tectorwise, "700 < 1000 total");
+        assert_eq!(faster, Engine::Tectorwise, "700 < 1000 total");
         match state.decide() {
-            Decision::Use { choices, pure } => {
-                assert_eq!(*choices, vec![Engine::Typer, Engine::Tectorwise]);
-                assert_eq!(pure, Engine::Tectorwise);
-            }
+            Decision::Use { choices } => assert_eq!(*choices, vec![Engine::Typer, Engine::Tectorwise]),
             other => panic!("expected learned decision, got {other:?}"),
         }
     }
@@ -346,49 +296,8 @@ mod tests {
         state.decide();
         state.record(Engine::Typer, vec![500]);
         state.record(Engine::Tectorwise, vec![500]);
-        let (choices, pure) = state.learned().unwrap();
+        let (choices, faster) = state.learned().unwrap();
         assert_eq!(choices, vec![Engine::Typer]);
-        assert_eq!(pure, Engine::Typer);
-    }
-
-    #[test]
-    fn ipc_breaks_near_ties() {
-        // Totals 1000 vs 990: inside the 2% band, so the higher-IPC
-        // candidate wins even though its wall time is (noise-level)
-        // slower.
-        let state = AdaptiveState::new();
-        state.decide();
-        state.decide();
-        state.record_with_ipc(Engine::Typer, vec![500, 500], Some(2.1));
-        state.record_with_ipc(Engine::Tectorwise, vec![495, 495], Some(0.9));
-        let (_, pure) = state.learned().unwrap();
-        assert_eq!(pure, Engine::Typer, "higher IPC wins the near-tie");
-        let (typer_m, tw_m) = state.evidence();
-        assert_eq!(typer_m.unwrap().ipc, Some(2.1));
-        assert_eq!(tw_m.unwrap().stage_ns, vec![495, 495]);
-    }
-
-    #[test]
-    fn clear_time_wins_beat_ipc() {
-        // Totals 1000 vs 700: far outside the tie band — wall time
-        // stays the primary signal regardless of IPC.
-        let state = AdaptiveState::new();
-        state.decide();
-        state.decide();
-        state.record_with_ipc(Engine::Typer, vec![500, 500], Some(3.0));
-        state.record_with_ipc(Engine::Tectorwise, vec![350, 350], Some(0.5));
-        let (_, pure) = state.learned().unwrap();
-        assert_eq!(pure, Engine::Tectorwise);
-    }
-
-    #[test]
-    fn near_tie_without_counters_falls_back_to_time() {
-        let state = AdaptiveState::new();
-        state.decide();
-        state.decide();
-        state.record_with_ipc(Engine::Typer, vec![1000], None);
-        state.record_with_ipc(Engine::Tectorwise, vec![995], Some(1.5));
-        let (_, pure) = state.learned().unwrap();
-        assert_eq!(pure, Engine::Tectorwise, "995 < 1000 and no IPC pair");
+        assert_eq!(faster, Engine::Typer);
     }
 }

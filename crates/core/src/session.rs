@@ -42,7 +42,6 @@ use dbep_obs::{fingerprint64, QueryLog, QueryLogRecord, QueryTrace, TraceSink};
 use dbep_queries::params::Params;
 use dbep_queries::result::QueryResult;
 use dbep_queries::{Engine, ExecCfg, QueryId, QueryPlan};
-use dbep_runtime::counters::StageCounters;
 use dbep_scheduler::{QueryRun, RunStats, Scheduler, StageTrace, DEFAULT_PRIORITY};
 use dbep_storage::Database;
 use std::sync::Arc;
@@ -272,8 +271,13 @@ impl PreparedQuery {
     }
 
     /// The per-stage engine assignment `Engine::Adaptive` has learned
-    /// for this binding, with the measured pure-engine fallback;
-    /// `None` while still exploring (fewer than two adaptive runs).
+    /// for this binding and runs from then on; `None` while still
+    /// exploring (fewer than two adaptive runs). The second element is
+    /// a report value only — the uniform assignment whose exploration
+    /// run had the lower total, ties to Typer — and no execution path
+    /// reads it; the pair shape stays because the frozen benchmark of
+    /// record destructures it (see
+    /// [`AdaptiveState::learned`](crate::plan_cache::AdaptiveState::learned)).
     pub fn adaptive_choices(&self) -> Option<(Vec<Engine>, Engine)> {
         self.cached.adaptive().learned()
     }
@@ -428,8 +432,8 @@ impl PreparedQuery {
 
     /// Route one execution. Pure engines go straight to the plan;
     /// `Engine::Adaptive` consults the cached [`AdaptiveState`]
-    /// (explore → measure a pure candidate under a stage trace; learned
-    /// → run the per-stage assignment; in-flight elsewhere → static
+    /// (explore → measure a uniform assignment under a stage trace;
+    /// learned → run the per-stage minima; in-flight elsewhere → static
     /// heuristic via the plan's own `Adaptive` arm).
     ///
     /// [`AdaptiveState`]: crate::plan_cache::AdaptiveState
@@ -450,24 +454,15 @@ impl PreparedQuery {
                     .stage_trace
                     .or(own.as_ref())
                     .expect("a stage trace is attached");
-                // Exploration runs also read hardware counters (when
-                // the kernel permits): whole-run IPC becomes tiebreak
-                // evidence for the learned engine choice.
-                let counters = StageCounters::new(plan.stages().len());
                 let cfg = ExecCfg {
                     stage_trace: Some(trace),
-                    stage_counters: Some(&counters),
                     ..*cfg
                 };
                 let result = plan.run(candidate, &self.db, &cfg, &self.params);
-                self.cached
-                    .adaptive()
-                    .record_with_ipc(candidate, trace.snapshot(), counters.total().ipc());
+                self.cached.adaptive().record(candidate, trace.snapshot());
                 result
             }
-            Decision::Use { choices, pure } => plan
-                .run_mix(&self.db, cfg, &self.params, &choices)
-                .unwrap_or_else(|| plan.run(pure, &self.db, cfg, &self.params)),
+            Decision::Use { choices } => plan.run_stages(&self.db, cfg, &self.params, &choices),
             Decision::Heuristic => plan.run(Engine::Adaptive, &self.db, cfg, &self.params),
         }
     }

@@ -28,14 +28,24 @@ fn stage_count(q: QueryId) -> usize {
 fn trace_spans_nest_and_export_as_chrome_json() {
     let sink = Arc::new(TraceSink::new(1 << 14));
     let session = Session::with_cfg(tpch(), ExecCfg::with_threads(2)).with_trace(Arc::clone(&sink));
-    let runs = [
-        (QueryId::Q1, Engine::Typer),
-        (QueryId::Q1, Engine::Tectorwise),
-        (QueryId::Q6, Engine::Typer),
-        (QueryId::Q6, Engine::Tectorwise),
+    // Each plan with the table its stages scan, in stage order: every
+    // stage of these plans is one morsel-driven scan.
+    let plans: [(QueryId, &[&str]); 5] = [
+        (QueryId::Q1, &["lineitem"]),
+        (QueryId::Q6, &["lineitem"]),
+        (QueryId::Q3, &["customer", "orders", "lineitem"]),
+        (QueryId::Q4, &["lineitem", "orders"]),
+        (
+            QueryId::Q9,
+            &["part", "partsupp", "supplier", "lineitem", "orders"],
+        ),
     ];
-    for (q, e) in runs {
-        session.prepare(q).run(e);
+    let runs: Vec<(QueryId, Engine, &[&str])> = plans
+        .iter()
+        .flat_map(|&(q, tables)| [Engine::Typer, Engine::Tectorwise].map(|e| (q, e, tables)))
+        .collect();
+    for (q, e, _) in &runs {
+        session.prepare(*q).run(*e);
     }
     let events = sink.snapshot();
     assert_eq!(sink.dropped(), 0, "ring sized to hold every span");
@@ -56,12 +66,16 @@ fn trace_spans_nest_and_export_as_chrome_json() {
         );
     }
     // Stage ids stay within the plan's declared stages; morsels carry
-    // the stage they executed under and their batch size.
-    for (i, (q, _)) in runs.iter().enumerate() {
+    // the stage they executed under and their batch size, and every
+    // scan goes through `map_scan`: a stage's morsels cover its table
+    // exactly once, builds and probe→builds included.
+    for (i, (q, e, tables)) in runs.iter().enumerate() {
         let stages = stage_count(*q) as u16;
+        assert_eq!(tables.len(), stages as usize);
         let run_seq = query_spans[i].run_seq;
         let mut saw_stage = false;
         let mut saw_morsel = false;
+        let mut morsel_rows = vec![0usize; tables.len()];
         for ev in events.iter().filter(|e| e.run_seq == run_seq) {
             match ev.kind {
                 SpanKind::Query => assert_eq!(ev.query, q.ordinal()),
@@ -73,11 +87,20 @@ fn trace_spans_nest_and_export_as_chrome_json() {
                     saw_morsel = true;
                     assert!(ev.stage < stages);
                     assert!(ev.rows > 0, "morsel spans carry their batch size");
+                    morsel_rows[ev.stage as usize] += ev.rows as usize;
                 }
             }
         }
         assert!(saw_stage, "{} emitted stage spans", q.name());
         assert!(saw_morsel, "{} emitted morsel spans", q.name());
+        for (stage, table) in tables.iter().enumerate() {
+            assert_eq!(
+                morsel_rows[stage],
+                session.db().table(table).len(),
+                "{} on {e:?}: stage {stage}'s morsel spans cover {table}",
+                q.name()
+            );
+        }
     }
 
     let doc = chrome_trace(&events, &dbep_queries::trace_names());

@@ -3,10 +3,11 @@
 //! under concurrent prepares, and `Engine::Adaptive` result
 //! equivalence against the pure engines across all 12 queries × 3
 //! non-default parameter draws (covering both exploration runs and the
-//! learned steady state).
+//! learned steady state, which is the per-stage minima for every plan).
 
 use dbep_core::prelude::*;
 use dbep_core::runtime::rng::SmallRng;
+use dbep_core::scheduler::StageTrace;
 use dbep_core::storage::types::date;
 use dbep_queries::params::*;
 use std::sync::Arc;
@@ -160,8 +161,11 @@ fn draw(q: QueryId, rng: &mut SmallRng) -> Params {
 /// Adaptive must return pure-engine results at every point of its
 /// lifecycle: the Typer exploration run, the Tectorwise exploration
 /// run, and the learned steady state — for every query and for
-/// arbitrary valid bindings. Re-preparing the binding must hit the
-/// cache and keep the learned assignment.
+/// arbitrary valid bindings. The steady state of *every* plan is the
+/// per-stage minima of its two exploration runs (there is no pure
+/// engine to fall back to: `Decision::Use` carries only `choices`).
+/// Re-preparing the binding must hit the cache and keep the learned
+/// assignment.
 #[test]
 fn adaptive_matches_pure_engines_across_all_queries() {
     let tpch_session = Session::with_cfg(tpch(), ExecCfg::with_threads(2));
@@ -173,6 +177,8 @@ fn adaptive_matches_pure_engines_across_all_queries() {
         } else {
             &tpch_session
         };
+        let plan = dbep_queries::plan(q);
+        let stages = plan.stages().len();
         let mut done = 0;
         while done < DRAWS {
             let params = draw(q, &mut rng);
@@ -187,9 +193,37 @@ fn adaptive_matches_pure_engines_across_all_queries() {
                 "{} pure engines",
                 q.name()
             );
-            // Runs 1–2 explore (pure Typer, pure Tectorwise under a
-            // stage trace); runs 3–4 use the learned assignment.
-            for round in 0..4 {
+            // Runs 1–2 explore (uniform Typer, uniform Tectorwise);
+            // exploration records into an attached stage trace, so
+            // attaching one per run captures what the plan cache saw.
+            let explored: Vec<Vec<u64>> = (0..2)
+                .map(|round| {
+                    let trace = StageTrace::new(stages);
+                    let cfg = ExecCfg {
+                        stage_trace: Some(&trace),
+                        ..*session.cfg()
+                    };
+                    assert_eq!(
+                        reference,
+                        prepared.run_with(Engine::Adaptive, &cfg),
+                        "{} exploration run {round} under {params:?}",
+                        q.name()
+                    );
+                    trace.snapshot()
+                })
+                .collect();
+            let minima: Vec<Engine> = explored[0]
+                .iter()
+                .zip(&explored[1])
+                .map(|(&t, &v)| if v < t { Engine::Tectorwise } else { Engine::Typer })
+                .collect();
+            let (choices, faster) = prepared
+                .adaptive_choices()
+                .unwrap_or_else(|| panic!("{} never finished exploring", q.name()));
+            assert_eq!(choices, minima, "{} commits the per-stage minima", q.name());
+            assert!(matches!(faster, Engine::Typer | Engine::Tectorwise));
+            // Runs 3–4 execute that assignment, for every plan.
+            for round in 2..4 {
                 assert_eq!(
                     reference,
                     prepared.run(Engine::Adaptive),
@@ -197,11 +231,12 @@ fn adaptive_matches_pure_engines_across_all_queries() {
                     q.name()
                 );
             }
-            let (choices, pure) = prepared
-                .adaptive_choices()
-                .unwrap_or_else(|| panic!("{} never finished exploring", q.name()));
-            assert_eq!(choices.len(), dbep_queries::plan(q).stages().len());
-            assert!(matches!(pure, Engine::Typer | Engine::Tectorwise));
+            assert_eq!(
+                reference,
+                plan.run_stages(session.db(), session.cfg(), &params, &choices),
+                "{} learned assignment {choices:?}",
+                q.name()
+            );
             // Re-preparing the same binding is a hit that inherits the
             // learned state — no re-exploration.
             let again = session.prepare_params(params.clone());

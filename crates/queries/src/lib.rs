@@ -1,12 +1,14 @@
 //! Physical query plans for the paper's workload, in **all three**
 //! engines.
 //!
-//! Per the methodology (§3), every query uses *the same physical plan*
-//! in Typer and Tectorwise — same join order, same build sides, same
-//! hash functions, same data structures — so the execution paradigm is
-//! the only variable. The Volcano implementations run the same plans
-//! tuple-at-a-time for the interpretation baseline and for result
-//! cross-validation.
+//! Per the methodology (§3), every query is *one physical plan* — same
+//! join order, same build sides, same data structures — written as its
+//! list of pipeline stages. Each stage is a function with a Typer arm
+//! and a Tectorwise arm, so the execution paradigm is the only variable
+//! and is chosen per stage ([`QueryPlan::run_stages`]); the pure
+//! engines are the two uniform assignments. The Volcano implementations
+//! run the same plans tuple-at-a-time for the interpretation baseline
+//! and for result cross-validation.
 //!
 //! * [`tpch`] — Q1, Q6, Q3, Q9, Q18 (the paper's representative subset,
 //!   §3.3 lists each query's bottleneck), plus Q4, Q12 and Q14 for the
@@ -33,7 +35,8 @@ pub use params::Params;
 use dbep_obs::QueryTrace;
 use dbep_runtime::counters::{StageCounterGuard, StageCounters};
 use dbep_runtime::hash::HashFn;
-use dbep_runtime::{ExecCtx, Morsels};
+use dbep_runtime::join_ht::JoinHtShard;
+use dbep_runtime::{ExecCtx, JoinHt, Morsels};
 use dbep_scheduler::{QueryRun, StageTimer, StageTrace};
 use dbep_storage::throttle::Throttle;
 use dbep_vectorized::SimdPolicy;
@@ -111,14 +114,15 @@ impl<'a> ExecCfg<'a> {
         }
     }
 
-    /// The hash function Typer uses under this configuration.
-    pub fn typer_hash(&self) -> HashFn {
-        self.hash.unwrap_or(HashFn::Crc)
-    }
-
-    /// The hash function Tectorwise uses under this configuration.
-    pub fn tw_hash(&self) -> HashFn {
-        self.hash.unwrap_or(HashFn::Murmur2)
+    /// The hash function a stage run under `engine` builds its tables
+    /// with (§4.1: CRC for Typer, Murmur2 for Tectorwise, unless `hash`
+    /// forces one). The function travels with the table: every probe of
+    /// it, under either paradigm, hashes with its *build* stage's choice.
+    pub(crate) fn hash_for(&self, engine: Engine) -> HashFn {
+        self.hash.unwrap_or(match engine {
+            Engine::Tectorwise => HashFn::Murmur2,
+            _ => HashFn::Crc,
+        })
     }
 
     /// Account a scan morsel: record the touched bytes into the run's
@@ -203,6 +207,40 @@ impl<'a> ExecCfg<'a> {
             }
         })
     }
+
+    /// One σ→build pipeline, to its breaker: a [`ExecCfg::map_scan`]
+    /// (so it is paced and traced like every other scan) whose workers
+    /// push `(hash, row)` pairs into private shards, merged into one
+    /// [`JoinHt`]. `scratch` creates a worker's vectors for a
+    /// vectorized arm; a fused loop passes `|| ()`.
+    pub fn build_ht<K: Send + Sync, S: Send>(
+        &self,
+        total: usize,
+        row_bits: usize,
+        scratch: impl Fn() -> S + Sync,
+        each: impl Fn(&mut JoinHtShard<K>, &mut S, Range<usize>) + Sync,
+    ) -> JoinHt<K> {
+        let parts = self.map_scan(
+            total,
+            row_bits,
+            |_| (JoinHtShard::new(), scratch()),
+            |(sh, st), r| each(sh, st, r),
+        );
+        JoinHt::from_shards(parts.into_iter().map(|(sh, _)| sh).collect(), &self.exec())
+    }
+}
+
+/// Checked conversion of a stage assignment to a plan's arity: exactly
+/// `N` choices, each `Typer` or `Tectorwise`.
+pub(crate) fn assignment<const N: usize>(choices: &[Engine]) -> [Engine; N] {
+    assert!(
+        choices.len() == N
+            && choices
+                .iter()
+                .all(|e| matches!(e, Engine::Typer | Engine::Tectorwise)),
+        "expected {N} Typer/Tectorwise stage choices, got {choices:?}"
+    );
+    std::array::from_fn(|i| choices[i])
 }
 
 /// The three execution paradigms (Table 6 taxonomy), plus the hybrid
@@ -261,7 +299,7 @@ impl Engine {
     /// probes are cache-miss-bound and go to Tectorwise, whose batched
     /// probes overlap misses; everything else (fused scan/filter,
     /// builds, aggregation) goes to Typer, which keeps tuples in
-    /// registers. Used by `Engine::Adaptive` before any instrumented
+    /// registers. What `Engine::Adaptive` runs before any instrumented
     /// run has been observed.
     pub fn heuristic_choices(stages: &[StageDesc]) -> Vec<Engine> {
         stages
@@ -271,17 +309,6 @@ impl Engine {
                 _ => Engine::Typer,
             })
             .collect()
-    }
-
-    /// The static whole-plan fallback when a plan cannot execute a
-    /// mixed stage assignment ([`QueryPlan::run_mix`] returns `None`):
-    /// probe-heavy plans run Tectorwise, computation-heavy plans Typer.
-    pub fn heuristic_pure(stages: &[StageDesc]) -> Engine {
-        if stages.iter().any(|s| s.kind == StageKind::JoinProbe) {
-            Engine::Tectorwise
-        } else {
-            Engine::Typer
-        }
     }
 }
 
@@ -423,17 +450,18 @@ impl StageDesc {
     }
 }
 
-/// One physical query plan of the study, implemented under every
-/// execution paradigm.
+/// One physical query plan of the study: its list of pipeline stages.
 ///
-/// Per the methodology (§3) all three implementations share the plan —
-/// join order, build sides, hash functions, data structures — so the
-/// paradigm is the only variable. Every engine entry point receives the
-/// query's bound substitution [`Params`] (see [`params`]); with
-/// [`Params::default_for`] the plan reproduces the paper's instance
-/// byte-for-byte. Adding a query to the harness is one struct
-/// implementing this trait plus a [`REGISTRY`] entry; the dispatcher,
-/// benchmarks and equivalence tests pick it up from there.
+/// Per the methodology (§3) every paradigm runs the same plan — join
+/// order, build sides, data structures — so the paradigm is the only
+/// variable, and it is chosen *per stage*: each stage is one function
+/// with a Typer arm (a fused loop) and a Tectorwise arm (a primitive
+/// chain), and a pure engine is the uniform assignment. Every entry
+/// point receives the query's bound substitution [`Params`] (see
+/// [`params`]); with [`Params::default_for`] the plan reproduces the
+/// paper's instance byte-for-byte. Adding a query to the harness is
+/// one struct implementing this trait plus a [`REGISTRY`] entry; the
+/// dispatcher, benchmarks and equivalence tests pick it up from there.
 pub trait QueryPlan: Sync {
     /// The identifier this plan is registered under.
     fn id(&self) -> QueryId;
@@ -442,47 +470,39 @@ pub trait QueryPlan: Sync {
     /// denominator).
     fn tuples_scanned(&self, db: &dbep_storage::Database) -> usize;
 
-    /// The plan's pipeline stages in execution order. Typer and
-    /// Tectorwise bodies bracket each stage with [`ExecCfg::stage`]
+    /// The plan's pipeline stages in execution order.
+    /// [`QueryPlan::run_stages`] brackets each with [`ExecCfg::stage`]
     /// using these indices, so an attached [`StageTrace`] decomposes a
     /// run into per-stage wall times. Volcano is the interpretation
-    /// baseline and is never an adaptive candidate, so its bodies stay
+    /// baseline and is never a per-stage candidate, so its bodies stay
     /// uninstrumented.
     fn stages(&self) -> &'static [StageDesc];
 
-    /// Data-centric compiled execution (push, fused pipelines).
-    fn typer(&self, db: &dbep_storage::Database, cfg: &ExecCfg, params: &Params) -> result::QueryResult;
-
-    /// Vector-at-a-time execution (pull, primitives).
-    fn tectorwise(&self, db: &dbep_storage::Database, cfg: &ExecCfg, params: &Params) -> result::QueryResult;
+    /// Execute the plan with `choices[i]` running stage `i` of
+    /// [`QueryPlan::stages`]: `Typer` is data-centric compiled
+    /// execution (push, fused pipelines), `Tectorwise` is
+    /// vector-at-a-time (pull, primitives). Panics unless there is
+    /// exactly one such choice per stage. A hash table is hashed with
+    /// its *build* stage's function ([`ExecCfg::hash`] or that
+    /// paradigm's §4.1 default) and every probe of it, under either
+    /// paradigm, uses the same one.
+    fn run_stages(
+        &self,
+        db: &dbep_storage::Database,
+        cfg: &ExecCfg,
+        params: &Params,
+        choices: &[Engine],
+    ) -> result::QueryResult;
 
     /// Tuple-at-a-time interpretation (pull, boxed operators). Takes the
     /// same [`ExecCfg`] as the other engines: `threads` runs an
     /// exchange-style parallel union, `throttle` paces every scan.
     fn volcano(&self, db: &dbep_storage::Database, cfg: &ExecCfg, params: &Params) -> result::QueryResult;
 
-    /// Execute with a per-stage engine assignment (`choices[i]` runs
-    /// stage `i`; only `Typer`/`Tectorwise` are valid choices). Plans
-    /// that support genuinely mixed execution override this; the
-    /// default returns `None`, telling the adaptive driver to fall back
-    /// to the best whole-plan engine. A uniform assignment must produce
-    /// exactly the corresponding pure engine's execution.
-    fn run_mix(
-        &self,
-        db: &dbep_storage::Database,
-        cfg: &ExecCfg,
-        params: &Params,
-        choices: &[Engine],
-    ) -> Option<result::QueryResult> {
-        let _ = (db, cfg, params, choices);
-        None
-    }
-
-    /// Dispatch on the execution paradigm. `Engine::Adaptive` here (the
-    /// session-less path — no learned state available) applies the
-    /// static paper heuristic: per-stage choices via
-    /// [`Engine::heuristic_choices`] when the plan supports mixing,
-    /// otherwise the whole-plan [`Engine::heuristic_pure`] pick.
+    /// Dispatch on the execution paradigm: `Typer` and `Tectorwise` are
+    /// the two uniform stage assignments, `Adaptive` (here, with no
+    /// session and so no learned state) the static
+    /// [`Engine::heuristic_choices`].
     fn run(
         &self,
         engine: Engine,
@@ -490,17 +510,13 @@ pub trait QueryPlan: Sync {
         cfg: &ExecCfg,
         params: &Params,
     ) -> result::QueryResult {
+        let stages = self.stages();
         match engine {
-            Engine::Typer => self.typer(db, cfg, params),
-            Engine::Tectorwise => self.tectorwise(db, cfg, params),
-            Engine::Volcano => self.volcano(db, cfg, params),
-            Engine::Adaptive => {
-                let choices = Engine::heuristic_choices(self.stages());
-                match self.run_mix(db, cfg, params, &choices) {
-                    Some(r) => r,
-                    None => self.run(Engine::heuristic_pure(self.stages()), db, cfg, params),
-                }
+            Engine::Typer | Engine::Tectorwise => {
+                self.run_stages(db, cfg, params, &vec![engine; stages.len()])
             }
+            Engine::Volcano => self.volcano(db, cfg, params),
+            Engine::Adaptive => self.run_stages(db, cfg, params, &Engine::heuristic_choices(stages)),
         }
     }
 }
@@ -716,6 +732,26 @@ mod registry_tests {
         assert_eq!(states.iter().sum::<usize>(), total);
     }
 
+    /// A stage assignment is one `Typer`/`Tectorwise` choice per stage;
+    /// anything else is a caller bug and panics at the plan's door.
+    #[test]
+    fn assignment_rejects_wrong_arity_and_non_candidates() {
+        assert_eq!(
+            assignment::<2>(&[Engine::Typer, Engine::Tectorwise]),
+            [Engine::Typer, Engine::Tectorwise]
+        );
+        for bad in [
+            &[Engine::Typer][..],
+            &[Engine::Typer, Engine::Volcano],
+            &[Engine::Adaptive, Engine::Typer],
+        ] {
+            assert!(
+                std::panic::catch_unwind(|| assignment::<2>(bad)).is_err(),
+                "{bad:?}"
+            );
+        }
+    }
+
     #[test]
     fn heuristic_prefers_tw_for_probes() {
         let probe_heavy = [
@@ -726,9 +762,7 @@ mod registry_tests {
             Engine::heuristic_choices(&probe_heavy),
             vec![Engine::Typer, Engine::Tectorwise]
         );
-        assert_eq!(Engine::heuristic_pure(&probe_heavy), Engine::Tectorwise);
         let fused = [StageDesc::new("scan", StageKind::ScanFilter)];
         assert_eq!(Engine::heuristic_choices(&fused), vec![Engine::Typer]);
-        assert_eq!(Engine::heuristic_pure(&fused), Engine::Typer);
     }
 }

@@ -19,12 +19,13 @@
 //! `o_orderkey` carrying a precomputed "high priority" flag (leading
 //! byte ≤ '2'); σ(lineitem, IN-list + dates) probes HT_ord; the group-by
 //! domain equals the IN-list, so aggregation is a 2×2 counter matrix
-//! `[mode][high/low]`.
+//! `[mode][high/low]`. Two stages: `build_orders_ht` is one body for
+//! both paradigms, `probe_lineitem` has an arm each.
 
 use crate::params::Q12Params;
 use crate::result::{OrderBy, QueryResult, Value};
-use crate::{ExecCfg, Params};
-use dbep_runtime::join_ht::JoinHtShard;
+use crate::{Engine, ExecCfg, Params};
+use dbep_runtime::hash::HashFn;
 use dbep_runtime::JoinHt;
 use dbep_storage::Database;
 use dbep_vectorized as tw;
@@ -65,18 +66,19 @@ fn finish(p: &Q12Params, counts: ModeCounts) -> QueryResult {
     )
 }
 
-/// Shared build pipeline: orders → HT keyed by orderkey, payload
-/// `(o_orderkey, high_flag)`. Identical for Typer and Tectorwise (the
-/// per-tuple work is a byte compare; there is nothing to vectorize).
-fn build_orders_ht(db: &Database, cfg: &ExecCfg, hf: dbep_runtime::hash::HashFn) -> JoinHt<(i32, u8)> {
+/// Stage 0 (`build-orders`): orders → HT keyed by orderkey, payload
+/// `(o_orderkey, high_flag)`. One body for both paradigms (the
+/// per-tuple work is a byte compare; there is nothing to vectorize);
+/// the build engine only picks the hash function.
+fn build_orders_ht(db: &Database, cfg: &ExecCfg, hf: HashFn) -> JoinHt<(i32, u8)> {
     let ord = db.table("orders");
     let okey = ord.col("o_orderkey").i32s();
     let prio = ord.col("o_orderpriority").strs();
-    let shards = cfg.map_scan(
+    cfg.build_ht(
         ord.len(),
         ORD_BITS,
-        |_| JoinHtShard::<(i32, u8)>::new(),
-        |sh, r| {
+        || (),
+        |sh, _, r| {
             for i in r {
                 // '1-URGENT' and '2-HIGH' are exactly the priorities whose
                 // leading byte is <= '2'.
@@ -84,143 +86,132 @@ fn build_orders_ht(db: &Database, cfg: &ExecCfg, hf: dbep_runtime::hash::HashFn)
                 sh.push(hf.hash(okey[i] as u64), (okey[i], high));
             }
         },
-    );
-    JoinHt::from_shards(shards, &cfg.exec())
+    )
 }
 
-/// Typer: build, then one fused probe loop with branch-free counter
-/// updates (`counts[mode][flag] += 1`).
-pub fn typer(db: &Database, cfg: &ExecCfg, p: &Q12Params) -> QueryResult {
+/// Stage 1 (`probe-lineitem`): σ(lineitem, IN-list + dates) ⋈ HT_ord →
+/// the counter matrix. `hf` is the hash HT_ord was built with.
+fn probe_lineitem(
+    db: &Database,
+    cfg: &ExecCfg,
+    p: &Q12Params,
+    engine: Engine,
+    hf: HashFn,
+    ht_ord: &JoinHt<(i32, u8)>,
+) -> ModeCounts {
     // Bound IN-list as a byte table (the group-by domain).
     let modes: [&[u8]; 2] = [p.modes[0].as_bytes(), p.modes[1].as_bytes()];
     let (receipt_lo, receipt_hi) = (p.receipt_lo, p.receipt_hi);
-    let hf = cfg.typer_hash();
-    let ht_ord = {
-        let _s = cfg.stage(0);
-        build_orders_ht(db, cfg, hf)
-    };
-    let _stage = cfg.stage(1);
     let li = db.table("lineitem");
     let lok = li.col("l_orderkey").i32s();
     let ship = li.col("l_shipdate").dates();
     let commit = li.col("l_commitdate").dates();
     let receipt = li.col("l_receiptdate").dates();
     let mode = li.col("l_shipmode").strs();
-    let parts = cfg.map_scan(
-        li.len(),
-        LI_BITS,
-        |_| [[0i64; 2]; 2],
-        |counts: &mut ModeCounts, r| {
-            for i in r {
-                let s = mode.get_bytes(i);
-                let g = match modes.iter().position(|&v| v == s) {
-                    Some(g) => g,
-                    None => continue,
-                };
-                if commit[i] < receipt[i]
-                    && ship[i] < commit[i]
-                    && receipt[i] >= receipt_lo
-                    && receipt[i] < receipt_hi
-                {
-                    let h = hf.hash(lok[i] as u64);
-                    for e in ht_ord.probe(h) {
-                        if e.row.0 == lok[i] {
-                            counts[g][e.row.1 as usize] += 1;
+    match engine {
+        // One fused probe loop with branch-free counter updates
+        // (`counts[mode][flag] += 1`).
+        Engine::Typer => merge(cfg.map_scan(
+            li.len(),
+            LI_BITS,
+            |_| [[0i64; 2]; 2],
+            |counts: &mut ModeCounts, r| {
+                for i in r {
+                    let s = mode.get_bytes(i);
+                    let g = match modes.iter().position(|&v| v == s) {
+                        Some(g) => g,
+                        None => continue,
+                    };
+                    if commit[i] < receipt[i]
+                        && ship[i] < commit[i]
+                        && receipt[i] >= receipt_lo
+                        && receipt[i] < receipt_hi
+                    {
+                        let h = hf.hash(lok[i] as u64);
+                        for e in ht_ord.probe(h) {
+                            if e.row.0 == lok[i] {
+                                counts[g][e.row.1 as usize] += 1;
+                            }
                         }
                     }
                 }
+            },
+        )),
+        // IN-list selection, column-column compares, probe, then the
+        // conditional-aggregation primitives (one char-selection per
+        // mode, one flag count per CASE arm).
+        Engine::Tectorwise => {
+            let policy = cfg.policy;
+            #[derive(Default)]
+            struct Scratch {
+                s1: Vec<u32>,
+                s2: Vec<u32>,
+                s3: Vec<u32>,
+                s4: Vec<u32>,
+                s5: Vec<u32>,
+                hashes: Vec<u64>,
+                bufs: tw::ProbeBuffers,
+                v_high: Vec<u8>,
+                v_mode: Vec<u8>,
+                mode_sel: Vec<u32>,
+                f_sel: Vec<u8>,
             }
-        },
-    );
-    finish(p, merge(parts))
-}
-
-/// Tectorwise: IN-list selection, column-column compares, probe, then
-/// the conditional-aggregation primitives (one char-selection per mode,
-/// one flag count per CASE arm).
-pub fn tectorwise(db: &Database, cfg: &ExecCfg, p: &Q12Params) -> QueryResult {
-    let modes: [&[u8]; 2] = [p.modes[0].as_bytes(), p.modes[1].as_bytes()];
-    let (receipt_lo, receipt_hi) = (p.receipt_lo, p.receipt_hi);
-    let hf = cfg.tw_hash();
-    let policy = cfg.policy;
-    let ht_ord = {
-        let _s = cfg.stage(0);
-        build_orders_ht(db, cfg, hf)
-    };
-    let _stage = cfg.stage(1);
-    let li = db.table("lineitem");
-    let lok = li.col("l_orderkey").i32s();
-    let ship = li.col("l_shipdate").dates();
-    let commit = li.col("l_commitdate").dates();
-    let receipt = li.col("l_receiptdate").dates();
-    let mode = li.col("l_shipmode").strs();
-    #[derive(Default)]
-    struct Scratch {
-        s1: Vec<u32>,
-        s2: Vec<u32>,
-        s3: Vec<u32>,
-        s4: Vec<u32>,
-        s5: Vec<u32>,
-        hashes: Vec<u64>,
-        bufs: tw::ProbeBuffers,
-        v_high: Vec<u8>,
-        v_mode: Vec<u8>,
-        mode_sel: Vec<u32>,
-        f_sel: Vec<u8>,
-    }
-    let parts = cfg.map_scan(
-        li.len(),
-        LI_BITS,
-        |_| ([[0i64; 2]; 2], Scratch::default()),
-        |(counts, st), r| {
-            for c in tw::chunks(r, cfg.vector_size) {
-                // 1 dense IN-list + 4 sparse selections.
-                if tw::sel::sel_in_str_dense(mode, &modes, c.clone(), &mut st.s1) == 0 {
-                    continue;
-                }
-                if tw::sel::sel_lt_i32_col_sparse(commit, receipt, &st.s1, &mut st.s2, policy) == 0 {
-                    continue;
-                }
-                if tw::sel::sel_lt_i32_col_sparse(ship, commit, &st.s2, &mut st.s3, policy) == 0 {
-                    continue;
-                }
-                if tw::sel::sel_ge_i32_sparse(receipt, receipt_lo, &st.s3, &mut st.s4, policy) == 0 {
-                    continue;
-                }
-                if tw::sel::sel_lt_i32_sparse(receipt, receipt_hi, &st.s4, &mut st.s5, policy) == 0 {
-                    continue;
-                }
-                tw::hashp::hash_i32(lok, &st.s5, hf, &mut st.hashes);
-                if tw::probe::probe_join(
-                    &ht_ord,
-                    &st.hashes,
-                    &st.s5,
-                    |row, t| row.0 == lok[t as usize],
-                    policy,
-                    &mut st.bufs,
-                ) == 0
-                {
-                    continue;
-                }
-                // Dual CASE counters: gather the build-side high flag and the
-                // mode ordinal (full-string compare — IN-list members may
-                // share a prefix), split per mode, count each arm.
-                tw::gather::gather_build(&ht_ord, &st.bufs.match_entry, |r| r.1, &mut st.v_high);
-                tw::gather::gather_str_ordinal(mode, &st.bufs.match_tuple, &modes, &mut st.v_mode);
-                for (g, count) in counts.iter_mut().enumerate() {
-                    let n = tw::sel::sel_eq_char_dense(&st.v_mode, g as u8, 0, &mut st.mode_sel);
-                    if n == 0 {
-                        continue;
+            let parts = cfg.map_scan(
+                li.len(),
+                LI_BITS,
+                |_| ([[0i64; 2]; 2], Scratch::default()),
+                |(counts, st), r| {
+                    for c in tw::chunks(r, cfg.vector_size) {
+                        // 1 dense IN-list + 4 sparse selections.
+                        if tw::sel::sel_in_str_dense(mode, &modes, c.clone(), &mut st.s1) == 0 {
+                            continue;
+                        }
+                        if tw::sel::sel_lt_i32_col_sparse(commit, receipt, &st.s1, &mut st.s2, policy) == 0 {
+                            continue;
+                        }
+                        if tw::sel::sel_lt_i32_col_sparse(ship, commit, &st.s2, &mut st.s3, policy) == 0 {
+                            continue;
+                        }
+                        if tw::sel::sel_ge_i32_sparse(receipt, receipt_lo, &st.s3, &mut st.s4, policy) == 0 {
+                            continue;
+                        }
+                        if tw::sel::sel_lt_i32_sparse(receipt, receipt_hi, &st.s4, &mut st.s5, policy) == 0 {
+                            continue;
+                        }
+                        tw::hashp::hash_i32(lok, &st.s5, hf, &mut st.hashes);
+                        if tw::probe::probe_join(
+                            ht_ord,
+                            &st.hashes,
+                            &st.s5,
+                            |row, t| row.0 == lok[t as usize],
+                            policy,
+                            &mut st.bufs,
+                        ) == 0
+                        {
+                            continue;
+                        }
+                        // Dual CASE counters: gather the build-side high flag and the
+                        // mode ordinal (full-string compare — IN-list members may
+                        // share a prefix), split per mode, count each arm.
+                        tw::gather::gather_build(ht_ord, &st.bufs.match_entry, |r| r.1, &mut st.v_high);
+                        tw::gather::gather_str_ordinal(mode, &st.bufs.match_tuple, &modes, &mut st.v_mode);
+                        for (g, count) in counts.iter_mut().enumerate() {
+                            let n = tw::sel::sel_eq_char_dense(&st.v_mode, g as u8, 0, &mut st.mode_sel);
+                            if n == 0 {
+                                continue;
+                            }
+                            tw::gather::gather_u8(&st.v_high, &st.mode_sel, &mut st.f_sel);
+                            let high = tw::map::count_nonzero_u8(&st.f_sel, policy);
+                            count[1] += high;
+                            count[0] += n as i64 - high;
+                        }
                     }
-                    tw::gather::gather_u8(&st.v_high, &st.mode_sel, &mut st.f_sel);
-                    let high = tw::map::count_nonzero_u8(&st.f_sel, policy);
-                    count[1] += high;
-                    count[0] += n as i64 - high;
-                }
-            }
-        },
-    );
-    finish(p, merge(parts.into_iter().map(|(c, _)| c).collect()))
+                },
+            );
+            merge(parts.into_iter().map(|(c, _)| c).collect())
+        }
+        other => unreachable!("{} is not a per-stage candidate", other.name()),
+    }
 }
 
 /// Volcano: interpreted plan with the CASE arms as boolean-expression
@@ -326,8 +317,8 @@ impl crate::QueryPlan for Q12 {
 
     fn stages(&self) -> &'static [crate::StageDesc] {
         use crate::{StageDesc, StageKind};
-        // The build pipeline is engine-invariant (shared scalar code);
-        // only the probe pipeline differs per paradigm.
+        // The build pipeline is one body for both paradigms; only the
+        // probe pipeline has an arm each.
         const S: &[crate::StageDesc] = &[
             StageDesc::new("build-orders", StageKind::JoinBuild),
             StageDesc::new("probe-lineitem", StageKind::JoinProbe),
@@ -335,12 +326,16 @@ impl crate::QueryPlan for Q12 {
         S
     }
 
-    fn typer(&self, db: &Database, cfg: &ExecCfg, params: &Params) -> QueryResult {
-        typer(db, cfg, params.q12())
-    }
-
-    fn tectorwise(&self, db: &Database, cfg: &ExecCfg, params: &Params) -> QueryResult {
-        tectorwise(db, cfg, params.q12())
+    fn run_stages(&self, db: &Database, cfg: &ExecCfg, params: &Params, choices: &[Engine]) -> QueryResult {
+        let p = params.q12();
+        let [build, probe] = crate::assignment(choices);
+        let hf = cfg.hash_for(build);
+        let ht_ord = {
+            let _s = cfg.stage(0);
+            build_orders_ht(db, cfg, hf)
+        };
+        let _s = cfg.stage(1);
+        finish(p, probe_lineitem(db, cfg, p, probe, hf, &ht_ord))
     }
 
     fn volcano(&self, db: &Database, cfg: &ExecCfg, params: &Params) -> QueryResult {

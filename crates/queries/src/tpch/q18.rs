@@ -16,13 +16,15 @@
 //! Physical plan: Γ(lineitem by l_orderkey) → HAVING filter → HT_sel;
 //! orders ⋈ HT_sel → HT_cust (keyed by o_custkey); customer ⋈ HT_cust →
 //! result. Because `o_orderkey` is unique, the outer GROUP BY needs no
-//! second aggregation.
+//! second aggregation. Three stages: `agg_lineitem` has a Typer arm and
+//! a Tectorwise arm, the two join stages (`join_phases`) are one body
+//! for both paradigms.
 
 use crate::params::Q18Params;
 use crate::result::{OrderBy, QueryResult, Value};
-use crate::{ExecCfg, Params};
+use crate::{Engine, ExecCfg, Params};
 use dbep_runtime::agg_ht::merge_partitions;
-use dbep_runtime::join_ht::JoinHtShard;
+use dbep_runtime::hash::HashFn;
 use dbep_runtime::{GroupByShard, JoinHt};
 use dbep_storage::Database;
 use dbep_vectorized as tw;
@@ -83,9 +85,9 @@ impl crate::QueryPlan for Q18 {
 
     fn stages(&self) -> &'static [crate::StageDesc] {
         use crate::{StageDesc, StageKind};
-        // The join pipelines after the HAVING filter are shared scalar
-        // code (`join_phases`); only the 1.5 M-group aggregation
-        // differs per paradigm.
+        // The join pipelines after the HAVING filter are one body for
+        // both paradigms (`join_phases`); only the 1.5 M-group
+        // aggregation has an arm each.
         const S: &[crate::StageDesc] = &[
             StageDesc::new("agg-lineitem", StageKind::Aggregate),
             StageDesc::new("probe-orders", StageKind::JoinProbe),
@@ -94,12 +96,15 @@ impl crate::QueryPlan for Q18 {
         S
     }
 
-    fn typer(&self, db: &Database, cfg: &ExecCfg, params: &Params) -> QueryResult {
-        typer(db, cfg, params.q18())
-    }
-
-    fn tectorwise(&self, db: &Database, cfg: &ExecCfg, params: &Params) -> QueryResult {
-        tectorwise(db, cfg, params.q18())
+    fn run_stages(&self, db: &Database, cfg: &ExecCfg, params: &Params, choices: &[Engine]) -> QueryResult {
+        // The customer probe has one body and builds nothing, so its
+        // choice selects no code: HT_cust carries the orders stage's hash.
+        let [agg, orders, _customer] = crate::assignment(choices);
+        let big = {
+            let _s = cfg.stage(0);
+            agg_lineitem(db, cfg, params.q18(), agg)
+        };
+        join_phases(db, cfg, big, cfg.hash_for(orders))
     }
 
     fn volcano(&self, db: &Database, cfg: &ExecCfg, params: &Params) -> QueryResult {
@@ -107,14 +112,10 @@ impl crate::QueryPlan for Q18 {
     }
 }
 
-/// Shared phase 2+3 (identical logic in Typer and Tectorwise once the
-/// big aggregation delivered the qualifying orders).
-fn join_phases(
-    db: &Database,
-    cfg: &ExecCfg,
-    big_orders: Vec<(i32, i64)>,
-    hf: dbep_runtime::hash::HashFn,
-) -> QueryResult {
+/// Stages 1 and 2 (`probe-orders`, `probe-customer`): one body for
+/// both paradigms once the big aggregation delivered the qualifying
+/// orders. Both tables are built in stage 1, with `hf`.
+fn join_phases(db: &Database, cfg: &ExecCfg, big_orders: Vec<(i32, i64)>, hf: HashFn) -> QueryResult {
     let _s1 = cfg.stage(1);
     // HT_sel: qualifying orderkeys (tiny).
     let ht_sel = JoinHt::build(big_orders.into_iter().map(|(k, q)| (hf.hash(k as u64), (k, q))));
@@ -124,11 +125,11 @@ fn join_phases(
     let ocust = ord.col("o_custkey").i32s();
     let odate = ord.col("o_orderdate").dates();
     let ototal = ord.col("o_totalprice").i64s();
-    let shards = cfg.map_scan(
+    let ht_cust: JoinHt<OrdRow> = cfg.build_ht(
         ord.len(),
         ORD_BITS,
-        |_| JoinHtShard::<OrdRow>::new(),
-        |sh, r| {
+        || (),
+        |sh, _, r| {
             for i in r {
                 let h = hf.hash(okey[i] as u64);
                 for e in ht_sel.probe(h) {
@@ -142,7 +143,6 @@ fn join_phases(
             }
         },
     );
-    let ht_cust = JoinHt::from_shards(shards, &cfg.exec());
     drop(_s1);
     // Pipeline: customer ⋈ HT_cust → result rows.
     let _s2 = cfg.stage(2);
@@ -166,80 +166,72 @@ fn join_phases(
     finish(db, locals.into_iter().flatten().collect())
 }
 
-/// Typer: fused 1.5 M-group aggregation, then the two join pipelines.
-pub fn typer(db: &Database, cfg: &ExecCfg, p: &Q18Params) -> QueryResult {
+/// Stage 0 (`agg-lineitem`): Γ(lineitem by l_orderkey) → HAVING; the
+/// qualifying `(orderkey, sum_qty)` pairs.
+fn agg_lineitem(db: &Database, cfg: &ExecCfg, p: &Q18Params, engine: Engine) -> Vec<(i32, i64)> {
     let qty_limit = p.qty_limit;
-    let hf = cfg.typer_hash();
-    let _s0 = cfg.stage(0);
+    let hf = cfg.hash_for(engine);
     let li = db.table("lineitem");
     let lok = li.col("l_orderkey").i32s();
     let qty = li.col("l_quantity").i64s();
-    let shards = cfg.map_scan(
-        li.len(),
-        LI_BITS,
-        |_| GroupByShard::<i32, i64>::new(PREAGG_GROUPS),
-        |shard, r| {
-            for i in r {
-                shard.update(hf.hash(lok[i] as u64), lok[i], || 0, |a| *a += qty[i]);
+    let shards = match engine {
+        // Fused 1.5 M-group aggregation.
+        Engine::Typer => {
+            let shards = cfg.map_scan(
+                li.len(),
+                LI_BITS,
+                |_| GroupByShard::<i32, i64>::new(PREAGG_GROUPS),
+                |shard, r| {
+                    for i in r {
+                        shard.update(hf.hash(lok[i] as u64), lok[i], || 0, |a| *a += qty[i]);
+                    }
+                },
+            );
+            shards.into_iter().map(GroupByShard::finish).collect()
+        }
+        // Vectorized find-groups/aggregate primitives.
+        Engine::Tectorwise => {
+            let policy = cfg.policy;
+            #[derive(Default)]
+            struct Scratch {
+                all: Vec<u32>,
+                hashes: Vec<u64>,
+                v_qty: Vec<i64>,
+                gb: tw::grouping::GroupBuffers,
             }
-        },
-    );
-    let shards = shards.into_iter().map(GroupByShard::finish).collect();
+            let shards = cfg.map_scan(
+                li.len(),
+                LI_BITS,
+                |_| (GroupByShard::<i32, i64>::new(PREAGG_GROUPS), Scratch::default()),
+                |(shard, st), r| {
+                    for c in tw::chunks(r, cfg.vector_size) {
+                        tw::hashp::iota(c.start as u32, c.len(), &mut st.all);
+                        tw::hashp::hash_i32(lok, &st.all, hf, &mut st.hashes);
+                        tw::grouping::find_groups(
+                            &shard.ht,
+                            &st.hashes,
+                            &st.all,
+                            |k, t| *k == lok[t as usize],
+                            &mut st.gb,
+                        );
+                        for &t in &st.gb.miss_sel {
+                            let t = t as usize;
+                            shard.update(hf.hash(lok[t] as u64), lok[t], || 0, |a| *a += qty[t]);
+                        }
+                        if st.gb.groups.is_empty() {
+                            continue;
+                        }
+                        tw::gather::gather_i64(qty, &st.gb.group_sel, policy, &mut st.v_qty);
+                        tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_qty, |a, v| *a += v);
+                    }
+                },
+            );
+            shards.into_iter().map(|(shard, _)| shard.finish()).collect()
+        }
+        other => unreachable!("{} is not a per-stage candidate", other.name()),
+    };
     let groups = merge_partitions(shards, &cfg.exec(), |a, b| *a += b);
-    let big: Vec<(i32, i64)> = groups.into_iter().filter(|(_, q)| *q > qty_limit).collect();
-    drop(_s0);
-    join_phases(db, cfg, big, hf)
-}
-
-/// Tectorwise: the same plan with vectorized find-groups/aggregate
-/// primitives in the heavy phase.
-pub fn tectorwise(db: &Database, cfg: &ExecCfg, p: &Q18Params) -> QueryResult {
-    let qty_limit = p.qty_limit;
-    let hf = cfg.tw_hash();
-    let policy = cfg.policy;
-    let _s0 = cfg.stage(0);
-    let li = db.table("lineitem");
-    let lok = li.col("l_orderkey").i32s();
-    let qty = li.col("l_quantity").i64s();
-    #[derive(Default)]
-    struct Scratch {
-        all: Vec<u32>,
-        hashes: Vec<u64>,
-        v_qty: Vec<i64>,
-        gb: tw::grouping::GroupBuffers,
-    }
-    let shards = cfg.map_scan(
-        li.len(),
-        LI_BITS,
-        |_| (GroupByShard::<i32, i64>::new(PREAGG_GROUPS), Scratch::default()),
-        |(shard, st), r| {
-            for c in tw::chunks(r, cfg.vector_size) {
-                tw::hashp::iota(c.start as u32, c.len(), &mut st.all);
-                tw::hashp::hash_i32(lok, &st.all, hf, &mut st.hashes);
-                tw::grouping::find_groups(
-                    &shard.ht,
-                    &st.hashes,
-                    &st.all,
-                    |k, t| *k == lok[t as usize],
-                    &mut st.gb,
-                );
-                for &t in &st.gb.miss_sel {
-                    let t = t as usize;
-                    shard.update(hf.hash(lok[t] as u64), lok[t], || 0, |a| *a += qty[t]);
-                }
-                if st.gb.groups.is_empty() {
-                    continue;
-                }
-                tw::gather::gather_i64(qty, &st.gb.group_sel, policy, &mut st.v_qty);
-                tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_qty, |a, v| *a += v);
-            }
-        },
-    );
-    let shards = shards.into_iter().map(|(shard, _)| shard.finish()).collect();
-    let groups = merge_partitions(shards, &cfg.exec(), |a, b| *a += b);
-    let big: Vec<(i32, i64)> = groups.into_iter().filter(|(_, q)| *q > qty_limit).collect();
-    drop(_s0);
-    join_phases(db, cfg, big, hf)
+    groups.into_iter().filter(|(_, q)| *q > qty_limit).collect()
 }
 
 /// Volcano: interpreted plan (HAVING via Select over the aggregate).

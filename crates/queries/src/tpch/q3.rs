@@ -14,7 +14,9 @@
 //!
 //! Physical plan (identical in all engines): filter customer → HT₁;
 //! filter orders, probe HT₁ → HT₂; filter lineitem, probe HT₂, group by
-//! order.
+//! order. Three stages (`build_customer`, `probe_orders`,
+//! `probe_lineitem`), each one function with a Typer arm and a
+//! Tectorwise arm.
 
 use crate::params::Q3Params;
 use crate::result::{OrderBy, QueryResult, Value};
@@ -61,19 +63,22 @@ fn build_customer(db: &Database, cfg: &ExecCfg, engine: Engine, hf: HashFn, p: &
     let cust = db.table("customer");
     let seg = cust.col("c_mktsegment").strs();
     let ckey = cust.col("c_custkey").i32s();
-    let pace = |rows| cfg.pace(rows, CUST_BITS);
     match engine {
-        Engine::Typer => dbep_compiled::stage::build_ht(&cfg.exec(), cust.len(), pace, |sh, r| {
-            for i in r {
-                if seg.get_bytes(i) == segment {
-                    sh.push(hf.hash(ckey[i] as u64), ckey[i]);
-                }
-            }
-        }),
-        Engine::Tectorwise => dbep_vectorized::stage::build_ht(
-            &cfg.exec(),
+        Engine::Typer => cfg.build_ht(
             cust.len(),
-            pace,
+            CUST_BITS,
+            || (),
+            |sh, _, r| {
+                for i in r {
+                    if seg.get_bytes(i) == segment {
+                        sh.push(hf.hash(ckey[i] as u64), ckey[i]);
+                    }
+                }
+            },
+        ),
+        Engine::Tectorwise => cfg.build_ht(
+            cust.len(),
+            CUST_BITS,
             || (Vec::new(), Vec::new()),
             |sh, (sel, hashes), r| {
                 for c in tw::chunks(r, cfg.vector_size) {
@@ -109,18 +114,22 @@ fn probe_orders(
     let ocust = ord.col("o_custkey").i32s();
     let odate = ord.col("o_orderdate").dates();
     let oprio = ord.col("o_shippriority").i32s();
-    let pace = |rows| cfg.pace(rows, ORD_BITS);
     match engine {
-        Engine::Typer => dbep_compiled::stage::build_ht(&cfg.exec(), ord.len(), pace, |sh, r| {
-            for i in r {
-                if odate[i] < cut {
-                    let h = hf_c.hash(ocust[i] as u64);
-                    if ht_c.probe(h).any(|e| e.row == ocust[i]) {
-                        sh.push(hf_o.hash(okey[i] as u64), (okey[i], odate[i], oprio[i]));
+        Engine::Typer => cfg.build_ht(
+            ord.len(),
+            ORD_BITS,
+            || (),
+            |sh, _, r| {
+                for i in r {
+                    if odate[i] < cut {
+                        let h = hf_c.hash(ocust[i] as u64);
+                        if ht_c.probe(h).any(|e| e.row == ocust[i]) {
+                            sh.push(hf_o.hash(okey[i] as u64), (okey[i], odate[i], oprio[i]));
+                        }
                     }
                 }
-            }
-        }),
+            },
+        ),
         Engine::Tectorwise => {
             let policy = cfg.policy;
             #[derive(Default)]
@@ -130,7 +139,7 @@ fn probe_orders(
                 h2: Vec<u64>,
                 bufs: tw::ProbeBuffers,
             }
-            dbep_vectorized::stage::build_ht(&cfg.exec(), ord.len(), pace, P2Scratch::default, |sh, st, r| {
+            cfg.build_ht(ord.len(), ORD_BITS, P2Scratch::default, |sh, st, r| {
                 for c in tw::chunks(r, cfg.vector_size) {
                     if tw::sel::sel_lt_i32_dense(&odate[c.clone()], cut, c.start as u32, &mut st.sel, policy)
                         == 0
@@ -303,38 +312,6 @@ fn probe_lineitem(
     merge_partitions(shards, &cfg.exec(), |a, b| *a += b)
 }
 
-/// Execute with one engine choice per stage (`[build-customer,
-/// probe-orders, probe-lineitem-agg]`). Uniform assignments reproduce
-/// the pure engines exactly; mixed assignments hash each table with its
-/// *build* stage's function and probe accordingly.
-fn run_mix(db: &Database, cfg: &ExecCfg, p: &Q3Params, choices: [Engine; 3]) -> QueryResult {
-    let hf_of = |e: Engine| match e {
-        Engine::Tectorwise => cfg.tw_hash(),
-        _ => cfg.typer_hash(),
-    };
-    let (hf_c, hf_o) = (hf_of(choices[0]), hf_of(choices[1]));
-    let ht_c = {
-        let _s = cfg.stage(0);
-        build_customer(db, cfg, choices[0], hf_c, p)
-    };
-    let ht_o = {
-        let _s = cfg.stage(1);
-        probe_orders(db, cfg, p, choices[1], hf_c, hf_o, &ht_c)
-    };
-    let _s = cfg.stage(2);
-    finish(probe_lineitem(db, cfg, p, choices[2], hf_o, &ht_o))
-}
-
-/// Typer: three fused pipelines separated by hash-table builds.
-pub fn typer(db: &Database, cfg: &ExecCfg, p: &Q3Params) -> QueryResult {
-    run_mix(db, cfg, p, [Engine::Typer; 3])
-}
-
-/// Tectorwise: the same three pipelines as vector primitives.
-pub fn tectorwise(db: &Database, cfg: &ExecCfg, p: &Q3Params) -> QueryResult {
-    run_mix(db, cfg, p, [Engine::Tectorwise; 3])
-}
-
 /// Volcano: the same plan, interpreted. The driving lineitem scan is
 /// morsel-partitioned across `cfg.threads` workers (each worker builds
 /// its own copies of the small join tables); partial groups re-aggregate
@@ -427,14 +404,6 @@ impl crate::QueryPlan for Q3 {
         db.table("customer").len() + db.table("orders").len() + db.table("lineitem").len()
     }
 
-    fn typer(&self, db: &Database, cfg: &ExecCfg, params: &Params) -> QueryResult {
-        typer(db, cfg, params.q3())
-    }
-
-    fn tectorwise(&self, db: &Database, cfg: &ExecCfg, params: &Params) -> QueryResult {
-        tectorwise(db, cfg, params.q3())
-    }
-
     fn volcano(&self, db: &Database, cfg: &ExecCfg, params: &Params) -> QueryResult {
         volcano(db, cfg, params.q3())
     }
@@ -449,22 +418,19 @@ impl crate::QueryPlan for Q3 {
         S
     }
 
-    fn run_mix(
-        &self,
-        db: &Database,
-        cfg: &ExecCfg,
-        params: &Params,
-        choices: &[Engine],
-    ) -> Option<QueryResult> {
-        match choices {
-            [a, b, c]
-                if choices
-                    .iter()
-                    .all(|e| matches!(e, Engine::Typer | Engine::Tectorwise)) =>
-            {
-                Some(run_mix(db, cfg, params.q3(), [*a, *b, *c]))
-            }
-            _ => None,
-        }
+    fn run_stages(&self, db: &Database, cfg: &ExecCfg, params: &Params, choices: &[Engine]) -> QueryResult {
+        let p = params.q3();
+        let [customer, orders, lineitem] = crate::assignment(choices);
+        let (hf_c, hf_o) = (cfg.hash_for(customer), cfg.hash_for(orders));
+        let ht_c = {
+            let _s = cfg.stage(0);
+            build_customer(db, cfg, customer, hf_c, p)
+        };
+        let ht_o = {
+            let _s = cfg.stage(1);
+            probe_orders(db, cfg, p, orders, hf_c, hf_o, &ht_c)
+        };
+        let _s = cfg.stage(2);
+        finish(probe_lineitem(db, cfg, p, lineitem, hf_o, &ht_o))
     }
 }

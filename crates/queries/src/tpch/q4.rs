@@ -16,7 +16,9 @@
 //! order must not duplicate output — then counts per priority. The five
 //! priorities have distinct leading bytes, so the grouping runs on a
 //! 5-slot array keyed by `o_orderpriority[0]`; a representative row per
-//! slot recovers the full string for the result.
+//! slot recovers the full string for the result. Two stages
+//! (`build_late`, `probe_orders`), each one function with a Typer arm
+//! and a Tectorwise arm.
 
 use crate::params::Q4Params;
 use crate::result::{OrderBy, QueryResult, Value};
@@ -105,23 +107,26 @@ fn build_late(db: &Database, cfg: &ExecCfg, engine: Engine, hf: HashFn) -> JoinH
     let lok = li.col("l_orderkey").i32s();
     let commit = li.col("l_commitdate").dates();
     let receipt = li.col("l_receiptdate").dates();
-    let pace = |rows| cfg.pace(rows, LI_BITS);
     match engine {
         // Fused filter + push, one branch per tuple.
-        Engine::Typer => dbep_compiled::stage::build_ht(&cfg.exec(), li.len(), pace, |sh, r| {
-            for i in r {
-                if commit[i] < receipt[i] {
-                    sh.push(hf.hash(lok[i] as u64), lok[i]);
+        Engine::Typer => cfg.build_ht(
+            li.len(),
+            LI_BITS,
+            || (),
+            |sh, _, r| {
+                for i in r {
+                    if commit[i] < receipt[i] {
+                        sh.push(hf.hash(lok[i] as u64), lok[i]);
+                    }
                 }
-            }
-        }),
+            },
+        ),
         // Column-vs-column selection primitive, then hash + push.
         Engine::Tectorwise => {
             let policy = cfg.policy;
-            dbep_vectorized::stage::build_ht(
-                &cfg.exec(),
+            cfg.build_ht(
                 li.len(),
-                pace,
+                LI_BITS,
                 || (Vec::new(), Vec::new()),
                 |sh, (sel, hashes), r| {
                     for c in tw::chunks(r, cfg.vector_size) {
@@ -247,34 +252,6 @@ fn probe_orders(
     }
 }
 
-/// Execute with one engine choice per stage (`[build, probe]`). The
-/// uniform assignments are exactly the pure engines; mixed assignments
-/// share the build engine's hash function across both stages.
-fn run_mix(db: &Database, cfg: &ExecCfg, p: &Q4Params, choices: [Engine; 2]) -> QueryResult {
-    let hf = match choices[0] {
-        Engine::Tectorwise => cfg.tw_hash(),
-        _ => cfg.typer_hash(),
-    };
-    let ht_late = {
-        let _s = cfg.stage(0);
-        build_late(db, cfg, choices[0], hf)
-    };
-    let _s = cfg.stage(1);
-    finish(db, probe_orders(db, cfg, p, choices[1], hf, &ht_late))
-}
-
-/// Typer: two fused pipelines around the semi-join build barrier; the
-/// probe uses the hash table's existence-only path.
-pub fn typer(db: &Database, cfg: &ExecCfg, p: &Q4Params) -> QueryResult {
-    run_mix(db, cfg, p, [Engine::Typer; 2])
-}
-
-/// Tectorwise: the same plan as a primitive chain; the probe is the
-/// dedicated semi-join primitive (each order emitted at most once).
-pub fn tectorwise(db: &Database, cfg: &ExecCfg, p: &Q4Params) -> QueryResult {
-    run_mix(db, cfg, p, [Engine::Tectorwise; 2])
-}
-
 /// Volcano: the same plan through the interpreted semi-join operator.
 /// The driving orders scan is morsel-partitioned across `cfg.threads`
 /// workers; partial priority counts re-aggregate in a final merge pass.
@@ -354,14 +331,6 @@ impl crate::QueryPlan for Q4 {
         db.table("lineitem").len() + db.table("orders").len()
     }
 
-    fn typer(&self, db: &Database, cfg: &ExecCfg, params: &Params) -> QueryResult {
-        typer(db, cfg, params.q4())
-    }
-
-    fn tectorwise(&self, db: &Database, cfg: &ExecCfg, params: &Params) -> QueryResult {
-        tectorwise(db, cfg, params.q4())
-    }
-
     fn volcano(&self, db: &Database, cfg: &ExecCfg, params: &Params) -> QueryResult {
         volcano(db, cfg, params.q4())
     }
@@ -375,18 +344,14 @@ impl crate::QueryPlan for Q4 {
         S
     }
 
-    fn run_mix(
-        &self,
-        db: &Database,
-        cfg: &ExecCfg,
-        params: &Params,
-        choices: &[Engine],
-    ) -> Option<QueryResult> {
-        match choices {
-            [b @ (Engine::Typer | Engine::Tectorwise), p @ (Engine::Typer | Engine::Tectorwise)] => {
-                Some(run_mix(db, cfg, params.q4(), [*b, *p]))
-            }
-            _ => None,
-        }
+    fn run_stages(&self, db: &Database, cfg: &ExecCfg, params: &Params, choices: &[Engine]) -> QueryResult {
+        let [build, probe] = crate::assignment(choices);
+        let hf = cfg.hash_for(build);
+        let ht_late = {
+            let _s = cfg.stage(0);
+            build_late(db, cfg, build, hf)
+        };
+        let _s = cfg.stage(1);
+        finish(db, probe_orders(db, cfg, params.q4(), probe, hf, &ht_late))
     }
 }

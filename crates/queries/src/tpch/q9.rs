@@ -18,13 +18,15 @@
 //! Physical plan: σ(part) → HT_p; partsupp ⋈ HT_p → HT_ps (composite);
 //! supplier → HT_s; lineitem ⋈ HT_ps ⋈ HT_s → HT_li (keyed by
 //! orderkey, the paper's 320 K-entry build); orders ⋈ HT_li → Γ(nation,
-//! year).
+//! year). Five stages, one function each with an arm per paradigm
+//! (the supplier build is one body); each table is hashed with its
+//! build stage's function and probed with the same.
 
 use crate::params::Q9Params;
 use crate::result::{OrderBy, QueryResult, Value};
-use crate::{ExecCfg, Params};
+use crate::{Engine, ExecCfg, Params};
 use dbep_runtime::agg_ht::merge_partitions;
-use dbep_runtime::join_ht::JoinHtShard;
+use dbep_runtime::hash::HashFn;
 use dbep_runtime::{GroupByShard, JoinHt};
 use dbep_storage::types::year_of;
 use dbep_storage::Database;
@@ -37,6 +39,7 @@ const LI_BITS: usize = 8 * (4 + 4 + 4 + 8 + 8 + 8);
 const ORD_BITS: usize = 8 * (4 + 4);
 const PREAGG_GROUPS: usize = 1 << 10; // 25 nations x 7 years
 
+type PsRow = (i32, i32, i64); // (ps_partkey, ps_suppkey, ps_supplycost)
 type LiRow = (i32, i32, i64); // (l_orderkey, nationkey, amount s4)
 
 fn finish(db: &Database, groups: Vec<((i32, i32), i64)>) -> QueryResult {
@@ -59,73 +62,152 @@ fn finish(db: &Database, groups: Vec<((i32, i32), i64)>) -> QueryResult {
     )
 }
 
-/// Typer: five fused pipelines.
-pub fn typer(db: &Database, cfg: &ExecCfg, p: &Q9Params) -> QueryResult {
+/// Stage 0 (`build-part`): σ(part, name ~ needle) → HT_p, hashed with
+/// `hf`.
+fn build_part(db: &Database, cfg: &ExecCfg, p: &Q9Params, engine: Engine, hf: HashFn) -> JoinHt<i32> {
     let needle = p.needle.as_str();
-    let hf = cfg.typer_hash();
-    // P1: σ(part, name ~ green) → HT_p.
-    let _s0 = cfg.stage(0);
     let part = db.table("part");
     let pkey = part.col("p_partkey").i32s();
     let pname = part.col("p_name").strs();
-    let shards = cfg.map_scan(
-        part.len(),
-        PART_BITS,
-        |_| JoinHtShard::<i32>::new(),
-        |sh, r| {
-            for i in r {
-                if pname.get(i).contains(needle) {
-                    sh.push(hf.hash(pkey[i] as u64), pkey[i]);
+    match engine {
+        Engine::Typer => cfg.build_ht(
+            part.len(),
+            PART_BITS,
+            || (),
+            |sh, _, r| {
+                for i in r {
+                    if pname.get(i).contains(needle) {
+                        sh.push(hf.hash(pkey[i] as u64), pkey[i]);
+                    }
                 }
-            }
-        },
-    );
-    let ht_p = JoinHt::from_shards(shards, &cfg.exec());
-    drop(_s0);
+            },
+        ),
+        // The string filter is a scalar primitive.
+        Engine::Tectorwise => cfg.build_ht(
+            part.len(),
+            PART_BITS,
+            || (Vec::new(), Vec::new()),
+            |sh, (sel, hashes), r| {
+                for c in tw::chunks(r, cfg.vector_size) {
+                    sel.clear();
+                    for i in c {
+                        if pname.get(i).contains(needle) {
+                            sel.push(i as u32);
+                        }
+                    }
+                    if sel.is_empty() {
+                        continue;
+                    }
+                    tw::hashp::hash_i32(pkey, sel, hf, hashes);
+                    for (j, &t) in sel.iter().enumerate() {
+                        sh.push(hashes[j], pkey[t as usize]);
+                    }
+                }
+            },
+        ),
+        other => unreachable!("{} is not a per-stage candidate", other.name()),
+    }
+}
 
-    // P2: partsupp ⋈ HT_p → HT_ps keyed (partkey, suppkey).
-    let _s1 = cfg.stage(1);
+/// Stage 1 (`probe-partsupp`): partsupp ⋈ HT_p → HT_ps keyed
+/// (partkey, suppkey). Probes with `hf_p` (HT_p's build hash) and
+/// builds the composite key with this stage's own `hf_ps`.
+fn probe_partsupp(
+    db: &Database,
+    cfg: &ExecCfg,
+    engine: Engine,
+    hf_p: HashFn,
+    hf_ps: HashFn,
+    ht_p: &JoinHt<i32>,
+) -> JoinHt<PsRow> {
     let ps = db.table("partsupp");
     let pspk = ps.col("ps_partkey").i32s();
     let pssk = ps.col("ps_suppkey").i32s();
     let cost = ps.col("ps_supplycost").i64s();
-    let shards = cfg.map_scan(
-        ps.len(),
-        PS_BITS,
-        |_| JoinHtShard::<(i32, i32, i64)>::new(),
-        |sh, r| {
-            for i in r {
-                let h = hf.hash(pspk[i] as u64);
-                if ht_p.probe(h).any(|e| e.row == pspk[i]) {
-                    let hc = hf.rehash(h, pssk[i] as u64);
-                    sh.push(hc, (pspk[i], pssk[i], cost[i]));
+    match engine {
+        Engine::Typer => cfg.build_ht(
+            ps.len(),
+            PS_BITS,
+            || (),
+            |sh, _, r| {
+                for i in r {
+                    if ht_p.probe(hf_p.hash(pspk[i] as u64)).any(|e| e.row == pspk[i]) {
+                        let hc = hf_ps.rehash(hf_ps.hash(pspk[i] as u64), pssk[i] as u64);
+                        sh.push(hc, (pspk[i], pssk[i], cost[i]));
+                    }
                 }
+            },
+        ),
+        Engine::Tectorwise => {
+            let policy = cfg.policy;
+            #[derive(Default)]
+            struct Scratch {
+                all: Vec<u32>,
+                hashes: Vec<u64>,
+                hc: Vec<u64>,
+                bufs: tw::ProbeBuffers,
             }
-        },
-    );
-    let ht_ps = JoinHt::from_shards(shards, &cfg.exec());
-    drop(_s1);
+            cfg.build_ht(ps.len(), PS_BITS, Scratch::default, |sh, st, r| {
+                for c in tw::chunks(r, cfg.vector_size) {
+                    tw::hashp::iota(c.start as u32, c.len(), &mut st.all);
+                    tw::hashp::hash_i32(pspk, &st.all, hf_p, &mut st.hashes);
+                    if tw::probe::probe_join(
+                        ht_p,
+                        &st.hashes,
+                        &st.all,
+                        |row, t| *row == pspk[t as usize],
+                        policy,
+                        &mut st.bufs,
+                    ) == 0
+                    {
+                        continue;
+                    }
+                    tw::hashp::hash_i32(pspk, &st.bufs.match_tuple, hf_ps, &mut st.hc);
+                    tw::hashp::rehash_i32(pssk, &st.bufs.match_tuple, hf_ps, &mut st.hc);
+                    for (j, &t) in st.bufs.match_tuple.iter().enumerate() {
+                        let t = t as usize;
+                        sh.push(st.hc[j], (pspk[t], pssk[t], cost[t]));
+                    }
+                }
+            })
+        }
+        other => unreachable!("{} is not a per-stage candidate", other.name()),
+    }
+}
 
-    // P3: supplier → HT_s (suppkey → nationkey).
-    let _s2 = cfg.stage(2);
+/// Stage 2 (`build-supplier`): supplier → HT_s (suppkey → nationkey).
+/// One body for both paradigms — an unfiltered 10 K-row-per-SF copy has
+/// nothing to select or batch; the build engine only picks `hf`.
+fn build_supplier(db: &Database, cfg: &ExecCfg, hf: HashFn) -> JoinHt<(i32, i32)> {
     let supp = db.table("supplier");
     let skey = supp.col("s_suppkey").i32s();
     let snat = supp.col("s_nationkey").i32s();
-    let shards = cfg.map_scan(
+    cfg.build_ht(
         supp.len(),
         SUPP_BITS,
-        |_| JoinHtShard::<(i32, i32)>::new(),
-        |sh, r| {
+        || (),
+        |sh, _, r| {
             for i in r {
                 sh.push(hf.hash(skey[i] as u64), (skey[i], snat[i]));
             }
         },
-    );
-    let ht_s = JoinHt::from_shards(shards, &cfg.exec());
-    drop(_s2);
+    )
+}
 
-    // P4: lineitem ⋈ HT_ps ⋈ HT_s → HT_li (keyed by orderkey).
-    let _s3 = cfg.stage(3);
+/// Stage 3 (`probe-lineitem`): lineitem ⋈ HT_ps ⋈ HT_s → HT_li keyed
+/// by orderkey. Probes with `hf_ps` and `hf_s` (the two tables' build
+/// hashes) and builds with this stage's own `hf_li`.
+#[allow(clippy::too_many_arguments)] // one call site; three hashes and two tables are the stage's input
+fn probe_lineitem(
+    db: &Database,
+    cfg: &ExecCfg,
+    engine: Engine,
+    hf_ps: HashFn,
+    hf_s: HashFn,
+    hf_li: HashFn,
+    ht_ps: &JoinHt<PsRow>,
+    ht_s: &JoinHt<(i32, i32)>,
+) -> JoinHt<LiRow> {
     let li = db.table("lineitem");
     let lok = li.col("l_orderkey").i32s();
     let lpk = li.col("l_partkey").i32s();
@@ -133,345 +215,235 @@ pub fn typer(db: &Database, cfg: &ExecCfg, p: &Q9Params) -> QueryResult {
     let qty = li.col("l_quantity").i64s();
     let ext = li.col("l_extendedprice").i64s();
     let disc = li.col("l_discount").i64s();
-    let shards = cfg.map_scan(
-        li.len(),
-        LI_BITS,
-        |_| JoinHtShard::<LiRow>::new(),
-        |sh, r| {
-            for i in r {
-                // Composite-key probe: the generated code checks both key
-                // parts in one expression (Fig. 2a).
-                let hc = hf.rehash(hf.hash(lpk[i] as u64), lsk[i] as u64);
-                for e in ht_ps.probe(hc) {
-                    if e.row.0 == lpk[i] && e.row.1 == lsk[i] {
-                        let hs = hf.hash(lsk[i] as u64);
-                        for s in ht_s.probe(hs) {
-                            if s.row.0 == lsk[i] {
-                                // Both terms are scale-4 fixed point.
-                                let amount = ext[i] * (100 - disc[i]) - e.row.2 * qty[i];
-                                sh.push(hf.hash(lok[i] as u64), (lok[i], s.row.1, amount));
+    match engine {
+        Engine::Typer => cfg.build_ht(
+            li.len(),
+            LI_BITS,
+            || (),
+            |sh, _, r| {
+                for i in r {
+                    // Composite-key probe: the generated code checks both key
+                    // parts in one expression (Fig. 2a).
+                    let hc = hf_ps.rehash(hf_ps.hash(lpk[i] as u64), lsk[i] as u64);
+                    for e in ht_ps.probe(hc) {
+                        if e.row.0 == lpk[i] && e.row.1 == lsk[i] {
+                            let hs = hf_s.hash(lsk[i] as u64);
+                            for s in ht_s.probe(hs) {
+                                if s.row.0 == lsk[i] {
+                                    // Both terms are scale-4 fixed point.
+                                    let amount = ext[i] * (100 - disc[i]) - e.row.2 * qty[i];
+                                    sh.push(hf_li.hash(lok[i] as u64), (lok[i], s.row.1, amount));
+                                }
                             }
                         }
                     }
                 }
+            },
+        ),
+        Engine::Tectorwise => {
+            let policy = cfg.policy;
+            #[derive(Default)]
+            struct Scratch {
+                all: Vec<u32>,
+                hc: Vec<u64>,
+                hs: Vec<u64>,
+                hok: Vec<u64>,
+                ordinals: Vec<u32>,
+                bufs: tw::ProbeBuffers,
+                bufs2: tw::ProbeBuffers,
+                v_cost: Vec<i64>,
+                v_ext: Vec<i64>,
+                v_disc: Vec<i64>,
+                v_qty: Vec<i64>,
+                v_om: Vec<i64>,
+                v_rev: Vec<i64>,
+                v_costq: Vec<i64>,
+                v_amount: Vec<i64>,
+                v_nat: Vec<i32>,
             }
-        },
-    );
-    let ht_li = JoinHt::from_shards(shards, &cfg.exec());
-    drop(_s3);
-
-    // P5: orders ⋈ HT_li → Γ(nation, year).
-    let _s4 = cfg.stage(4);
-    let ord = db.table("orders");
-    let okey = ord.col("o_orderkey").i32s();
-    let odate = ord.col("o_orderdate").dates();
-    let shards = cfg.map_scan(
-        ord.len(),
-        ORD_BITS,
-        |_| GroupByShard::<(i32, i32), i64>::new(PREAGG_GROUPS),
-        |shard, r| {
-            for i in r {
-                let h = hf.hash(okey[i] as u64);
-                for e in ht_li.probe(h) {
-                    if e.row.0 == okey[i] {
-                        let key = (e.row.1, year_of(odate[i]));
-                        let gh = hf.rehash(hf.hash(key.0 as u64), key.1 as u64);
-                        shard.update(gh, key, || 0, |a| *a += e.row.2);
+            cfg.build_ht(li.len(), LI_BITS, Scratch::default, |sh, st, r| {
+                for c in tw::chunks(r, cfg.vector_size) {
+                    tw::hashp::iota(c.start as u32, c.len(), &mut st.all);
+                    // Composite key: hash partkey, fold suppkey in, compare both
+                    // parts with one primitive each (§2.2).
+                    tw::hashp::hash_i32(lpk, &st.all, hf_ps, &mut st.hc);
+                    tw::hashp::rehash_i32(lsk, &st.all, hf_ps, &mut st.hc);
+                    let nm = tw::probe::probe_join(
+                        ht_ps,
+                        &st.hc,
+                        &st.all,
+                        |row, t| row.0 == lpk[t as usize] && row.1 == lsk[t as usize],
+                        policy,
+                        &mut st.bufs,
+                    );
+                    if nm == 0 {
+                        continue;
+                    }
+                    tw::gather::gather_build(ht_ps, &st.bufs.match_entry, |r| r.2, &mut st.v_cost);
+                    // Second probe: suppkey → nationkey. Tuple ids are ordinals
+                    // into the first probe's match list.
+                    tw::hashp::hash_i32(lsk, &st.bufs.match_tuple, hf_s, &mut st.hs);
+                    tw::hashp::iota(0, nm, &mut st.ordinals);
+                    let first_matches = &st.bufs.match_tuple;
+                    let n2 = tw::probe::probe_join(
+                        ht_s,
+                        &st.hs,
+                        &st.ordinals,
+                        |row, j| row.0 == lsk[first_matches[j as usize] as usize],
+                        policy,
+                        &mut st.bufs2,
+                    );
+                    if n2 == 0 {
+                        continue;
+                    }
+                    // Align everything to the second probe's matches.
+                    let rows2: Vec<u32> = st
+                        .bufs2
+                        .match_tuple
+                        .iter()
+                        .map(|&j| st.bufs.match_tuple[j as usize])
+                        .collect();
+                    tw::gather::gather_build(ht_s, &st.bufs2.match_entry, |r| r.1, &mut st.v_nat);
+                    let cost2: Vec<i64> = st
+                        .bufs2
+                        .match_tuple
+                        .iter()
+                        .map(|&j| st.v_cost[j as usize])
+                        .collect();
+                    tw::gather::gather_i64(ext, &rows2, policy, &mut st.v_ext);
+                    tw::gather::gather_i64(disc, &rows2, policy, &mut st.v_disc);
+                    tw::gather::gather_i64(qty, &rows2, policy, &mut st.v_qty);
+                    tw::map::map_rsub_const_i64(100, &st.v_disc, &mut st.v_om);
+                    tw::map::map_mul_i64(&st.v_ext, &st.v_om, &mut st.v_rev);
+                    tw::map::map_mul_i64(&cost2, &st.v_qty, &mut st.v_costq);
+                    // Both products are scale-4 fixed point.
+                    tw::map::map_sub_i64(&st.v_rev, &st.v_costq, &mut st.v_amount);
+                    tw::hashp::hash_i32(lok, &rows2, hf_li, &mut st.hok);
+                    for (j, &t) in rows2.iter().enumerate() {
+                        sh.push(st.hok[j], (lok[t as usize], st.v_nat[j], st.v_amount[j]));
                     }
                 }
-            }
-        },
-    );
-    let shards = shards.into_iter().map(GroupByShard::finish).collect();
-    finish(db, merge_partitions(shards, &cfg.exec(), |a, b| *a += b))
+            })
+        }
+        other => unreachable!("{} is not a per-stage candidate", other.name()),
+    }
 }
 
-/// Tectorwise: the same five pipelines as vector primitives. The
-/// composite key uses hash + rehash and two compare primitives.
-pub fn tectorwise(db: &Database, cfg: &ExecCfg, p: &Q9Params) -> QueryResult {
-    let needle = p.needle.as_str();
-    let hf = cfg.tw_hash();
-    let policy = cfg.policy;
-    // P1: σ(part) → HT_p (string filter is a scalar primitive).
-    let _s0 = cfg.stage(0);
-    let part = db.table("part");
-    let pkey = part.col("p_partkey").i32s();
-    let pname = part.col("p_name").strs();
-    let shards = cfg.map_scan(
-        part.len(),
-        PART_BITS,
-        |_| (JoinHtShard::<i32>::new(), Vec::new(), Vec::new()),
-        |(sh, sel, hashes), r| {
-            for c in tw::chunks(r, cfg.vector_size) {
-                sel.clear();
-                for i in c {
-                    if pname.get(i).contains(needle) {
-                        sel.push(i as u32);
-                    }
-                }
-                if sel.is_empty() {
-                    continue;
-                }
-                tw::hashp::hash_i32(pkey, sel, hf, hashes);
-                for (j, &t) in sel.iter().enumerate() {
-                    sh.push(hashes[j], pkey[t as usize]);
-                }
-            }
-        },
-    );
-    let shards = shards.into_iter().map(|(sh, _, _)| sh).collect();
-    let ht_p = JoinHt::from_shards(shards, &cfg.exec());
-    drop(_s0);
-
-    // P2: partsupp ⋈ HT_p → HT_ps (composite key build).
-    let _s1 = cfg.stage(1);
-    let ps = db.table("partsupp");
-    let pspk = ps.col("ps_partkey").i32s();
-    let pssk = ps.col("ps_suppkey").i32s();
-    let cost = ps.col("ps_supplycost").i64s();
-    #[derive(Default)]
-    struct P2Scratch {
-        all: Vec<u32>,
-        hashes: Vec<u64>,
-        hc: Vec<u64>,
-        bufs: tw::ProbeBuffers,
-    }
-    let shards = cfg.map_scan(
-        ps.len(),
-        PS_BITS,
-        |_| (JoinHtShard::<(i32, i32, i64)>::new(), P2Scratch::default()),
-        |(sh, st), r| {
-            for c in tw::chunks(r, cfg.vector_size) {
-                tw::hashp::iota(c.start as u32, c.len(), &mut st.all);
-                tw::hashp::hash_i32(pspk, &st.all, hf, &mut st.hashes);
-                if tw::probe::probe_join(
-                    &ht_p,
-                    &st.hashes,
-                    &st.all,
-                    |row, t| *row == pspk[t as usize],
-                    policy,
-                    &mut st.bufs,
-                ) == 0
-                {
-                    continue;
-                }
-                tw::hashp::hash_i32(pspk, &st.bufs.match_tuple, hf, &mut st.hc);
-                tw::hashp::rehash_i32(pssk, &st.bufs.match_tuple, hf, &mut st.hc);
-                for (j, &t) in st.bufs.match_tuple.iter().enumerate() {
-                    let t = t as usize;
-                    sh.push(st.hc[j], (pspk[t], pssk[t], cost[t]));
-                }
-            }
-        },
-    );
-    let shards = shards.into_iter().map(|(sh, _)| sh).collect();
-    let ht_ps = JoinHt::from_shards(shards, &cfg.exec());
-    drop(_s1);
-
-    // P3: supplier → HT_s.
-    let _s2 = cfg.stage(2);
-    let supp = db.table("supplier");
-    let skey = supp.col("s_suppkey").i32s();
-    let snat = supp.col("s_nationkey").i32s();
-    let shards = cfg.map_scan(
-        supp.len(),
-        SUPP_BITS,
-        |_| (JoinHtShard::<(i32, i32)>::new(), Vec::new(), Vec::new()),
-        |(sh, all, hashes), r| {
-            for c in tw::chunks(r, cfg.vector_size) {
-                tw::hashp::iota(c.start as u32, c.len(), all);
-                tw::hashp::hash_i32(skey, all, hf, hashes);
-                for (j, &t) in all.iter().enumerate() {
-                    let t = t as usize;
-                    sh.push(hashes[j], (skey[t], snat[t]));
-                }
-            }
-        },
-    );
-    let shards = shards.into_iter().map(|(sh, _, _)| sh).collect();
-    let ht_s = JoinHt::from_shards(shards, &cfg.exec());
-    drop(_s2);
-
-    // P4: lineitem ⋈ HT_ps ⋈ HT_s → HT_li.
-    let _s3 = cfg.stage(3);
-    let li = db.table("lineitem");
-    let lok = li.col("l_orderkey").i32s();
-    let lpk = li.col("l_partkey").i32s();
-    let lsk = li.col("l_suppkey").i32s();
-    let qty = li.col("l_quantity").i64s();
-    let ext = li.col("l_extendedprice").i64s();
-    let disc = li.col("l_discount").i64s();
-    #[derive(Default)]
-    struct P4Scratch {
-        all: Vec<u32>,
-        hc: Vec<u64>,
-        hs: Vec<u64>,
-        hok: Vec<u64>,
-        ordinals: Vec<u32>,
-        bufs: tw::ProbeBuffers,
-        bufs2: tw::ProbeBuffers,
-        v_cost: Vec<i64>,
-        v_ext: Vec<i64>,
-        v_disc: Vec<i64>,
-        v_qty: Vec<i64>,
-        v_om: Vec<i64>,
-        v_rev: Vec<i64>,
-        v_costq: Vec<i64>,
-        v_amount: Vec<i64>,
-        v_nat: Vec<i32>,
-    }
-    let shards = cfg.map_scan(
-        li.len(),
-        LI_BITS,
-        |_| (JoinHtShard::<LiRow>::new(), P4Scratch::default()),
-        |(sh, st), r| {
-            for c in tw::chunks(r, cfg.vector_size) {
-                tw::hashp::iota(c.start as u32, c.len(), &mut st.all);
-                // Composite key: hash partkey, fold suppkey in, compare both
-                // parts with one primitive each (§2.2).
-                tw::hashp::hash_i32(lpk, &st.all, hf, &mut st.hc);
-                tw::hashp::rehash_i32(lsk, &st.all, hf, &mut st.hc);
-                let nm = tw::probe::probe_join(
-                    &ht_ps,
-                    &st.hc,
-                    &st.all,
-                    |row, t| row.0 == lpk[t as usize] && row.1 == lsk[t as usize],
-                    policy,
-                    &mut st.bufs,
-                );
-                if nm == 0 {
-                    continue;
-                }
-                tw::gather::gather_build(&ht_ps, &st.bufs.match_entry, |r| r.2, &mut st.v_cost);
-                // Second probe: suppkey → nationkey. Tuple ids are ordinals
-                // into the first probe's match list.
-                tw::hashp::hash_i32(lsk, &st.bufs.match_tuple, hf, &mut st.hs);
-                tw::hashp::iota(0, nm, &mut st.ordinals);
-                let first_matches = &st.bufs.match_tuple;
-                let n2 = tw::probe::probe_join(
-                    &ht_s,
-                    &st.hs,
-                    &st.ordinals,
-                    |row, j| row.0 == lsk[first_matches[j as usize] as usize],
-                    policy,
-                    &mut st.bufs2,
-                );
-                if n2 == 0 {
-                    continue;
-                }
-                // Align everything to the second probe's matches.
-                let rows2: Vec<u32> = st
-                    .bufs2
-                    .match_tuple
-                    .iter()
-                    .map(|&j| st.bufs.match_tuple[j as usize])
-                    .collect();
-                tw::gather::gather_build(&ht_s, &st.bufs2.match_entry, |r| r.1, &mut st.v_nat);
-                let cost2: Vec<i64> = st
-                    .bufs2
-                    .match_tuple
-                    .iter()
-                    .map(|&j| st.v_cost[j as usize])
-                    .collect();
-                tw::gather::gather_i64(ext, &rows2, policy, &mut st.v_ext);
-                tw::gather::gather_i64(disc, &rows2, policy, &mut st.v_disc);
-                tw::gather::gather_i64(qty, &rows2, policy, &mut st.v_qty);
-                tw::map::map_rsub_const_i64(100, &st.v_disc, &mut st.v_om);
-                tw::map::map_mul_i64(&st.v_ext, &st.v_om, &mut st.v_rev);
-                tw::map::map_mul_i64(&cost2, &st.v_qty, &mut st.v_costq);
-                // Both products are scale-4 fixed point.
-                tw::map::map_sub_i64(&st.v_rev, &st.v_costq, &mut st.v_amount);
-                tw::hashp::hash_i32(lok, &rows2, hf, &mut st.hok);
-                for (j, &t) in rows2.iter().enumerate() {
-                    sh.push(st.hok[j], (lok[t as usize], st.v_nat[j], st.v_amount[j]));
-                }
-            }
-        },
-    );
-    let shards = shards.into_iter().map(|(sh, _)| sh).collect();
-    let ht_li = JoinHt::from_shards(shards, &cfg.exec());
-    drop(_s3);
-
-    // P5: orders ⋈ HT_li → Γ(nation, year).
-    let _s4 = cfg.stage(4);
+/// Stage 4 (`probe-orders`): orders ⋈ HT_li → Γ(nation, year). `hf` is
+/// HT_li's build hash; the stage's private aggregate tables reuse it.
+fn probe_orders(
+    db: &Database,
+    cfg: &ExecCfg,
+    engine: Engine,
+    hf: HashFn,
+    ht_li: &JoinHt<LiRow>,
+) -> Vec<((i32, i32), i64)> {
     let ord = db.table("orders");
     let okey = ord.col("o_orderkey").i32s();
     let odate = ord.col("o_orderdate").dates();
-    #[derive(Default)]
-    struct P5Scratch {
-        all: Vec<u32>,
-        hashes: Vec<u64>,
-        ghash: Vec<u64>,
-        ordinals: Vec<u32>,
-        bufs: tw::ProbeBuffers,
-        gb: tw::grouping::GroupBuffers,
-        k_nat: Vec<i32>,
-        v_amt: Vec<i64>,
-        v_date: Vec<i32>,
-        k_year: Vec<i32>,
-        v_amt_sel: Vec<i64>,
-    }
-    let shards = cfg.map_scan(
-        ord.len(),
-        ORD_BITS,
-        |_| {
-            (
-                GroupByShard::<(i32, i32), i64>::new(PREAGG_GROUPS),
-                P5Scratch::default(),
-            )
-        },
-        |(shard, st), r| {
-            for c in tw::chunks(r, cfg.vector_size) {
-                tw::hashp::iota(c.start as u32, c.len(), &mut st.all);
-                tw::hashp::hash_i32(okey, &st.all, hf, &mut st.hashes);
-                let nm = tw::probe::probe_join(
-                    &ht_li,
-                    &st.hashes,
-                    &st.all,
-                    |row, t| row.0 == okey[t as usize],
-                    policy,
-                    &mut st.bufs,
-                );
-                if nm == 0 {
-                    continue;
-                }
-                tw::gather::gather_build(&ht_li, &st.bufs.match_entry, |r| r.1, &mut st.k_nat);
-                tw::gather::gather_build(&ht_li, &st.bufs.match_entry, |r| r.2, &mut st.v_amt);
-                tw::gather::gather_i32(odate, &st.bufs.match_tuple, &mut st.v_date);
-                tw::map::map_year(&st.v_date, &mut st.k_year);
-                tw::hashp::iota(0, nm, &mut st.ordinals);
-                tw::hashp::hash_i32_dense(&st.k_nat, hf, &mut st.ghash);
-                tw::hashp::rehash_i32(&st.k_year, &st.ordinals, hf, &mut st.ghash);
-                let (k_nat, k_year) = (&st.k_nat, &st.k_year);
-                tw::grouping::find_groups(
-                    &shard.ht,
-                    &st.ghash,
-                    &st.ordinals,
-                    |k, j| {
-                        let j = j as usize;
-                        k.0 == k_nat[j] && k.1 == k_year[j]
-                    },
-                    &mut st.gb,
-                );
-                for &j in &st.gb.miss_sel {
-                    let j = j as usize;
-                    shard.update(
-                        st.ghash[j],
-                        (st.k_nat[j], st.k_year[j]),
-                        || 0,
-                        |a| *a += st.v_amt[j],
-                    );
-                }
-                if st.gb.groups.is_empty() {
-                    continue;
-                }
-                tw::gather::gather_i64(&st.v_amt, &st.gb.group_sel, policy, &mut st.v_amt_sel);
-                tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_amt_sel, |a, v| *a += v);
+    let shards = match engine {
+        Engine::Typer => {
+            let shards = cfg.map_scan(
+                ord.len(),
+                ORD_BITS,
+                |_| GroupByShard::<(i32, i32), i64>::new(PREAGG_GROUPS),
+                |shard, r| {
+                    for i in r {
+                        let h = hf.hash(okey[i] as u64);
+                        for e in ht_li.probe(h) {
+                            if e.row.0 == okey[i] {
+                                let key = (e.row.1, year_of(odate[i]));
+                                let gh = hf.rehash(hf.hash(key.0 as u64), key.1 as u64);
+                                shard.update(gh, key, || 0, |a| *a += e.row.2);
+                            }
+                        }
+                    }
+                },
+            );
+            shards.into_iter().map(GroupByShard::finish).collect()
+        }
+        Engine::Tectorwise => {
+            let policy = cfg.policy;
+            #[derive(Default)]
+            struct Scratch {
+                all: Vec<u32>,
+                hashes: Vec<u64>,
+                ghash: Vec<u64>,
+                ordinals: Vec<u32>,
+                bufs: tw::ProbeBuffers,
+                gb: tw::grouping::GroupBuffers,
+                k_nat: Vec<i32>,
+                v_amt: Vec<i64>,
+                v_date: Vec<i32>,
+                k_year: Vec<i32>,
+                v_amt_sel: Vec<i64>,
             }
-        },
-    );
-    let shards = shards.into_iter().map(|(shard, _)| shard.finish()).collect();
-    finish(db, merge_partitions(shards, &cfg.exec(), |a, b| *a += b))
+            let shards = cfg.map_scan(
+                ord.len(),
+                ORD_BITS,
+                |_| {
+                    (
+                        GroupByShard::<(i32, i32), i64>::new(PREAGG_GROUPS),
+                        Scratch::default(),
+                    )
+                },
+                |(shard, st), r| {
+                    for c in tw::chunks(r, cfg.vector_size) {
+                        tw::hashp::iota(c.start as u32, c.len(), &mut st.all);
+                        tw::hashp::hash_i32(okey, &st.all, hf, &mut st.hashes);
+                        let nm = tw::probe::probe_join(
+                            ht_li,
+                            &st.hashes,
+                            &st.all,
+                            |row, t| row.0 == okey[t as usize],
+                            policy,
+                            &mut st.bufs,
+                        );
+                        if nm == 0 {
+                            continue;
+                        }
+                        tw::gather::gather_build(ht_li, &st.bufs.match_entry, |r| r.1, &mut st.k_nat);
+                        tw::gather::gather_build(ht_li, &st.bufs.match_entry, |r| r.2, &mut st.v_amt);
+                        tw::gather::gather_i32(odate, &st.bufs.match_tuple, &mut st.v_date);
+                        tw::map::map_year(&st.v_date, &mut st.k_year);
+                        tw::hashp::iota(0, nm, &mut st.ordinals);
+                        tw::hashp::hash_i32_dense(&st.k_nat, hf, &mut st.ghash);
+                        tw::hashp::rehash_i32(&st.k_year, &st.ordinals, hf, &mut st.ghash);
+                        let (k_nat, k_year) = (&st.k_nat, &st.k_year);
+                        tw::grouping::find_groups(
+                            &shard.ht,
+                            &st.ghash,
+                            &st.ordinals,
+                            |k, j| {
+                                let j = j as usize;
+                                k.0 == k_nat[j] && k.1 == k_year[j]
+                            },
+                            &mut st.gb,
+                        );
+                        for &j in &st.gb.miss_sel {
+                            let j = j as usize;
+                            shard.update(
+                                st.ghash[j],
+                                (st.k_nat[j], st.k_year[j]),
+                                || 0,
+                                |a| *a += st.v_amt[j],
+                            );
+                        }
+                        if st.gb.groups.is_empty() {
+                            continue;
+                        }
+                        tw::gather::gather_i64(&st.v_amt, &st.gb.group_sel, policy, &mut st.v_amt_sel);
+                        tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_amt_sel, |a, v| {
+                            *a += v
+                        });
+                    }
+                },
+            );
+            shards.into_iter().map(|(shard, _)| shard.finish()).collect()
+        }
+        other => unreachable!("{} is not a per-stage candidate", other.name()),
+    };
+    merge_partitions(shards, &cfg.exec(), |a, b| *a += b)
 }
 
 /// Volcano: the same plan, interpreted. The driving orders scan is
@@ -631,12 +603,27 @@ impl crate::QueryPlan for Q9 {
         S
     }
 
-    fn typer(&self, db: &Database, cfg: &ExecCfg, params: &Params) -> QueryResult {
-        typer(db, cfg, params.q9())
-    }
-
-    fn tectorwise(&self, db: &Database, cfg: &ExecCfg, params: &Params) -> QueryResult {
-        tectorwise(db, cfg, params.q9())
+    fn run_stages(&self, db: &Database, cfg: &ExecCfg, params: &Params, choices: &[Engine]) -> QueryResult {
+        let [part, partsupp, supplier, lineitem, orders] = crate::assignment(choices);
+        let [hf_p, hf_ps, hf_s, hf_li] = [part, partsupp, supplier, lineitem].map(|e| cfg.hash_for(e));
+        let ht_p = {
+            let _s = cfg.stage(0);
+            build_part(db, cfg, params.q9(), part, hf_p)
+        };
+        let ht_ps = {
+            let _s = cfg.stage(1);
+            probe_partsupp(db, cfg, partsupp, hf_p, hf_ps, &ht_p)
+        };
+        let ht_s = {
+            let _s = cfg.stage(2);
+            build_supplier(db, cfg, hf_s)
+        };
+        let ht_li = {
+            let _s = cfg.stage(3);
+            probe_lineitem(db, cfg, lineitem, hf_ps, hf_s, hf_li, &ht_ps, &ht_s)
+        };
+        let _s = cfg.stage(4);
+        finish(db, probe_orders(db, cfg, orders, hf_li, &ht_li))
     }
 
     fn volcano(&self, db: &Database, cfg: &ExecCfg, params: &Params) -> QueryResult {

@@ -32,7 +32,6 @@ pub mod hashp;
 pub mod map;
 pub mod probe;
 pub mod sel;
-pub mod stage;
 
 pub use chunk::{chunks, ChunkSource, Chunks, DEFAULT_VECTOR_SIZE};
 pub use col::Col;

@@ -1,8 +1,9 @@
 //! Cross-engine result validation: the paper's methodology only holds if
 //! Typer, Tectorwise and the Volcano baseline compute identical results
 //! for identical plans. Every query is checked at two scale factors,
-//! plus Tectorwise under SIMD, odd vector sizes, multiple threads, and
-//! hash-function swaps — none of which may change a single output row.
+//! plus Tectorwise under SIMD, odd vector sizes, multiple threads,
+//! hash-function swaps and every per-stage Typer/Tectorwise assignment —
+//! none of which may change a single output row.
 
 use db_engine_paradigms::prelude::*;
 
@@ -133,6 +134,44 @@ fn encoded_storage_agrees_with_flat_on_all_36_pairs() {
                     &r,
                     &format!("only {only} encoded, {e:?} {policy:?}"),
                 );
+            }
+        }
+    }
+}
+
+/// The assignment axis: a plan is its list of stages, so *every*
+/// element of `{Typer, Tectorwise}^stages` (32 for Q9, at most 8
+/// elsewhere) must return the Volcano result — single- and
+/// multi-threaded, over flat and fully encoded tables — and the two
+/// uniform assignments are exactly what the pure engines run.
+#[test]
+fn every_stage_assignment_agrees_with_volcano() {
+    for q in ALL {
+        let plan = dbep_queries::plan(q);
+        let params = Params::default_for(q);
+        let stages = plan.stages().len();
+        let (flat, enc) = if QueryId::TPCH.contains(&q) {
+            (tpch_db_001(), tpch_db_enc())
+        } else {
+            (ssb_db_001(), ssb_db_enc())
+        };
+        let reference = run(Engine::Volcano, q, flat, &ExecCfg::default());
+        for (db, layout) in [(flat, "flat"), (enc, "encoded")] {
+            for threads in [1usize, 3] {
+                let cfg = ExecCfg::with_threads(threads);
+                for mask in 0..1usize << stages {
+                    let choices: Vec<Engine> = (0..stages)
+                        .map(|i| [Engine::Typer, Engine::Tectorwise][mask >> i & 1])
+                        .collect();
+                    let r = plan.run_stages(db, &cfg, &params, &choices);
+                    let what = format!("{layout}, {threads} threads, {choices:?}");
+                    assert_equal(q, &reference, &r, &what);
+                }
+                for e in [Engine::Typer, Engine::Tectorwise] {
+                    let uniform = plan.run_stages(db, &cfg, &params, &vec![e; stages]);
+                    let what = format!("{layout}, {threads} threads, uniform {e:?} vs run()");
+                    assert_equal(q, &uniform, &run(e, q, db, &cfg), &what);
+                }
             }
         }
     }
