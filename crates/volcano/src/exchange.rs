@@ -31,7 +31,9 @@ use dbep_runtime::ExecCtx;
 /// the plan is exhausted, so the morsel-level inter-query fairness the
 /// scheduler gives Typer/Tectorwise does not apply within a Volcano
 /// plan, and long interpreted queries can head-of-line-block a small
-/// pool. Serve baseline mixes therefore exclude Volcano by default.
+/// pool. Serving mixes include Volcano all the same — `experiments
+/// serve` and `load` sweep every selectable engine by default, and the
+/// benchmark's `serve_mix` runs it — so its requests set the tail there.
 pub fn union<'a, F>(exec: &ExecCtx, make_plan: F) -> Vec<Row>
 where
     F: Fn(usize) -> BoxOp<'a> + Sync,

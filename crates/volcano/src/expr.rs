@@ -2,19 +2,58 @@
 //!
 //! Every evaluation performs runtime type dispatch — the per-tuple
 //! interpretation overhead that vectorization amortizes and compilation
-//! eliminates (§4.2).
+//! eliminates (§4.2). Evaluation borrows column values and constants
+//! from the row and the tree ([`Expr::eval_ref`]); only computed values
+//! are built fresh.
 
+use std::borrow::Cow;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
-/// A runtime-typed value. Strings are owned (the traditional engine
-//  copies freely).
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// A runtime-typed value. Strings are owned, so a row slot keeps its
+/// string buffer between tuples: [`Clone::clone_from`] onto a `Str` slot
+/// copies into the existing buffer instead of allocating a new one.
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Val {
     I32(i32),
     I64(i64),
     I128(i128),
     Str(String),
     Byte(u8),
+}
+
+/// Hashes the payload alone. The values of one key column share a
+/// variant, so the discriminant would add a word to hash per value and
+/// tell no two keys apart; equal values still hash equally.
+impl Hash for Val {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        match self {
+            Val::I32(v) => state.write_i32(*v),
+            Val::I64(v) => state.write_i64(*v),
+            Val::I128(v) => state.write_i128(*v),
+            Val::Str(s) => state.write(s.as_bytes()),
+            Val::Byte(v) => state.write_u8(*v),
+        }
+    }
+}
+
+impl Clone for Val {
+    fn clone(&self) -> Self {
+        match self {
+            Val::I32(v) => Val::I32(*v),
+            Val::I64(v) => Val::I64(*v),
+            Val::I128(v) => Val::I128(*v),
+            Val::Str(s) => Val::Str(s.clone()),
+            Val::Byte(v) => Val::Byte(*v),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        match (self, source) {
+            (Val::Str(dst), Val::Str(src)) => dst.clone_from(src),
+            (dst, src) => *dst = src.clone(),
+        }
+    }
 }
 
 impl Val {
@@ -112,12 +151,19 @@ impl Expr {
 
     /// Evaluate against a row; full runtime dispatch per node.
     pub fn eval(&self, row: &[Val]) -> Val {
-        match self {
-            Expr::Col(i) => row[*i].clone(),
-            Expr::Const(v) => v.clone(),
+        self.eval_ref(row).into_owned()
+    }
+
+    /// Evaluate against a row without copying: a column or constant is
+    /// returned borrowed from the row or the tree, strings are compared
+    /// and searched in place, and only computed values are owned.
+    pub fn eval_ref<'a>(&'a self, row: &'a [Val]) -> Cow<'a, Val> {
+        let computed = match self {
+            Expr::Col(i) => return Cow::Borrowed(&row[*i]),
+            Expr::Const(v) => return Cow::Borrowed(v),
             Expr::Cmp(op, a, b) => {
-                let (a, b) = (a.eval(row), b.eval(row));
-                let r = match (&a, &b) {
+                let (a, b) = (a.eval_ref(row), b.eval_ref(row));
+                let r = match (&*a, &*b) {
                     (Val::Str(x), Val::Str(y)) => x.cmp(y),
                     _ => a.as_i128().cmp(&b.as_i128()),
                 };
@@ -131,30 +177,27 @@ impl Expr {
                 };
                 Val::I32(out as i32)
             }
-            Expr::And(es) => Val::I32(es.iter().all(|e| e.eval(row).as_i64() != 0) as i32),
-            Expr::Or(es) => Val::I32(es.iter().any(|e| e.eval(row).as_i64() != 0) as i32),
+            Expr::And(es) => Val::I32(es.iter().all(|e| e.eval_bool(row)) as i32),
+            Expr::Or(es) => Val::I32(es.iter().any(|e| e.eval_bool(row)) as i32),
             Expr::Arith(op, a, b) => {
-                let (a, b) = (a.eval(row).as_i64(), b.eval(row).as_i64());
+                let (a, b) = (a.eval_ref(row).as_i64(), b.eval_ref(row).as_i64());
                 Val::I64(match op {
                     BinOp::Add => a.wrapping_add(b),
                     BinOp::Sub => a.wrapping_sub(b),
                     BinOp::Mul => a.wrapping_mul(b),
                 })
             }
-            Expr::Contains(e, needle) => {
-                let v = e.eval(row);
-                Val::I32(v.as_str().contains(needle.as_str()) as i32)
-            }
+            Expr::Contains(e, needle) => Val::I32(e.eval_ref(row).as_str().contains(needle.as_str()) as i32),
             Expr::StartsWith(e, prefix) => {
-                let v = e.eval(row);
-                Val::I32(v.as_str().starts_with(prefix.as_str()) as i32)
+                Val::I32(e.eval_ref(row).as_str().starts_with(prefix.as_str()) as i32)
             }
-        }
+        };
+        Cow::Owned(computed)
     }
 
     /// Evaluate as a predicate.
     pub fn eval_bool(&self, row: &[Val]) -> bool {
-        self.eval(row).as_i64() != 0
+        self.eval_ref(row).as_i64() != 0
     }
 }
 
@@ -197,6 +240,29 @@ mod tests {
             Expr::Const(Val::Str("forest green linen".into())),
         );
         assert!(eq.eval_bool(&row));
+    }
+
+    #[test]
+    fn columns_and_constants_evaluate_borrowed() {
+        let row = vec![Val::Str("forest".into()), Val::I64(3)];
+        assert!(matches!(Expr::col(0).eval_ref(&row), Cow::Borrowed(v) if std::ptr::eq(v, &row[0])));
+        assert!(matches!(
+            Expr::lit_i64(1).eval_ref(&row),
+            Cow::Borrowed(Val::I64(1))
+        ));
+        let sum = Expr::arith(BinOp::Add, Expr::col(1), Expr::lit_i64(1));
+        assert!(matches!(sum.eval_ref(&row), Cow::Owned(Val::I64(4))));
+    }
+
+    #[test]
+    fn clone_from_reuses_string_buffer() {
+        let mut slot = Val::Str(String::with_capacity(32));
+        let buf = slot.as_str().as_ptr();
+        slot.clone_from(&Val::Str("short".into()));
+        assert_eq!(slot, Val::Str("short".into()));
+        assert_eq!(slot.as_str().as_ptr(), buf);
+        slot.clone_from(&Val::I32(7));
+        assert_eq!(slot, Val::I32(7));
     }
 
     #[test]

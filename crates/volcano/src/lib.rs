@@ -12,9 +12,14 @@
 //! * cross-validate results: every query must return the same rows on
 //!   Volcano, Typer and Tectorwise.
 //!
-//! It is intentionally naive — boxed operators, `Vec<Val>` rows, hash
-//! tables keyed by value vectors — because that *is* the model being
-//! contrasted.
+//! It keeps the interpretation costs that *are* the model being
+//! contrasted: one virtual `next()` per operator per tuple through boxed
+//! operators, a runtime-typed [`Val`] per value with type dispatch on
+//! every use, and an [`Expr`] tree walked per tuple. The allocator is not
+//! one of those costs: operators overwrite a [`Row`] buffer their caller
+//! owns, hash operators probe by a borrowed key buffer, and value-keyed
+//! tables hash with the runtime's Murmur2 — so a plan allocates per
+//! inserted build row and group, never per scanned tuple.
 
 pub mod exchange;
 pub mod expr;
