@@ -14,22 +14,23 @@
 //! versus-measured). Scale-factor defaults are sized for a ~20 GB host;
 //! pass `--sf` to reproduce the paper's exact scales on bigger machines.
 //!
+//! Every subcommand except `metrics` and `serve-net` measures into one
+//! [`Report`], which `main` renders once: as aligned text tables by
+//! default, or with `--json` as one machine-readable JSON document
+//! (`all --json` writes one document per line), so perf trajectories
+//! can be recorded as `BENCH_*.json` files across PRs.
+//!
 //! `--query`/`--engine` take the canonical names (`q3`, `ssb-q4.1`,
-//! `typer`, …) via the registry's `FromStr` impls and narrow `fig3`,
-//! `table1` and the `query` subcommand — `query` runs one prepared
-//! query through the `Session` API and prints its result table, e.g.
+//! `typer`, …) via the registry's `FromStr` impls and narrow every
+//! subcommand that loops over queries or engines; a query outside the
+//! subcommand's set exits 2. `query` runs one prepared query through
+//! the `Session` API and reports its result table, e.g.
 //! `experiments -- query --query q6 --engine tectorwise --sf 0.1`.
 //!
-//! `fig3` and `table1` run the full TPC-H workload (the paper's five
-//! plus Q4/Q12/Q14); the remaining paper-artifact subcommands stick to
-//! the §3.3 subset so their rows line up with the paper's figures.
-//!
-//! `--json` (supported by `fig3`, `table1` and `serve`) switches stdout
-//! to one machine-readable JSON document — per-query runtimes (`fig3`,
-//! over **every** registered query, TPC-H and SSB, on all three
-//! engines), per-query CPU counters (`table1`), or serving throughput
-//! (`serve`) — so perf trajectories can be recorded as `BENCH_*.json`
-//! files across PRs.
+//! `fig3` runs every registered query (TPC-H and SSB) on all three
+//! engines; `table1` runs the full TPC-H workload (the paper's five plus
+//! Q4/Q12/Q14); the remaining paper-artifact subcommands stick to the
+//! §3.3 subset so their rows line up with the paper's figures.
 //!
 //! `serve` is the **inter-query** scenario: `--clients N[,N...]`
 //! closed-loop clients fire the mixed 12-query workload (TPC-H + SSB,
@@ -71,24 +72,27 @@
 //! Perfetto / `chrome://tracing`); `metrics` drives the mixed workload
 //! through a metrics-attached `Session` and dumps the registry as JSON
 //! (default) or Prometheus text (`--prom`); `table1 --per-stage` reads
-//! grouped hardware counters around every pipeline stage and prints
+//! grouped hardware counters around every pipeline stage and reports
 //! Table-1-style per-stage rows with a whole-run cross-check;
 //! `serve --obs` runs every scenario with the span sink and metrics
 //! bundle attached (the tracing-overhead benchmark) and embeds each
 //! scenario's metric snapshot in the JSON document.
 //!
-//! `--encoded` (supported by `fig3`, `query` and `serve`) builds the
-//! compressed companion columns after generation, so bandwidth-bound
-//! plans run their fused decompress-and-select scans. `compression`
-//! compares flat versus encoded directly: runtime and bytes-scanned for
-//! Q1/Q6/Q14/SSB Q1.1 on both block-at-a-time engines (`--throttle`
-//! adds the same cells read through the emulated 1.4 GB/s SSD of
-//! `table5`), recorded as `BENCH_compression.json` with `--json` —
-//! host fingerprint, median and min/max per cell.
+//! `--encoded` (honoured by `fig3`, `table1 --per-stage`, `query`,
+//! `serve`, `serve-net`, `metrics` and `load`) builds the compressed
+//! companion columns after generation, so bandwidth-bound plans run
+//! their fused decompress-and-select scans. `compression` compares flat versus
+//! encoded directly: runtime and bytes-scanned for Q1/Q6/Q14/SSB Q1.1
+//! on both block-at-a-time engines (`--throttle` adds the same cells
+//! read through the emulated 1.4 GB/s SSD of `table5`), recorded as
+//! `BENCH_compression.json` with `--json` — host fingerprint, median
+//! and min/max per cell.
 
-use dbep_bench::{counters_note, fmt_ms, measure_counters, per_tuple_header, per_tuple_row, time_median};
+use dbep_bench::report::{Obj, Report, Value};
+use dbep_bench::{counters_note, measure_counters, time_median, time_spread, TimeSpread};
 use dbep_core::Session;
 use dbep_queries::{run, Engine, ExecCfg, QueryId};
+use dbep_runtime::counters::CounterValues;
 use dbep_runtime::hash::HashFn;
 use dbep_runtime::rng::SmallRng;
 use dbep_storage::Database;
@@ -165,12 +169,9 @@ impl Args {
         selected
     }
 
-    /// `Engine::ALL` filtered by `--engine`.
-    fn engines(&self) -> Vec<Engine> {
-        match self.engine {
-            Some(e) => vec![e],
-            None => Engine::ALL.to_vec(),
-        }
+    /// The experiment's `default` engines, or the one `--engine` picks.
+    fn engines(&self, default: &[Engine]) -> Vec<Engine> {
+        self.engine.map_or_else(|| default.to_vec(), |e| vec![e])
     }
 }
 
@@ -382,168 +383,201 @@ fn encode(mut db: Database) -> Database {
     db
 }
 
-/// `db`, encoded when `--encoded` was passed.
-fn maybe_encode(db: Database, a: &Args) -> Database {
-    if a.encoded {
-        encode(db)
-    } else {
-        db
-    }
+/// One slot per benchmark schema: TPC-H and SSB.
+struct PerBench<T> {
+    tpch: Option<T>,
+    ssb: Option<T>,
 }
 
-// ---------------------------------------------------------------------
-// Fig. 3: single-threaded runtimes, Typer vs Tectorwise, TPC-H SF=1.
-// With --json: machine-readable runtimes over *every* registered query
-// (TPC-H and SSB) on all three engines.
-// ---------------------------------------------------------------------
-fn fig3(a: &Args) {
-    if a.json {
-        return fig3_json(a);
+impl<T> PerBench<T> {
+    fn map<U>(self, mut f: impl FnMut(T) -> U) -> PerBench<U> {
+        PerBench {
+            tpch: self.tpch.map(&mut f),
+            ssb: self.ssb.map(f),
+        }
     }
-    let db = maybe_encode(gen_tpch(a.sf.unwrap_or(1.0)), a);
-    let cfg = ExecCfg::default();
-    println!(
-        "# Fig. 3 — TPC-H SF={}, 1 thread{}, runtime [ms]",
-        a.sf.unwrap_or(1.0),
-        if a.encoded { ", encoded storage" } else { "" }
-    );
-    println!("{:<6} {:>10} {:>10} {:>9}", "query", "Typer", "TW", "TW/Typer");
-    for q in a.queries(&QueryId::TPCH) {
-        let t = time_median(a.reps, || std::mem::drop(run(Engine::Typer, q, &db, &cfg)));
-        let w = time_median(a.reps, || std::mem::drop(run(Engine::Tectorwise, q, &db, &cfg)));
-        println!(
-            "{:<6} {:>10} {:>10} {:>9.2}",
-            q.name(),
-            fmt_ms(t),
-            fmt_ms(w),
-            w.as_secs_f64() / t.as_secs_f64()
-        );
-    }
-}
 
-fn fig3_json(a: &Args) {
-    use dbep_bench::json;
-    let sf = a.sf.unwrap_or(1.0);
-    let tpch = maybe_encode(gen_tpch(sf), a);
-    let ssb_db = maybe_encode(gen_ssb(sf), a);
-    let cfg = ExecCfg::default();
-    let queries = a.queries(&QueryId::ALL).into_iter().map(|q| {
-        let db = if QueryId::SSB.contains(&q) { &ssb_db } else { &tpch };
-        let ms = |engine| {
-            let t = time_median(a.reps, || std::mem::drop(run(engine, q, db, &cfg)));
-            json::number(t.as_secs_f64() * 1e3)
+    /// The slot query `q` reads.
+    fn get(&self, q: QueryId) -> &T {
+        let slot = if QueryId::SSB.contains(&q) {
+            &self.ssb
+        } else {
+            &self.tpch
         };
-        json::Object::new()
-            .field("query", json::string(q.name()))
-            .field(
-                "benchmark",
-                json::string(if QueryId::SSB.contains(&q) { "ssb" } else { "tpch" }),
+        slot.as_ref().expect("a database for every query of the set")
+    }
+}
+
+/// The databases `queries` read — each generated only when some query
+/// needs it — with compressed companions when `encoded`.
+fn databases(sf: f64, queries: &[QueryId], encoded: bool) -> PerBench<Database> {
+    let needs = |ssb: bool| queries.iter().any(|q| QueryId::SSB.contains(q) == ssb);
+    let prepare = |db| if encoded { encode(db) } else { db };
+    PerBench {
+        tpch: needs(false).then(|| prepare(gen_tpch(sf))),
+        ssb: needs(true).then(|| prepare(gen_ssb(sf))),
+    }
+}
+
+/// The two block-at-a-time engines the paper compares.
+const BLOCK: [Engine; 2] = [Engine::Typer, Engine::Tectorwise];
+
+/// Median wall time of `reps` runs of `q` on `engine` after one warm-up.
+fn time_query(reps: usize, engine: Engine, q: QueryId, db: &Database, cfg: &ExecCfg) -> Duration {
+    time_median(reps, || std::mem::drop(run(engine, q, db, cfg)))
+}
+
+/// Counters of one run of `q` on `engine` after one warm-up.
+fn count_query(engine: Engine, q: QueryId, db: &Database, cfg: &ExecCfg) -> CounterValues {
+    measure_counters(|| std::mem::drop(run(engine, q, db, cfg)))
+}
+
+/// One run of `q` whose scans read through the emulated 1.4 GB/s SSD
+/// (substitution 4). A fresh throttle per run banks no idle budget.
+fn run_on_ssd(engine: Engine, q: QueryId, db: &Database, threads: usize) {
+    let throttle = dbep_storage::throttle::Throttle::paper_ssd();
+    let cfg = ExecCfg {
+        threads,
+        throttle: Some(&throttle),
+        ..Default::default()
+    };
+    std::mem::drop(run(engine, q, db, &cfg));
+}
+
+/// The column `{engine}{suffix}`, e.g. `typer_ms`.
+fn col(engine: Engine, suffix: &str) -> String {
+    format!("{}{suffix}", engine.name())
+}
+
+/// `num`'s time over `den`'s, or `None` when `--engine` left one out.
+fn ratio(times: &[(Engine, Duration)], num: Engine, den: Engine) -> Option<f64> {
+    let secs = |e| times.iter().find(|(x, _)| *x == e).map(|(_, d)| d.as_secs_f64());
+    Some(secs(num)? / secs(den)?)
+}
+
+fn names(queries: &[QueryId]) -> Vec<&'static str> {
+    queries.iter().map(|q| q.name()).collect()
+}
+
+// ---------------------------------------------------------------------
+// Fig. 3: single-threaded runtimes over every registered query (TPC-H
+// and SSB), Typer vs Tectorwise with the Volcano baseline.
+// ---------------------------------------------------------------------
+fn fig3(a: &Args) -> Report {
+    let sf = a.sf.unwrap_or(1.0);
+    let queries = a.queries(&QueryId::ALL);
+    let dbs = databases(sf, &queries, a.encoded);
+    let engines = a.engines(&Engine::ALL);
+    let cfg = ExecCfg::default();
+    let rows: Vec<Obj> = queries
+        .iter()
+        .map(|&q| {
+            let db = dbs.get(q);
+            let times: Vec<(Engine, Duration)> = engines
+                .iter()
+                .map(|&e| (e, time_query(a.reps, e, q, db, &cfg)))
+                .collect();
+            let mut row = Obj::new()
+                .with("query", q.name())
+                .with(
+                    "benchmark",
+                    if QueryId::SSB.contains(&q) { "ssb" } else { "tpch" },
+                )
+                .with("tuples_scanned", q.tuples_scanned(db));
+            for (e, t) in &times {
+                row.push(col(*e, "_ms"), *t);
+            }
+            row.with(
+                "tectorwise_over_typer",
+                ratio(&times, Engine::Tectorwise, Engine::Typer),
             )
-            .field("tuples_scanned", format!("{}", q.tuples_scanned(db)))
-            .field("typer_ms", ms(Engine::Typer))
-            .field("tectorwise_ms", ms(Engine::Tectorwise))
-            .field("volcano_ms", ms(Engine::Volcano))
-            .build()
-    });
-    let doc = json::Object::new()
-        .field("experiment", json::string("fig3"))
-        .field("sf", json::number(sf))
-        .field("reps", format!("{}", a.reps))
-        .field("threads", "1".to_string())
-        .field("encoded", format!("{}", a.encoded))
-        .field("queries", json::array(queries))
-        .build();
-    println!("{doc}");
+        })
+        .collect();
+    let storage = if a.encoded { ", encoded storage" } else { "" };
+    Report::new(
+        "fig3",
+        format!("Fig. 3 — TPC-H + SSB SF={sf}, 1 thread{storage}, runtime [ms]"),
+    )
+    .with("sf", sf)
+    .with("reps", a.reps)
+    .with("threads", 1usize)
+    .with("encoded", a.encoded)
+    .with("queries", rows)
 }
 
 // ---------------------------------------------------------------------
 // Table 1: CPU counters per tuple, TPC-H SF=1, 1 thread.
-// With --json: machine-readable per-query counters.
 // ---------------------------------------------------------------------
-fn table1(a: &Args) {
+
+/// Table 1's rows: one per (query, engine), raw counter totals beside
+/// their per-tuple normalization (`null` where the hardware event is
+/// unavailable).
+fn counter_rows(a: &Args, db: &Database, queries: &[QueryId]) -> Vec<Obj> {
+    let cfg = ExecCfg::default();
+    let mut rows = Vec::new();
+    for &q in queries {
+        let tuples = q.tuples_scanned(db);
+        for e in a.engines(&BLOCK) {
+            let v = count_query(e, q, db, &cfg);
+            let mut row = Obj::new()
+                .with("query", q.name())
+                .with("engine", e.name())
+                .with("tuples_scanned", tuples);
+            let mut per_tuple = Obj::new();
+            for (event, total) in [
+                ("cycles", Some(v.cycles_estimate())),
+                ("instructions", v.instructions),
+                ("l1d_miss", v.l1d_miss),
+                ("llc_miss", v.llc_miss),
+                ("branch_miss", v.branch_miss),
+                ("stalled_backend", v.stalled_backend),
+            ] {
+                row.push(event, total);
+                per_tuple.push(event, total.map(|x| x as f64 / tuples.max(1) as f64));
+            }
+            rows.push(row.with("ipc", v.ipc()).with("per_tuple", per_tuple));
+        }
+    }
+    rows
+}
+
+fn table1(a: &Args) -> Report {
     if a.per_stage {
         return table1_per_stage(a);
     }
-    if a.json {
-        return table1_json(a);
-    }
-    let db = gen_tpch(a.sf.unwrap_or(1.0));
-    let cfg = ExecCfg::default();
-    println!(
-        "# Table 1 — TPC-H SF={}, 1 thread, counters normalized per tuple scanned",
-        a.sf.unwrap_or(1.0)
-    );
-    println!("# ({})", counters_note());
-    println!("{}", per_tuple_header());
-    for q in a.queries(&QueryId::TPCH) {
-        let tuples = q.tuples_scanned(&db);
-        let v = measure_counters(|| std::mem::drop(run(Engine::Typer, q, &db, &cfg)));
-        println!("{}", per_tuple_row(&format!("{} Typer", q.name()), &v, tuples));
-        let v = measure_counters(|| std::mem::drop(run(Engine::Tectorwise, q, &db, &cfg)));
-        println!("{}", per_tuple_row(&format!("{} TW", q.name()), &v, tuples));
-    }
-    // §4.1 hash-function ablation on the join-heaviest query.
-    println!("\n## hash-function ablation (cycles/tuple, Q9)");
-    for (label, hash) in [
-        ("default", None),
-        ("murmur2", Some(HashFn::Murmur2)),
-        ("crc", Some(HashFn::Crc)),
-    ] {
-        let cfg = ExecCfg {
-            hash,
-            ..Default::default()
-        };
-        let tuples = QueryId::Q9.tuples_scanned(&db) as f64;
-        let t = measure_counters(|| std::mem::drop(run(Engine::Typer, QueryId::Q9, &db, &cfg)));
-        let w = measure_counters(|| std::mem::drop(run(Engine::Tectorwise, QueryId::Q9, &db, &cfg)));
-        println!(
-            "{label:<8} Typer {:>7.1} c/t   TW {:>7.1} c/t",
-            t.cycles_estimate() as f64 / tuples,
-            w.cycles_estimate() as f64 / tuples
-        );
-    }
-}
-
-fn table1_json(a: &Args) {
-    use dbep_bench::json;
     let sf = a.sf.unwrap_or(1.0);
     let db = gen_tpch(sf);
-    let cfg = ExecCfg::default();
-    let mut rows = Vec::new();
-    for q in QueryId::TPCH {
-        let tuples = q.tuples_scanned(&db);
-        for (engine, name) in [(Engine::Typer, "typer"), (Engine::Tectorwise, "tectorwise")] {
-            let v = measure_counters(|| std::mem::drop(run(engine, q, &db, &cfg)));
-            rows.push(
-                json::Object::new()
-                    .field("query", json::string(q.name()))
-                    .field("engine", json::string(name))
-                    .field("tuples_scanned", format!("{tuples}"))
-                    .field("cycles", format!("{}", v.cycles_estimate()))
-                    .field("instructions", json::opt_u64(v.instructions))
-                    .field("l1d_miss", json::opt_u64(v.l1d_miss))
-                    .field("llc_miss", json::opt_u64(v.llc_miss))
-                    .field("branch_miss", json::opt_u64(v.branch_miss))
-                    .field("stalled_backend", json::opt_u64(v.stalled_backend))
-                    .build(),
-            );
+    let rows = counter_rows(a, &db, &a.queries(&QueryId::TPCH));
+    // §4.1 hash-function ablation on the join-heaviest query.
+    let mut ablation = Vec::new();
+    if a.query.is_none_or(|q| q == QueryId::Q9) {
+        let tuples = QueryId::Q9.tuples_scanned(&db) as f64;
+        for (label, hash) in [
+            ("default", None),
+            ("murmur2", Some(HashFn::Murmur2)),
+            ("crc", Some(HashFn::Crc)),
+        ] {
+            let cfg = ExecCfg {
+                hash,
+                ..Default::default()
+            };
+            let mut row = Obj::new().with("query", "q9").with("hash", label);
+            for e in a.engines(&BLOCK) {
+                let v = count_query(e, QueryId::Q9, &db, &cfg);
+                row.push(col(e, "_cycles_per_tuple"), v.cycles_estimate() as f64 / tuples);
+            }
+            ablation.push(row);
         }
     }
-    let doc = json::Object::new()
-        .field("experiment", json::string("table1"))
-        .field("sf", json::number(sf))
-        .field(
-            "hardware_counters",
-            if dbep_runtime::CounterSet::available() {
-                "true"
-            } else {
-                "false"
-            }
-            .to_string(),
-        )
-        .field("rows", json::array(rows))
-        .build();
-    println!("{doc}");
+    Report::new(
+        "table1",
+        format!("Table 1 — TPC-H SF={sf}, 1 thread, counters normalized per tuple scanned"),
+    )
+    .note(counters_note())
+    .with("sf", sf)
+    .with("hardware_counters", dbep_runtime::CounterSet::available())
+    .with("rows", rows)
+    .with("hash_ablation", ablation)
 }
 
 /// `table1 --per-stage`: grouped hardware counters (cycles,
@@ -553,255 +587,156 @@ fn table1_json(a: &Args) {
 /// group delta on the calling thread is an independent cross-check of
 /// the per-stage sum (the gap is glue outside stage brackets). Falls
 /// back to wall-time-only rows when perf is unavailable.
-fn table1_per_stage(a: &Args) {
-    use dbep_bench::json;
+fn table1_per_stage(a: &Args) -> Report {
     use dbep_core::scheduler::StageTrace;
     use dbep_runtime::counters::{with_thread_group, GroupReading, StageCounters};
     let sf = a.sf.unwrap_or(1.0);
     let queries = a.queries(&QueryId::ALL);
-    let engines = match a.engine {
-        Some(e) => vec![e],
-        None => vec![Engine::Typer, Engine::Tectorwise],
-    };
-    let tpch = queries
-        .iter()
-        .any(|q| !QueryId::SSB.contains(q))
-        .then(|| gen_tpch(sf));
-    let ssb_db = queries
-        .iter()
-        .any(|q| QueryId::SSB.contains(q))
-        .then(|| gen_ssb(sf));
+    let dbs = databases(sf, &queries, a.encoded);
     let hw = with_thread_group(|g| g.len()).is_some();
-    struct StageRow {
-        name: &'static str,
-        kind: &'static str,
-        wall_ns: u64,
-        counters: dbep_runtime::counters::StageCounterValues,
-    }
-    struct QueryRows {
-        query: QueryId,
-        engine: Engine,
-        wall_ns: u64,
-        whole: Option<GroupReading>,
-        stages: Vec<StageRow>,
-    }
-    let mut reports = Vec::new();
+    let group = |g: &GroupReading| {
+        Obj::new()
+            .with("cycles", g.cycles)
+            .with("instructions", g.instructions)
+            .with("llc_miss", g.llc_miss)
+            .with("branch_miss", g.branch_miss)
+    };
+    let mut rows = Vec::new();
     for &q in &queries {
-        let db = if QueryId::SSB.contains(&q) {
-            ssb_db.as_ref().expect("SSB database")
-        } else {
-            tpch.as_ref().expect("TPC-H database")
-        };
+        let db = dbs.get(q);
         let stages = dbep_queries::plan(q).stages();
-        for &engine in &engines {
-            let counters = StageCounters::new(stages.len());
-            let trace = StageTrace::new(stages.len());
-            let cfg = ExecCfg {
-                stage_trace: Some(&trace),
-                stage_counters: Some(&counters),
-                ..ExecCfg::default()
-            };
-            // Warm once (first-touch effects), then measure one run
+        for engine in a.engines(&BLOCK) {
+            // Warm once (first-touch effects), then keep the second run,
             // bracketed by whole-group reads on this thread.
-            std::mem::drop(run(engine, q, db, &cfg));
-            let counters = StageCounters::new(stages.len());
-            let trace = StageTrace::new(stages.len());
-            let cfg = ExecCfg {
-                stage_trace: Some(&trace),
-                stage_counters: Some(&counters),
-                ..ExecCfg::default()
-            };
-            let before = with_thread_group(|g| g.read()).flatten();
-            let t0 = Instant::now();
-            std::mem::drop(run(engine, q, db, &cfg));
-            let wall_ns = t0.elapsed().as_nanos() as u64;
-            let whole = with_thread_group(|g| g.read())
-                .flatten()
-                .zip(before)
-                .map(|(end, start)| end.delta_since(&start));
-            let wall = trace.snapshot();
-            let per = counters.snapshot();
-            reports.push(QueryRows {
-                query: q,
-                engine,
-                wall_ns,
-                whole,
-                stages: stages
-                    .iter()
-                    .zip(wall)
-                    .zip(per)
-                    .map(|((desc, wall_ns), counters)| StageRow {
-                        name: desc.name,
-                        kind: desc.kind.name(),
-                        wall_ns,
-                        counters,
-                    })
-                    .collect(),
-            });
-        }
-    }
-    if a.json {
-        let rendered = reports.iter().map(|r| {
-            let sum = r
-                .stages
-                .iter()
-                .fold(GroupReading::default(), |acc, s| GroupReading {
-                    cycles: acc.cycles + s.counters.cycles,
-                    instructions: acc.instructions + s.counters.instructions,
-                    llc_miss: acc.llc_miss + s.counters.llc_miss,
-                    branch_miss: acc.branch_miss + s.counters.branch_miss,
-                });
-            let group = |g: &GroupReading| {
-                json::Object::new()
-                    .field("cycles", format!("{}", g.cycles))
-                    .field("instructions", format!("{}", g.instructions))
-                    .field("llc_miss", format!("{}", g.llc_miss))
-                    .field("branch_miss", format!("{}", g.branch_miss))
-                    .build()
-            };
-            let stages = r.stages.iter().map(|s| {
-                json::Object::new()
-                    .field("stage", json::string(s.name))
-                    .field("kind", json::string(s.kind))
-                    .field("wall_ns", format!("{}", s.wall_ns))
-                    .field("cycles", format!("{}", s.counters.cycles))
-                    .field("instructions", format!("{}", s.counters.instructions))
-                    .field("llc_miss", format!("{}", s.counters.llc_miss))
-                    .field("branch_miss", format!("{}", s.counters.branch_miss))
-                    .field("ipc", s.counters.ipc().map_or("null".to_string(), json::number))
-                    .field("samples", format!("{}", s.counters.samples))
-                    .build()
-            });
-            json::Object::new()
-                .field("query", json::string(r.query.name()))
-                .field("engine", json::string(r.engine.name()))
-                .field("wall_ms", json::number(r.wall_ns as f64 / 1e6))
-                .field("stage_sum", group(&sum))
-                .field("whole_run", r.whole.as_ref().map_or("null".to_string(), group))
-                .field(
-                    "stage_coverage",
-                    r.whole.filter(|w| w.cycles > 0).map_or("null".to_string(), |w| {
-                        json::number(sum.cycles as f64 / w.cycles as f64)
-                    }),
-                )
-                .field("stages", json::array(stages))
-                .build()
-        });
-        let doc = json::Object::new()
-            .field("experiment", json::string("table1-per-stage"))
-            .field("sf", json::number(sf))
-            .field("hardware_counters", format!("{hw}"))
-            .field("queries", json::array(rendered))
-            .build();
-        println!("{doc}");
-        return;
-    }
-    println!("# Table 1 (per stage) — SF={sf}, 1 thread, grouped counters per pipeline stage");
-    if !hw {
-        println!("# hardware counters unavailable (perf_event_open failed); wall time only");
-    }
-    for r in &reports {
-        println!(
-            "\n## {} {} — {}",
-            r.query.name(),
-            r.engine.name(),
-            fmt_ms(Duration::from_nanos(r.wall_ns))
-        );
-        println!(
-            "{:<22} {:<11} {:>9} {:>10} {:>10} {:>6} {:>9} {:>9}",
-            "stage", "kind", "wall", "Mcycles", "Minstr", "IPC", "LLC-miss", "br-miss"
-        );
-        let fmt_m = |v: u64| {
-            if v == 0 {
-                "-".to_string()
-            } else {
-                format!("{:.1}", v as f64 / 1e6)
+            let mut measured = None;
+            for _ in 0..2 {
+                let counters = StageCounters::new(stages.len());
+                let trace = StageTrace::new(stages.len());
+                let cfg = ExecCfg {
+                    stage_trace: Some(&trace),
+                    stage_counters: Some(&counters),
+                    ..ExecCfg::default()
+                };
+                let before = with_thread_group(|g| g.read()).flatten();
+                let t0 = Instant::now();
+                std::mem::drop(run(engine, q, db, &cfg));
+                let wall_ns = t0.elapsed().as_nanos() as u64;
+                let whole = with_thread_group(|g| g.read())
+                    .flatten()
+                    .zip(before)
+                    .map(|(end, start)| end.delta_since(&start));
+                measured = Some((wall_ns, whole, trace.snapshot(), counters.snapshot()));
             }
-        };
-        let fmt_c = |v: u64| if v == 0 { "-".to_string() } else { format!("{v}") };
-        for s in &r.stages {
-            println!(
-                "{:<22} {:<11} {:>9} {:>10} {:>10} {:>6} {:>9} {:>9}",
-                s.name,
-                s.kind,
-                fmt_ms(Duration::from_nanos(s.wall_ns)),
-                fmt_m(s.counters.cycles),
-                fmt_m(s.counters.instructions),
-                s.counters.ipc().map_or("-".to_string(), |i| format!("{i:.2}")),
-                fmt_c(s.counters.llc_miss),
-                fmt_c(s.counters.branch_miss),
+            let (wall_ns, whole, walls, per) = measured.expect("two runs");
+            let sum = per.iter().fold(GroupReading::default(), |acc, s| GroupReading {
+                cycles: acc.cycles + s.cycles,
+                instructions: acc.instructions + s.instructions,
+                llc_miss: acc.llc_miss + s.llc_miss,
+                branch_miss: acc.branch_miss + s.branch_miss,
+            });
+            let stage_rows: Vec<Obj> = stages
+                .iter()
+                .zip(&walls)
+                .zip(&per)
+                .map(|((desc, &wall), c)| {
+                    Obj::new()
+                        .with("stage", desc.name)
+                        .with("kind", desc.kind.name())
+                        .with("wall_ms", Duration::from_nanos(wall))
+                        .with("wall_ns", wall)
+                        .with("cycles", c.cycles)
+                        .with("instructions", c.instructions)
+                        .with("llc_miss", c.llc_miss)
+                        .with("branch_miss", c.branch_miss)
+                        .with("ipc", c.ipc())
+                        .with("samples", c.samples)
+                })
+                .collect();
+            rows.push(
+                Obj::new()
+                    .with("run", format!("{}/{}", q.name(), engine.name()))
+                    .with("query", q.name())
+                    .with("engine", engine.name())
+                    .with("wall_ms", Duration::from_nanos(wall_ns))
+                    .with("stage_sum", group(&sum))
+                    .with("whole_run", whole.as_ref().map(group))
+                    // Cross-checks: the share of whole-run cycles
+                    // (hardware) and of wall time spent inside stages.
+                    .with(
+                        "stage_coverage",
+                        whole
+                            .filter(|w| w.cycles > 0)
+                            .map(|w| sum.cycles as f64 / w.cycles as f64),
+                    )
+                    .with(
+                        "stage_wall_share",
+                        walls.iter().sum::<u64>() as f64 / wall_ns.max(1) as f64,
+                    )
+                    .with("stages", stage_rows),
             );
         }
-        // Cross-check: stage sums against the whole-run group delta
-        // (hardware) or end-to-end wall time (fallback).
-        let sum_wall: u64 = r.stages.iter().map(|s| s.wall_ns).sum();
-        match &r.whole {
-            Some(w) if w.cycles > 0 => {
-                let sum_cycles: u64 = r.stages.iter().map(|s| s.counters.cycles).sum();
-                println!(
-                    "{:<22} {:<11} {:>9} {:>10}   ({:.1}% of whole-run cycles in stages)",
-                    "= stages / whole-run",
-                    "",
-                    fmt_ms(Duration::from_nanos(sum_wall)),
-                    fmt_m(w.cycles),
-                    100.0 * sum_cycles as f64 / w.cycles as f64,
-                );
-            }
-            _ => println!(
-                "{:<22} {:<11} {:>9}   ({:.1}% of wall time in stages)",
-                "= stages / whole-run",
-                "",
-                fmt_ms(Duration::from_nanos(sum_wall)),
-                100.0 * sum_wall as f64 / r.wall_ns.max(1) as f64,
-            ),
-        }
     }
+    let mut report = Report::new(
+        "table1-per-stage",
+        format!("Table 1 (per stage) — SF={sf}, 1 thread, grouped counters per pipeline stage"),
+    );
+    if !hw {
+        report = report.note("hardware counters unavailable (perf_event_open failed); wall time only");
+    }
+    report
+        .with("sf", sf)
+        .with("hardware_counters", hw)
+        .with("queries", rows)
 }
 
 // ---------------------------------------------------------------------
 // Fig. 4: memory-stall vs other cycles across data sizes.
 // ---------------------------------------------------------------------
-fn fig4(a: &Args) {
-    let max_sf = a.sf.unwrap_or(10.0);
-    let sfs: Vec<f64> = [1.0, 3.0, 10.0, 30.0, 100.0]
+
+/// The paper's scale factors below `max_sf`, then `max_sf` itself.
+fn fig4_scale_factors(max_sf: f64) -> Vec<f64> {
+    [1.0, 3.0, 10.0, 30.0, 100.0]
         .into_iter()
-        .filter(|&s| s <= max_sf)
-        .collect();
-    println!("# Fig. 4 — cycles/tuple vs scale factor (paper sweeps 1..100), 1 thread");
-    println!("# ({})", counters_note());
-    println!(
-        "{:<6} {:>5} {:>12} {:>12} {:>12} {:>12}",
-        "query", "SF", "Typer c/t", "TW c/t", "Typer stall", "TW stall"
-    );
+        .filter(|&s| s < max_sf)
+        .chain([max_sf])
+        .collect()
+}
+
+fn fig4(a: &Args) -> Report {
+    let sfs = fig4_scale_factors(a.sf.unwrap_or(10.0));
+    let queries = a.queries(&QueryId::TPCH_PAPER);
+    let mut rows = Vec::new();
     for &sf in &sfs {
         let db = gen_tpch(sf);
-        let cfg = ExecCfg::default();
-        for q in QueryId::TPCH_PAPER {
+        for &q in &queries {
             let tuples = q.tuples_scanned(&db) as f64;
-            let t = measure_counters(|| std::mem::drop(run(Engine::Typer, q, &db, &cfg)));
-            let w = measure_counters(|| std::mem::drop(run(Engine::Tectorwise, q, &db, &cfg)));
-            let stall = |v: &dbep_runtime::CounterValues| match v.stalled_backend {
-                Some(s) => format!("{:.1}", s as f64 / tuples),
-                None => "-".to_string(),
-            };
-            println!(
-                "{:<6} {:>5} {:>12.1} {:>12.1} {:>12} {:>12}",
-                q.name(),
-                sf,
-                t.cycles_estimate() as f64 / tuples,
-                w.cycles_estimate() as f64 / tuples,
-                stall(&t),
-                stall(&w)
-            );
+            let mut row = Obj::new().with("query", q.name()).with("sf", sf);
+            for e in a.engines(&BLOCK) {
+                let v = count_query(e, q, &db, &ExecCfg::default());
+                row.push(col(e, "_cycles_per_tuple"), v.cycles_estimate() as f64 / tuples);
+                row.push(
+                    col(e, "_stall_per_tuple"),
+                    v.stalled_backend.map(|s| s as f64 / tuples),
+                );
+            }
+            rows.push(row);
         }
     }
+    Report::new(
+        "fig4",
+        "Fig. 4 — cycles/tuple vs scale factor (paper sweeps 1..100), 1 thread",
+    )
+    .note(counters_note())
+    .with("sfs", sfs)
+    .with("rows", rows)
 }
 
 // ---------------------------------------------------------------------
 // Fig. 5: Tectorwise vector-size sweep, normalized to 1K.
 // ---------------------------------------------------------------------
-fn fig5(a: &Args) {
-    let db = gen_tpch(a.sf.unwrap_or(1.0));
+fn fig5(a: &Args) -> Report {
+    let sf = a.sf.unwrap_or(1.0);
+    let db = gen_tpch(sf);
     let sizes: [(usize, &str); 9] = [
         (1, "1"),
         (16, "16"),
@@ -813,149 +748,159 @@ fn fig5(a: &Args) {
         (1 << 24, "16M"),
         (usize::MAX >> 1, "Max"),
     ];
-    println!("# Fig. 5 — TW vector-size sweep, time relative to 1K vectors");
-    print!("{:<6}", "query");
-    for (_, label) in sizes {
-        print!(" {label:>7}");
-    }
-    println!();
-    for q in QueryId::TPCH_PAPER {
-        let base_cfg = ExecCfg {
-            vector_size: 1024,
-            ..Default::default()
-        };
-        let base = time_median(a.reps, || {
-            std::mem::drop(run(Engine::Tectorwise, q, &db, &base_cfg))
-        });
-        print!("{:<6}", q.name());
-        for (vs, _) in sizes {
-            let cfg = ExecCfg {
-                vector_size: vs,
-                ..Default::default()
+    let rows: Vec<Obj> = a
+        .queries(&QueryId::TPCH_PAPER)
+        .into_iter()
+        .map(|q| {
+            let at = |vector_size, reps| {
+                let cfg = ExecCfg {
+                    vector_size,
+                    ..Default::default()
+                };
+                time_query(reps, Engine::Tectorwise, q, &db, &cfg)
             };
-            let t = time_median(a.reps.min(2), || {
-                std::mem::drop(run(Engine::Tectorwise, q, &db, &cfg))
-            });
-            print!(" {:>7.2}", t.as_secs_f64() / base.as_secs_f64());
-        }
-        println!();
-    }
+            let base = at(1024, a.reps);
+            sizes
+                .iter()
+                .fold(Obj::new().with("query", q.name()), |row, &(vs, label)| {
+                    row.with(label, at(vs, a.reps.min(2)).as_secs_f64() / base.as_secs_f64())
+                })
+        })
+        .collect();
+    Report::new(
+        "fig5",
+        "Fig. 5 — TW vector-size sweep, time relative to 1K vectors",
+    )
+    .with("sf", sf)
+    .with("rows", rows)
 }
 
 // ---------------------------------------------------------------------
 // §4.4: SSB counter table (paper: SF=30; default here SF=5).
 // ---------------------------------------------------------------------
-fn ssb(a: &Args) {
+fn ssb(a: &Args) -> Report {
     let sf = a.sf.unwrap_or(5.0);
     let db = gen_ssb(sf);
-    let cfg = ExecCfg::default();
-    println!("# §4.4 — SSB SF={sf} (paper: 30), 1 thread, counters per tuple scanned");
-    println!("# ({})", counters_note());
-    println!("{}", per_tuple_header());
-    for q in QueryId::SSB {
-        let tuples = q.tuples_scanned(&db);
-        let v = measure_counters(|| std::mem::drop(run(Engine::Typer, q, &db, &cfg)));
-        println!("{}", per_tuple_row(&format!("{} Typer", q.name()), &v, tuples));
-        let v = measure_counters(|| std::mem::drop(run(Engine::Tectorwise, q, &db, &cfg)));
-        println!("{}", per_tuple_row(&format!("{} TW", q.name()), &v, tuples));
-    }
+    Report::new(
+        "ssb",
+        format!("§4.4 — SSB SF={sf} (paper: 30), 1 thread, counters per tuple scanned"),
+    )
+    .note(counters_note())
+    .with("sf", sf)
+    .with("rows", counter_rows(a, &db, &a.queries(&QueryId::SSB)))
 }
 
 // ---------------------------------------------------------------------
 // Table 2: prototypes vs the interpretation baseline (substitution 5).
 // ---------------------------------------------------------------------
-fn table2(a: &Args) {
-    let db = gen_tpch(a.sf.unwrap_or(1.0));
+fn table2(a: &Args) -> Report {
+    let sf = a.sf.unwrap_or(1.0);
+    let db = gen_tpch(sf);
     let cfg = ExecCfg::default();
-    println!(
-        "# Table 2 — TPC-H SF={}, 1 thread, runtime [ms]",
-        a.sf.unwrap_or(1.0)
-    );
-    println!("# (production systems HyPer/VectorWise are quoted in EXPERIMENTS.md; the");
-    println!("#  Volcano interpreter stands in for the traditional-engine gap)");
-    println!("{:<6} {:>10} {:>10} {:>10}", "query", "Volcano", "Typer", "TW");
-    for q in QueryId::TPCH_PAPER {
-        let v = time_median(1, || std::mem::drop(run(Engine::Volcano, q, &db, &cfg)));
-        let t = time_median(a.reps, || std::mem::drop(run(Engine::Typer, q, &db, &cfg)));
-        let w = time_median(a.reps, || std::mem::drop(run(Engine::Tectorwise, q, &db, &cfg)));
-        println!(
-            "{:<6} {:>10} {:>10} {:>10}",
-            q.name(),
-            fmt_ms(v),
-            fmt_ms(t),
-            fmt_ms(w)
-        );
-    }
+    let engines = a.engines(&[Engine::Volcano, Engine::Typer, Engine::Tectorwise]);
+    let rows: Vec<Obj> = a
+        .queries(&QueryId::TPCH_PAPER)
+        .into_iter()
+        .map(|q| {
+            engines
+                .iter()
+                .fold(Obj::new().with("query", q.name()), |row, &e| {
+                    // One timed run of the interpreter: it is 10–100× slower.
+                    let reps = if e == Engine::Volcano { 1 } else { a.reps };
+                    row.with(col(e, "_ms"), time_query(reps, e, q, &db, &cfg))
+                })
+        })
+        .collect();
+    Report::new(
+        "table2",
+        format!("Table 2 — TPC-H SF={sf}, 1 thread, runtime [ms]"),
+    )
+    .note(
+        "production systems HyPer/VectorWise are quoted in EXPERIMENTS.md; \
+             the Volcano interpreter stands in for the traditional-engine gap",
+    )
+    .with("sf", sf)
+    .with("reps", a.reps)
+    .with("rows", rows)
+}
+
+/// One scalar-versus-SIMD comparison of Figs. 6 and 8: `measure` runs
+/// under each policy.
+fn simd_row(panel: &str, unit: &str, mut measure: impl FnMut(SimdPolicy) -> f64) -> Obj {
+    let (scalar, simd) = (measure(SimdPolicy::Scalar), measure(SimdPolicy::Simd));
+    Obj::new()
+        .with("panel", panel)
+        .with("unit", unit)
+        .with("scalar", scalar)
+        .with("simd", simd)
+        .with("speedup", scalar / simd)
+}
+
+/// Cycles per element when each of `reps` calls of `kernel` processes
+/// `elems` elements (after one warm-up pass).
+fn cycles_per(elems: usize, reps: usize, mut kernel: impl FnMut()) -> f64 {
+    let v = measure_counters(|| (0..reps).for_each(|_| kernel()));
+    v.cycles_estimate() as f64 / (elems * reps).max(1) as f64
+}
+
+/// Tectorwise runtime of `q` under `policy`, in milliseconds.
+fn tw_ms(a: &Args, q: QueryId, db: &Database, policy: SimdPolicy) -> f64 {
+    let cfg = ExecCfg {
+        policy,
+        ..Default::default()
+    };
+    time_query(a.reps, Engine::Tectorwise, q, db, &cfg).as_secs_f64() * 1e3
 }
 
 // ---------------------------------------------------------------------
 // Fig. 6: scalar vs SIMD selection (dense, sparse, Q6).
 // ---------------------------------------------------------------------
-fn fig6(a: &Args) {
+fn fig6(a: &Args) -> Report {
     use dbep_vectorized::sel;
     let n = 8192usize;
     let mut rng = SmallRng::seed_from_u64(7);
     let col: Vec<i32> = (0..n).map(|_| rng.gen_range(0..100)).collect();
     let cutoff = 40; // 40% selectivity
     let reps = 20_000;
-    let cycles_per_elem = |policy: SimdPolicy| {
-        let mut out = Vec::new();
-        let v = measure_counters(|| {
-            for _ in 0..reps {
+    let mut out = Vec::new();
+    let dense = simd_row(
+        "6a dense selection, 8192 ints in L1, 40% selectivity",
+        "cycles/elem",
+        |policy| {
+            cycles_per(n, reps, || {
                 sel::sel_lt_i32_dense(&col, cutoff, 0, &mut out, policy);
                 std::hint::black_box(&out);
-            }
-        });
-        v.cycles_estimate() as f64 / (n * reps) as f64
-    };
-    println!("# Fig. 6a — dense selection, 8192 ints in L1, 40% selectivity [cycles/elem]");
-    let s = cycles_per_elem(SimdPolicy::Scalar);
-    let v = cycles_per_elem(SimdPolicy::Simd);
-    println!("scalar {s:.3}   simd {v:.3}   speedup {:.1}x", s / v);
-
+            })
+        },
+    );
     // 6b: sparse input (selection vector selects 40%), selection selects 40%.
     let mut in_sel = Vec::new();
     sel::sel_lt_i32_dense(&col, cutoff, 0, &mut in_sel, SimdPolicy::Scalar);
     let col2: Vec<i32> = (0..n).map(|_| rng.gen_range(0..100)).collect();
-    let sparse_cycles = |policy: SimdPolicy| {
-        let mut out = Vec::new();
-        let v = measure_counters(|| {
-            for _ in 0..reps {
+    let sparse = simd_row(
+        "6b sparse selection, 40% input sel., 40% output",
+        "cycles/elem",
+        |policy| {
+            cycles_per(in_sel.len(), reps, || {
                 sel::sel_lt_i32_sparse(&col2, cutoff, &in_sel, &mut out, policy);
                 std::hint::black_box(&out);
-            }
-        });
-        v.cycles_estimate() as f64 / (in_sel.len() * reps) as f64
-    };
-    println!("# Fig. 6b — sparse selection (40% input sel., 40% output) [cycles/elem]");
-    let s = sparse_cycles(SimdPolicy::Scalar);
-    let v = sparse_cycles(SimdPolicy::Simd);
-    println!("scalar {s:.3}   simd {v:.3}   speedup {:.1}x", s / v);
-
-    println!("# Fig. 6c — TPC-H Q6 (TW), SF={} [ms]", a.sf.unwrap_or(1.0));
-    let db = gen_tpch(a.sf.unwrap_or(1.0));
-    let sc = time_median(a.reps, || {
-        std::mem::drop(run(Engine::Tectorwise, QueryId::Q6, &db, &ExecCfg::default()))
-    });
-    let si = time_median(a.reps, || {
-        let cfg = ExecCfg {
-            policy: SimdPolicy::Simd,
-            ..Default::default()
-        };
-        std::mem::drop(run(Engine::Tectorwise, QueryId::Q6, &db, &cfg))
-    });
-    println!(
-        "scalar {}   simd {}   speedup {:.1}x",
-        fmt_ms(sc),
-        fmt_ms(si),
-        sc.as_secs_f64() / si.as_secs_f64()
+            })
+        },
     );
+    let sf = a.sf.unwrap_or(1.0);
+    let db = gen_tpch(sf);
+    let q6 = simd_row(&format!("6c TPC-H Q6 (TW), SF={sf}"), "ms", |policy| {
+        tw_ms(a, QueryId::Q6, &db, policy)
+    });
+    Report::new("fig6", "Fig. 6 — scalar vs SIMD selection")
+        .with("sf", sf)
+        .with("panels", vec![dense, sparse, q6])
 }
 
 // ---------------------------------------------------------------------
 // Fig. 7: sparse selection vs input selectivity on out-of-cache data.
 // ---------------------------------------------------------------------
-fn fig7(a: &Args) {
+fn fig7(a: &Args) -> Report {
     use dbep_vectorized::sel;
     // Paper: 4 GB. Default 1 GiB so modest hosts can run it; --sf = GiB.
     let gib = a.sf.unwrap_or(1.0);
@@ -963,72 +908,65 @@ fn fig7(a: &Args) {
     let mut rng = SmallRng::seed_from_u64(9);
     eprintln!("[gen] {n} i32s ({gib} GiB)");
     let col: Vec<i32> = (0..n).map(|_| rng.gen_range(0..1000)).collect();
-    println!("# Fig. 7 — sparse selection on {gib} GiB of i32, output selectivity 40%");
-    println!("# cycles per input-selected element; ({})", counters_note());
-    println!("{:<10} {:>10} {:>10}", "input sel", "scalar", "simd");
+    let mut out = Vec::new();
+    let mut rows = Vec::new();
     for pct in [10usize, 20, 40, 60, 80, 100] {
         let in_sel: Vec<u32> = (0..n).filter(|i| i % 100 < pct).map(|i| i as u32).collect();
         let cutoff = 400; // 40% of values < 400
-        let mut out = Vec::new();
-        let cycles = |policy: SimdPolicy, out: &mut Vec<u32>| {
-            let v = measure_counters(|| {
-                sel::sel_lt_i32_sparse(&col, cutoff, &in_sel, out, policy);
+        let mut cycles = |policy| {
+            cycles_per(in_sel.len(), 1, || {
+                sel::sel_lt_i32_sparse(&col, cutoff, &in_sel, &mut out, policy);
                 std::hint::black_box(&out);
-            });
-            v.cycles_estimate() as f64 / in_sel.len().max(1) as f64
+            })
         };
-        println!(
-            "{:<10} {:>10.2} {:>10.2}",
-            format!("{pct}%"),
-            cycles(SimdPolicy::Scalar, &mut out),
-            cycles(SimdPolicy::Simd, &mut out)
+        rows.push(
+            Obj::new()
+                .with("input_sel_pct", pct)
+                .with("scalar", cycles(SimdPolicy::Scalar))
+                .with("simd", cycles(SimdPolicy::Simd)),
         );
     }
+    Report::new(
+        "fig7",
+        format!("Fig. 7 — sparse selection on {gib} GiB of i32, output selectivity 40%"),
+    )
+    .note(format!("cycles per input-selected element; {}", counters_note()))
+    .with("gib", gib)
+    .with("rows", rows)
 }
 
 // ---------------------------------------------------------------------
 // Fig. 8: scalar vs SIMD join probing components + full queries.
 // ---------------------------------------------------------------------
-fn fig8(a: &Args) {
+fn fig8(a: &Args) -> Report {
     use dbep_runtime::JoinHt;
     use dbep_vectorized::{gather, hashp, probe};
+    let queries = a.queries(&[QueryId::Q3, QueryId::Q9]);
     let mut rng = SmallRng::seed_from_u64(11);
     let reps = 20_000;
     // (a) hashing.
     let keys: Vec<u64> = (0..8192u64).map(|_| rng.next_u64()).collect();
-    let mut out = Vec::new();
-    let hash_cycles = |policy: SimdPolicy, out: &mut Vec<u64>| {
-        let v = measure_counters(|| {
-            for _ in 0..reps {
-                hashp::murmur2_u64_vec(&keys, policy, out);
-                std::hint::black_box(&out);
-            }
-        });
-        v.cycles_estimate() as f64 / (keys.len() * reps) as f64
-    };
-    let s = hash_cycles(SimdPolicy::Scalar, &mut out);
-    let v = hash_cycles(SimdPolicy::Simd, &mut out);
-    println!("# Fig. 8a — Murmur2 hashing, dense, L1-resident [cycles/elem]");
-    println!("scalar {s:.3}   simd {v:.3}   speedup {:.1}x", s / v);
-
+    let mut hashed = Vec::new();
+    let hashing = simd_row(
+        "8a Murmur2 hashing, dense, L1-resident",
+        "cycles/elem",
+        |policy| {
+            cycles_per(keys.len(), reps, || {
+                hashp::murmur2_u64_vec(&keys, policy, &mut hashed);
+                std::hint::black_box(&hashed);
+            })
+        },
+    );
     // (b) gather from an L1-resident array.
     let table: Vec<i64> = (0..4096).map(|i| i as i64).collect();
     let sel: Vec<u32> = (0..8192).map(|_| rng.gen_range(0..4096u32)).collect();
-    let mut outs = Vec::new();
-    let gather_cycles = |policy: SimdPolicy, outs: &mut Vec<i64>| {
-        let v = measure_counters(|| {
-            for _ in 0..reps {
-                gather::gather_i64(&table, &sel, policy, outs);
-                std::hint::black_box(&outs);
-            }
-        });
-        v.cycles_estimate() as f64 / (sel.len() * reps) as f64
-    };
-    let s = gather_cycles(SimdPolicy::Scalar, &mut outs);
-    let v = gather_cycles(SimdPolicy::Simd, &mut outs);
-    println!("# Fig. 8b — gather, L1-resident [cycles/elem]");
-    println!("scalar {s:.3}   simd {v:.3}   speedup {:.1}x", s / v);
-
+    let mut gathered = Vec::new();
+    let gathering = simd_row("8b gather, L1-resident", "cycles/elem", |policy| {
+        cycles_per(sel.len(), reps, || {
+            gather::gather_i64(&table, &sel, policy, &mut gathered);
+            std::hint::black_box(&gathered);
+        })
+    });
     // (c) TW probe primitive on a cache-resident hash table.
     let build_n = 2048usize;
     let ht = JoinHt::build((0..build_n as u64).map(|k| (dbep_runtime::murmur2(k), (k as i32, k as i64))));
@@ -1037,66 +975,39 @@ fn fig8(a: &Args) {
     let mut hashes = Vec::new();
     hashp::hash_i32(&probe_keys, &tuples, HashFn::Murmur2, &mut hashes);
     let mut bufs = probe::ProbeBuffers::new();
-    let probe_reps = reps / 4;
-    let mut probe_cycles = |policy: SimdPolicy| {
-        let v = measure_counters(|| {
-            for _ in 0..probe_reps {
-                probe::probe_join(
-                    &ht,
-                    &hashes,
-                    &tuples,
-                    |r, t| r.0 == probe_keys[t as usize],
-                    policy,
-                    &mut bufs,
-                );
+    let probing = simd_row(
+        "8c TW join-probe primitive, cache-resident HT",
+        "cycles/lookup",
+        |policy| {
+            cycles_per(probe_keys.len(), reps / 4, || {
+                let hit = |r: &(i32, i64), t| r.0 == probe_keys[t as usize];
+                probe::probe_join(&ht, &hashes, &tuples, hit, policy, &mut bufs);
                 std::hint::black_box(&bufs.match_tuple);
-            }
-        });
-        v.cycles_estimate() as f64 / (probe_keys.len() * probe_reps) as f64
-    };
-    let s = probe_cycles(SimdPolicy::Scalar);
-    let v = probe_cycles(SimdPolicy::Simd);
-    println!("# Fig. 8c — TW join-probe primitive, cache-resident HT [cycles/lookup]");
-    println!("scalar {s:.3}   simd {v:.3}   speedup {:.1}x", s / v);
-
+            })
+        },
+    );
+    let mut rows = vec![hashing, gathering, probing];
     // (d) full TPC-H join queries.
-    println!("# Fig. 8d — TPC-H Q3/Q9 (TW), SF={} [ms]", a.sf.unwrap_or(1.0));
-    let db = gen_tpch(a.sf.unwrap_or(1.0));
-    for q in [QueryId::Q3, QueryId::Q9] {
-        let sc = time_median(a.reps, || {
-            std::mem::drop(run(Engine::Tectorwise, q, &db, &ExecCfg::default()))
-        });
-        let si = time_median(a.reps, || {
-            let cfg = ExecCfg {
-                policy: SimdPolicy::Simd,
-                ..Default::default()
-            };
-            std::mem::drop(run(Engine::Tectorwise, q, &db, &cfg))
-        });
-        println!(
-            "{:<4} scalar {}   simd {}   speedup {:.2}x",
-            q.name(),
-            fmt_ms(sc),
-            fmt_ms(si),
-            sc.as_secs_f64() / si.as_secs_f64()
-        );
+    let sf = a.sf.unwrap_or(1.0);
+    let db = gen_tpch(sf);
+    for q in queries {
+        let panel = format!("8d TPC-H {} (TW), SF={sf}", q.name());
+        rows.push(simd_row(&panel, "ms", |policy| tw_ms(a, q, &db, policy)));
     }
+    Report::new("fig8", "Fig. 8 — scalar vs SIMD join probing")
+        .with("sf", sf)
+        .with("panels", rows)
 }
 
 // ---------------------------------------------------------------------
 // Fig. 9: probe cost vs working-set size (+ Bloom-tag ablation).
 // ---------------------------------------------------------------------
-fn fig9(a: &Args) {
+fn fig9(a: &Args) -> Report {
     use dbep_runtime::join_ht::{JoinHt, JoinHtShard};
     use dbep_vectorized::{hashp, probe};
-    println!("# Fig. 9 — TW hash-table lookup: cycles/lookup vs working-set size");
-    println!(
-        "# tag filter {}; 50% probe-miss rate",
-        if a.no_tag { "OFF (ablation)" } else { "ON" }
-    );
-    println!("{:<12} {:>10} {:>10}", "working set", "scalar", "simd");
     let mut rng = SmallRng::seed_from_u64(13);
     let probes = 4_000_000usize;
+    let mut rows = Vec::new();
     for shift in [12usize, 14, 16, 18, 20, 22, 24, 25] {
         let n = 1usize << shift;
         let mut shard = JoinHtShard::with_capacity(n);
@@ -1113,172 +1024,200 @@ fn fig9(a: &Args) {
         let mut hashes = Vec::new();
         hashp::hash_i32(&keys, &tuples, HashFn::Murmur2, &mut hashes);
         let mut bufs = probe::ProbeBuffers::new();
-        let mut cyc = [0f64; 2];
-        for (slot, policy) in [(0usize, SimdPolicy::Scalar), (1, SimdPolicy::Simd)] {
+        let mut cycles = |policy| {
             // Probe in vector-sized batches like the engine does.
-            let v = measure_counters(|| {
+            cycles_per(probes, 1, || {
                 for c in hashes.chunks(1024).zip(tuples.chunks(1024)) {
                     probe::probe_join(&ht, c.0, c.1, |r, t| r.0 == keys[t as usize], policy, &mut bufs);
                     std::hint::black_box(&bufs.match_tuple);
                 }
-            });
-            cyc[slot] = v.cycles_estimate() as f64 / probes as f64;
-        }
+            })
+        };
         let label = if ws >= 1 << 20 {
             format!("{:.0} MiB", ws as f64 / (1 << 20) as f64)
         } else {
             format!("{:.0} KiB", ws as f64 / 1024.0)
         };
-        println!("{label:<12} {:>10.2} {:>10.2}", cyc[0], cyc[1]);
+        rows.push(
+            Obj::new()
+                .with("working_set", label)
+                .with("working_set_bytes", ws)
+                .with("scalar", cycles(SimdPolicy::Scalar))
+                .with("simd", cycles(SimdPolicy::Simd)),
+        );
     }
+    Report::new(
+        "fig9",
+        "Fig. 9 — TW hash-table lookup: cycles/lookup vs working-set size, 50% probe-miss rate",
+    )
+    .with("tag_filter", !a.no_tag)
+    .with("rows", rows)
 }
 
 // ---------------------------------------------------------------------
 // Fig. 10: auto-vectorization vs scalar vs manual SIMD (substitution 2).
 // ---------------------------------------------------------------------
-fn fig10(a: &Args) {
-    let db = gen_tpch(a.sf.unwrap_or(1.0));
-    println!("# Fig. 10 — rustc/LLVM auto-vectorization (paper: ICC 18)");
-    println!("# time reduction vs scalar TW, per query [%] (positive = faster)");
-    println!("{:<6} {:>8} {:>8}", "query", "auto", "manual");
-    for q in QueryId::TPCH_PAPER {
-        let base = time_median(a.reps, || {
-            std::mem::drop(run(Engine::Tectorwise, q, &db, &ExecCfg::default()))
-        });
-        let reduction = |policy: SimdPolicy| {
-            let cfg = ExecCfg {
-                policy,
-                ..Default::default()
-            };
-            let t = time_median(a.reps, || std::mem::drop(run(Engine::Tectorwise, q, &db, &cfg)));
-            (1.0 - t.as_secs_f64() / base.as_secs_f64()) * 100.0
-        };
-        println!(
-            "{:<6} {:>8.1} {:>8.1}",
-            q.name(),
-            reduction(SimdPolicy::Auto),
-            reduction(SimdPolicy::Simd)
-        );
-    }
-    if dbep_runtime::CounterSet::available() {
-        println!("\n## instruction reduction vs scalar [%] (per tuple)");
-        println!("{:<6} {:>8} {:>8}", "query", "auto", "manual");
-        for q in QueryId::TPCH_PAPER {
-            let instr = |policy: SimdPolicy| {
+fn fig10(a: &Args) -> Report {
+    let sf = a.sf.unwrap_or(1.0);
+    let db = gen_tpch(sf);
+    let hw = dbep_runtime::CounterSet::available();
+    let rows: Vec<Obj> = a
+        .queries(&QueryId::TPCH_PAPER)
+        .into_iter()
+        .map(|q| {
+            let instr = |policy| {
                 let cfg = ExecCfg {
                     policy,
                     ..Default::default()
                 };
-                let v = measure_counters(|| std::mem::drop(run(Engine::Tectorwise, q, &db, &cfg)));
+                let v = count_query(Engine::Tectorwise, q, &db, &cfg);
                 v.instructions.unwrap_or(0) as f64
             };
-            let base = instr(SimdPolicy::Scalar);
-            println!(
-                "{:<6} {:>8.1} {:>8.1}",
-                q.name(),
-                (1.0 - instr(SimdPolicy::Auto) / base) * 100.0,
-                (1.0 - instr(SimdPolicy::Simd) / base) * 100.0
-            );
-        }
-    } else {
-        println!("# (instruction-count panel skipped: {})", counters_note());
+            let base = tw_ms(a, q, &db, SimdPolicy::Scalar);
+            let base_instr = hw.then(|| instr(SimdPolicy::Scalar));
+            let mut row = Obj::new().with("query", q.name());
+            for (label, policy) in [("auto", SimdPolicy::Auto), ("manual", SimdPolicy::Simd)] {
+                let time = tw_ms(a, q, &db, policy);
+                row.push(format!("time_reduction_{label}_pct"), (1.0 - time / base) * 100.0);
+                row.push(
+                    format!("instr_reduction_{label}_pct"),
+                    base_instr.map(|b| (1.0 - instr(policy) / b) * 100.0),
+                );
+            }
+            row
+        })
+        .collect();
+    let mut report = Report::new(
+        "fig10",
+        "Fig. 10 — rustc/LLVM auto-vectorization (paper: ICC 18): reduction vs scalar TW [%] (positive = better)",
+    );
+    if !hw {
+        report = report.note(format!("instruction reductions are null: {}", counters_note()));
     }
+    report.with("sf", sf).with("rows", rows)
 }
 
 // ---------------------------------------------------------------------
 // Table 3: multi-threaded execution (paper: SF=100; default SF=10).
 // ---------------------------------------------------------------------
-fn table3(a: &Args) {
+
+/// One, half and all of `max_t` threads: ascending, distinct, and never
+/// above `max_t`.
+fn table3_threads(max_t: usize) -> Vec<usize> {
+    let mut points = [1, (max_t / 2).max(2), max_t].map(|t| t.min(max_t)).to_vec();
+    points.sort_unstable();
+    points.dedup();
+    points
+}
+
+fn table3(a: &Args) -> Report {
     let sf = a.sf.unwrap_or(10.0);
     let db = gen_tpch(sf);
-    let max_t = a.threads.unwrap_or_else(cores);
-    let thread_points = [1, (max_t / 2).max(2), max_t];
-    println!("# Table 3 — TPC-H SF={sf} (paper: 100), {max_t}-core host, runtime [ms]");
-    println!(
-        "{:<6} {:>4} {:>10} {:>8} {:>10} {:>8} {:>7}",
-        "query", "thr", "Typer", "spdup", "TW", "spdup", "ratio"
-    );
-    for q in QueryId::TPCH_PAPER {
-        let mut base = (0f64, 0f64);
-        for &t in &thread_points {
+    let max_t = a.threads.unwrap_or_else(cores).max(1);
+    let points = table3_threads(max_t);
+    let engines = a.engines(&BLOCK);
+    let mut rows = Vec::new();
+    for q in a.queries(&QueryId::TPCH_PAPER) {
+        let mut base = Vec::new();
+        for &t in &points {
             let cfg = ExecCfg::with_threads(t);
-            let ty = time_median(a.reps.min(2), || std::mem::drop(run(Engine::Typer, q, &db, &cfg)));
-            let tw = time_median(a.reps.min(2), || {
-                std::mem::drop(run(Engine::Tectorwise, q, &db, &cfg))
-            });
+            let times: Vec<(Engine, Duration)> = engines
+                .iter()
+                .map(|&e| (e, time_query(a.reps.min(2), e, q, &db, &cfg)))
+                .collect();
             if t == 1 {
-                base = (ty.as_secs_f64(), tw.as_secs_f64());
+                base = times.clone();
             }
-            println!(
-                "{:<6} {:>4} {:>10} {:>8.1} {:>10} {:>8.1} {:>7.2}",
-                q.name(),
-                t,
-                fmt_ms(ty),
-                base.0 / ty.as_secs_f64(),
-                fmt_ms(tw),
-                base.1 / tw.as_secs_f64(),
-                ty.as_secs_f64() / tw.as_secs_f64()
-            );
+            let mut row = Obj::new().with("query", q.name()).with("threads", t);
+            for ((e, d), (_, b)) in times.iter().zip(&base) {
+                row.push(col(*e, "_ms"), *d);
+                row.push(col(*e, "_speedup"), b.as_secs_f64() / d.as_secs_f64());
+            }
+            rows.push(row.with(
+                "typer_over_tectorwise",
+                ratio(&times, Engine::Typer, Engine::Tectorwise),
+            ));
         }
     }
+    Report::new(
+        "table3",
+        format!("Table 3 — TPC-H SF={sf} (paper: 100), {max_t}-core host, runtime [ms]"),
+    )
+    .with("sf", sf)
+    .with("threads", points)
+    .with("rows", rows)
 }
 
 // ---------------------------------------------------------------------
 // Table 4: hardware inventory.
 // ---------------------------------------------------------------------
-fn table4(_a: &Args) {
-    println!("# Table 4 — host hardware (paper compares Skylake-X / Threadripper / KNL)");
-    println!("{}", dbep_bench::hwinfo::report());
+fn table4(_a: &Args) -> Report {
+    let rows: Vec<Obj> = dbep_bench::hwinfo::fields()
+        .into_iter()
+        .map(|(k, v)| Obj::new().with("attribute", k).with("value", v))
+        .collect();
+    Report::new(
+        "table4",
+        "Table 4 — host hardware (paper compares Skylake-X / Threadripper / KNL)",
+    )
+    .with("hardware", rows)
 }
 
 // ---------------------------------------------------------------------
 // Table 5: out-of-memory via bandwidth throttle (substitution 4).
 // ---------------------------------------------------------------------
-fn table5(a: &Args) {
+fn table5(a: &Args) -> Report {
     let sf = a.sf.unwrap_or(10.0);
     let db = gen_tpch(sf);
     let threads = a.threads.unwrap_or_else(cores);
-    println!("# Table 5 — TPC-H SF={sf}, {threads} threads: memory vs emulated 1.4 GB/s SSD [ms]");
-    println!(
-        "{:<6} {:>10} {:>10} {:>7} {:>12} {:>12} {:>7}",
-        "query", "Typer", "TW", "ratio", "Typer(ssd)", "TW(ssd)", "ratio"
-    );
-    for q in QueryId::TPCH_PAPER {
-        let cfg = ExecCfg::with_threads(threads);
-        let tm = time_median(a.reps.min(2), || std::mem::drop(run(Engine::Typer, q, &db, &cfg)));
-        let wm = time_median(a.reps.min(2), || {
-            std::mem::drop(run(Engine::Tectorwise, q, &db, &cfg))
-        });
-        let ssd_run = |engine| {
-            let throttle = dbep_storage::throttle::Throttle::paper_ssd();
-            let cfg = ExecCfg {
-                threads,
-                throttle: Some(&throttle),
-                ..Default::default()
-            };
-            let t = Instant::now();
-            std::mem::drop(run(engine, q, &db, &cfg));
-            t.elapsed()
-        };
-        let ts = ssd_run(Engine::Typer);
-        let ws = ssd_run(Engine::Tectorwise);
-        println!(
-            "{:<6} {:>10} {:>10} {:>7.2} {:>12} {:>12} {:>7.2}",
-            q.name(),
-            fmt_ms(tm),
-            fmt_ms(wm),
-            tm.as_secs_f64() / wm.as_secs_f64(),
-            fmt_ms(ts),
-            fmt_ms(ws),
-            ts.as_secs_f64() / ws.as_secs_f64()
-        );
-    }
+    let engines = a.engines(&BLOCK);
+    let cfg = ExecCfg::with_threads(threads);
+    let rows: Vec<Obj> = a
+        .queries(&QueryId::TPCH_PAPER)
+        .into_iter()
+        .map(|q| {
+            let mem: Vec<(Engine, Duration)> = engines
+                .iter()
+                .map(|&e| (e, time_query(a.reps.min(2), e, q, &db, &cfg)))
+                .collect();
+            let ssd: Vec<(Engine, Duration)> = engines
+                .iter()
+                .map(|&e| {
+                    let t = Instant::now();
+                    run_on_ssd(e, q, &db, threads);
+                    (e, t.elapsed())
+                })
+                .collect();
+            let mut row = Obj::new().with("query", q.name());
+            for (e, d) in &mem {
+                row.push(col(*e, "_ms"), *d);
+            }
+            row.push(
+                "typer_over_tectorwise",
+                ratio(&mem, Engine::Typer, Engine::Tectorwise),
+            );
+            for (e, d) in &ssd {
+                row.push(col(*e, "_ssd_ms"), *d);
+            }
+            row.with(
+                "ssd_typer_over_tectorwise",
+                ratio(&ssd, Engine::Typer, Engine::Tectorwise),
+            )
+        })
+        .collect();
+    Report::new(
+        "table5",
+        format!("Table 5 — TPC-H SF={sf}, {threads} threads: memory vs emulated 1.4 GB/s SSD [ms]"),
+    )
+    .with("sf", sf)
+    .with("threads", threads)
+    .with("rows", rows)
 }
 
 // ---------------------------------------------------------------------
 // Figs. 11/12: queries/second vs % cores used.
 // ---------------------------------------------------------------------
-fn fig11(a: &Args) {
+fn fig11(a: &Args) -> Report {
     let sf = a.sf.unwrap_or(10.0);
     let db = gen_tpch(sf);
     let max_t = a.threads.unwrap_or_else(cores);
@@ -1286,139 +1225,142 @@ fn fig11(a: &Args) {
         .into_iter()
         .filter(|&t| t <= max_t)
         .collect();
-    println!("# Figs. 11/12 — queries/second vs cores used, TPC-H SF={sf}");
-    println!("{:<6} {:>5} {:>12} {:>12}", "query", "thr", "Typer q/s", "TW q/s");
-    for q in QueryId::TPCH_PAPER {
+    let engines = a.engines(&BLOCK);
+    let mut rows = Vec::new();
+    for q in a.queries(&QueryId::TPCH_PAPER) {
         for &t in &points {
             let cfg = ExecCfg::with_threads(t);
-            let ty = time_median(a.reps.min(2), || std::mem::drop(run(Engine::Typer, q, &db, &cfg)));
-            let tw = time_median(a.reps.min(2), || {
-                std::mem::drop(run(Engine::Tectorwise, q, &db, &cfg))
-            });
-            println!(
-                "{:<6} {:>5} {:>12.2} {:>12.2}",
-                q.name(),
-                t,
-                1.0 / ty.as_secs_f64(),
-                1.0 / tw.as_secs_f64()
-            );
+            rows.push(engines.iter().fold(
+                Obj::new().with("query", q.name()).with("threads", t),
+                |row, &e| {
+                    let d = time_query(a.reps.min(2), e, q, &db, &cfg);
+                    row.with(col(e, "_qps"), 1.0 / d.as_secs_f64())
+                },
+            ));
         }
     }
+    Report::new(
+        "fig11",
+        format!("Figs. 11/12 — queries/second vs cores used, TPC-H SF={sf}"),
+    )
+    .with("sf", sf)
+    .with("rows", rows)
 }
 
 // ---------------------------------------------------------------------
 // §8.1: OLTP point lookups.
 // ---------------------------------------------------------------------
-fn oltp(a: &Args) {
+fn oltp(a: &Args) -> Report {
     use dbep_queries::oltp;
-    let db = gen_tpch(a.sf.unwrap_or(1.0));
+    let sf = a.sf.unwrap_or(1.0);
+    let db = gen_tpch(sf);
     let idx = oltp::OltpIndex::build(&db, HashFn::Crc);
     let n_orders = db.table("orders").len() as i32;
     let mut rng = SmallRng::seed_from_u64(17);
     let keys: Vec<i32> = (0..100_000).map(|_| rng.gen_range(1..=n_orders)).collect();
-    println!("# §8.1 — OLTP stored-procedure lookups (order + lineitem aggregate)");
-    let t = time_median(a.reps, || {
-        for &k in &keys {
-            std::hint::black_box(oltp::lookup_typer(&db, &idx, k));
-        }
-    });
-    println!(
-        "Typer (compiled procedure):       {:>12.0} lookups/s",
-        keys.len() as f64 / t.as_secs_f64()
-    );
-    let mut scratch = oltp::TwLookupScratch::new();
-    let t = time_median(a.reps, || {
-        for &k in &keys {
-            std::hint::black_box(oltp::lookup_tectorwise(&db, &idx, k, &mut scratch));
-        }
-    });
-    println!(
-        "Tectorwise (vector-of-one):       {:>12.0} lookups/s",
-        keys.len() as f64 / t.as_secs_f64()
-    );
-    let few = &keys[..8];
-    let t = time_median(1, || {
-        for &k in few {
-            std::hint::black_box(oltp::lookup_volcano(&db, k));
-        }
-    });
-    println!(
-        "Volcano (interpreted, no index):  {:>12.0} lookups/s",
-        few.len() as f64 / t.as_secs_f64()
-    );
+    let row = |engine: Engine, procedure: &str, lookups: usize, t: Duration| {
+        Obj::new()
+            .with("engine", engine.name())
+            .with("procedure", procedure)
+            .with("lookups", lookups)
+            .with("lookups_per_s", lookups as f64 / t.as_secs_f64())
+    };
+    let engines = a.engines(&Engine::ALL);
+    let mut rows = Vec::new();
+    if engines.contains(&Engine::Typer) {
+        let t = time_median(a.reps, || {
+            for &k in &keys {
+                std::hint::black_box(oltp::lookup_typer(&db, &idx, k));
+            }
+        });
+        rows.push(row(Engine::Typer, "compiled procedure", keys.len(), t));
+    }
+    if engines.contains(&Engine::Tectorwise) {
+        let mut scratch = oltp::TwLookupScratch::new();
+        let t = time_median(a.reps, || {
+            for &k in &keys {
+                std::hint::black_box(oltp::lookup_tectorwise(&db, &idx, k, &mut scratch));
+            }
+        });
+        rows.push(row(Engine::Tectorwise, "vector-of-one", keys.len(), t));
+    }
+    if engines.contains(&Engine::Volcano) {
+        let few = &keys[..8];
+        let t = time_median(1, || {
+            for &k in few {
+                std::hint::black_box(oltp::lookup_volcano(&db, k));
+            }
+        });
+        rows.push(row(Engine::Volcano, "interpreted, no index", few.len(), t));
+    }
+    Report::new(
+        "oltp",
+        "§8.1 — OLTP stored-procedure lookups (order + lineitem aggregate)",
+    )
+    .with("sf", sf)
+    .with("rows", rows)
 }
 
 // ---------------------------------------------------------------------
 // Table 6 / Fig. 13: the processing-model taxonomy, demonstrated live.
 // ---------------------------------------------------------------------
-fn table6(a: &Args) {
-    let db = gen_tpch(a.sf.unwrap_or(1.0));
-    println!(
-        "# Table 6 — processing models on TPC-H Q1/Q6, SF={}, 1 thread [ms]",
-        a.sf.unwrap_or(1.0)
-    );
-    println!("{:<42} {:>9} {:>9}", "model (pipelining + execution)", "q1", "q6");
-    let q = |engine, query: QueryId, cfg: &ExecCfg| {
-        fmt_ms(time_median(a.reps.min(2), || {
-            std::mem::drop(run(engine, query, &db, cfg))
-        }))
-    };
+fn table6(a: &Args) -> Report {
+    let sf = a.sf.unwrap_or(1.0);
+    let db = gen_tpch(sf);
+    let queries = a.queries(&[QueryId::Q1, QueryId::Q6]);
+    let engines = a.engines(&Engine::ALL);
     let d = ExecCfg::default();
-    println!(
-        "{:<42} {:>9} {:>9}",
-        "pull + interpretation (System R / Volcano)",
-        q(Engine::Volcano, QueryId::Q1, &d),
-        q(Engine::Volcano, QueryId::Q6, &d)
-    );
-    let vs1 = ExecCfg {
-        vector_size: 1,
+    let vectors = |vector_size| ExecCfg {
+        vector_size,
         ..Default::default()
     };
-    println!(
-        "{:<42} {:>9} {:>9}",
-        "pull + vectorization, vectors of 1",
-        q(Engine::Tectorwise, QueryId::Q1, &vs1),
-        q(Engine::Tectorwise, QueryId::Q6, &vs1)
-    );
-    println!(
-        "{:<42} {:>9} {:>9}",
-        "pull + vectorization (VectorWise, 1K)",
-        q(Engine::Tectorwise, QueryId::Q1, &d),
-        q(Engine::Tectorwise, QueryId::Q6, &d)
-    );
-    let vsmax = ExecCfg {
-        vector_size: usize::MAX >> 1,
-        ..Default::default()
-    };
-    println!(
-        "{:<42} {:>9} {:>9}",
-        "full materialization (MonetDB)",
-        q(Engine::Tectorwise, QueryId::Q1, &vsmax),
-        q(Engine::Tectorwise, QueryId::Q6, &vsmax)
-    );
-    println!(
-        "{:<42} {:>9} {:>9}",
-        "push + compilation (HyPer / Typer)",
-        q(Engine::Typer, QueryId::Q1, &d),
-        q(Engine::Typer, QueryId::Q6, &d)
-    );
+    let models = [
+        ("pull + interpretation (System R / Volcano)", Engine::Volcano, d),
+        (
+            "pull + vectorization, vectors of 1",
+            Engine::Tectorwise,
+            vectors(1),
+        ),
+        ("pull + vectorization (VectorWise, 1K)", Engine::Tectorwise, d),
+        (
+            "full materialization (MonetDB)",
+            Engine::Tectorwise,
+            vectors(usize::MAX >> 1),
+        ),
+        ("push + compilation (HyPer / Typer)", Engine::Typer, d),
+    ];
+    let rows: Vec<Obj> = models
+        .iter()
+        .filter(|(_, e, _)| engines.contains(e))
+        .map(|(model, e, cfg)| {
+            queries.iter().fold(
+                Obj::new().with("model", *model).with("engine", e.name()),
+                |row, &q| {
+                    row.with(
+                        format!("{}_ms", q.name()),
+                        time_query(a.reps.min(2), *e, q, &db, cfg),
+                    )
+                },
+            )
+        })
+        .collect();
+    Report::new(
+        "table6",
+        format!("Table 6 — processing models on TPC-H Q1/Q6, SF={sf}, 1 thread [ms]"),
+    )
+    .with("sf", sf)
+    .with("rows", rows)
 }
 
 // ---------------------------------------------------------------------
-// `query`: run one prepared query through the Session API and print it.
+// `query`: run one prepared query through the Session API and report it.
 // ---------------------------------------------------------------------
-fn query(a: &Args) {
+fn query(a: &Args) -> Report {
     let q = a.query.unwrap_or(QueryId::Q6);
     let sf = a.sf.unwrap_or(0.1);
     let threads = a.threads.unwrap_or(1);
-    let db = maybe_encode(
-        if QueryId::SSB.contains(&q) {
-            gen_ssb(sf)
-        } else {
-            gen_tpch(sf)
-        },
-        a,
-    );
+    let PerBench { tpch, ssb } = databases(sf, &[q], a.encoded);
+    let db = tpch.or(ssb).expect("the query's database");
     // `--trace`: attach the span sink so every run below records
     // query → stage → morsel spans; exported as one Chrome
     // `trace_event` document after the engines finish.
@@ -1431,22 +1373,34 @@ fn query(a: &Args) {
         session = session.with_trace(Arc::clone(sink));
     }
     let prepared = session.prepare(q);
-    println!(
-        "# {} — SF={sf}, {threads} thread(s), default (paper) parameters{}",
-        q.name(),
-        if a.encoded { ", encoded storage" } else { "" }
-    );
+    let mut runs = Vec::new();
     let mut reference = None;
-    for engine in a.engines() {
+    for engine in a.engines(&Engine::ALL) {
         let t = time_median(a.reps, || std::mem::drop(prepared.run(engine)));
         let result = prepared.run(engine);
-        println!("{:<10} {:>10}  {} rows", engine.name(), fmt_ms(t), result.len());
+        runs.push(
+            Obj::new()
+                .with("engine", engine.name())
+                .with("ms", t)
+                .with("rows", result.len()),
+        );
         if let Some(r) = &reference {
             assert_eq!(r, &result, "{engine:?} disagrees");
         }
         reference.get_or_insert(result);
     }
-    println!("\n{}", reference.expect("at least one engine").to_table());
+    let result = reference.expect("at least one engine");
+    let result_rows: Vec<Obj> = result
+        .rows
+        .iter()
+        .map(|row| {
+            result
+                .columns
+                .iter()
+                .zip(row)
+                .fold(Obj::new(), |o, (c, v)| o.with(c.as_str(), v.to_string()))
+        })
+        .collect();
     if let (Some(path), Some(sink)) = (&a.trace, &sink) {
         let events = sink.snapshot();
         let doc = dbep_obs::chrome_trace(&events, &dbep_queries::trace_names());
@@ -1457,6 +1411,20 @@ fn query(a: &Args) {
             sink.dropped()
         );
     }
+    let storage = if a.encoded { ", encoded storage" } else { "" };
+    Report::new(
+        "query",
+        format!(
+            "{} — SF={sf}, {threads} thread(s), default (paper) parameters{storage}",
+            q.name()
+        ),
+    )
+    .with("query", q.name())
+    .with("sf", sf)
+    .with("threads", threads)
+    .with("encoded", a.encoded)
+    .with("engines", runs)
+    .with("result", result_rows)
 }
 
 // ---------------------------------------------------------------------
@@ -1466,8 +1434,7 @@ fn query(a: &Args) {
 // typer, tectorwise, volcano, or adaptive (per-stage selection backed
 // by the Session plan cache). Reports deadline-clamped QPS,
 // interpolated p50/p95/p99 latency, plan-cache hit rates, learned
-// adaptive assignments and per-query scheduler stats; one JSON
-// document with --json.
+// adaptive assignments and per-query scheduler stats.
 // ---------------------------------------------------------------------
 
 /// Completed-request record of one closed-loop client.
@@ -1482,47 +1449,10 @@ struct ServeSample {
     stats: dbep_core::scheduler::RunStats,
 }
 
-struct ServeScenario {
-    mode: &'static str,
-    engine: Engine,
-    clients: usize,
-    /// The configured measurement window (QPS denominator).
-    window: Duration,
-    /// Wall time including the post-deadline drain (reported, never a
-    /// QPS denominator).
-    elapsed: Duration,
-    samples: Vec<ServeSample>,
-    /// Combined plan-cache counters of the scenario's sessions, taken
-    /// after the run plus one re-prepare sweep of the whole mix.
-    plan_cache: dbep_core::PlanCacheStats,
-    /// Re-prepare sweep: `(hits, total)` and mean planning time — the
-    /// "second prepare skips planning" demonstration.
-    reprepare_hits: usize,
-    reprepare_total: usize,
-    reprepare_avg_ns: f64,
-    /// Learned per-stage assignments (`Engine::Adaptive` scenarios
-    /// only): `(query index, "stage=engine ..." rendering)`.
-    adaptive: Vec<(usize, String)>,
-    /// `--obs`: the scenario ran with the span sink and metrics bundle
-    /// attached; snapshot taken after the drain.
-    obs: Option<ObsReport>,
-}
-
-/// End-of-scenario observability snapshot (`serve --obs`).
-struct ObsReport {
-    /// The registry's JSON snapshot, pre-rendered (embedded verbatim
-    /// in the serve JSON document).
-    metrics_json: String,
-    /// Spans still in the ring at the end of the run.
-    spans: usize,
-    /// Spans overwritten by the ring (recorded minus retained).
-    spans_dropped: u64,
-}
-
+/// Run one serve scenario and report it as one `scenarios` row.
 #[allow(clippy::too_many_arguments)] // one call site; a struct would just rename the labels
 fn serve_scenario(
-    tpch: Option<&Arc<Database>>,
-    ssb: Option<&Arc<Database>>,
+    dbs: &PerBench<Arc<Database>>,
     mode: &'static str,
     threads: usize,
     clients: usize,
@@ -1530,7 +1460,8 @@ fn serve_scenario(
     window: Duration,
     queries: &[QueryId],
     obs: bool,
-) -> ServeScenario {
+) -> Obj {
+    use dbep_bench::serve_stats::{percentile, throughput};
     let cfg = ExecCfg::with_threads(threads);
     // Pool mode: one fixed worker pool shared by both databases'
     // sessions (the scheduler is per-pool, not per-database). Spawn
@@ -1554,16 +1485,11 @@ fn serve_scenario(
         }
         s
     };
-    let tpch_session = tpch.map(mk_session);
-    let ssb_session = ssb.map(mk_session);
-    let session_for = |q: &QueryId| -> &Session {
-        if QueryId::SSB.contains(q) {
-            ssb_session.as_ref().expect("SSB query without SSB database")
-        } else {
-            tpch_session.as_ref().expect("TPC-H query without TPC-H database")
-        }
+    let sessions = PerBench {
+        tpch: dbs.tpch.as_ref().map(mk_session),
+        ssb: dbs.ssb.as_ref().map(mk_session),
     };
-    let prepared: Vec<_> = queries.iter().map(|q| session_for(q).prepare(*q)).collect();
+    let prepared: Vec<_> = queries.iter().map(|&q| sessions.get(q).prepare(q)).collect();
     // Warm up before the clock: once per query for first-touch
     // effects; twice for Adaptive so both exploration runs (pure Typer
     // and pure Tectorwise under a stage trace) finish and the measured
@@ -1601,33 +1527,33 @@ fn serve_scenario(
         }
     });
     let elapsed = start.elapsed();
+    let samples = samples.into_inner().expect("serve samples");
     // Re-prepare the whole mix: every prepare must now hit the plan
     // cache with ~zero planning time (and, for Adaptive, inherit the
     // learned stage assignment instead of re-exploring).
-    let reprepared: Vec<_> = queries.iter().map(|q| session_for(q).prepare(*q)).collect();
-    let reprepare_hits = reprepared.iter().filter(|p| p.cache_hit()).count();
+    let reprepared: Vec<_> = queries.iter().map(|&q| sessions.get(q).prepare(q)).collect();
     let reprepare_avg_ns =
         reprepared.iter().map(|p| p.planning_ns() as f64).sum::<f64>() / reprepared.len().max(1) as f64;
-    let adaptive = if engine == Engine::Adaptive {
-        prepared
-            .iter()
-            .enumerate()
-            .filter_map(|(i, p)| {
-                let (choices, _) = p.adaptive_choices()?;
-                let stages = dbep_queries::plan(queries[i]).stages();
-                let rendered = stages
-                    .iter()
-                    .zip(&choices)
-                    .map(|(s, e)| format!("{}={}", s.name, e.name()))
-                    .collect::<Vec<_>>()
-                    .join(" ");
-                Some((i, rendered))
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let plan_cache = [&tpch_session, &ssb_session]
+    let adaptive: Vec<Obj> = prepared
+        .iter()
+        .zip(queries)
+        .filter(|_| engine == Engine::Adaptive)
+        .filter_map(|(p, q)| {
+            let (choices, _) = p.adaptive_choices()?;
+            let stages = dbep_queries::plan(*q).stages();
+            let rendered: Vec<String> = stages
+                .iter()
+                .zip(&choices)
+                .map(|(s, e)| format!("{}={}", s.name, e.name()))
+                .collect();
+            Some(
+                Obj::new()
+                    .with("query", q.name())
+                    .with("stages", rendered.join(" ")),
+            )
+        })
+        .collect();
+    let plan_cache = [&sessions.tpch, &sessions.ssb]
         .into_iter()
         .flatten()
         .map(Session::plan_cache_stats)
@@ -1638,312 +1564,135 @@ fn serve_scenario(
                 entries: a.entries + b.entries,
             }
         });
-    ServeScenario {
-        mode,
-        engine,
-        clients,
-        window,
-        elapsed,
-        samples: samples.into_inner().expect("serve samples"),
-        plan_cache,
-        reprepare_hits,
-        reprepare_total: reprepared.len(),
-        reprepare_avg_ns,
-        adaptive,
-        obs: metrics.as_ref().map(|m| ObsReport {
-            metrics_json: m.registry().snapshot_json(),
-            spans: sink.as_ref().map_or(0, |s| s.snapshot().len()),
-            spans_dropped: sink.as_ref().map_or(0, |s| s.dropped()),
-        }),
+    let per_query: Vec<Obj> = queries
+        .iter()
+        .enumerate()
+        .filter_map(|(pair, q)| {
+            let runs: Vec<&ServeSample> = samples.iter().filter(|s| s.pair == pair).collect();
+            let n = u32::try_from(runs.len()).ok().filter(|&n| n > 0)?;
+            let avg = |f: fn(&ServeSample) -> Duration| runs.iter().map(|s| f(s)).sum::<Duration>() / n;
+            let total = |f: fn(&ServeSample) -> u64| runs.iter().map(|s| f(s)).sum::<u64>();
+            Some(
+                Obj::new()
+                    .with("query", q.name())
+                    .with("runs", runs.len())
+                    .with("avg_ms", avg(|s| s.latency))
+                    .with("avg_admission_wait_ms", avg(|s| s.stats.admission_wait))
+                    .with("avg_queue_wait_ms", avg(|s| s.stats.queue_wait))
+                    .with("morsels", total(|s| s.stats.morsels))
+                    .with("steals", total(|s| s.stats.steals))
+                    .with("bytes_scanned", total(|s| s.stats.bytes_scanned)),
+            )
+        })
+        .collect();
+    let mut lat: Vec<Duration> = samples.iter().map(|s| s.latency).collect();
+    lat.sort_unstable();
+    let done: Vec<Duration> = samples.iter().map(|s| s.done_at).collect();
+    let t = throughput(&done, window);
+    // Log-linear buckets over the same samples the exact percentiles
+    // summarize: the aggregatable form a scrape endpoint would serve,
+    // kept out of the text tables.
+    let hist = dbep_obs::Histogram::default();
+    for l in &lat {
+        hist.record(l.as_nanos() as u64);
     }
+    let buckets: Vec<Obj> = hist
+        .buckets()
+        .into_iter()
+        .map(|(le, n)| Obj::new().with("le_ns", le).with("count", n))
+        .collect();
+    let histogram = Obj::new()
+        .with("count", hist.count())
+        .with("sum_ns", hist.sum())
+        .with("buckets", buckets);
+    Obj::new()
+        .with("scenario", format!("{mode}/{}/{clients}", engine.name()))
+        .with("mode", mode)
+        .with("engine", engine.name())
+        .with("clients", clients)
+        .with("queries_completed", t.completed)
+        .with("drained_after_deadline", t.drained)
+        .with("qps", t.qps)
+        .with("wall_elapsed_ms", elapsed)
+        .with("p50_ms", percentile(&lat, 0.50))
+        .with("p95_ms", percentile(&lat, 0.95))
+        .with("p99_ms", percentile(&lat, 0.99))
+        .with("latency_histogram", Value::Raw(Value::Obj(histogram).to_json()))
+        .with(
+            "plan_cache",
+            Obj::new()
+                .with("hits", plan_cache.hits)
+                .with("misses", plan_cache.misses)
+                .with("entries", plan_cache.entries)
+                .with(
+                    "reprepare_hits",
+                    reprepared.iter().filter(|p| p.cache_hit()).count(),
+                )
+                .with("reprepare_total", reprepared.len())
+                .with("reprepare_avg_planning_ns", reprepare_avg_ns),
+        )
+        .with("adaptive_choices", adaptive)
+        .with("per_query", per_query)
+        .with(
+            "observability",
+            metrics.as_ref().map(|m| {
+                // The registry's own rendering, embedded verbatim.
+                Obj::new()
+                    .with("spans_retained", sink.as_ref().map_or(0, |s| s.snapshot().len()))
+                    .with("spans_overwritten", sink.as_ref().map_or(0, |s| s.dropped()))
+                    .with("metrics", Value::Raw(m.registry().snapshot_json()))
+            }),
+        )
 }
 
-fn serve(a: &Args) {
-    let sf = a.sf.unwrap_or(0.1);
-    let threads = a.threads.unwrap_or_else(cores);
-    let window = std::time::Duration::from_millis(a.duration_ms);
-    // The mixed workload: all 12 queries over both databases, narrowed
-    // by --query. Databases are generated only if the mix needs them.
-    let queries = a.queries(&QueryId::ALL);
-    let tpch = queries
-        .iter()
-        .any(|q| !QueryId::SSB.contains(q))
-        .then(|| Arc::new(maybe_encode(gen_tpch(sf), a)));
-    let ssb = queries
-        .iter()
-        .any(|q| QueryId::SSB.contains(q))
-        .then(|| Arc::new(maybe_encode(gen_ssb(sf), a)));
-    // One engine per scenario; the default sweep compares Adaptive
-    // against every single-engine run of the same mix.
-    let engines = match a.engine {
-        Some(e) => vec![e],
-        None => Engine::SELECTABLE.to_vec(),
-    };
-    let modes: Vec<&'static str> = match a.mode.as_str() {
+/// `--mode`: `pool`, `spawn`, or both (spawn first).
+fn modes(a: &Args) -> Vec<&'static str> {
+    match a.mode.as_str() {
         "pool" => vec!["pool"],
         "spawn" => vec!["spawn"],
         _ => vec!["spawn", "pool"],
-    };
+    }
+}
+
+fn serve(a: &Args) -> Report {
+    let sf = a.sf.unwrap_or(0.1);
+    let threads = a.threads.unwrap_or_else(cores);
+    let window = Duration::from_millis(a.duration_ms);
+    // The mixed workload: all 12 queries over both databases, narrowed
+    // by --query.
+    let queries = a.queries(&QueryId::ALL);
+    let dbs = databases(sf, &queries, a.encoded).map(Arc::new);
+    // One engine per scenario; the default sweep compares Adaptive
+    // against every single-engine run of the same mix.
+    let engines = a.engines(&Engine::SELECTABLE);
     let mut scenarios = Vec::new();
+    let mut scenario_engines = Vec::new();
     for &clients in &a.clients {
-        for mode in &modes {
+        for mode in modes(a) {
             for &engine in &engines {
                 eprintln!(
                     "[serve] mode={mode} engine={} clients={clients} threads={threads} window={window:?}",
                     engine.name()
                 );
                 scenarios.push(serve_scenario(
-                    tpch.as_ref(),
-                    ssb.as_ref(),
-                    mode,
-                    threads,
-                    clients,
-                    engine,
-                    window,
-                    &queries,
-                    a.obs,
+                    &dbs, mode, threads, clients, engine, window, &queries, a.obs,
                 ));
+                scenario_engines.push(engine.name());
             }
         }
     }
-    if a.json {
-        serve_json(a, sf, threads, &queries, &scenarios);
-    } else {
-        serve_text(sf, threads, &queries, &scenarios);
-    }
-}
-
-fn serve_text(sf: f64, threads: usize, queries: &[QueryId], scenarios: &[ServeScenario]) {
-    use dbep_bench::serve_stats::{percentile, throughput};
-    println!("# serve — closed-loop query serving, SF={sf}, {threads} worker threads");
-    println!(
-        "# mix: {}",
-        queries.iter().map(|q| q.name()).collect::<Vec<_>>().join(" ")
-    );
-    println!(
-        "{:<6} {:<11} {:>8} {:>9} {:>8} {:>10} {:>10} {:>10} {:>10}",
-        "mode", "engine", "clients", "queries", "drained", "QPS", "p50", "p95", "p99"
-    );
-    for sc in scenarios {
-        let mut lat: Vec<Duration> = sc.samples.iter().map(|s| s.latency).collect();
-        lat.sort_unstable();
-        let done: Vec<Duration> = sc.samples.iter().map(|s| s.done_at).collect();
-        let t = throughput(&done, sc.window);
-        println!(
-            "{:<6} {:<11} {:>8} {:>9} {:>8} {:>10.2} {:>10} {:>10} {:>10}",
-            sc.mode,
-            sc.engine.name(),
-            sc.clients,
-            t.completed,
-            t.drained,
-            t.qps,
-            fmt_ms(percentile(&lat, 0.50)),
-            fmt_ms(percentile(&lat, 0.95)),
-            fmt_ms(percentile(&lat, 0.99)),
-        );
-    }
-    // Plan-cache effectiveness and adaptive assignments, per scenario.
-    println!("\n## plan cache");
-    for sc in scenarios {
-        println!(
-            "{:<6} {:<11} {:>3} hits / {:>3} misses / {:>3} entries; re-prepare {}/{} hits, avg {:.1} µs planning",
-            sc.mode,
-            sc.engine.name(),
-            sc.plan_cache.hits,
-            sc.plan_cache.misses,
-            sc.plan_cache.entries,
-            sc.reprepare_hits,
-            sc.reprepare_total,
-            sc.reprepare_avg_ns / 1e3,
-        );
-        for (i, rendered) in &sc.adaptive {
-            println!("       {}: {}", queries[*i].name(), rendered);
-        }
-    }
-    if scenarios.iter().any(|s| s.obs.is_some()) {
-        println!("\n## observability (--obs: span sink + metrics bundle attached)");
-        for sc in scenarios {
-            if let Some(o) = &sc.obs {
-                println!(
-                    "{:<6} {:<11} {:>8} span(s) retained, {:>8} overwritten by the ring (metrics snapshot: --json)",
-                    sc.mode,
-                    sc.engine.name(),
-                    o.spans,
-                    o.spans_dropped
-                );
-            }
-        }
-    }
-    // Per-query scheduler stats of the most concurrent pooled scenario.
-    if let Some(sc) = scenarios
-        .iter()
-        .filter(|s| s.mode == "pool")
-        .max_by_key(|s| s.clients)
-    {
-        println!(
-            "\n## per-query scheduler stats (pool, engine {}, {} clients)",
-            sc.engine.name(),
-            sc.clients
-        );
-        println!(
-            "{:<18} {:>8} {:>12} {:>12} {:>10} {:>8} {:>12}",
-            "query", "runs", "avg admit", "avg queue", "morsels", "steals", "MB scanned"
-        );
-        for (pair, q) in queries.iter().enumerate() {
-            let runs: Vec<&ServeSample> = sc.samples.iter().filter(|s| s.pair == pair).collect();
-            if runs.is_empty() {
-                continue;
-            }
-            let n = runs.len() as u32;
-            let admit: Duration = runs.iter().map(|s| s.stats.admission_wait).sum::<Duration>() / n;
-            let queue: Duration = runs.iter().map(|s| s.stats.queue_wait).sum::<Duration>() / n;
-            println!(
-                "{:<18} {:>8} {:>12} {:>12} {:>10} {:>8} {:>12.1}",
-                q.name(),
-                n,
-                format!("{:.2?}", admit),
-                format!("{:.2?}", queue),
-                runs.iter().map(|s| s.stats.morsels).sum::<u64>(),
-                runs.iter().map(|s| s.stats.steals).sum::<u64>(),
-                runs.iter().map(|s| s.stats.bytes_scanned).sum::<u64>() as f64 / 1e6,
-            );
-        }
-    }
-}
-
-fn serve_json(a: &Args, sf: f64, threads: usize, queries: &[QueryId], scenarios: &[ServeScenario]) {
-    use dbep_bench::json;
-    use dbep_bench::serve_stats::{percentile, throughput};
-    let rendered = scenarios.iter().map(|sc| {
-        let mut lat: Vec<Duration> = sc.samples.iter().map(|s| s.latency).collect();
-        lat.sort_unstable();
-        let done: Vec<Duration> = sc.samples.iter().map(|s| s.done_at).collect();
-        let t = throughput(&done, sc.window);
-        let per_query = queries.iter().enumerate().filter_map(|(pair, q)| {
-            let runs: Vec<&ServeSample> = sc.samples.iter().filter(|s| s.pair == pair).collect();
-            if runs.is_empty() {
-                return None;
-            }
-            let n = runs.len() as f64;
-            let sum_ms = runs.iter().map(|s| s.latency.as_secs_f64() * 1e3).sum::<f64>();
-            Some(
-                json::Object::new()
-                    .field("query", json::string(q.name()))
-                    .field("runs", format!("{}", runs.len()))
-                    .field("avg_ms", json::number(sum_ms / n))
-                    .field(
-                        "avg_admission_wait_ms",
-                        json::number(
-                            runs.iter()
-                                .map(|s| s.stats.admission_wait.as_secs_f64() * 1e3)
-                                .sum::<f64>()
-                                / n,
-                        ),
-                    )
-                    .field(
-                        "avg_queue_wait_ms",
-                        json::number(
-                            runs.iter()
-                                .map(|s| s.stats.queue_wait.as_secs_f64() * 1e3)
-                                .sum::<f64>()
-                                / n,
-                        ),
-                    )
-                    .field(
-                        "morsels",
-                        format!("{}", runs.iter().map(|s| s.stats.morsels).sum::<u64>()),
-                    )
-                    .field(
-                        "steals",
-                        format!("{}", runs.iter().map(|s| s.stats.steals).sum::<u64>()),
-                    )
-                    .field(
-                        "bytes_scanned",
-                        format!("{}", runs.iter().map(|s| s.stats.bytes_scanned).sum::<u64>()),
-                    )
-                    .build(),
-            )
-        });
-        let adaptive_choices = sc.adaptive.iter().map(|(i, rendered)| {
-            json::Object::new()
-                .field("query", json::string(queries[*i].name()))
-                .field("stages", json::string(rendered))
-                .build()
-        });
-        json::Object::new()
-            .field("mode", json::string(sc.mode))
-            .field("engine", json::string(sc.engine.name()))
-            .field("clients", format!("{}", sc.clients))
-            .field("queries_completed", format!("{}", t.completed))
-            .field("drained_after_deadline", format!("{}", t.drained))
-            .field("qps", json::number(t.qps))
-            .field("wall_elapsed_ms", json::number(sc.elapsed.as_secs_f64() * 1e3))
-            .field("p50_ms", json::number(percentile(&lat, 0.50).as_secs_f64() * 1e3))
-            .field("p95_ms", json::number(percentile(&lat, 0.95).as_secs_f64() * 1e3))
-            .field("p99_ms", json::number(percentile(&lat, 0.99).as_secs_f64() * 1e3))
-            .field("latency_histogram", {
-                // Log-linear buckets over the same samples the exact
-                // percentiles above summarize (the aggregatable form a
-                // scrape endpoint would serve).
-                let hist = dbep_obs::Histogram::default();
-                for l in &lat {
-                    hist.record(l.as_nanos() as u64);
-                }
-                let buckets = hist.buckets().into_iter().map(|(le, n)| {
-                    json::Object::new()
-                        .field("le_ns", format!("{le}"))
-                        .field("count", format!("{n}"))
-                        .build()
-                });
-                json::Object::new()
-                    .field("count", format!("{}", hist.count()))
-                    .field("sum_ns", format!("{}", hist.sum()))
-                    .field("buckets", json::array(buckets))
-                    .build()
-            })
-            .field(
-                "plan_cache",
-                json::Object::new()
-                    .field("hits", format!("{}", sc.plan_cache.hits))
-                    .field("misses", format!("{}", sc.plan_cache.misses))
-                    .field("entries", format!("{}", sc.plan_cache.entries))
-                    .field("reprepare_hits", format!("{}", sc.reprepare_hits))
-                    .field("reprepare_total", format!("{}", sc.reprepare_total))
-                    .field("reprepare_avg_planning_ns", json::number(sc.reprepare_avg_ns))
-                    .build(),
-            )
-            .field("adaptive_choices", json::array(adaptive_choices))
-            .field("per_query", json::array(per_query))
-            .field(
-                "observability",
-                match &sc.obs {
-                    // `metrics_json` is the registry's own rendering,
-                    // embedded verbatim as a sub-document.
-                    Some(o) => json::Object::new()
-                        .field("spans_retained", format!("{}", o.spans))
-                        .field("spans_overwritten", format!("{}", o.spans_dropped))
-                        .field("metrics", o.metrics_json.clone())
-                        .build(),
-                    None => "null".to_string(),
-                },
-            )
-            .build()
-    });
-    let doc = json::Object::new()
-        .field("experiment", json::string("serve"))
-        .field("sf", json::number(sf))
-        .field("threads", format!("{threads}"))
-        .field("duration_ms", format!("{}", a.duration_ms))
-        .field("encoded", format!("{}", a.encoded))
-        .field("obs", format!("{}", a.obs))
-        .field("mix", json::array(queries.iter().map(|q| json::string(q.name()))))
-        .field(
-            "engines",
-            json::array(scenarios.iter().map(|s| json::string(s.engine.name()))),
-        )
-        .field("scenarios", json::array(rendered))
-        .build();
-    println!("{doc}");
+    Report::new(
+        "serve",
+        format!("serve — closed-loop query serving, SF={sf}, {threads} worker threads"),
+    )
+    .with("sf", sf)
+    .with("threads", threads)
+    .with("duration_ms", a.duration_ms)
+    .with("encoded", a.encoded)
+    .with("obs", a.obs)
+    .with("mix", names(&queries))
+    .with("engines", scenario_engines)
+    .with("scenarios", scenarios)
 }
 
 // ---------------------------------------------------------------------
@@ -1956,26 +1705,13 @@ fn metrics_cmd(a: &Args) {
     let sf = a.sf.unwrap_or(0.01);
     let threads = a.threads.unwrap_or(1);
     let queries = a.queries(&QueryId::ALL);
-    let engines = match a.engine {
-        Some(e) => vec![e],
-        None => vec![Engine::Adaptive],
-    };
+    let engines = a.engines(&[Engine::Adaptive]);
     let metrics = dbep_core::EngineMetrics::new();
     let cfg = ExecCfg::with_threads(threads);
-    let mk = |db: Database| Session::with_cfg(db, cfg).with_metrics(Arc::clone(&metrics));
-    let tpch = queries
-        .iter()
-        .any(|q| !QueryId::SSB.contains(q))
-        .then(|| mk(maybe_encode(gen_tpch(sf), a)));
-    let ssb_db = queries
-        .iter()
-        .any(|q| QueryId::SSB.contains(q))
-        .then(|| mk(maybe_encode(gen_ssb(sf), a)));
+    let sessions = databases(sf, &queries, a.encoded)
+        .map(|db| Session::with_cfg(db, cfg).with_metrics(Arc::clone(&metrics)));
     for &q in &queries {
-        let session = if QueryId::SSB.contains(&q) { &ssb_db } else { &tpch }
-            .as_ref()
-            .expect("database for query");
-        let prepared = session.prepare(q);
+        let prepared = sessions.get(q).prepare(q);
         for &engine in &engines {
             for _ in 0..a.reps {
                 std::mem::drop(prepared.run(engine));
@@ -1998,47 +1734,28 @@ fn metrics_cmd(a: &Args) {
 // through the emulated 1.4 GB/s SSD, exactly as `table5` paces it: a
 // fresh `Throttle::paper_ssd()` per run, so no idle budget is banked.
 // ---------------------------------------------------------------------
-fn compression(a: &Args) {
-    use dbep_bench::{json, time_spread, TimeSpread};
+fn compression(a: &Args) -> Report {
     let sf = a.sf.unwrap_or(0.1);
     let threads = a.threads.unwrap_or(1);
     let queries = a.queries(&[QueryId::Q1, QueryId::Q6, QueryId::Q14, QueryId::Ssb1_1]);
-    let engines = match a.engine {
-        Some(e) => vec![e],
-        None => vec![Engine::Typer, Engine::Tectorwise],
-    };
     let cfg = ExecCfg::with_threads(threads);
-    let mut sessions: Vec<(bool, Session, Session)> = Vec::new(); // (is_ssb, flat, encoded)
-    fn session_pair(
-        sessions: &mut Vec<(bool, Session, Session)>,
-        ssb: bool,
-        sf: f64,
-        cfg: ExecCfg<'static>,
-    ) -> usize {
-        if let Some(i) = sessions.iter().position(|(s, ..)| *s == ssb) {
-            return i;
-        }
-        let flat = if ssb { gen_ssb(sf) } else { gen_tpch(sf) };
+    let sessions = databases(sf, &queries, false).map(|flat| {
         let enc = encode(flat.clone());
-        sessions.push((ssb, Session::with_cfg(flat, cfg), Session::with_cfg(enc, cfg)));
-        sessions.len() - 1
-    }
-    struct Row {
-        query: QueryId,
-        engine: Engine,
-        flat: TimeSpread,
-        enc: TimeSpread,
-        /// (flat, encoded) through the throttled device (`--throttle`).
-        ssd: Option<(TimeSpread, TimeSpread)>,
-        flat_bytes: u64,
-        enc_bytes: u64,
-    }
-    let ms = |d: Duration| d.as_secs_f64() * 1e3;
+        (Session::with_cfg(flat, cfg), Session::with_cfg(enc, cfg))
+    });
+    // `{side}_ms` is the median; min/max are the run-to-run spread.
+    let cells = |mut o: Obj, flat: TimeSpread, enc: TimeSpread| {
+        for (side, t) in [("flat", flat), ("encoded", enc)] {
+            o.push(format!("{side}_ms"), t.median);
+            o.push(format!("{side}_min_ms"), t.min);
+            o.push(format!("{side}_max_ms"), t.max);
+        }
+        o.with("speedup", flat.median.as_secs_f64() / enc.median.as_secs_f64())
+    };
     let mut rows = Vec::new();
     for q in queries {
-        let i = session_pair(&mut sessions, QueryId::SSB.contains(&q), sf, cfg);
-        let (_, flat, enc) = &sessions[i];
-        for &engine in &engines {
+        let (flat, enc) = sessions.get(q);
+        for engine in a.engines(&BLOCK) {
             let pf = flat.prepare(q);
             let pe = enc.prepare(q);
             let (r_flat, s_flat) = pf.run_with_stats(engine);
@@ -2049,106 +1766,43 @@ fn compression(a: &Args) {
                 "{} on {engine:?}: encoded result differs",
                 q.name()
             );
-            let ssd_run = |db: &Database| {
-                time_spread(a.reps, || {
-                    let throttle = dbep_storage::throttle::Throttle::paper_ssd();
-                    let cfg = ExecCfg {
-                        threads,
-                        throttle: Some(&throttle),
-                        ..Default::default()
-                    };
-                    std::mem::drop(run(engine, q, db, &cfg));
-                })
-            };
-            rows.push(Row {
-                query: q,
-                engine,
-                flat: time_spread(a.reps, || std::mem::drop(pf.run(engine))),
-                enc: time_spread(a.reps, || std::mem::drop(pe.run(engine))),
-                ssd: a.throttle.then(|| (ssd_run(flat.db()), ssd_run(enc.db()))),
-                flat_bytes: s_flat.bytes_scanned,
-                enc_bytes: s_enc.bytes_scanned,
-            });
-        }
-    }
-    if a.json {
-        // `<prefix>_ms` is the median; min/max are the run-to-run spread.
-        let cell = |o: json::Object, prefix: &str, t: &TimeSpread| {
-            o.field(&format!("{prefix}_ms"), json::number(ms(t.median)))
-                .field(&format!("{prefix}_min_ms"), json::number(ms(t.min)))
-                .field(&format!("{prefix}_max_ms"), json::number(ms(t.max)))
-        };
-        let pair = |o: json::Object, flat: &TimeSpread, enc: &TimeSpread| {
-            cell(cell(o, "flat", flat), "encoded", enc)
-                .field("speedup", json::number(ms(flat.median) / ms(enc.median)))
-        };
-        let rendered = rows.iter().map(|r| {
-            let o = json::Object::new()
-                .field("query", json::string(r.query.name()))
-                .field("engine", json::string(r.engine.name()));
-            let mut o = pair(o, &r.flat, &r.enc)
-                .field("flat_bytes_scanned", format!("{}", r.flat_bytes))
-                .field("encoded_bytes_scanned", format!("{}", r.enc_bytes))
-                .field(
-                    "bytes_reduction",
-                    json::number(r.flat_bytes as f64 / r.enc_bytes.max(1) as f64),
-                );
-            if let Some((flat, enc)) = &r.ssd {
-                o = o.field("paper_ssd", pair(json::Object::new(), flat, enc).build());
-            }
-            o.build()
-        });
-        let hwinfo = dbep_bench::hwinfo::fields()
-            .into_iter()
-            .fold(json::Object::new(), |o, (k, v)| o.field(&k, json::string(&v)));
-        let doc = json::Object::new()
-            .field("experiment", json::string("compression"))
-            .field("sf", json::number(sf))
-            .field("threads", format!("{threads}"))
-            .field("reps", format!("{}", a.reps))
-            .field("hwinfo", hwinfo.build())
-            .field("queries", json::array(rendered))
-            .build();
-        println!("{doc}");
-    } else {
-        println!("# compression — flat vs encoded storage, SF={sf}, {threads} thread(s), runtime [ms] / bytes scanned");
-        println!(
-            "{:<18} {:>9} {:>9} {:>7} {:>12} {:>12} {:>7}",
-            "query/engine", "flat", "encoded", "spdup", "flat MB", "enc MB", "ratio"
-        );
-        for r in &rows {
-            println!(
-                "{:<18} {:>9.2} {:>9.2} {:>7.2} {:>12.1} {:>12.1} {:>7.2}",
-                format!("{}/{}", r.query.name(), r.engine.name()),
-                ms(r.flat.median),
-                ms(r.enc.median),
-                ms(r.flat.median) / ms(r.enc.median),
-                r.flat_bytes as f64 / 1e6,
-                r.enc_bytes as f64 / 1e6,
-                r.flat_bytes as f64 / r.enc_bytes.max(1) as f64,
+            let ssd_run = |db| time_spread(a.reps, || run_on_ssd(engine, q, db, threads));
+            let row = Obj::new().with("query", q.name()).with("engine", engine.name());
+            let mut row = cells(
+                row,
+                time_spread(a.reps, || std::mem::drop(pf.run(engine))),
+                time_spread(a.reps, || std::mem::drop(pe.run(engine))),
+            )
+            .with("flat_bytes_scanned", s_flat.bytes_scanned)
+            .with("encoded_bytes_scanned", s_enc.bytes_scanned)
+            .with(
+                "bytes_reduction",
+                s_flat.bytes_scanned as f64 / s_enc.bytes_scanned.max(1) as f64,
             );
-        }
-        if a.throttle {
-            println!("# the same scans through the emulated 1.4 GB/s SSD [ms]");
-            println!(
-                "{:<18} {:>9} {:>9} {:>7}",
-                "query/engine", "flat", "encoded", "spdup"
-            );
-            for r in &rows {
-                let (flat, enc) = r.ssd.as_ref().expect("--throttle fills every row");
-                println!(
-                    "{:<18} {:>9.2} {:>9.2} {:>7.2}",
-                    format!("{}/{}", r.query.name(), r.engine.name()),
-                    ms(flat.median),
-                    ms(enc.median),
-                    ms(flat.median) / ms(enc.median),
+            if a.throttle {
+                row.push(
+                    "paper_ssd",
+                    cells(Obj::new(), ssd_run(flat.db()), ssd_run(enc.db())),
                 );
             }
+            rows.push(row);
         }
     }
+    let hwinfo = dbep_bench::hwinfo::fields()
+        .into_iter()
+        .fold(Obj::new(), |o, (k, v)| o.with(k, v));
+    Report::new(
+        "compression",
+        format!(
+            "compression — flat vs encoded storage, SF={sf}, {threads} thread(s), runtime [ms] / bytes scanned"
+        ),
+    )
+    .with("sf", sf)
+    .with("threads", threads)
+    .with("reps", a.reps)
+    .with("hwinfo", hwinfo)
+    .with("queries", rows)
 }
-
-type Experiment = fn(&Args);
 
 // ---------------------------------------------------------------------
 // serve-net: stand the TCP front-end up for external clients.
@@ -2158,8 +1812,7 @@ fn serve_net(a: &Args) {
     let sf = a.sf.unwrap_or(0.1);
     let threads = a.threads.unwrap_or_else(cores);
     let pool = a.mode != "spawn"; // `both` (the default) serves pooled
-    let tpch = Arc::new(maybe_encode(gen_tpch(sf), a));
-    let ssb = Arc::new(maybe_encode(gen_ssb(sf), a));
+    let dbs = databases(sf, &QueryId::ALL, a.encoded).map(Arc::new);
     let metrics = a.obs.then(dbep_core::EngineMetrics::new);
     let cfg = ServerConfig {
         threads,
@@ -2172,7 +1825,7 @@ fn serve_net(a: &Args) {
         a.addr.as_deref().unwrap_or("127.0.0.1"),
         a.port.unwrap_or(7878)
     );
-    let server = Server::serve(&addr, Some(tpch), Some(ssb), cfg).unwrap_or_else(|e| {
+    let server = Server::serve(&addr, dbs.tpch, dbs.ssb, cfg).unwrap_or_else(|e| {
         eprintln!("error: cannot bind {addr}: {e}");
         std::process::exit(1);
     });
@@ -2213,31 +1866,6 @@ enum LoadOutcome {
     Retried,
     /// Typed error, transport failure, or no connection.
     Failed,
-}
-
-/// One measured sweep point.
-struct LoadReport {
-    offered: u32,
-    sent: usize,
-    done: usize,
-    retried: usize,
-    failed: usize,
-    /// RESULT completions inside the window, per second.
-    goodput: f64,
-    /// Schedule-relative latency percentiles over RESULT completions.
-    p50: Duration,
-    p95: Duration,
-    p99: Duration,
-}
-
-/// One (mode, engine) curve over the swept rates.
-struct LoadCurve {
-    mode: &'static str,
-    engine: Engine,
-    points: Vec<LoadReport>,
-    /// Largest swept rate the server kept up with (goodput ≥ 95 % of
-    /// offered, monotone prefix); `None` = saturated below the sweep.
-    knee: Option<f64>,
 }
 
 /// Drive one Poisson schedule through `conns` connections sharing an
@@ -2319,7 +1947,7 @@ fn open_loop(
     samples.into_inner().expect("load samples")
 }
 
-fn load_cmd(a: &Args) {
+fn load_cmd(a: &Args) -> Report {
     use dbep_bench::load::{find_knee, poisson_arrivals, LoadPoint};
     use dbep_bench::serve_stats::{percentile, throughput};
     use dbep_net::{Client, Server, ServerConfig};
@@ -2329,10 +1957,6 @@ fn load_cmd(a: &Args) {
     let threads = a.threads.unwrap_or_else(cores);
     let window = Duration::from_millis(a.duration_ms);
     let queries = a.queries(&QueryId::ALL);
-    let engines = match a.engine {
-        Some(e) => vec![e],
-        None => Engine::SELECTABLE.to_vec(),
-    };
     // `--port` points the sweep at an externally started server (one
     // fixed mode, labeled `remote`); otherwise each (mode, engine)
     // scenario self-hosts a fresh in-process server on loopback.
@@ -2344,37 +1968,27 @@ fn load_cmd(a: &Args) {
             .and_then(|mut i| i.next())
             .unwrap_or_else(|| usage_error(&format!("--addr/--port: cannot resolve {target:?}")))
     });
-    let modes: Vec<&'static str> = match (&remote, a.mode.as_str()) {
-        (Some(_), _) => vec!["remote"],
-        (None, "pool") => vec!["pool"],
-        (None, "spawn") => vec!["spawn"],
-        _ => vec!["spawn", "pool"],
-    };
-    let (tpch, ssb) = if remote.is_none() {
-        (
-            queries
-                .iter()
-                .any(|q| !QueryId::SSB.contains(q))
-                .then(|| Arc::new(maybe_encode(gen_tpch(sf), a))),
-            queries
-                .iter()
-                .any(|q| QueryId::SSB.contains(q))
-                .then(|| Arc::new(maybe_encode(gen_ssb(sf), a))),
-        )
-    } else {
-        (None, None)
+    let (modes, dbs) = match remote {
+        Some(_) => (
+            vec!["remote"],
+            PerBench {
+                tpch: None,
+                ssb: None,
+            },
+        ),
+        None => (modes(a), databases(sf, &queries, a.encoded).map(Arc::new)),
     };
     let mut curves = Vec::new();
-    for mode in &modes {
-        for &engine in &engines {
+    for mode in modes {
+        for engine in a.engines(&Engine::SELECTABLE) {
             let server = remote.is_none().then(|| {
                 Server::serve(
                     "127.0.0.1:0",
-                    tpch.clone(),
-                    ssb.clone(),
+                    dbs.tpch.clone(),
+                    dbs.ssb.clone(),
                     ServerConfig {
                         threads,
-                        pool: *mode == "pool",
+                        pool: mode == "pool",
                         ..ServerConfig::default()
                     },
                 )
@@ -2395,6 +2009,7 @@ fn load_cmd(a: &Args) {
                 }
             }
             drop(warm);
+            let mut curve = Vec::new();
             let mut points = Vec::new();
             for &rate in &a.rate {
                 eprintln!(
@@ -2407,181 +2022,130 @@ fn load_cmd(a: &Args) {
                 let seed = dbep_obs::fingerprint64(format!("{mode}/{}/{rate}", engine.name()).as_bytes());
                 let arrivals = poisson_arrivals(rate as f64, window, &mut SmallRng::seed_from_u64(seed));
                 let samples = open_loop(addr, engine, &queries, &arrivals, a.conns, window);
-                let mut lat: Vec<Duration> = samples
+                let done: Vec<&LoadSample> = samples
                     .iter()
                     .filter(|s| s.outcome == LoadOutcome::Done)
+                    .collect();
+                let mut lat: Vec<Duration> = done
+                    .iter()
                     .map(|s| s.done_at.saturating_sub(s.scheduled))
                     .collect();
                 lat.sort_unstable();
-                let done_at: Vec<Duration> = samples
-                    .iter()
-                    .filter(|s| s.outcome == LoadOutcome::Done)
-                    .map(|s| s.done_at)
-                    .collect();
+                let done_at: Vec<Duration> = done.iter().map(|s| s.done_at).collect();
                 let count = |o: LoadOutcome| samples.iter().filter(|s| s.outcome == o).count();
-                points.push(LoadReport {
-                    offered: rate,
-                    sent: samples.len(),
-                    done: count(LoadOutcome::Done),
-                    retried: count(LoadOutcome::Retried),
-                    failed: count(LoadOutcome::Failed),
-                    goodput: throughput(&done_at, window).qps,
-                    p50: percentile(&lat, 0.50),
-                    p95: percentile(&lat, 0.95),
-                    p99: percentile(&lat, 0.99),
+                let goodput = throughput(&done_at, window).qps;
+                curve.push(LoadPoint {
+                    offered: rate as f64,
+                    sent: samples.len() as f64 / window.as_secs_f64(),
+                    goodput,
                 });
+                points.push(
+                    Obj::new()
+                        .with("offered_per_s", rate)
+                        .with("sent", samples.len())
+                        .with("done", done.len())
+                        .with("retried", count(LoadOutcome::Retried))
+                        .with("failed", count(LoadOutcome::Failed))
+                        .with("goodput_per_s", goodput)
+                        .with("p50_ms", percentile(&lat, 0.50))
+                        .with("p95_ms", percentile(&lat, 0.95))
+                        .with("p99_ms", percentile(&lat, 0.99)),
+                );
             }
             if let Some(server) = server {
                 server.shutdown();
                 server.join();
             }
-            let knee = find_knee(
-                &points
-                    .iter()
-                    .map(|p| LoadPoint {
-                        offered: p.offered as f64,
-                        sent: p.sent as f64 / window.as_secs_f64(),
-                        goodput: p.goodput,
-                    })
-                    .collect::<Vec<_>>(),
-                0.95,
-            );
-            curves.push(LoadCurve {
-                mode,
-                engine,
-                points,
-                knee,
-            });
-        }
-    }
-    if a.json {
-        load_json(a, sf, threads, &queries, &curves);
-    } else {
-        load_text(sf, threads, a.conns, &queries, &curves);
-    }
-}
-
-fn load_text(sf: f64, threads: usize, conns: usize, queries: &[QueryId], curves: &[LoadCurve]) {
-    println!("# load — open-loop offered-rate sweep, SF={sf}, {threads} worker threads, {conns} connections");
-    println!(
-        "# mix: {}",
-        queries.iter().map(|q| q.name()).collect::<Vec<_>>().join(" ")
-    );
-    println!(
-        "{:<6} {:<11} {:>8} {:>7} {:>7} {:>7} {:>6} {:>10} {:>9} {:>9} {:>9}",
-        "mode", "engine", "offered", "sent", "done", "retry", "fail", "goodput", "p50", "p95", "p99"
-    );
-    for c in curves {
-        for p in &c.points {
-            println!(
-                "{:<6} {:<11} {:>8} {:>7} {:>7} {:>7} {:>6} {:>10.2} {:>9} {:>9} {:>9}",
-                c.mode,
-                c.engine.name(),
-                p.offered,
-                p.sent,
-                p.done,
-                p.retried,
-                p.failed,
-                p.goodput,
-                fmt_ms(p.p50),
-                fmt_ms(p.p95),
-                fmt_ms(p.p99),
+            curves.push(
+                Obj::new()
+                    .with("curve", format!("{mode}/{}", engine.name()))
+                    .with("mode", mode)
+                    .with("engine", engine.name())
+                    .with("knee_per_s", find_knee(&curve, 0.95))
+                    .with("points", points),
             );
         }
-        match c.knee {
-            Some(k) => println!(
-                "       {} {}: knee at {k:.0}/s (last offered rate with goodput ≥ 95 %)",
-                c.mode,
-                c.engine.name()
-            ),
-            None => println!(
-                "       {} {}: saturated below the lowest swept rate",
-                c.mode,
-                c.engine.name()
-            ),
-        }
     }
+    Report::new(
+        "load",
+        format!(
+            "load — open-loop offered-rate sweep, SF={sf}, {threads} worker threads, {} connections",
+            a.conns
+        ),
+    )
+    .with("sf", sf)
+    .with("threads", threads)
+    .with("conns", a.conns)
+    .with("window_ms", a.duration_ms)
+    .with("mix", names(&queries))
+    .with(
+        "knee_definition",
+        "largest swept offered rate whose goodput stays within 95% of offered, \
+         with every lower swept rate also keeping up",
+    )
+    .with("curves", curves)
 }
 
-fn load_json(a: &Args, sf: f64, threads: usize, queries: &[QueryId], curves: &[LoadCurve]) {
-    use dbep_bench::json;
-    let rendered = curves.iter().map(|c| {
-        let points = c.points.iter().map(|p| {
-            json::Object::new()
-                .field("offered_per_s", format!("{}", p.offered))
-                .field("sent", format!("{}", p.sent))
-                .field("done", format!("{}", p.done))
-                .field("retried", format!("{}", p.retried))
-                .field("failed", format!("{}", p.failed))
-                .field("goodput_per_s", json::number(p.goodput))
-                .field("p50_ms", json::number(p.p50.as_secs_f64() * 1e3))
-                .field("p95_ms", json::number(p.p95.as_secs_f64() * 1e3))
-                .field("p99_ms", json::number(p.p99.as_secs_f64() * 1e3))
-                .build()
-        });
-        json::Object::new()
-            .field("mode", json::string(c.mode))
-            .field("engine", json::string(c.engine.name()))
-            .field("points", json::array(points))
-            .field("knee_per_s", c.knee.map_or("null".to_string(), json::number))
-            .build()
-    });
-    let doc = json::Object::new()
-        .field("experiment", json::string("load"))
-        .field("sf", json::number(sf))
-        .field("threads", format!("{threads}"))
-        .field("conns", format!("{}", a.conns))
-        .field("window_ms", format!("{}", a.duration_ms))
-        .field(
-            "mix",
-            json::array(queries.iter().map(|q| json::string(q.name()))),
-        )
-        .field(
-            "knee_definition",
-            json::string("largest swept offered rate whose goodput stays within 95% of offered, with every lower swept rate also keeping up"),
-        )
-        .field("curves", json::array(rendered))
-        .build();
-    println!("{doc}");
+/// How a subcommand produces its output.
+enum Output {
+    /// Measures into one report, which `main` renders as text or JSON.
+    Measure(fn(&Args) -> Report),
+    /// Writes its own output: `metrics`' exposition formats and
+    /// `serve-net`'s server log.
+    Own(fn(&Args)),
 }
 
 fn main() {
+    use Output::{Measure, Own};
     let args = parse_args();
     let t = Instant::now();
-    let all: Vec<(&str, Experiment)> = vec![
-        ("fig3", fig3),
-        ("table1", table1),
-        ("fig4", fig4),
-        ("fig5", fig5),
-        ("ssb", ssb),
-        ("table2", table2),
-        ("fig6", fig6),
-        ("fig7", fig7),
-        ("fig8", fig8),
-        ("fig9", fig9),
-        ("fig10", fig10),
-        ("table3", table3),
-        ("table4", table4),
-        ("table5", table5),
-        ("fig11", fig11),
-        ("oltp", oltp),
-        ("table6", table6),
-        ("query", query),
-        ("serve", serve),
-        ("metrics", metrics_cmd),
-        ("compression", compression),
+    let all: Vec<(&str, Output)> = vec![
+        ("fig3", Measure(fig3)),
+        ("table1", Measure(table1)),
+        ("fig4", Measure(fig4)),
+        ("fig5", Measure(fig5)),
+        ("ssb", Measure(ssb)),
+        ("table2", Measure(table2)),
+        ("fig6", Measure(fig6)),
+        ("fig7", Measure(fig7)),
+        ("fig8", Measure(fig8)),
+        ("fig9", Measure(fig9)),
+        ("fig10", Measure(fig10)),
+        ("table3", Measure(table3)),
+        ("table4", Measure(table4)),
+        ("table5", Measure(table5)),
+        ("fig11", Measure(fig11)),
+        ("oltp", Measure(oltp)),
+        ("table6", Measure(table6)),
+        ("query", Measure(query)),
+        ("serve", Measure(serve)),
+        ("metrics", Own(metrics_cmd)),
+        ("compression", Measure(compression)),
     ];
     // Standalone network experiments: excluded from `all` (serve-net
     // blocks on the wire until a SHUTDOWN frame, load sweeps minutes).
-    let standalone: Vec<(&str, Experiment)> = vec![("serve-net", serve_net), ("load", load_cmd)];
+    let standalone: Vec<(&str, Output)> = vec![("serve-net", Own(serve_net)), ("load", Measure(load_cmd))];
+    let emit = |output: &Output| match output {
+        Own(f) => f(&args),
+        Measure(f) => {
+            let report = f(&args);
+            if args.json {
+                println!("{}", report.to_json());
+            } else {
+                print!("{}", report.to_text());
+            }
+        }
+    };
     if args.id == "all" {
-        for (name, f) in &all {
-            println!("\n================ {name} ================");
-            f(&args);
+        for (name, output) in &all {
+            if !args.json {
+                println!("\n================ {name} ================");
+            }
+            emit(output);
         }
     } else {
         match all.iter().chain(standalone.iter()).find(|(n, _)| *n == args.id) {
-            Some((_, f)) => f(&args),
+            Some((_, output)) => emit(output),
             None => {
                 eprintln!(
                     "unknown experiment '{}'; known: {} all",
@@ -2597,4 +2161,25 @@ fn main() {
         }
     }
     eprintln!("[done] {} in {:.1}s", args.id, t.elapsed().as_secs_f64());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fig4_sweeps_the_paper_scale_factors_up_to_sf() {
+        assert_eq!(fig4_scale_factors(0.01), [0.01]);
+        assert_eq!(fig4_scale_factors(5.0), [1.0, 3.0, 5.0]);
+        assert_eq!(fig4_scale_factors(10.0), [1.0, 3.0, 10.0]);
+        assert_eq!(fig4_scale_factors(100.0), [1.0, 3.0, 10.0, 30.0, 100.0]);
+    }
+
+    #[test]
+    fn table3_thread_points_are_distinct_and_capped() {
+        assert_eq!(table3_threads(1), [1]);
+        assert_eq!(table3_threads(2), [1, 2]);
+        assert_eq!(table3_threads(3), [1, 2, 3]);
+        assert_eq!(table3_threads(16), [1, 8, 16]);
+    }
 }

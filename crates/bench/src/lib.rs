@@ -5,6 +5,7 @@ pub mod harness;
 pub mod hwinfo;
 pub mod json;
 pub mod load;
+pub mod report;
 pub mod serve_stats;
 
 use dbep_runtime::counters::{self, CounterValues};
@@ -61,37 +62,6 @@ pub fn fmt_ms(d: Duration) -> String {
     }
 }
 
-/// Per-tuple counter row in the paper's Table 1 layout. Missing hardware
-/// events print as `-`.
-pub fn per_tuple_row(label: &str, v: &CounterValues, tuples: usize) -> String {
-    let t = tuples.max(1) as f64;
-    let per = |x: Option<u64>| match x {
-        Some(x) => format!("{:>7.2}", x as f64 / t),
-        None => format!("{:>7}", "-"),
-    };
-    let ipc = match v.ipc() {
-        Some(i) => format!("{i:>5.1}"),
-        None => format!("{:>5}", "-"),
-    };
-    format!(
-        "{label:<14} {:>7.1} {ipc} {} {} {} {} {}",
-        v.cycles_estimate() as f64 / t,
-        per(v.instructions),
-        per(v.l1d_miss),
-        per(v.llc_miss),
-        per(v.branch_miss),
-        per(v.stalled_backend),
-    )
-}
-
-/// Header matching [`per_tuple_row`].
-pub fn per_tuple_header() -> String {
-    format!(
-        "{:<14} {:>7} {:>5} {:>7} {:>7} {:>7} {:>7} {:>7}",
-        "", "cycles", "IPC", "instr", "L1miss", "LLCmiss", "brmiss", "stall"
-    )
-}
-
 /// Whether real hardware counters are available (printed as a caveat
 /// when they are not — the container fallback is TSC-only).
 pub fn counters_note() -> &'static str {
@@ -121,13 +91,5 @@ mod tests {
     fn formatting() {
         assert_eq!(fmt_ms(Duration::from_millis(250)), "250");
         assert_eq!(fmt_ms(Duration::from_micros(1500)), "1.5");
-        assert!(per_tuple_header().contains("cycles"));
-        let v = CounterValues {
-            tsc_cycles: 1000,
-            ..Default::default()
-        };
-        let row = per_tuple_row("q1 Typer", &v, 100);
-        assert!(row.contains("q1 Typer"));
-        assert!(row.contains("10.0"));
     }
 }
