@@ -250,7 +250,13 @@ fn parse_args() -> Args {
         match a.as_str() {
             "--sf" => {
                 let v = flag_value(&mut it, "--sf", "<scale-factor>");
-                args.sf = Some(parse_value(&v, "--sf", "<scale-factor>, e.g. --sf 0.1"));
+                let sf: f64 = parse_value(&v, "--sf", "<scale-factor>, e.g. --sf 0.1");
+                if !(sf.is_finite() && sf > 0.0) {
+                    usage_error(&format!(
+                        "--sf got {v:?}: a scale factor is a positive number (usage: --sf <scale-factor>)"
+                    ));
+                }
+                args.sf = Some(sf);
             }
             "--threads" => {
                 let v = flag_value(&mut it, "--threads", "<count>");
@@ -259,6 +265,9 @@ fn parse_args() -> Args {
             "--reps" => {
                 let v = flag_value(&mut it, "--reps", "<count>");
                 args.reps = parse_value(&v, "--reps", "<count>, e.g. --reps 3");
+                if args.reps == 0 {
+                    usage_error("--reps must be at least 1 (usage: --reps <count>)");
+                }
             }
             "--no-tag" => args.no_tag = true,
             "--json" => args.json = true,

@@ -8,14 +8,11 @@
 //! *execution of the fused loops*. This crate therefore represents the
 //! generator's **output** directly in Rust (see DESIGN.md substitution 1):
 //!
-//! * [`pipeline`] — a produce/consume operator framework whose generic
-//!   composition monomorphizes into exactly the fused loops a
-//!   produce/consume code generator would emit. It exists to demonstrate
-//!   and test the codegen structure (push-based, consume called from
-//!   inside the scan loop, no materialization between operators).
-//! * The per-query Typer implementations in `dbep-queries::tpch`/`ssb`
+//! * The Typer arms of the per-query stages in `dbep-queries::tpch`/`ssb`
 //!   are the "generated code" for each physical plan — hand-written
-//!   fused loops exactly in the shape of Fig. 2a, over the shared
+//!   fused loops exactly in the shape of Fig. 2a (push-based, the
+//!   consumer's code inside the scan loop, no materialization between
+//!   operators), driven by `ExecCfg::map_scan` over the shared
 //!   substrate (`dbep-runtime`'s hash tables, hash functions and
 //!   morsel-driven scheduler).
 //! * [`scan`] — the column reader of the plans that scan encoded
@@ -28,9 +25,7 @@
 //! one, mirroring HyPer's barrier-separated pipeline phases (§6.1).
 
 pub mod packed;
-pub mod pipeline;
 pub mod scan;
 
 pub use packed::PackedReader;
-pub use pipeline::{Filter, Map, Pipeline, Sink};
 pub use scan::RowScan;

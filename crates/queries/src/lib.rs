@@ -2,13 +2,17 @@
 //! engines.
 //!
 //! Per the methodology (§3), every query is *one physical plan* — same
-//! join order, same build sides, same data structures — written as its
-//! list of pipeline stages. Each stage is a function with a Typer arm
-//! and a Tectorwise arm, so the execution paradigm is the only variable
-//! and is chosen per stage ([`QueryPlan::run_stages`]); the pure
-//! engines are the two uniform assignments. The Volcano implementations
-//! run the same plans tuple-at-a-time for the interpretation baseline
-//! and for result cross-validation.
+//! join order, same build sides, same data structures. For Typer and
+//! Tectorwise it is written as its list of pipeline stages: each stage
+//! is a function with a Typer arm and a Tectorwise arm, so the execution
+//! paradigm is the only variable and is chosen per stage
+//! ([`QueryPlan::run_stages`]); the pure engines are the two uniform
+//! assignments. For Volcano it is a value, a [`dbep_volcano::Plan`]
+//! ([`QueryPlan::volcano_plan`]), that the one interpreter
+//! [`dbep_volcano::Plan::run`] executes tuple-at-a-time — the
+//! interpretation baseline and the cross-check of every result — and
+//! from which the plan's §3.4 normalization denominator
+//! ([`QueryPlan::tuples_scanned`]) is derived.
 //!
 //! * [`tpch`] — Q1, Q6, Q3, Q9, Q18 (the paper's representative subset,
 //!   §3.3 lists each query's bottleneck), plus Q4, Q12 and Q14 for the
@@ -43,6 +47,7 @@ use dbep_vectorized::SimdPolicy;
 use std::ops::Range;
 
 pub use dbep_scheduler::StageKind;
+use dbep_volcano::{Plan, Row};
 
 /// Execution configuration shared by all engines.
 ///
@@ -450,31 +455,29 @@ impl StageDesc {
     }
 }
 
-/// One physical query plan of the study: its list of pipeline stages.
+/// One physical query plan of the study: its list of pipeline stages,
+/// and the same plan as a Volcano [`Plan`] value.
 ///
 /// Per the methodology (§3) every paradigm runs the same plan — join
 /// order, build sides, data structures — so the paradigm is the only
 /// variable, and it is chosen *per stage*: each stage is one function
 /// with a Typer arm (a fused loop) and a Tectorwise arm (a primitive
-/// chain), and a pure engine is the uniform assignment. Every entry
-/// point receives the query's bound substitution [`Params`] (see
-/// [`params`]); with [`Params::default_for`] the plan reproduces the
-/// paper's instance byte-for-byte. Adding a query to the harness is
-/// one struct implementing this trait plus a [`REGISTRY`] entry; the
-/// dispatcher, benchmarks and equivalence tests pick it up from there.
+/// chain), and a pure engine is the uniform assignment. Volcano
+/// interprets [`QueryPlan::volcano_plan`]. Every entry point receives
+/// the query's bound substitution [`Params`] (see [`params`]); with
+/// [`Params::default_for`] the plan reproduces the paper's instance
+/// byte-for-byte. Adding a query to the harness is one struct
+/// implementing this trait plus a [`REGISTRY`] entry; the dispatcher,
+/// benchmarks and equivalence tests pick it up from there.
 pub trait QueryPlan: Sync {
     /// The identifier this plan is registered under.
     fn id(&self) -> QueryId;
-
-    /// Total tuples scanned by the plan (the §3.4 normalization
-    /// denominator).
-    fn tuples_scanned(&self, db: &dbep_storage::Database) -> usize;
 
     /// The plan's pipeline stages in execution order.
     /// [`QueryPlan::run_stages`] brackets each with [`ExecCfg::stage`]
     /// using these indices, so an attached [`StageTrace`] decomposes a
     /// run into per-stage wall times. Volcano is the interpretation
-    /// baseline and is never a per-stage candidate, so its bodies stay
+    /// baseline and is never a per-stage candidate, so its runs stay
     /// uninstrumented.
     fn stages(&self) -> &'static [StageDesc];
 
@@ -494,13 +497,28 @@ pub trait QueryPlan: Sync {
         choices: &[Engine],
     ) -> result::QueryResult;
 
-    /// Tuple-at-a-time interpretation (pull, boxed operators). Takes the
-    /// same [`ExecCfg`] as the other engines: `threads` runs an
-    /// exchange-style parallel union, `throttle` paces every scan.
-    fn volcano(&self, db: &dbep_storage::Database, cfg: &ExecCfg, params: &Params) -> result::QueryResult;
+    /// The plan as a Volcano operator tree bound to `params`: the same
+    /// tables, join order and build sides as the stages, with the fact
+    /// table (the probe side) as the driving scan.
+    fn volcano_plan(&self, params: &Params) -> Plan;
+
+    /// The engine-independent result of the rows [`Plan::run`] returned
+    /// for [`QueryPlan::volcano_plan`].
+    fn volcano_result(&self, db: &dbep_storage::Database, rows: Vec<Row>) -> result::QueryResult;
+
+    /// Total tuples scanned by the plan — the paper's normalization
+    /// denominator ("the sum of the cardinalities of all tables
+    /// scanned", §3.4): the row counts of the tables the Volcano plan
+    /// scans.
+    fn tuples_scanned(&self, db: &dbep_storage::Database) -> usize {
+        self.volcano_plan(&Params::default_for(self.id()))
+            .tuples_scanned(db)
+    }
 
     /// Dispatch on the execution paradigm: `Typer` and `Tectorwise` are
-    /// the two uniform stage assignments, `Adaptive` (here, with no
+    /// the two uniform stage assignments, `Volcano` interprets
+    /// [`QueryPlan::volcano_plan`] with `cfg.threads` workers and every
+    /// scan paced against `cfg.throttle`, `Adaptive` (here, with no
     /// session and so no learned state) the static
     /// [`Engine::heuristic_choices`].
     fn run(
@@ -515,7 +533,10 @@ pub trait QueryPlan: Sync {
             Engine::Typer | Engine::Tectorwise => {
                 self.run_stages(db, cfg, params, &vec![engine; stages.len()])
             }
-            Engine::Volcano => self.volcano(db, cfg, params),
+            Engine::Volcano => {
+                let rows = self.volcano_plan(params).run(db, &cfg.exec(), cfg.throttle);
+                self.volcano_result(db, rows)
+            }
             Engine::Adaptive => self.run_stages(db, cfg, params, &Engine::heuristic_choices(stages)),
         }
     }

@@ -204,23 +204,19 @@ impl TwLookupScratch {
 /// Volcano: a fresh interpreted plan per statement (plan construction +
 /// per-tuple interpretation are the measured overhead).
 pub fn lookup_volcano(db: &Database, orderkey: i32) -> Option<OrderDetails> {
-    use dbep_volcano::{AggSpec, Aggregate, BinOp, CmpOp, Expr, Scan, Select};
-    let ord_rows = dbep_volcano::ops::collect(Box::new(Select {
-        input: Box::new(Scan::new(
-            db.table("orders"),
-            &["o_orderkey", "o_custkey", "o_totalprice"],
-        )),
-        pred: Expr::cmp(CmpOp::Eq, Expr::col(0), Expr::lit_i32(orderkey)),
-    }));
+    use dbep_volcano::{AggSpec, BinOp, CmpOp, Expr, Plan, Val};
+    let exec = dbep_runtime::ExecCtx::inline();
+    let this_order = Expr::cmp(CmpOp::Eq, Expr::col(0), Expr::lit_i32(orderkey));
+    let ord_rows = Plan::scan("orders", &["o_orderkey", "o_custkey", "o_totalprice"])
+        .select(this_order.clone())
+        .run(db, &exec, None);
     let ord = ord_rows.first()?;
-    let agg = Aggregate::new(
-        Box::new(Select {
-            input: Box::new(Scan::new(
-                db.table("lineitem"),
-                &["l_orderkey", "l_quantity", "l_extendedprice", "l_discount"],
-            )),
-            pred: Expr::cmp(CmpOp::Eq, Expr::col(0), Expr::lit_i32(orderkey)),
-        }),
+    let sums = Plan::scan(
+        "lineitem",
+        &["l_orderkey", "l_quantity", "l_extendedprice", "l_discount"],
+    )
+    .select(this_order)
+    .aggregate(
         vec![],
         vec![
             AggSpec::Count,
@@ -231,21 +227,17 @@ pub fn lookup_volcano(db: &Database, orderkey: i32) -> Option<OrderDetails> {
                 Expr::arith(BinOp::Sub, Expr::lit_i64(100), Expr::col(3)),
             )),
         ],
-    );
-    let sums = dbep_volcano::ops::collect(Box::new(agg));
-    let mut out = OrderDetails {
+    )
+    .run(db, &exec, None);
+    Some(OrderDetails {
         orderkey,
         custkey: match &ord[1] {
-            dbep_volcano::Val::I32(v) => *v,
+            Val::I32(v) => *v,
             other => panic!("unexpected custkey {other:?}"),
         },
         totalprice: ord[2].as_i64(),
-        ..Default::default()
-    };
-    if let Some(s) = sums.first() {
-        out.line_count = s[0].as_i64();
-        out.sum_qty = s[1].as_i64();
-        out.sum_revenue = s[2].as_i64();
-    }
-    Some(out)
+        line_count: sums[0][0].as_i64(),
+        sum_qty: sums[0][1].as_i64(),
+        sum_revenue: sums[0][2].as_i64(),
+    })
 }

@@ -21,6 +21,7 @@ use dbep_runtime::hash::HashFn;
 use dbep_runtime::JoinHt;
 use dbep_storage::Database;
 use dbep_vectorized as tw;
+use dbep_volcano::{AggSpec, BinOp, CmpOp, Expr, Plan, Row};
 
 fn finish(revenue: i64) -> QueryResult {
     QueryResult::new(&["revenue"], vec![vec![Value::dec4(revenue as i128)]], &[], None)
@@ -134,58 +135,6 @@ fn scan_lineorder(
     }
 }
 
-/// Volcano: interpreted join + aggregate; `threads` partition the fact
-/// scan through the exchange union, partial sums merge here.
-pub fn volcano(db: &Database, cfg: &ExecCfg, p: &SsbQ11Params) -> QueryResult {
-    use dbep_runtime::Morsels;
-    use dbep_volcano::{exchange, AggSpec, Aggregate, BinOp, CmpOp, Expr, HashJoin, Scan, Select};
-    let lo = db.table("lineorder");
-    let m = Morsels::new(lo.len());
-    let partials = exchange::union(&cfg.exec(), |_| {
-        let dates = Select {
-            input: Box::new(
-                Scan::new(db.table("date"), &["d_datekey", "d_year"])
-                    .paced(cfg.throttle)
-                    .recorded(cfg.sched),
-            ),
-            pred: Expr::cmp(CmpOp::Eq, Expr::col(1), Expr::lit_i32(p.year)),
-        };
-        let fact = Select {
-            input: Box::new(
-                Scan::new(
-                    lo,
-                    &["lo_orderdate", "lo_discount", "lo_quantity", "lo_extendedprice"],
-                )
-                .paced(cfg.throttle)
-                .recorded(cfg.sched)
-                .morsel_driven(&m),
-            ),
-            pred: Expr::And(vec![
-                Expr::cmp(CmpOp::Ge, Expr::col(1), Expr::lit_i64(p.disc_lo)),
-                Expr::cmp(CmpOp::Le, Expr::col(1), Expr::lit_i64(p.disc_hi)),
-                Expr::cmp(CmpOp::Lt, Expr::col(2), Expr::lit_i64(p.qty_hi)),
-            ]),
-        };
-        // [d_datekey, d_year, lo_orderdate, lo_discount, lo_quantity, lo_ext]
-        let join = HashJoin::new(
-            Box::new(dates),
-            vec![Expr::col(0)],
-            Box::new(fact),
-            vec![Expr::col(0)],
-        );
-        Box::new(Aggregate::new(
-            Box::new(join),
-            vec![],
-            vec![AggSpec::SumI64(Expr::arith(
-                BinOp::Mul,
-                Expr::col(5),
-                Expr::col(3),
-            ))],
-        ))
-    });
-    finish(partials.iter().map(|r| r[0].as_i64()).sum())
-}
-
 /// Registry entry (see [`crate::QueryPlan`]).
 pub struct Q11;
 
@@ -194,8 +143,38 @@ impl crate::QueryPlan for Q11 {
         crate::QueryId::Ssb1_1
     }
 
-    fn tuples_scanned(&self, db: &Database) -> usize {
-        db.table("lineorder").len() + db.table("date").len()
+    /// The interpreted join and aggregate; the fact scan drives.
+    fn volcano_plan(&self, params: &Params) -> Plan {
+        let p = params.ssb1_1();
+        let dates = Plan::scan("date", &["d_datekey", "d_year"]).select(Expr::cmp(
+            CmpOp::Eq,
+            Expr::col(1),
+            Expr::lit_i32(p.year),
+        ));
+        let fact = Plan::scan(
+            "lineorder",
+            &["lo_orderdate", "lo_discount", "lo_quantity", "lo_extendedprice"],
+        )
+        .select(Expr::And(vec![
+            Expr::cmp(CmpOp::Ge, Expr::col(1), Expr::lit_i64(p.disc_lo)),
+            Expr::cmp(CmpOp::Le, Expr::col(1), Expr::lit_i64(p.disc_hi)),
+            Expr::cmp(CmpOp::Lt, Expr::col(2), Expr::lit_i64(p.qty_hi)),
+        ]));
+        // [d_datekey, d_year, lo_orderdate, lo_discount, lo_quantity, lo_ext]
+        dates
+            .hash_join(vec![Expr::col(0)], fact, vec![Expr::col(0)])
+            .aggregate(
+                vec![],
+                vec![AggSpec::SumI64(Expr::arith(
+                    BinOp::Mul,
+                    Expr::col(5),
+                    Expr::col(3),
+                ))],
+            )
+    }
+
+    fn volcano_result(&self, _db: &Database, rows: Vec<Row>) -> QueryResult {
+        finish(rows[0][0].as_i64())
     }
 
     fn stages(&self) -> &'static [crate::StageDesc] {
@@ -220,9 +199,5 @@ impl crate::QueryPlan for Q11 {
         };
         let _s = cfg.stage(1);
         finish(scan_lineorder(db, cfg, p, scan, hf, &ht_d))
-    }
-
-    fn volcano(&self, db: &Database, cfg: &ExecCfg, params: &Params) -> QueryResult {
-        volcano(db, cfg, params.ssb1_1())
     }
 }

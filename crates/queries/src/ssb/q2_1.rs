@@ -22,6 +22,7 @@ use dbep_runtime::hash::HashFn;
 use dbep_runtime::{GroupByShard, JoinHt};
 use dbep_storage::Database;
 use dbep_vectorized as tw;
+use dbep_volcano::{AggSpec, CmpOp, Expr, Plan, Row};
 
 const LO_BITS: usize = 8 * (4 * 3 + 8);
 const PREAGG_GROUPS: usize = 1 << 12;
@@ -230,85 +231,6 @@ fn probe_lineorder(
     merge_partitions(shards, &cfg.exec(), |a, b| *a += b)
 }
 
-/// Volcano: interpreted joins. The fact scan is morsel-partitioned
-/// across `cfg.threads` workers; partial groups re-aggregate in a final
-/// merge pass.
-pub fn volcano(db: &Database, cfg: &ExecCfg, p: &SsbQ21Params) -> QueryResult {
-    use dbep_runtime::Morsels;
-    use dbep_volcano::{exchange, AggSpec, Aggregate, CmpOp, Expr, HashJoin, Rows, Scan, Select, Val};
-    let lo = db.table("lineorder");
-    let m = Morsels::new(lo.len());
-    let partials = exchange::union(&cfg.exec(), |_| {
-        let part_f = Select {
-            input: Box::new(
-                Scan::new(db.table("ssb_part"), &["p_partkey", "p_brand1", "p_category"])
-                    .paced(cfg.throttle)
-                    .recorded(cfg.sched),
-            ),
-            pred: Expr::cmp(CmpOp::Eq, Expr::col(2), Expr::lit_i32(p.category)),
-        };
-        // [p_partkey, p_brand1, p_category, lo_partkey, lo_suppkey, lo_orderdate, lo_revenue]
-        let j_p = HashJoin::new(
-            Box::new(part_f),
-            vec![Expr::col(0)],
-            Box::new(
-                Scan::new(lo, &["lo_partkey", "lo_suppkey", "lo_orderdate", "lo_revenue"])
-                    .paced(cfg.throttle)
-                    .recorded(cfg.sched)
-                    .morsel_driven(&m),
-            ),
-            vec![Expr::col(0)],
-        );
-        let supp_f = Select {
-            input: Box::new(
-                Scan::new(db.table("ssb_supplier"), &["s_suppkey", "s_region"])
-                    .paced(cfg.throttle)
-                    .recorded(cfg.sched),
-            ),
-            pred: Expr::cmp(CmpOp::Eq, Expr::col(1), Expr::lit_i32(p.region)),
-        };
-        // [s_suppkey, s_region] ++ 7 cols
-        let j_s = HashJoin::new(
-            Box::new(supp_f),
-            vec![Expr::col(0)],
-            Box::new(j_p),
-            vec![Expr::col(4)],
-        );
-        // [d_datekey, d_year] ++ 9 cols
-        let j_d = HashJoin::new(
-            Box::new(
-                Scan::new(db.table("date"), &["d_datekey", "d_year"])
-                    .paced(cfg.throttle)
-                    .recorded(cfg.sched),
-            ),
-            vec![Expr::col(0)],
-            Box::new(j_s),
-            vec![Expr::col(7)],
-        );
-        Box::new(Aggregate::new(
-            Box::new(j_d),
-            vec![Expr::col(1), Expr::col(5)],     // d_year, p_brand1
-            vec![AggSpec::SumI64(Expr::col(10))], // lo_revenue
-        ))
-    });
-    let merge = Aggregate::new(
-        Box::new(Rows::new(partials)),
-        vec![Expr::col(0), Expr::col(1)],
-        vec![AggSpec::SumI64(Expr::col(2))],
-    );
-    let groups = dbep_volcano::ops::collect(Box::new(merge))
-        .into_iter()
-        .map(|r| {
-            let key = match (&r[0], &r[1]) {
-                (Val::I32(y), Val::I32(b)) => (*y, *b),
-                other => panic!("unexpected group key {other:?}"),
-            };
-            (key, r[2].as_i64())
-        })
-        .collect();
-    finish(groups)
-}
-
 /// Registry entry (see [`crate::QueryPlan`]).
 pub struct Q21;
 
@@ -317,11 +239,42 @@ impl crate::QueryPlan for Q21 {
         crate::QueryId::Ssb2_1
     }
 
-    fn tuples_scanned(&self, db: &Database) -> usize {
-        db.table("lineorder").len()
-            + db.table("date").len()
-            + db.table("ssb_part").len()
-            + db.table("ssb_supplier").len()
+    /// The interpreted joins; the fact scan drives.
+    fn volcano_plan(&self, params: &Params) -> Plan {
+        let p = params.ssb2_1();
+        let part = Plan::scan("ssb_part", &["p_partkey", "p_brand1", "p_category"]).select(Expr::cmp(
+            CmpOp::Eq,
+            Expr::col(2),
+            Expr::lit_i32(p.category),
+        ));
+        let fact = Plan::scan(
+            "lineorder",
+            &["lo_partkey", "lo_suppkey", "lo_orderdate", "lo_revenue"],
+        );
+        let supplier = Plan::scan("ssb_supplier", &["s_suppkey", "s_region"]).select(Expr::cmp(
+            CmpOp::Eq,
+            Expr::col(1),
+            Expr::lit_i32(p.region),
+        ));
+        // [p_partkey, p_brand1, p_category, lo_partkey, lo_suppkey, lo_orderdate, lo_revenue]
+        let with_part = part.hash_join(vec![Expr::col(0)], fact, vec![Expr::col(0)]);
+        // [s_suppkey, s_region] ++ 7 cols
+        let with_supp = supplier.hash_join(vec![Expr::col(0)], with_part, vec![Expr::col(4)]);
+        // [d_datekey, d_year] ++ 9 cols
+        Plan::scan("date", &["d_datekey", "d_year"])
+            .hash_join(vec![Expr::col(0)], with_supp, vec![Expr::col(7)])
+            .aggregate(
+                vec![Expr::col(1), Expr::col(5)],     // d_year, p_brand1
+                vec![AggSpec::SumI64(Expr::col(10))], // lo_revenue
+            )
+    }
+
+    fn volcano_result(&self, _db: &Database, rows: Vec<Row>) -> QueryResult {
+        finish(
+            rows.into_iter()
+                .map(|r| ((r[0].as_i32(), r[1].as_i32()), r[2].as_i64()))
+                .collect(),
+        )
     }
 
     fn stages(&self) -> &'static [crate::StageDesc] {
@@ -344,9 +297,5 @@ impl crate::QueryPlan for Q21 {
         };
         let _s = cfg.stage(1);
         finish(probe_lineorder(db, cfg, probe, hf, &dims))
-    }
-
-    fn volcano(&self, db: &Database, cfg: &ExecCfg, params: &Params) -> QueryResult {
-        volcano(db, cfg, params.ssb2_1())
     }
 }

@@ -23,6 +23,7 @@ use dbep_runtime::hash::HashFn;
 use dbep_runtime::{GroupByShard, JoinHt};
 use dbep_storage::Database;
 use dbep_vectorized as tw;
+use dbep_volcano::{AggSpec, CmpOp, Expr, Plan, Row};
 
 const LO_BITS: usize = 8 * (4 * 3 + 8);
 const PREAGG_GROUPS: usize = 1 << 12;
@@ -241,92 +242,6 @@ fn probe_lineorder(db: &Database, cfg: &ExecCfg, engine: Engine, hf: HashFn, dim
     merge_partitions(shards, &cfg.exec(), |a, b| *a += b)
 }
 
-/// Volcano: interpreted joins. The fact scan is morsel-partitioned
-/// across `cfg.threads` workers; partial groups re-aggregate in a final
-/// merge pass.
-pub fn volcano(db: &Database, cfg: &ExecCfg, p: &SsbQ31Params) -> QueryResult {
-    use dbep_runtime::Morsels;
-    use dbep_volcano::{exchange, AggSpec, Aggregate, CmpOp, Expr, HashJoin, Rows, Scan, Select, Val};
-    let lo = db.table("lineorder");
-    let m = Morsels::new(lo.len());
-    let partials = exchange::union(&cfg.exec(), |_| {
-        let supp_f = Select {
-            input: Box::new(
-                Scan::new(db.table("ssb_supplier"), &["s_suppkey", "s_nation", "s_region"])
-                    .paced(cfg.throttle)
-                    .recorded(cfg.sched),
-            ),
-            pred: Expr::cmp(CmpOp::Eq, Expr::col(2), Expr::lit_i32(p.supp_region)),
-        };
-        // [s_suppkey, s_nation, s_region, lo_custkey, lo_suppkey, lo_orderdate, lo_revenue]
-        let j_s = HashJoin::new(
-            Box::new(supp_f),
-            vec![Expr::col(0)],
-            Box::new(
-                Scan::new(lo, &["lo_custkey", "lo_suppkey", "lo_orderdate", "lo_revenue"])
-                    .paced(cfg.throttle)
-                    .recorded(cfg.sched)
-                    .morsel_driven(&m),
-            ),
-            vec![Expr::col(1)],
-        );
-        let cust_f = Select {
-            input: Box::new(
-                Scan::new(db.table("ssb_customer"), &["c_custkey", "c_nation", "c_region"])
-                    .paced(cfg.throttle)
-                    .recorded(cfg.sched),
-            ),
-            pred: Expr::cmp(CmpOp::Eq, Expr::col(2), Expr::lit_i32(p.cust_region)),
-        };
-        // [c_custkey, c_nation, c_region] ++ 7 cols
-        let j_c = HashJoin::new(
-            Box::new(cust_f),
-            vec![Expr::col(0)],
-            Box::new(j_s),
-            vec![Expr::col(3)],
-        );
-        let date_f = Select {
-            input: Box::new(
-                Scan::new(db.table("date"), &["d_datekey", "d_year"])
-                    .paced(cfg.throttle)
-                    .recorded(cfg.sched),
-            ),
-            pred: Expr::And(vec![
-                Expr::cmp(CmpOp::Ge, Expr::col(1), Expr::lit_i32(p.year_lo)),
-                Expr::cmp(CmpOp::Le, Expr::col(1), Expr::lit_i32(p.year_hi)),
-            ]),
-        };
-        // [d_datekey, d_year] ++ 10 cols
-        let j_d = HashJoin::new(
-            Box::new(date_f),
-            vec![Expr::col(0)],
-            Box::new(j_c),
-            vec![Expr::col(8)],
-        );
-        Box::new(Aggregate::new(
-            Box::new(j_d),
-            vec![Expr::col(3), Expr::col(6), Expr::col(1)], // c_nation, s_nation, d_year
-            vec![AggSpec::SumI64(Expr::col(11))],           // lo_revenue
-        ))
-    });
-    let merge = Aggregate::new(
-        Box::new(Rows::new(partials)),
-        vec![Expr::col(0), Expr::col(1), Expr::col(2)],
-        vec![AggSpec::SumI64(Expr::col(3))],
-    );
-    let groups = dbep_volcano::ops::collect(Box::new(merge))
-        .into_iter()
-        .map(|r| {
-            let key = match (&r[0], &r[1], &r[2]) {
-                (Val::I32(c), Val::I32(s), Val::I32(y)) => (*c, *s, *y),
-                other => panic!("unexpected group key {other:?}"),
-            };
-            (key, r[3].as_i64())
-        })
-        .collect();
-    finish(groups)
-}
-
 /// Registry entry (see [`crate::QueryPlan`]).
 pub struct Q31;
 
@@ -335,11 +250,43 @@ impl crate::QueryPlan for Q31 {
         crate::QueryId::Ssb3_1
     }
 
-    fn tuples_scanned(&self, db: &Database) -> usize {
-        db.table("lineorder").len()
-            + db.table("date").len()
-            + db.table("ssb_customer").len()
-            + db.table("ssb_supplier").len()
+    /// The interpreted joins; the fact scan drives.
+    fn volcano_plan(&self, params: &Params) -> Plan {
+        let p = params.ssb3_1();
+        let supplier = Plan::scan("ssb_supplier", &["s_suppkey", "s_nation", "s_region"]).select(Expr::cmp(
+            CmpOp::Eq,
+            Expr::col(2),
+            Expr::lit_i32(p.supp_region),
+        ));
+        let fact = Plan::scan(
+            "lineorder",
+            &["lo_custkey", "lo_suppkey", "lo_orderdate", "lo_revenue"],
+        );
+        let customer = Plan::scan("ssb_customer", &["c_custkey", "c_nation", "c_region"]).select(Expr::cmp(
+            CmpOp::Eq,
+            Expr::col(2),
+            Expr::lit_i32(p.cust_region),
+        ));
+        let dates = Plan::scan("date", &["d_datekey", "d_year"]).select(Expr::And(vec![
+            Expr::cmp(CmpOp::Ge, Expr::col(1), Expr::lit_i32(p.year_lo)),
+            Expr::cmp(CmpOp::Le, Expr::col(1), Expr::lit_i32(p.year_hi)),
+        ]));
+        // [s_suppkey, s_nation, s_region, lo_custkey, lo_suppkey, lo_orderdate, lo_revenue]
+        let with_supp = supplier.hash_join(vec![Expr::col(0)], fact, vec![Expr::col(1)]);
+        // [c_custkey, c_nation, c_region] ++ 7 cols
+        let with_cust = customer.hash_join(vec![Expr::col(0)], with_supp, vec![Expr::col(3)]);
+        // [d_datekey, d_year] ++ 10 cols
+        dates
+            .hash_join(vec![Expr::col(0)], with_cust, vec![Expr::col(8)])
+            .aggregate(
+                vec![Expr::col(3), Expr::col(6), Expr::col(1)], // c_nation, s_nation, d_year
+                vec![AggSpec::SumI64(Expr::col(11))],           // lo_revenue
+            )
+    }
+
+    fn volcano_result(&self, _db: &Database, rows: Vec<Row>) -> QueryResult {
+        let key = |r: &Row| (r[0].as_i32(), r[1].as_i32(), r[2].as_i32());
+        finish(rows.iter().map(|r| (key(r), r[3].as_i64())).collect())
     }
 
     fn stages(&self) -> &'static [crate::StageDesc] {
@@ -360,9 +307,5 @@ impl crate::QueryPlan for Q31 {
         };
         let _s = cfg.stage(1);
         finish(probe_lineorder(db, cfg, probe, hf, &dims))
-    }
-
-    fn volcano(&self, db: &Database, cfg: &ExecCfg, params: &Params) -> QueryResult {
-        volcano(db, cfg, params.ssb3_1())
     }
 }

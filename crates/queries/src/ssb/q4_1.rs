@@ -23,6 +23,7 @@ use dbep_runtime::hash::HashFn;
 use dbep_runtime::{GroupByShard, JoinHt};
 use dbep_storage::Database;
 use dbep_vectorized as tw;
+use dbep_volcano::{AggSpec, BinOp, CmpOp, Expr, Plan, Row};
 
 const LO_BITS: usize = 8 * (4 * 4 + 8 * 2);
 const PREAGG_GROUPS: usize = 1 << 12;
@@ -257,117 +258,6 @@ fn probe_lineorder(db: &Database, cfg: &ExecCfg, engine: Engine, hf: HashFn, dim
     merge_partitions(shards, &cfg.exec(), |a, b| *a += b)
 }
 
-/// Volcano: interpreted joins. The fact scan is morsel-partitioned
-/// across `cfg.threads` workers; partial groups re-aggregate in a final
-/// merge pass.
-pub fn volcano(db: &Database, cfg: &ExecCfg, p: &SsbQ41Params) -> QueryResult {
-    use dbep_runtime::Morsels;
-    use dbep_volcano::{exchange, AggSpec, Aggregate, BinOp, CmpOp, Expr, HashJoin, Rows, Scan, Select, Val};
-    let lo = db.table("lineorder");
-    let m = Morsels::new(lo.len());
-    let partials = exchange::union(&cfg.exec(), |_| {
-        let supp_f = Select {
-            input: Box::new(
-                Scan::new(db.table("ssb_supplier"), &["s_suppkey", "s_region"])
-                    .paced(cfg.throttle)
-                    .recorded(cfg.sched),
-            ),
-            pred: Expr::cmp(CmpOp::Eq, Expr::col(1), Expr::lit_i32(p.supp_region)),
-        };
-        // [s_suppkey, s_region] ++ [lo_custkey, lo_suppkey, lo_partkey, lo_orderdate, lo_revenue, lo_supplycost]
-        let j_s = HashJoin::new(
-            Box::new(supp_f),
-            vec![Expr::col(0)],
-            Box::new(
-                Scan::new(
-                    lo,
-                    &[
-                        "lo_custkey",
-                        "lo_suppkey",
-                        "lo_partkey",
-                        "lo_orderdate",
-                        "lo_revenue",
-                        "lo_supplycost",
-                    ],
-                )
-                .paced(cfg.throttle)
-                .recorded(cfg.sched)
-                .morsel_driven(&m),
-            ),
-            vec![Expr::col(1)],
-        );
-        let cust_f = Select {
-            input: Box::new(
-                Scan::new(db.table("ssb_customer"), &["c_custkey", "c_nation", "c_region"])
-                    .paced(cfg.throttle)
-                    .recorded(cfg.sched),
-            ),
-            pred: Expr::cmp(CmpOp::Eq, Expr::col(2), Expr::lit_i32(p.cust_region)),
-        };
-        // [c_custkey, c_nation, c_region] ++ 8 cols (3..11)
-        let j_c = HashJoin::new(
-            Box::new(cust_f),
-            vec![Expr::col(0)],
-            Box::new(j_s),
-            vec![Expr::col(2)],
-        );
-        let part_f = Select {
-            input: Box::new(
-                Scan::new(db.table("ssb_part"), &["p_partkey", "p_mfgr"])
-                    .paced(cfg.throttle)
-                    .recorded(cfg.sched),
-            ),
-            pred: Expr::Or(vec![
-                Expr::cmp(CmpOp::Eq, Expr::col(1), Expr::lit_i32(p.mfgrs[0])),
-                Expr::cmp(CmpOp::Eq, Expr::col(1), Expr::lit_i32(p.mfgrs[1])),
-            ]),
-        };
-        // [p_partkey, p_mfgr] ++ 11 cols (2..13)
-        let j_p = HashJoin::new(
-            Box::new(part_f),
-            vec![Expr::col(0)],
-            Box::new(j_c),
-            vec![Expr::col(7)],
-        );
-        // [d_datekey, d_year] ++ 13 cols (2..15)
-        let j_d = HashJoin::new(
-            Box::new(
-                Scan::new(db.table("date"), &["d_datekey", "d_year"])
-                    .paced(cfg.throttle)
-                    .recorded(cfg.sched),
-            ),
-            vec![Expr::col(0)],
-            Box::new(j_p),
-            vec![Expr::col(10)],
-        );
-        Box::new(Aggregate::new(
-            Box::new(j_d),
-            vec![Expr::col(1), Expr::col(5)], // d_year, c_nation
-            vec![AggSpec::SumI64(Expr::arith(
-                BinOp::Sub,
-                Expr::col(13),
-                Expr::col(14),
-            ))],
-        ))
-    });
-    let merge = Aggregate::new(
-        Box::new(Rows::new(partials)),
-        vec![Expr::col(0), Expr::col(1)],
-        vec![AggSpec::SumI64(Expr::col(2))],
-    );
-    let groups = dbep_volcano::ops::collect(Box::new(merge))
-        .into_iter()
-        .map(|r| {
-            let key = match (&r[0], &r[1]) {
-                (Val::I32(y), Val::I32(c)) => (*y, *c),
-                other => panic!("unexpected group key {other:?}"),
-            };
-            (key, r[2].as_i64())
-        })
-        .collect();
-    finish(groups)
-}
-
 /// Registry entry (see [`crate::QueryPlan`]).
 pub struct Q41;
 
@@ -376,12 +266,59 @@ impl crate::QueryPlan for Q41 {
         crate::QueryId::Ssb4_1
     }
 
-    fn tuples_scanned(&self, db: &Database) -> usize {
-        db.table("lineorder").len()
-            + db.table("date").len()
-            + db.table("ssb_customer").len()
-            + db.table("ssb_supplier").len()
-            + db.table("ssb_part").len()
+    /// The interpreted joins; the fact scan drives.
+    fn volcano_plan(&self, params: &Params) -> Plan {
+        let p = params.ssb4_1();
+        let supplier = Plan::scan("ssb_supplier", &["s_suppkey", "s_region"]).select(Expr::cmp(
+            CmpOp::Eq,
+            Expr::col(1),
+            Expr::lit_i32(p.supp_region),
+        ));
+        let fact = Plan::scan(
+            "lineorder",
+            &[
+                "lo_custkey",
+                "lo_suppkey",
+                "lo_partkey",
+                "lo_orderdate",
+                "lo_revenue",
+                "lo_supplycost",
+            ],
+        );
+        let customer = Plan::scan("ssb_customer", &["c_custkey", "c_nation", "c_region"]).select(Expr::cmp(
+            CmpOp::Eq,
+            Expr::col(2),
+            Expr::lit_i32(p.cust_region),
+        ));
+        let part = Plan::scan("ssb_part", &["p_partkey", "p_mfgr"]).select(Expr::Or(vec![
+            Expr::cmp(CmpOp::Eq, Expr::col(1), Expr::lit_i32(p.mfgrs[0])),
+            Expr::cmp(CmpOp::Eq, Expr::col(1), Expr::lit_i32(p.mfgrs[1])),
+        ]));
+        // [s_suppkey, s_region] ++ [lo_custkey, lo_suppkey, lo_partkey, lo_orderdate, lo_revenue, lo_supplycost]
+        let with_supp = supplier.hash_join(vec![Expr::col(0)], fact, vec![Expr::col(1)]);
+        // [c_custkey, c_nation, c_region] ++ 8 cols (3..11)
+        let with_cust = customer.hash_join(vec![Expr::col(0)], with_supp, vec![Expr::col(2)]);
+        // [p_partkey, p_mfgr] ++ 11 cols (2..13)
+        let with_part = part.hash_join(vec![Expr::col(0)], with_cust, vec![Expr::col(7)]);
+        // [d_datekey, d_year] ++ 13 cols (2..15)
+        Plan::scan("date", &["d_datekey", "d_year"])
+            .hash_join(vec![Expr::col(0)], with_part, vec![Expr::col(10)])
+            .aggregate(
+                vec![Expr::col(1), Expr::col(5)], // d_year, c_nation
+                vec![AggSpec::SumI64(Expr::arith(
+                    BinOp::Sub,
+                    Expr::col(13),
+                    Expr::col(14),
+                ))],
+            )
+    }
+
+    fn volcano_result(&self, _db: &Database, rows: Vec<Row>) -> QueryResult {
+        finish(
+            rows.into_iter()
+                .map(|r| ((r[0].as_i32(), r[1].as_i32()), r[2].as_i64()))
+                .collect(),
+        )
     }
 
     fn stages(&self) -> &'static [crate::StageDesc] {
@@ -402,9 +339,5 @@ impl crate::QueryPlan for Q41 {
         };
         let _s = cfg.stage(1);
         finish(probe_lineorder(db, cfg, probe, hf, &dims))
-    }
-
-    fn volcano(&self, db: &Database, cfg: &ExecCfg, params: &Params) -> QueryResult {
-        volcano(db, cfg, params.ssb4_1())
     }
 }

@@ -16,10 +16,10 @@
 //!   counters per ship mode
 //! * **Q14** — string prefix predicate, conditional/total ratio aggregate
 //!
-//! Every query module exposes `typer(db, cfg)`, `tectorwise(db, cfg)`
-//! and `volcano(db, cfg)` — one uniform signature per paradigm — plus a
-//! unit struct implementing [`crate::QueryPlan`] that the dispatch
-//! registry ([`crate::REGISTRY`]) points at. All three return identical
+//! Every query module is one unit struct implementing
+//! [`crate::QueryPlan`] that the dispatch registry ([`crate::REGISTRY`])
+//! points at: its stages (a Typer and a Tectorwise arm each) and its
+//! Volcano plan value. All three engines return identical
 //! [`crate::result::QueryResult`]s.
 
 pub mod q1;

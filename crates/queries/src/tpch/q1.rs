@@ -28,6 +28,7 @@ use dbep_runtime::agg_ht::merge_partitions;
 use dbep_runtime::GroupByShard;
 use dbep_storage::Database;
 use dbep_vectorized as tw;
+use dbep_volcano::{AggSpec, BinOp, CmpOp, Expr, Plan, Row, Val};
 
 /// `l_returnflag` and `l_linestatus`: `Char` columns have no encoded
 /// form, so both layouts read them flat, one byte each.
@@ -244,34 +245,18 @@ fn scan_agg(db: &Database, cfg: &ExecCfg, p: &Q1Params, engine: Engine) -> Vec<(
     merge_partitions(shards, &cfg.exec(), Q1Agg::merge)
 }
 
-/// Volcano: interpreted tuple-at-a-time plan; `threads` partition the
-/// scan through the exchange union, and the per-worker partial groups
-/// re-aggregate through a final merge pass.
-pub fn volcano(db: &Database, cfg: &ExecCfg, p: &Q1Params) -> QueryResult {
-    use dbep_runtime::Morsels;
-    use dbep_volcano::{exchange, AggSpec, Aggregate, BinOp, CmpOp, Expr, Project, Rows, Scan, Select, Val};
-    let li = db.table("lineitem");
-    let m = Morsels::new(li.len());
-    let partials = exchange::union(&cfg.exec(), |_| {
-        let scan = Scan::new(
-            li,
-            &[
-                "l_returnflag",
-                "l_linestatus",
-                "l_quantity",
-                "l_extendedprice",
-                "l_discount",
-                "l_tax",
-                "l_shipdate",
-            ],
-        )
-        .paced(cfg.throttle)
-        .recorded(cfg.sched)
-        .morsel_driven(&m);
-        let filtered = Select {
-            input: Box::new(scan),
-            pred: Expr::cmp(CmpOp::Le, Expr::col(6), Expr::lit_i32(p.ship_cut)),
-        };
+/// Registry entry (see [`crate::QueryPlan`]).
+pub struct Q1;
+
+impl crate::QueryPlan for Q1 {
+    fn id(&self) -> crate::QueryId {
+        crate::QueryId::Q1
+    }
+
+    /// The interpreted plan: σ, the derived measures as a projection,
+    /// then the grouped sums.
+    fn volcano_plan(&self, params: &Params) -> Plan {
+        let p = params.q1();
         let disc_price = Expr::arith(
             BinOp::Mul,
             Expr::col(3),
@@ -282,20 +267,29 @@ pub fn volcano(db: &Database, cfg: &ExecCfg, p: &Q1Params) -> QueryResult {
             disc_price.clone(),
             Expr::arith(BinOp::Add, Expr::lit_i64(100), Expr::col(5)),
         );
-        let projected = Project {
-            input: Box::new(filtered),
-            exprs: vec![
-                Expr::col(0),
-                Expr::col(1),
-                Expr::col(2),
-                Expr::col(3),
-                disc_price,
-                charge,
-                Expr::col(4),
+        Plan::scan(
+            "lineitem",
+            &[
+                "l_returnflag",
+                "l_linestatus",
+                "l_quantity",
+                "l_extendedprice",
+                "l_discount",
+                "l_tax",
+                "l_shipdate",
             ],
-        };
-        Box::new(Aggregate::new(
-            Box::new(projected),
+        )
+        .select(Expr::cmp(CmpOp::Le, Expr::col(6), Expr::lit_i32(p.ship_cut)))
+        .project(vec![
+            Expr::col(0),
+            Expr::col(1),
+            Expr::col(2),
+            Expr::col(3),
+            disc_price,
+            charge,
+            Expr::col(4),
+        ])
+        .aggregate(
             vec![Expr::col(0), Expr::col(1)],
             vec![
                 AggSpec::SumI64(Expr::col(2)),
@@ -305,55 +299,31 @@ pub fn volcano(db: &Database, cfg: &ExecCfg, p: &Q1Params) -> QueryResult {
                 AggSpec::SumI64(Expr::col(6)),
                 AggSpec::Count,
             ],
-        ))
-    });
-    // Merge: re-aggregate the partial groups (counts sum like any other
-    // partial aggregate).
-    let merge = Aggregate::new(
-        Box::new(Rows::new(partials)),
-        vec![Expr::col(0), Expr::col(1)],
-        vec![
-            AggSpec::SumI64(Expr::col(2)),
-            AggSpec::SumI64(Expr::col(3)),
-            AggSpec::SumI64(Expr::col(4)),
-            AggSpec::SumI128(Expr::col(5)),
-            AggSpec::SumI64(Expr::col(6)),
-            AggSpec::SumI64(Expr::col(7)),
-        ],
-    );
-    let groups = dbep_volcano::ops::collect(Box::new(merge))
-        .into_iter()
-        .map(|row| {
-            let key = match (&row[0], &row[1]) {
-                (Val::Byte(a), Val::Byte(b)) => (*a, *b),
-                other => panic!("unexpected group key {other:?}"),
-            };
-            (
-                key,
-                Q1Agg {
-                    qty: row[2].as_i64(),
-                    base: row[3].as_i64(),
-                    disc_price: row[4].as_i64(),
-                    charge: row[5].as_i128(),
-                    disc: row[6].as_i64(),
-                    count: row[7].as_i64(),
-                },
-            )
-        })
-        .collect();
-    finish(groups)
-}
-
-/// Registry entry (see [`crate::QueryPlan`]).
-pub struct Q1;
-
-impl crate::QueryPlan for Q1 {
-    fn id(&self) -> crate::QueryId {
-        crate::QueryId::Q1
+        )
     }
 
-    fn tuples_scanned(&self, db: &Database) -> usize {
-        db.table("lineitem").len()
+    fn volcano_result(&self, _db: &Database, rows: Vec<Row>) -> QueryResult {
+        let groups = rows
+            .into_iter()
+            .map(|row| {
+                let key = match (&row[0], &row[1]) {
+                    (Val::Byte(a), Val::Byte(b)) => (*a, *b),
+                    other => panic!("unexpected group key {other:?}"),
+                };
+                (
+                    key,
+                    Q1Agg {
+                        qty: row[2].as_i64(),
+                        base: row[3].as_i64(),
+                        disc_price: row[4].as_i64(),
+                        charge: row[5].as_i128(),
+                        disc: row[6].as_i64(),
+                        count: row[7].as_i64(),
+                    },
+                )
+            })
+            .collect();
+        finish(groups)
     }
 
     fn stages(&self) -> &'static [crate::StageDesc] {
@@ -367,9 +337,5 @@ impl crate::QueryPlan for Q1 {
         let [engine] = crate::assignment(choices);
         let _stage = cfg.stage(0);
         finish(scan_agg(db, cfg, params.q1(), engine))
-    }
-
-    fn volcano(&self, db: &Database, cfg: &ExecCfg, params: &Params) -> QueryResult {
-        volcano(db, cfg, params.q1())
     }
 }

@@ -29,6 +29,7 @@ use dbep_runtime::hash::HashFn;
 use dbep_runtime::JoinHt;
 use dbep_storage::Database;
 use dbep_vectorized as tw;
+use dbep_volcano::{AggSpec, CmpOp, Expr, Plan, Row, Val};
 
 const ORD_BITS: usize = 8 * (4 + 9); // orderkey + priority text
 const LI_BITS: usize = 8 * (4 + 3 * 4 + 5); // orderkey + 3 dates + shipmode text
@@ -58,6 +59,11 @@ fn finish(p: &Q12Params, counts: ModeCounts) -> QueryResult {
             ]
         })
         .collect();
+    result(rows)
+}
+
+/// The result columns, ordered by ship mode.
+fn result(rows: Vec<Vec<Value>>) -> QueryResult {
     QueryResult::new(
         &["l_shipmode", "high_line_count", "low_line_count"],
         rows,
@@ -214,95 +220,6 @@ fn probe_lineitem(
     }
 }
 
-/// Volcano: interpreted plan with the CASE arms as boolean-expression
-/// sums. The driving lineitem scan is morsel-partitioned across
-/// `cfg.threads` workers; partial groups re-aggregate in a merge pass.
-pub fn volcano(db: &Database, cfg: &ExecCfg, p: &Q12Params) -> QueryResult {
-    use dbep_runtime::Morsels;
-    use dbep_volcano::{exchange, AggSpec, Aggregate, CmpOp, Expr, HashJoin, Rows, Scan, Select, Val};
-    let li = db.table("lineitem");
-    let m = Morsels::new(li.len());
-    let str_lit = |s: &str| Expr::Const(Val::Str(s.to_string()));
-    let partials = exchange::union(&cfg.exec(), |_| {
-        let li_f = Select {
-            input: Box::new(
-                Scan::new(
-                    li,
-                    &[
-                        "l_orderkey",
-                        "l_shipmode",
-                        "l_shipdate",
-                        "l_commitdate",
-                        "l_receiptdate",
-                    ],
-                )
-                .paced(cfg.throttle)
-                .recorded(cfg.sched)
-                .morsel_driven(&m),
-            ),
-            pred: Expr::And(vec![
-                Expr::Or(vec![
-                    Expr::cmp(CmpOp::Eq, Expr::col(1), str_lit(&p.modes[0])),
-                    Expr::cmp(CmpOp::Eq, Expr::col(1), str_lit(&p.modes[1])),
-                ]),
-                Expr::cmp(CmpOp::Lt, Expr::col(3), Expr::col(4)),
-                Expr::cmp(CmpOp::Lt, Expr::col(2), Expr::col(3)),
-                Expr::cmp(CmpOp::Ge, Expr::col(4), Expr::lit_i32(p.receipt_lo)),
-                Expr::cmp(CmpOp::Lt, Expr::col(4), Expr::lit_i32(p.receipt_hi)),
-            ]),
-        };
-        // rows: [o_orderkey, o_orderpriority] ++ the 5 lineitem columns.
-        let join = HashJoin::new(
-            Box::new(
-                Scan::new(db.table("orders"), &["o_orderkey", "o_orderpriority"])
-                    .paced(cfg.throttle)
-                    .recorded(cfg.sched),
-            ),
-            vec![Expr::col(0)],
-            Box::new(li_f),
-            vec![Expr::col(0)],
-        );
-        let high = Expr::Or(vec![
-            Expr::cmp(CmpOp::Eq, Expr::col(1), str_lit("1-URGENT")),
-            Expr::cmp(CmpOp::Eq, Expr::col(1), str_lit("2-HIGH")),
-        ]);
-        let low = Expr::And(vec![
-            Expr::cmp(CmpOp::Ne, Expr::col(1), str_lit("1-URGENT")),
-            Expr::cmp(CmpOp::Ne, Expr::col(1), str_lit("2-HIGH")),
-        ]);
-        Box::new(Aggregate::new(
-            Box::new(join),
-            vec![Expr::col(3)],
-            vec![AggSpec::SumI64(high), AggSpec::SumI64(low)],
-        ))
-    });
-    let merge = Aggregate::new(
-        Box::new(Rows::new(partials)),
-        vec![Expr::col(0)],
-        vec![AggSpec::SumI64(Expr::col(1)), AggSpec::SumI64(Expr::col(2))],
-    );
-    let rows = dbep_volcano::ops::collect(Box::new(merge))
-        .into_iter()
-        .map(|row| {
-            let mode = match &row[0] {
-                Val::Str(s) => s.clone(),
-                other => panic!("unexpected group key {other:?}"),
-            };
-            vec![
-                Value::Str(mode),
-                Value::I64(row[1].as_i64()),
-                Value::I64(row[2].as_i64()),
-            ]
-        })
-        .collect();
-    QueryResult::new(
-        &["l_shipmode", "high_line_count", "low_line_count"],
-        rows,
-        &[OrderBy::asc(0)],
-        None,
-    )
-}
-
 /// Registry entry (see [`crate::QueryPlan`]).
 pub struct Q12;
 
@@ -311,8 +228,54 @@ impl crate::QueryPlan for Q12 {
         crate::QueryId::Q12
     }
 
-    fn tuples_scanned(&self, db: &Database) -> usize {
-        db.table("orders").len() + db.table("lineitem").len()
+    /// The interpreted plan, the CASE arms as boolean-expression sums;
+    /// the lineitem scan drives.
+    fn volcano_plan(&self, params: &Params) -> Plan {
+        let p = params.q12();
+        let str_lit = |s: &str| Expr::Const(Val::Str(s.to_string()));
+        let lineitem = Plan::scan(
+            "lineitem",
+            &[
+                "l_orderkey",
+                "l_shipmode",
+                "l_shipdate",
+                "l_commitdate",
+                "l_receiptdate",
+            ],
+        )
+        .select(Expr::And(vec![
+            Expr::Or(vec![
+                Expr::cmp(CmpOp::Eq, Expr::col(1), str_lit(&p.modes[0])),
+                Expr::cmp(CmpOp::Eq, Expr::col(1), str_lit(&p.modes[1])),
+            ]),
+            Expr::cmp(CmpOp::Lt, Expr::col(3), Expr::col(4)),
+            Expr::cmp(CmpOp::Lt, Expr::col(2), Expr::col(3)),
+            Expr::cmp(CmpOp::Ge, Expr::col(4), Expr::lit_i32(p.receipt_lo)),
+            Expr::cmp(CmpOp::Lt, Expr::col(4), Expr::lit_i32(p.receipt_hi)),
+        ]));
+        let high = Expr::Or(vec![
+            Expr::cmp(CmpOp::Eq, Expr::col(1), str_lit("1-URGENT")),
+            Expr::cmp(CmpOp::Eq, Expr::col(1), str_lit("2-HIGH")),
+        ]);
+        let low = Expr::And(vec![
+            Expr::cmp(CmpOp::Ne, Expr::col(1), str_lit("1-URGENT")),
+            Expr::cmp(CmpOp::Ne, Expr::col(1), str_lit("2-HIGH")),
+        ]);
+        // [o_orderkey, o_orderpriority] ++ the 5 lineitem columns.
+        Plan::scan("orders", &["o_orderkey", "o_orderpriority"])
+            .hash_join(vec![Expr::col(0)], lineitem, vec![Expr::col(0)])
+            .aggregate(
+                vec![Expr::col(3)],
+                vec![AggSpec::SumI64(high), AggSpec::SumI64(low)],
+            )
+    }
+
+    fn volcano_result(&self, _db: &Database, rows: Vec<Row>) -> QueryResult {
+        let row = |r: &Row| {
+            let mode = Value::Str(r[0].as_str().to_string());
+            vec![mode, Value::I64(r[1].as_i64()), Value::I64(r[2].as_i64())]
+        };
+        result(rows.iter().map(row).collect())
     }
 
     fn stages(&self) -> &'static [crate::StageDesc] {
@@ -336,9 +299,5 @@ impl crate::QueryPlan for Q12 {
         };
         let _s = cfg.stage(1);
         finish(p, probe_lineitem(db, cfg, p, probe, hf, &ht_ord))
-    }
-
-    fn volcano(&self, db: &Database, cfg: &ExecCfg, params: &Params) -> QueryResult {
-        volcano(db, cfg, params.q12())
     }
 }

@@ -35,6 +35,7 @@ use dbep_runtime::hash::HashFn;
 use dbep_runtime::JoinHt;
 use dbep_storage::{Database, StrColumn, Table};
 use dbep_vectorized as tw;
+use dbep_volcano::{AggSpec, BinOp, CmpOp, Expr, Plan, Row};
 
 /// What a scan of flat `p_type` is charged per row: its text, 21 bytes
 /// on average (offsets are not charged).
@@ -262,39 +263,28 @@ fn probe_lineitem(
     }
 }
 
-/// Volcano: interpreted plan; the CASE arm is the revenue expression
-/// multiplied by the 0/1 `StartsWith` predicate. The driving lineitem
-/// scan is morsel-partitioned across `cfg.threads` workers; partial sums
-/// add up here.
-pub fn volcano(db: &Database, cfg: &ExecCfg, p: &Q14Params) -> QueryResult {
-    use dbep_runtime::Morsels;
-    use dbep_volcano::{exchange, AggSpec, Aggregate, BinOp, CmpOp, Expr, HashJoin, Scan, Select};
-    let li = db.table("lineitem");
-    let m = Morsels::new(li.len());
-    let partials = exchange::union(&cfg.exec(), |_| {
-        let li_f = Select {
-            input: Box::new(
-                Scan::new(li, &["l_partkey", "l_extendedprice", "l_discount", "l_shipdate"])
-                    .paced(cfg.throttle)
-                    .recorded(cfg.sched)
-                    .morsel_driven(&m),
-            ),
-            pred: Expr::And(vec![
-                Expr::cmp(CmpOp::Ge, Expr::col(3), Expr::lit_i32(p.ship_lo)),
-                Expr::cmp(CmpOp::Lt, Expr::col(3), Expr::lit_i32(p.ship_hi)),
-            ]),
-        };
-        // rows: [p_partkey, p_type] ++ the 4 lineitem columns.
-        let join = HashJoin::new(
-            Box::new(
-                Scan::new(db.table("part"), &["p_partkey", "p_type"])
-                    .paced(cfg.throttle)
-                    .recorded(cfg.sched),
-            ),
-            vec![Expr::col(0)],
-            Box::new(li_f),
-            vec![Expr::col(0)],
-        );
+/// Registry entry (see [`crate::QueryPlan`]).
+pub struct Q14;
+
+impl crate::QueryPlan for Q14 {
+    fn id(&self) -> crate::QueryId {
+        crate::QueryId::Q14
+    }
+
+    /// The interpreted plan; the CASE arm is the revenue expression
+    /// multiplied by the 0/1 `StartsWith` predicate. The lineitem scan
+    /// drives.
+    fn volcano_plan(&self, params: &Params) -> Plan {
+        let p = params.q14();
+        let lineitem = Plan::scan(
+            "lineitem",
+            &["l_partkey", "l_extendedprice", "l_discount", "l_shipdate"],
+        )
+        .select(Expr::And(vec![
+            Expr::cmp(CmpOp::Ge, Expr::col(3), Expr::lit_i32(p.ship_lo)),
+            Expr::cmp(CmpOp::Lt, Expr::col(3), Expr::lit_i32(p.ship_hi)),
+        ]));
+        // [p_partkey, p_type] ++ the 4 lineitem columns.
         let rev = Expr::arith(
             BinOp::Mul,
             Expr::col(3),
@@ -305,28 +295,13 @@ pub fn volcano(db: &Database, cfg: &ExecCfg, p: &Q14Params) -> QueryResult {
             rev.clone(),
             Expr::StartsWith(Box::new(Expr::col(1)), p.prefix.clone()),
         );
-        Box::new(Aggregate::new(
-            Box::new(join),
-            vec![],
-            vec![AggSpec::SumI64(promo), AggSpec::SumI64(rev)],
-        ))
-    });
-    let (promo, total) = partials.iter().fold((0i128, 0i128), |a, r| {
-        (a.0 + r[0].as_i128(), a.1 + r[1].as_i128())
-    });
-    finish(promo, total)
-}
-
-/// Registry entry (see [`crate::QueryPlan`]).
-pub struct Q14;
-
-impl crate::QueryPlan for Q14 {
-    fn id(&self) -> crate::QueryId {
-        crate::QueryId::Q14
+        Plan::scan("part", &["p_partkey", "p_type"])
+            .hash_join(vec![Expr::col(0)], lineitem, vec![Expr::col(0)])
+            .aggregate(vec![], vec![AggSpec::SumI64(promo), AggSpec::SumI64(rev)])
     }
 
-    fn tuples_scanned(&self, db: &Database) -> usize {
-        db.table("part").len() + db.table("lineitem").len()
+    fn volcano_result(&self, _db: &Database, rows: Vec<Row>) -> QueryResult {
+        finish(rows[0][0].as_i128(), rows[0][1].as_i128())
     }
 
     fn stages(&self) -> &'static [crate::StageDesc] {
@@ -349,9 +324,5 @@ impl crate::QueryPlan for Q14 {
         let _s = cfg.stage(1);
         let (promo, total) = probe_lineitem(db, cfg, p, probe, hf, &ht_part);
         finish(promo, total)
-    }
-
-    fn volcano(&self, db: &Database, cfg: &ExecCfg, params: &Params) -> QueryResult {
-        volcano(db, cfg, params.q14())
     }
 }

@@ -28,6 +28,7 @@ use dbep_runtime::hash::HashFn;
 use dbep_runtime::{GroupByShard, JoinHt};
 use dbep_storage::Database;
 use dbep_vectorized as tw;
+use dbep_volcano::{AggSpec, CmpOp, Expr, Plan, Row};
 
 const LI_BITS: usize = 8 * (4 + 8);
 const ORD_BITS: usize = 8 * (4 + 4 + 4 + 8);
@@ -56,6 +57,12 @@ fn finish(db: &Database, rows_raw: Vec<(i32, OrdRow)>) -> QueryResult {
             ]
         })
         .collect();
+    result(rows)
+}
+
+/// The result columns, ordered by `o_totalprice` desc, `o_orderdate`,
+/// first 100.
+fn result(rows: Vec<Vec<Value>>) -> QueryResult {
     QueryResult::new(
         &[
             "c_name",
@@ -79,8 +86,53 @@ impl crate::QueryPlan for Q18 {
         crate::QueryId::Q18
     }
 
+    /// The interpreted plan, HAVING as a selection over the aggregate;
+    /// the orders scan drives. `o_orderkey` is unique, so the workers'
+    /// rows are disjoint and need no re-aggregation.
+    fn volcano_plan(&self, params: &Params) -> Plan {
+        let p = params.q18();
+        let big = Plan::scan("lineitem", &["l_orderkey", "l_quantity"])
+            .aggregate(vec![Expr::col(0)], vec![AggSpec::SumI64(Expr::col(1))])
+            .select(Expr::cmp(CmpOp::Gt, Expr::col(1), Expr::lit_i64(p.qty_limit)));
+        let orders = Plan::scan(
+            "orders",
+            &["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"],
+        );
+        // [l_orderkey, sum_qty, o_orderkey, o_custkey, o_orderdate, o_totalprice]
+        let big_orders = big.hash_join(vec![Expr::col(0)], orders, vec![Expr::col(0)]);
+        // [c_custkey, c_name] ++ the 6 columns above.
+        Plan::scan("customer", &["c_custkey", "c_name"]).hash_join(
+            vec![Expr::col(0)],
+            big_orders,
+            vec![Expr::col(3)],
+        )
+    }
+
+    fn volcano_result(&self, _db: &Database, rows: Vec<Row>) -> QueryResult {
+        let rows = rows
+            .into_iter()
+            .map(|r| {
+                vec![
+                    Value::Str(r[1].as_str().to_string()),
+                    Value::I32(r[0].as_i32()),
+                    Value::I32(r[4].as_i32()),
+                    Value::Date(r[6].as_i32()),
+                    Value::dec2(r[7].as_i64()),
+                    Value::dec2(r[3].as_i64()),
+                ]
+            })
+            .collect();
+        result(rows)
+    }
+
+    /// The plan's scans plus a second `lineitem`: the SQL joins
+    /// `lineitem` again for the outer `sum(l_quantity)`, which the plan
+    /// takes from the HAVING aggregate (`o_orderkey` is unique). The
+    /// denominator follows the query, not that shortcut.
     fn tuples_scanned(&self, db: &Database) -> usize {
-        db.table("lineitem").len() * 2 + db.table("orders").len() + db.table("customer").len()
+        self.volcano_plan(&Params::default_for(self.id()))
+            .tuples_scanned(db)
+            + db.table("lineitem").len()
     }
 
     fn stages(&self) -> &'static [crate::StageDesc] {
@@ -105,10 +157,6 @@ impl crate::QueryPlan for Q18 {
             agg_lineitem(db, cfg, params.q18(), agg)
         };
         join_phases(db, cfg, big, cfg.hash_for(orders))
-    }
-
-    fn volcano(&self, db: &Database, cfg: &ExecCfg, params: &Params) -> QueryResult {
-        volcano(db, cfg, params.q18())
     }
 }
 
@@ -232,84 +280,4 @@ fn agg_lineitem(db: &Database, cfg: &ExecCfg, p: &Q18Params, engine: Engine) -> 
     };
     let groups = merge_partitions(shards, &cfg.exec(), |a, b| *a += b);
     groups.into_iter().filter(|(_, q)| *q > qty_limit).collect()
-}
-
-/// Volcano: interpreted plan (HAVING via Select over the aggregate).
-/// The driving orders scan is morsel-partitioned across `cfg.threads`
-/// workers; since `o_orderkey` is unique, each worker's output rows are
-/// disjoint and the union needs no re-aggregation.
-pub fn volcano(db: &Database, cfg: &ExecCfg, p: &Q18Params) -> QueryResult {
-    use dbep_runtime::Morsels;
-    use dbep_volcano::{exchange, AggSpec, Aggregate, CmpOp, Expr, HashJoin, Scan, Select, Val};
-    let ord = db.table("orders");
-    let m = Morsels::new(ord.len());
-    let rows_raw = exchange::union(&cfg.exec(), |_| {
-        // Γ(lineitem) with HAVING.
-        let agg = Aggregate::new(
-            Box::new(
-                Scan::new(db.table("lineitem"), &["l_orderkey", "l_quantity"])
-                    .paced(cfg.throttle)
-                    .recorded(cfg.sched),
-            ),
-            vec![Expr::col(0)],
-            vec![AggSpec::SumI64(Expr::col(1))],
-        );
-        let having = Select {
-            input: Box::new(agg),
-            pred: Expr::cmp(CmpOp::Gt, Expr::col(1), Expr::lit_i64(p.qty_limit)),
-        };
-        // ⋈ orders: [l_orderkey, sum_qty, o_orderkey, o_custkey, o_orderdate, o_totalprice]
-        let j_o = HashJoin::new(
-            Box::new(having),
-            vec![Expr::col(0)],
-            Box::new(
-                Scan::new(ord, &["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"])
-                    .paced(cfg.throttle)
-                    .recorded(cfg.sched)
-                    .morsel_driven(&m),
-            ),
-            vec![Expr::col(0)],
-        );
-        // ⋈ customer: [c_custkey, c_name] ++ previous 6.
-        Box::new(HashJoin::new(
-            Box::new(
-                Scan::new(db.table("customer"), &["c_custkey", "c_name"])
-                    .paced(cfg.throttle)
-                    .recorded(cfg.sched),
-            ),
-            vec![Expr::col(0)],
-            Box::new(j_o),
-            vec![Expr::col(3)],
-        ))
-    });
-    let rows = rows_raw
-        .into_iter()
-        .map(|r| {
-            let get_i32 = |v: &Val| match v {
-                Val::I32(x) => *x,
-                other => panic!("unexpected value {other:?}"),
-            };
-            vec![
-                Value::Str(r[1].as_str().to_string()),
-                Value::I32(get_i32(&r[0])),
-                Value::I32(get_i32(&r[4])),
-                Value::Date(get_i32(&r[6])),
-                Value::dec2(r[7].as_i64()),
-                Value::dec2(r[3].as_i64()),
-            ]
-        })
-        .collect();
-    QueryResult::new(
-        &[
-            "c_name",
-            "c_custkey",
-            "o_orderkey",
-            "o_orderdate",
-            "o_totalprice",
-            "sum_qty",
-        ],
-        rows,
-        &[OrderBy::desc(4), OrderBy::asc(3)],
-        Some(100),
-    )
 }

@@ -26,6 +26,7 @@ use dbep_runtime::hash::HashFn;
 use dbep_runtime::{GroupByShard, JoinHt};
 use dbep_storage::Database;
 use dbep_vectorized as tw;
+use dbep_volcano::{AggSpec, BinOp, CmpOp, Expr, Plan, Row, Val};
 
 const CUST_BITS: usize = 8 * (4 + 10); // custkey + segment text
 const ORD_BITS: usize = 8 * (4 + 4 + 4 + 4);
@@ -312,86 +313,6 @@ fn probe_lineitem(
     merge_partitions(shards, &cfg.exec(), |a, b| *a += b)
 }
 
-/// Volcano: the same plan, interpreted. The driving lineitem scan is
-/// morsel-partitioned across `cfg.threads` workers (each worker builds
-/// its own copies of the small join tables); partial groups re-aggregate
-/// in a final merge pass.
-pub fn volcano(db: &Database, cfg: &ExecCfg, p: &Q3Params) -> QueryResult {
-    use dbep_runtime::Morsels;
-    use dbep_volcano::{exchange, AggSpec, Aggregate, BinOp, CmpOp, Expr, HashJoin, Rows, Scan, Select, Val};
-    let li = db.table("lineitem");
-    let m = Morsels::new(li.len());
-    let partials = exchange::union(&cfg.exec(), |_| {
-        let cust_filtered = Select {
-            input: Box::new(
-                Scan::new(db.table("customer"), &["c_custkey", "c_mktsegment"])
-                    .paced(cfg.throttle)
-                    .recorded(cfg.sched),
-            ),
-            pred: Expr::cmp(CmpOp::Eq, Expr::col(1), Expr::Const(Val::Str(p.segment.clone()))),
-        };
-        let ord_filtered = Select {
-            input: Box::new(
-                Scan::new(
-                    db.table("orders"),
-                    &["o_orderkey", "o_custkey", "o_orderdate", "o_shippriority"],
-                )
-                .paced(cfg.throttle)
-                .recorded(cfg.sched),
-            ),
-            pred: Expr::cmp(CmpOp::Lt, Expr::col(2), Expr::lit_i32(p.cut)),
-        };
-        // rows: [c_custkey, c_mktsegment, o_orderkey, o_custkey, o_orderdate, o_prio]
-        let join1 = HashJoin::new(
-            Box::new(cust_filtered),
-            vec![Expr::col(0)],
-            Box::new(ord_filtered),
-            vec![Expr::col(1)],
-        );
-        let li_filtered = Select {
-            input: Box::new(
-                Scan::new(li, &["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"])
-                    .paced(cfg.throttle)
-                    .recorded(cfg.sched)
-                    .morsel_driven(&m),
-            ),
-            pred: Expr::cmp(CmpOp::Gt, Expr::col(3), Expr::lit_i32(p.cut)),
-        };
-        // rows: join1 row (6 cols) ++ [l_orderkey, ext, disc, ship]
-        let join2 = HashJoin::new(
-            Box::new(join1),
-            vec![Expr::col(2)],
-            Box::new(li_filtered),
-            vec![Expr::col(0)],
-        );
-        Box::new(Aggregate::new(
-            Box::new(join2),
-            vec![Expr::col(2), Expr::col(4), Expr::col(5)],
-            vec![AggSpec::SumI64(Expr::arith(
-                BinOp::Mul,
-                Expr::col(7),
-                Expr::arith(BinOp::Sub, Expr::lit_i64(100), Expr::col(8)),
-            ))],
-        ))
-    });
-    let merge = Aggregate::new(
-        Box::new(Rows::new(partials)),
-        vec![Expr::col(0), Expr::col(1), Expr::col(2)],
-        vec![AggSpec::SumI64(Expr::col(3))],
-    );
-    let groups = dbep_volcano::ops::collect(Box::new(merge))
-        .into_iter()
-        .map(|row| {
-            let key = match (&row[0], &row[1], &row[2]) {
-                (Val::I32(a), Val::I32(b), Val::I32(c)) => (*a, *b, *c),
-                other => panic!("unexpected group key {other:?}"),
-            };
-            (key, row[3].as_i64())
-        })
-        .collect();
-    finish(groups)
-}
-
 /// Registry entry (see [`crate::QueryPlan`]).
 pub struct Q3;
 
@@ -400,12 +321,42 @@ impl crate::QueryPlan for Q3 {
         crate::QueryId::Q3
     }
 
-    fn tuples_scanned(&self, db: &Database) -> usize {
-        db.table("customer").len() + db.table("orders").len() + db.table("lineitem").len()
+    /// The same plan, interpreted; the lineitem scan drives.
+    fn volcano_plan(&self, params: &Params) -> Plan {
+        let p = params.q3();
+        let customer = Plan::scan("customer", &["c_custkey", "c_mktsegment"]).select(Expr::cmp(
+            CmpOp::Eq,
+            Expr::col(1),
+            Expr::Const(Val::Str(p.segment.clone())),
+        ));
+        let orders = Plan::scan(
+            "orders",
+            &["o_orderkey", "o_custkey", "o_orderdate", "o_shippriority"],
+        )
+        .select(Expr::cmp(CmpOp::Lt, Expr::col(2), Expr::lit_i32(p.cut)));
+        let lineitem = Plan::scan(
+            "lineitem",
+            &["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"],
+        )
+        .select(Expr::cmp(CmpOp::Gt, Expr::col(3), Expr::lit_i32(p.cut)));
+        // [c_custkey, c_mktsegment, o_orderkey, o_custkey, o_orderdate, o_prio]
+        customer
+            .hash_join(vec![Expr::col(0)], orders, vec![Expr::col(1)])
+            // ++ [l_orderkey, ext, disc, ship]
+            .hash_join(vec![Expr::col(2)], lineitem, vec![Expr::col(0)])
+            .aggregate(
+                vec![Expr::col(2), Expr::col(4), Expr::col(5)],
+                vec![AggSpec::SumI64(Expr::arith(
+                    BinOp::Mul,
+                    Expr::col(7),
+                    Expr::arith(BinOp::Sub, Expr::lit_i64(100), Expr::col(8)),
+                ))],
+            )
     }
 
-    fn volcano(&self, db: &Database, cfg: &ExecCfg, params: &Params) -> QueryResult {
-        volcano(db, cfg, params.q3())
+    fn volcano_result(&self, _db: &Database, rows: Vec<Row>) -> QueryResult {
+        let key = |r: &Row| (r[0].as_i32(), r[1].as_i32(), r[2].as_i32());
+        finish(rows.iter().map(|r| (key(r), r[3].as_i64())).collect())
     }
 
     fn stages(&self) -> &'static [crate::StageDesc] {

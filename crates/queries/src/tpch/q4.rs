@@ -27,6 +27,7 @@ use dbep_runtime::hash::HashFn;
 use dbep_runtime::JoinHt;
 use dbep_storage::Database;
 use dbep_vectorized as tw;
+use dbep_volcano::{AggSpec, CmpOp, Expr, Plan, Row};
 
 const LI_BITS: usize = 8 * (4 + 4 + 4); // orderkey + commitdate + receiptdate
 const ORD_BITS: usize = 8 * (4 + 4 + 9); // orderkey + orderdate + priority text
@@ -90,6 +91,11 @@ fn finish(db: &Database, g: PrioCounts) -> QueryResult {
             ]
         })
         .collect();
+    result(rows)
+}
+
+/// The result columns, ordered by priority.
+fn result(rows: Vec<Vec<Value>>) -> QueryResult {
     QueryResult::new(
         &["o_orderpriority", "order_count"],
         rows,
@@ -252,73 +258,6 @@ fn probe_orders(
     }
 }
 
-/// Volcano: the same plan through the interpreted semi-join operator.
-/// The driving orders scan is morsel-partitioned across `cfg.threads`
-/// workers; partial priority counts re-aggregate in a final merge pass.
-pub fn volcano(db: &Database, cfg: &ExecCfg, p: &Q4Params) -> QueryResult {
-    use dbep_runtime::Morsels;
-    use dbep_volcano::{exchange, AggSpec, Aggregate, CmpOp, Expr, Rows, Scan, Select, SemiJoin, Val};
-    let ord = db.table("orders");
-    let m = Morsels::new(ord.len());
-    let partials = exchange::union(&cfg.exec(), |_| {
-        let late = Select {
-            input: Box::new(
-                Scan::new(
-                    db.table("lineitem"),
-                    &["l_orderkey", "l_commitdate", "l_receiptdate"],
-                )
-                .paced(cfg.throttle)
-                .recorded(cfg.sched),
-            ),
-            pred: Expr::cmp(CmpOp::Lt, Expr::col(1), Expr::col(2)),
-        };
-        let ord_f = Select {
-            input: Box::new(
-                Scan::new(ord, &["o_orderkey", "o_orderdate", "o_orderpriority"])
-                    .paced(cfg.throttle)
-                    .recorded(cfg.sched)
-                    .morsel_driven(&m),
-            ),
-            pred: Expr::And(vec![
-                Expr::cmp(CmpOp::Ge, Expr::col(1), Expr::lit_i32(p.date_lo)),
-                Expr::cmp(CmpOp::Lt, Expr::col(1), Expr::lit_i32(p.date_hi)),
-            ]),
-        };
-        let semi = SemiJoin::new(
-            Box::new(late),
-            vec![Expr::col(0)],
-            Box::new(ord_f),
-            vec![Expr::col(0)],
-        );
-        Box::new(Aggregate::new(
-            Box::new(semi),
-            vec![Expr::col(2)],
-            vec![AggSpec::Count],
-        ))
-    });
-    let merge = Aggregate::new(
-        Box::new(Rows::new(partials)),
-        vec![Expr::col(0)],
-        vec![AggSpec::SumI64(Expr::col(1))],
-    );
-    let rows = dbep_volcano::ops::collect(Box::new(merge))
-        .into_iter()
-        .map(|row| {
-            let prio = match &row[0] {
-                Val::Str(s) => s.clone(),
-                other => panic!("unexpected group key {other:?}"),
-            };
-            vec![Value::Str(prio), Value::I64(row[1].as_i64())]
-        })
-        .collect();
-    QueryResult::new(
-        &["o_orderpriority", "order_count"],
-        rows,
-        &[OrderBy::asc(0)],
-        None,
-    )
-}
-
 /// Registry entry (see [`crate::QueryPlan`]).
 pub struct Q4;
 
@@ -327,12 +266,27 @@ impl crate::QueryPlan for Q4 {
         crate::QueryId::Q4
     }
 
-    fn tuples_scanned(&self, db: &Database) -> usize {
-        db.table("lineitem").len() + db.table("orders").len()
+    /// The same plan through the interpreted semi-join; the orders scan
+    /// drives.
+    fn volcano_plan(&self, params: &Params) -> Plan {
+        let p = params.q4();
+        let late = Plan::scan("lineitem", &["l_orderkey", "l_commitdate", "l_receiptdate"])
+            .select(Expr::cmp(CmpOp::Lt, Expr::col(1), Expr::col(2)));
+        let orders =
+            Plan::scan("orders", &["o_orderkey", "o_orderdate", "o_orderpriority"]).select(Expr::And(vec![
+                Expr::cmp(CmpOp::Ge, Expr::col(1), Expr::lit_i32(p.date_lo)),
+                Expr::cmp(CmpOp::Lt, Expr::col(1), Expr::lit_i32(p.date_hi)),
+            ]));
+        late.semi_join(vec![Expr::col(0)], orders, vec![Expr::col(0)])
+            .aggregate(vec![Expr::col(2)], vec![AggSpec::Count])
     }
 
-    fn volcano(&self, db: &Database, cfg: &ExecCfg, params: &Params) -> QueryResult {
-        volcano(db, cfg, params.q4())
+    fn volcano_result(&self, _db: &Database, rows: Vec<Row>) -> QueryResult {
+        result(
+            rows.iter()
+                .map(|r| vec![Value::Str(r[0].as_str().to_string()), Value::I64(r[1].as_i64())])
+                .collect(),
+        )
     }
 
     fn stages(&self) -> &'static [crate::StageDesc] {

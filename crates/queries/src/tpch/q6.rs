@@ -28,6 +28,7 @@ use crate::{Engine, ExecCfg, Params};
 use dbep_compiled::{for_each_row, RowScan};
 use dbep_storage::Database;
 use dbep_vectorized as tw;
+use dbep_volcano::{AggSpec, BinOp, CmpOp, Expr, Plan, Row};
 
 fn finish(revenue: i64) -> QueryResult {
     QueryResult::new(&["revenue"], vec![vec![Value::dec4(revenue as i128)]], &[], None)
@@ -121,42 +122,6 @@ fn scan_filter(db: &Database, cfg: &ExecCfg, p: &Q6Params, engine: Engine) -> i6
     }
 }
 
-/// Volcano: interpreted conjunction, one tuple at a time; `threads`
-/// partition the scan through the exchange union, partial sums merge
-/// here.
-pub fn volcano(db: &Database, cfg: &ExecCfg, p: &Q6Params) -> QueryResult {
-    use dbep_runtime::Morsels;
-    use dbep_volcano::{exchange, AggSpec, Aggregate, BinOp, CmpOp, Expr, Scan, Select};
-    let li = db.table("lineitem");
-    let m = Morsels::new(li.len());
-    let partials = exchange::union(&cfg.exec(), |_| {
-        let scan = Scan::new(li, &["l_shipdate", "l_discount", "l_quantity", "l_extendedprice"])
-            .paced(cfg.throttle)
-            .recorded(cfg.sched)
-            .morsel_driven(&m);
-        let filtered = Select {
-            input: Box::new(scan),
-            pred: Expr::And(vec![
-                Expr::cmp(CmpOp::Ge, Expr::col(0), Expr::lit_i32(p.ship_lo)),
-                Expr::cmp(CmpOp::Lt, Expr::col(0), Expr::lit_i32(p.ship_hi)),
-                Expr::cmp(CmpOp::Ge, Expr::col(1), Expr::lit_i64(p.disc_lo)),
-                Expr::cmp(CmpOp::Le, Expr::col(1), Expr::lit_i64(p.disc_hi)),
-                Expr::cmp(CmpOp::Lt, Expr::col(2), Expr::lit_i64(p.qty_hi)),
-            ]),
-        };
-        Box::new(Aggregate::new(
-            Box::new(filtered),
-            vec![],
-            vec![AggSpec::SumI64(Expr::arith(
-                BinOp::Mul,
-                Expr::col(3),
-                Expr::col(1),
-            ))],
-        ))
-    });
-    finish(partials.iter().map(|r| r[0].as_i64()).sum())
-}
-
 /// Registry entry (see [`crate::QueryPlan`]).
 pub struct Q6;
 
@@ -165,8 +130,32 @@ impl crate::QueryPlan for Q6 {
         crate::QueryId::Q6
     }
 
-    fn tuples_scanned(&self, db: &Database) -> usize {
-        db.table("lineitem").len()
+    /// The interpreted conjunction, one tuple at a time.
+    fn volcano_plan(&self, params: &Params) -> Plan {
+        let p = params.q6();
+        Plan::scan(
+            "lineitem",
+            &["l_shipdate", "l_discount", "l_quantity", "l_extendedprice"],
+        )
+        .select(Expr::And(vec![
+            Expr::cmp(CmpOp::Ge, Expr::col(0), Expr::lit_i32(p.ship_lo)),
+            Expr::cmp(CmpOp::Lt, Expr::col(0), Expr::lit_i32(p.ship_hi)),
+            Expr::cmp(CmpOp::Ge, Expr::col(1), Expr::lit_i64(p.disc_lo)),
+            Expr::cmp(CmpOp::Le, Expr::col(1), Expr::lit_i64(p.disc_hi)),
+            Expr::cmp(CmpOp::Lt, Expr::col(2), Expr::lit_i64(p.qty_hi)),
+        ]))
+        .aggregate(
+            vec![],
+            vec![AggSpec::SumI64(Expr::arith(
+                BinOp::Mul,
+                Expr::col(3),
+                Expr::col(1),
+            ))],
+        )
+    }
+
+    fn volcano_result(&self, _db: &Database, rows: Vec<Row>) -> QueryResult {
+        finish(rows[0][0].as_i64())
     }
 
     fn stages(&self) -> &'static [crate::StageDesc] {
@@ -180,9 +169,5 @@ impl crate::QueryPlan for Q6 {
         let [engine] = crate::assignment(choices);
         let _stage = cfg.stage(0);
         finish(scan_filter(db, cfg, params.q6(), engine))
-    }
-
-    fn volcano(&self, db: &Database, cfg: &ExecCfg, params: &Params) -> QueryResult {
-        volcano(db, cfg, params.q6())
     }
 }

@@ -31,6 +31,7 @@ use dbep_runtime::{GroupByShard, JoinHt};
 use dbep_storage::types::year_of;
 use dbep_storage::Database;
 use dbep_vectorized as tw;
+use dbep_volcano::{AggSpec, BinOp, Expr, Plan, Row};
 
 const PART_BITS: usize = 8 * (4 + 33);
 const PS_BITS: usize = 8 * (4 + 4 + 8);
@@ -446,78 +447,37 @@ fn probe_orders(
     merge_partitions(shards, &cfg.exec(), |a, b| *a += b)
 }
 
-/// Volcano: the same plan, interpreted. The driving orders scan is
-/// morsel-partitioned across `cfg.threads` workers (the heavy build
-/// chain is constructed per worker — the honest cost of a baseline
-/// interpreter without shared operator state); partial per-day groups
-/// merge in the per-year re-aggregation below.
-pub fn volcano(db: &Database, cfg: &ExecCfg, p: &Q9Params) -> QueryResult {
-    use dbep_runtime::Morsels;
-    use dbep_volcano::{exchange, AggSpec, Aggregate, BinOp, Expr, HashJoin, Project, Scan, Select, Val};
-    let ord = db.table("orders");
-    let m = Morsels::new(ord.len());
-    let partials = exchange::union(&cfg.exec(), |_| {
-        let part_f = Select {
-            input: Box::new(
-                Scan::new(db.table("part"), &["p_partkey", "p_name"])
-                    .paced(cfg.throttle)
-                    .recorded(cfg.sched),
-            ),
-            pred: Expr::Contains(Box::new(Expr::col(1)), p.needle.clone()),
-        };
-        // [p_partkey, p_name, ps_partkey, ps_suppkey, ps_supplycost]
-        let j_ps = HashJoin::new(
-            Box::new(part_f),
-            vec![Expr::col(0)],
-            Box::new(
-                Scan::new(
-                    db.table("partsupp"),
-                    &["ps_partkey", "ps_suppkey", "ps_supplycost"],
-                )
-                .paced(cfg.throttle)
-                .recorded(cfg.sched),
-            ),
-            vec![Expr::col(0)],
+/// Registry entry (see [`crate::QueryPlan`]).
+pub struct Q9;
+
+impl crate::QueryPlan for Q9 {
+    fn id(&self) -> crate::QueryId {
+        crate::QueryId::Q9
+    }
+
+    /// The same plan, interpreted; the orders scan drives, and the heavy
+    /// build chain is constructed per worker — the honest cost of a
+    /// baseline interpreter without shared operator state.
+    fn volcano_plan(&self, params: &Params) -> Plan {
+        let p = params.q9();
+        let part = Plan::scan("part", &["p_partkey", "p_name"])
+            .select(Expr::Contains(Box::new(Expr::col(1)), p.needle.clone()));
+        let partsupp = Plan::scan("partsupp", &["ps_partkey", "ps_suppkey", "ps_supplycost"]);
+        let lineitem = Plan::scan(
+            "lineitem",
+            &[
+                "l_orderkey",
+                "l_partkey",
+                "l_suppkey",
+                "l_quantity",
+                "l_extendedprice",
+                "l_discount",
+            ],
         );
-        // Prune to [ps_partkey, ps_suppkey, ps_supplycost].
-        let ps_view = Project {
-            input: Box::new(j_ps),
-            exprs: vec![Expr::col(2), Expr::col(3), Expr::col(4)],
-        };
-        // ⋈ lineitem on (partkey, suppkey):
-        // [ps_pk, ps_sk, cost, l_orderkey, l_partkey, l_suppkey, qty, ext, disc]
-        let j_li = HashJoin::new(
-            Box::new(ps_view),
-            vec![Expr::col(0), Expr::col(1)],
-            Box::new(
-                Scan::new(
-                    db.table("lineitem"),
-                    &[
-                        "l_orderkey",
-                        "l_partkey",
-                        "l_suppkey",
-                        "l_quantity",
-                        "l_extendedprice",
-                        "l_discount",
-                    ],
-                )
-                .paced(cfg.throttle)
-                .recorded(cfg.sched),
-            ),
-            vec![Expr::col(1), Expr::col(2)],
-        );
-        // ⋈ supplier: [s_suppkey, s_nationkey] ++ previous 9 cols.
-        let j_s = HashJoin::new(
-            Box::new(
-                Scan::new(db.table("supplier"), &["s_suppkey", "s_nationkey"])
-                    .paced(cfg.throttle)
-                    .recorded(cfg.sched),
-            ),
-            vec![Expr::col(0)],
-            Box::new(j_li),
-            vec![Expr::col(5)], // l_suppkey position after build++probe concat
-        );
-        // amount = ext*(100-disc) - cost*qty/100 ; key cols: nationkey, orderkey.
+        let supplier = Plan::scan("supplier", &["s_suppkey", "s_nationkey"]);
+        let orders =
+            Plan::scan("orders", &["o_orderkey", "o_orderdate"]).project(vec![Expr::col(0), Expr::col(1)]);
+        // amount = ext*(100-disc) - cost*qty/100
         let amount = Expr::arith(
             BinOp::Sub,
             Expr::arith(
@@ -527,68 +487,40 @@ pub fn volcano(db: &Database, cfg: &ExecCfg, p: &Q9Params) -> QueryResult {
             ),
             Expr::arith(BinOp::Mul, Expr::col(4), Expr::col(8)),
         );
-        let li_view = Project {
-            input: Box::new(j_s),
-            exprs: vec![Expr::col(1), Expr::col(5), amount],
-        };
-        // ⋈ orders: [nationkey, l_orderkey, amount, o_orderkey, o_year]
-        let year_expr = Expr::col(4);
-        let j_o = HashJoin::new(
-            Box::new(li_view),
-            vec![Expr::col(1)],
-            Box::new(Project {
-                input: Box::new(
-                    Scan::new(ord, &["o_orderkey", "o_orderdate"])
-                        .paced(cfg.throttle)
-                        .recorded(cfg.sched)
-                        .morsel_driven(&m),
-                ),
-                exprs: vec![Expr::col(0), Expr::col(1)],
-            }),
-            vec![Expr::col(0)],
+        // [p_partkey, p_name, ps_partkey, ps_suppkey, ps_supplycost],
+        // pruned to [ps_partkey, ps_suppkey, ps_supplycost].
+        let ps = part
+            .hash_join(vec![Expr::col(0)], partsupp, vec![Expr::col(0)])
+            .project(vec![Expr::col(2), Expr::col(3), Expr::col(4)]);
+        // ⋈ lineitem on (partkey, suppkey):
+        // [ps_pk, ps_sk, cost, l_orderkey, l_partkey, l_suppkey, qty, ext, disc]
+        let li = ps.hash_join(
+            vec![Expr::col(0), Expr::col(1)],
+            lineitem,
+            vec![Expr::col(1), Expr::col(2)],
         );
-        Box::new(Aggregate::new(
-            Box::new(j_o),
-            vec![Expr::col(0), year_expr],
-            vec![AggSpec::SumI64(Expr::col(2))],
-        ))
-    });
-    let groups = partials
-        .into_iter()
-        .map(|row| {
-            let nat = match &row[0] {
-                Val::I32(v) => *v,
-                other => panic!("unexpected nation key {other:?}"),
-            };
-            let year = year_of(match &row[1] {
-                Val::I32(v) => *v,
-                other => panic!("unexpected date {other:?}"),
-            });
-            ((nat, year), row[2].as_i64())
-        })
-        .collect::<Vec<_>>();
-    // Dates group per-day above (and per worker); re-aggregate per year.
-    let mut byyear: std::collections::HashMap<(i32, i32), i64> = std::collections::HashMap::new();
-    for (k, v) in groups {
-        *byyear.entry(k).or_insert(0) += v;
-    }
-    finish(db, byyear.into_iter().collect())
-}
-
-/// Registry entry (see [`crate::QueryPlan`]).
-pub struct Q9;
-
-impl crate::QueryPlan for Q9 {
-    fn id(&self) -> crate::QueryId {
-        crate::QueryId::Q9
+        // supplier ⋈: [s_suppkey, s_nationkey] ++ the 9 columns above,
+        // pruned to [nationkey, l_orderkey, amount].
+        supplier
+            .hash_join(vec![Expr::col(0)], li, vec![Expr::col(5)])
+            .project(vec![Expr::col(1), Expr::col(5), amount])
+            // ⋈ orders: [nationkey, l_orderkey, amount, o_orderkey, o_orderdate]
+            .hash_join(vec![Expr::col(1)], orders, vec![Expr::col(0)])
+            .aggregate(
+                vec![Expr::col(0), Expr::col(4)],
+                vec![AggSpec::SumI64(Expr::col(2))],
+            )
     }
 
-    fn tuples_scanned(&self, db: &Database) -> usize {
-        db.table("part").len()
-            + db.table("partsupp").len()
-            + db.table("supplier").len()
-            + db.table("lineitem").len()
-            + db.table("orders").len()
+    /// The plan groups per day; re-aggregate per year.
+    fn volcano_result(&self, db: &Database, rows: Vec<Row>) -> QueryResult {
+        let mut by_year: std::collections::HashMap<(i32, i32), i64> = std::collections::HashMap::new();
+        for r in rows {
+            *by_year
+                .entry((r[0].as_i32(), year_of(r[1].as_i32())))
+                .or_insert(0) += r[2].as_i64();
+        }
+        finish(db, by_year.into_iter().collect())
     }
 
     fn stages(&self) -> &'static [crate::StageDesc] {
@@ -624,9 +556,5 @@ impl crate::QueryPlan for Q9 {
         };
         let _s = cfg.stage(4);
         finish(db, probe_orders(db, cfg, orders, hf_li, &ht_li))
-    }
-
-    fn volcano(&self, db: &Database, cfg: &ExecCfg, params: &Params) -> QueryResult {
-        volcano(db, cfg, params.q9())
     }
 }

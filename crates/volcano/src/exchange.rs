@@ -11,8 +11,9 @@
 //! are constructed redundantly per worker — the honest cost model of a
 //! baseline interpreter without shared operator state.
 //!
-//! The caller merges the unioned partial rows (e.g. re-aggregates them
-//! through a final [`crate::ops::Aggregate`] over [`crate::ops::Rows`]).
+//! [`crate::Plan::run`] builds the worker instances, partitions the
+//! driving scan and merges the unioned partial rows (re-aggregating them when
+//! the plan's root is an aggregate).
 
 use crate::ops::{collect, BoxOp, Row};
 use dbep_runtime::ExecCtx;

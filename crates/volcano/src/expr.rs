@@ -57,6 +57,14 @@ impl Clone for Val {
 }
 
 impl Val {
+    /// The value of an `I32` (also dates); panics on any other variant.
+    pub fn as_i32(&self) -> i32 {
+        match self {
+            Val::I32(v) => *v,
+            other => panic!("expected a 32-bit value, found {other:?}"),
+        }
+    }
+
     pub fn as_i64(&self) -> i64 {
         match self {
             Val::I32(v) => *v as i64,

@@ -20,12 +20,18 @@
 //! owns, hash operators probe by a borrowed key buffer, and value-keyed
 //! tables hash with the runtime's Murmur2 — so a plan allocates per
 //! inserted build row and group, never per scanned tuple.
+//!
+//! A query is a [`Plan`] value — scans, selections, projections, joins
+//! and aggregates over named tables — and [`Plan::run`] is the one
+//! interpreter: it opens the operators of [`ops`] for each worker of
+//! the [`exchange`] union, paces and records every scan, and merges the
+//! workers' partial rows.
 
 pub mod exchange;
 pub mod expr;
 pub mod ops;
+pub mod plan;
 
 pub use expr::{BinOp, CmpOp, Expr, Val};
-pub use ops::{
-    AggSpec, Aggregate, BoxOp, HashJoin, Operator, Project, Row, Rows, Scan, Select, SemiJoin, Sort, SortKey,
-};
+pub use ops::{AggSpec, Aggregate, BoxOp, HashJoin, Operator, Project, Row, Rows, Scan, Select, SemiJoin};
+pub use plan::Plan;

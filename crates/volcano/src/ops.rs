@@ -210,7 +210,7 @@ impl<'a> Operator for Scan<'a> {
 }
 
 /// Source over already-materialized rows (used to merge the partial
-/// results of a parallel union back through a final operator chain).
+/// results of a parallel union back through a final aggregate).
 pub struct Rows {
     iter: std::vec::IntoIter<Row>,
 }
@@ -404,7 +404,7 @@ pub enum AggSpec {
 }
 
 impl AggSpec {
-    fn zero(&self) -> Val {
+    pub(crate) fn zero(&self) -> Val {
         match self {
             AggSpec::SumI64(_) | AggSpec::Count => Val::I64(0),
             AggSpec::SumI128(_) => Val::I128(0),
@@ -464,44 +464,6 @@ impl Aggregate {
 }
 
 impl Operator for Aggregate {
-    fn next(&mut self, row: &mut Row) -> bool {
-        self.out.next(row)
-    }
-}
-
-/// Sort key: column position + direction.
-#[derive(Clone, Copy, Debug)]
-pub struct SortKey {
-    pub col: usize,
-    pub desc: bool,
-}
-
-/// Blocking sort with optional LIMIT.
-pub struct Sort {
-    out: Rows,
-}
-
-impl Sort {
-    pub fn new(input: BoxOp<'_>, keys: Vec<SortKey>, limit: Option<usize>) -> Self {
-        let mut rows = collect(input);
-        rows.sort_by(|a, b| {
-            for k in &keys {
-                let ord = a[k.col].partial_cmp(&b[k.col]).expect("comparable vals");
-                let ord = if k.desc { ord.reverse() } else { ord };
-                if !ord.is_eq() {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-        if let Some(l) = limit {
-            rows.truncate(l);
-        }
-        Sort { out: Rows::new(rows) }
-    }
-}
-
-impl Operator for Sort {
     fn next(&mut self, row: &mut Row) -> bool {
         self.out.next(row)
     }
@@ -767,7 +729,7 @@ mod tests {
     }
 
     #[test]
-    fn rows_and_sort_drain_through_the_buffer() {
+    fn rows_drain_through_the_buffer() {
         let rows = vec![
             vec![Val::I32(2), Val::Str("two".into())],
             vec![Val::I32(1)],
@@ -781,33 +743,6 @@ mod tests {
         }
         assert!(!src.next(&mut row));
         assert!(!src.next(&mut row), "an exhausted source stays exhausted");
-
-        let mut sort = Sort::new(
-            Box::new(Rows::new(rows)),
-            vec![SortKey { col: 0, desc: false }],
-            None,
-        );
-        for k in [1, 2, 3] {
-            assert!(sort.next(&mut row));
-            assert_eq!(row[0], Val::I32(k));
-        }
-        assert!(!sort.next(&mut row));
-        assert!(!sort.next(&mut row));
-    }
-
-    #[test]
-    fn sort_with_limit() {
-        let t = test_table();
-        let sort = Sort::new(
-            Box::new(Scan::new(&t, &["k", "v"])),
-            vec![SortKey { col: 1, desc: true }],
-            Some(2),
-        );
-        let rows = collect(Box::new(sort));
-        assert_eq!(
-            rows,
-            vec![vec![Val::I32(4), Val::I64(40)], vec![Val::I32(3), Val::I64(30)]]
-        );
     }
 
     #[test]
