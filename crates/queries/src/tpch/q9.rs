@@ -455,9 +455,10 @@ impl crate::QueryPlan for Q9 {
         crate::QueryId::Q9
     }
 
-    /// The same plan, interpreted; the orders scan drives, and the heavy
-    /// build chain is constructed per worker — the honest cost of a
-    /// baseline interpreter without shared operator state.
+    /// The same plan, interpreted; the orders scan drives. The heavy
+    /// build chain runs once before it, as pipelines of its own — the
+    /// supplier, part and partsupp builds, then the lineitem scan that
+    /// probes them — into one table all workers probe.
     fn volcano_plan(&self, params: &Params) -> Plan {
         let p = params.q9();
         let part = Plan::scan("part", &["p_partkey", "p_name"])

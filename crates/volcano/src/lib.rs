@@ -23,15 +23,21 @@
 //!
 //! A query is a [`Plan`] value — scans, selections, projections, joins
 //! and aggregates over named tables — and [`Plan::run`] is the one
-//! interpreter: it opens the operators of [`ops`] for each worker of
-//! the [`exchange`] union, paces and records every scan, and merges the
-//! workers' partial rows.
+//! interpreter. It runs every join's build side once, as its own
+//! morsel-partitioned pipeline across the workers of the exchange
+//! union, into one read-only table all workers probe; it then opens
+//! only the probe pipeline from the driving scan on each worker, paces
+//! and records every scan, and concatenates the workers' rows. Every
+//! aggregate is merged one hash partition per worker.
 
-pub mod exchange;
+mod exchange;
 pub mod expr;
 pub mod ops;
 pub mod plan;
 
 pub use expr::{BinOp, CmpOp, Expr, Val};
-pub use ops::{AggSpec, Aggregate, BoxOp, HashJoin, Operator, Project, Row, Rows, Scan, Select, SemiJoin};
+pub use ops::{
+    AggSpec, Aggregate, BoxOp, HashJoin, JoinTable, KeySet, Operator, Project, Row, Scan, Select, SemiJoin,
+    Shard,
+};
 pub use plan::Plan;

@@ -14,8 +14,9 @@ use dbep_scheduler::QueryRun;
 use dbep_storage::throttle::Throttle;
 use dbep_storage::{ColumnData, Table};
 use std::borrow::Cow;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::ops::Range;
 
 /// One tuple.
@@ -209,33 +210,6 @@ impl<'a> Operator for Scan<'a> {
     }
 }
 
-/// Source over already-materialized rows (used to merge the partial
-/// results of a parallel union back through a final aggregate).
-pub struct Rows {
-    iter: std::vec::IntoIter<Row>,
-}
-
-impl Rows {
-    pub fn new(rows: Vec<Row>) -> Self {
-        Rows {
-            iter: rows.into_iter(),
-        }
-    }
-}
-
-impl Operator for Rows {
-    /// Moves the next materialized row into the buffer (no copy).
-    fn next(&mut self, row: &mut Row) -> bool {
-        match self.iter.next() {
-            Some(r) => {
-                *row = r;
-                true
-            }
-            None => false,
-        }
-    }
-}
-
 /// A boxed operator with borrowed table data.
 pub type BoxOp<'a> = Box<dyn Operator + 'a>;
 
@@ -280,19 +254,114 @@ impl<'a> Operator for Project<'a> {
     }
 }
 
-/// Blocking hash join: materializes the whole build side into a value-
-/// keyed hash map, then streams the probe side (inner join, all matches,
-/// each emitted as build columns followed by probe columns). A probe
-/// tuple's matches are emitted newest build row first.
-pub struct HashJoin<'a> {
-    probe: BoxOp<'a>,
-    probe_keys: Vec<Expr>,
+/// A pipeline breaker's state as its input is drained into it: one per
+/// instance of a parallel region, then merged once. Each input row
+/// arrives with its key already evaluated.
+pub trait Shard: Send + Sized {
+    fn push(&mut self, key: &[Val], row: &[Val]);
+
+    /// Combine the instances' shards — at least one — into one.
+    fn merge(shards: Vec<Self>) -> Self;
+}
+
+/// Drain `op` into `shard`, keying every row by `keys`.
+pub fn build<S: Shard>(mut op: BoxOp<'_>, keys: &[Expr], mut shard: S) -> S {
+    let (mut row, mut key) = (Row::new(), Row::new());
+    while op.next(&mut row) {
+        eval_into(&mut key, keys, &row);
+        shard.push(&key, &row);
+    }
+    shard
+}
+
+/// Remove the shard for which `size` is largest, the one the others are
+/// merged into, so the fewest entries are hashed again.
+fn take_largest<S>(shards: &mut Vec<S>, size: impl Fn(&S) -> usize) -> S {
+    let largest = (0..shards.len())
+        .max_by_key(|&i| size(&shards[i]))
+        .expect("one shard per instance");
+    shards.swap_remove(largest)
+}
+
+/// The rows themselves, in order; the key is ignored.
+impl Shard for Vec<Row> {
+    fn push(&mut self, _: &[Val], row: &[Val]) {
+        Vec::push(self, row.to_vec());
+    }
+
+    fn merge(shards: Vec<Self>) -> Self {
+        shards.into_iter().flatten().collect()
+    }
+}
+
+/// The build side of a [`HashJoin`]: every build row, and per key its
+/// newest row, from which each row links to the next-older row with
+/// the same key.
+#[derive(Default)]
+pub struct JoinTable {
     /// Build key → index of its newest build row.
-    table: ValMap<usize>,
+    newest: ValMap<usize>,
     /// Build rows in build order; `older[i]` is the next-older row with
     /// row `i`'s key.
     rows: Vec<Row>,
     older: Vec<Option<usize>>,
+}
+
+impl Shard for JoinTable {
+    fn push(&mut self, key: &[Val], row: &[Val]) {
+        let i = self.rows.len();
+        self.older.push(match self.newest.get_mut(key) {
+            Some(newest) => Some(std::mem::replace(newest, i)),
+            None => {
+                self.newest.insert(key.to_vec(), i);
+                None
+            }
+        });
+        self.rows.push(row.to_vec());
+    }
+
+    /// Appends the other shards' rows to the one with the most keys.
+    /// Where a key is in both, the appended shard's rows come first,
+    /// newest first, then the rows already there.
+    fn merge(mut shards: Vec<Self>) -> Self {
+        let mut table = take_largest(&mut shards, |t| t.newest.len());
+        for shard in shards {
+            // Keys arrive in the shard's hash order, which crowds a
+            // growing table with the same hash function into a few long
+            // probe sequences; room for all of them is made first.
+            table.newest.reserve(shard.newest.len());
+            let base = table.rows.len();
+            table.rows.extend(shard.rows);
+            table
+                .older
+                .extend(shard.older.iter().map(|o| o.map(|i| i + base)));
+            for (key, newest) in shard.newest {
+                match table.newest.entry(key) {
+                    Entry::Occupied(mut head) => {
+                        let mut oldest = newest + base;
+                        while let Some(i) = table.older[oldest] {
+                            oldest = i;
+                        }
+                        table.older[oldest] = Some(head.insert(newest + base));
+                    }
+                    Entry::Vacant(slot) => {
+                        slot.insert(newest + base);
+                    }
+                }
+            }
+        }
+        table
+    }
+}
+
+/// Inner hash join against a [`JoinTable`] built before the probe side
+/// opens: streams the probe side, each match emitted as build columns
+/// followed by probe columns, a probe tuple's matches newest build row
+/// first.
+pub struct HashJoin<'a> {
+    table: &'a JoinTable,
+    probe: BoxOp<'a>,
+    probe_keys: Vec<Expr>,
     /// The current probe tuple and the key buffer, reused across tuples.
     probe_row: Row,
     key: Row,
@@ -301,32 +370,13 @@ pub struct HashJoin<'a> {
 }
 
 impl<'a> HashJoin<'a> {
-    /// Fully consumes `build` on construction (the pipeline breaker).
-    pub fn new(mut build: BoxOp<'_>, build_keys: Vec<Expr>, probe: BoxOp<'a>, probe_keys: Vec<Expr>) -> Self {
-        assert_eq!(build_keys.len(), probe_keys.len(), "join key arity");
-        let mut table: ValMap<usize> = ValMap::default();
-        let (mut rows, mut older) = (Vec::new(), Vec::new());
-        let (mut row, mut key) = (Row::new(), Row::new());
-        while build.next(&mut row) {
-            eval_into(&mut key, &build_keys, &row);
-            let i = rows.len();
-            older.push(match table.get_mut(key.as_slice()) {
-                Some(newest) => Some(std::mem::replace(newest, i)),
-                None => {
-                    table.insert(key.clone(), i);
-                    None
-                }
-            });
-            rows.push(row.clone());
-        }
+    pub fn new(table: &'a JoinTable, probe: BoxOp<'a>, probe_keys: Vec<Expr>) -> Self {
         HashJoin {
+            table,
             probe,
             probe_keys,
-            table,
-            rows,
-            older,
             probe_row: Row::new(),
-            key,
+            key: Row::new(),
             cursor: None,
         }
     }
@@ -336,47 +386,66 @@ impl<'a> Operator for HashJoin<'a> {
     fn next(&mut self, row: &mut Row) -> bool {
         loop {
             if let Some(b) = self.cursor {
-                self.cursor = self.older[b];
-                overwrite(row, self.rows[b].iter().chain(&self.probe_row).map(Cow::Borrowed));
+                self.cursor = self.table.older[b];
+                overwrite(
+                    row,
+                    self.table.rows[b]
+                        .iter()
+                        .chain(&self.probe_row)
+                        .map(Cow::Borrowed),
+                );
                 return true;
             }
             if !self.probe.next(&mut self.probe_row) {
                 return false;
             }
             eval_into(&mut self.key, &self.probe_keys, &self.probe_row);
-            self.cursor = self.table.get(self.key.as_slice()).copied();
+            self.cursor = self.table.newest.get(self.key.as_slice()).copied();
         }
     }
 }
 
-/// Blocking hash **semi**-join (SQL `EXISTS` / `IN` subquery):
-/// materializes the build side's key set, then streams probe tuples that
-/// have at least one build match — each probe tuple at most once, never
-/// widened with build columns.
+/// The build side of a [`SemiJoin`]: its distinct keys.
+#[derive(Default)]
+pub struct KeySet(HashSet<Row, BuildHasherDefault<MurmurHasher>>);
+
+impl Shard for KeySet {
+    fn push(&mut self, key: &[Val], _: &[Val]) {
+        if !self.0.contains(key) {
+            self.0.insert(key.to_vec());
+        }
+    }
+
+    /// Adds the other shards' keys to the largest, room made first as in
+    /// [`JoinTable`]'s merge.
+    fn merge(mut shards: Vec<Self>) -> Self {
+        let mut keys = take_largest(&mut shards, |k| k.0.len());
+        for shard in shards {
+            keys.0.reserve(shard.0.len());
+            keys.0.extend(shard.0);
+        }
+        keys
+    }
+}
+
+/// Hash **semi**-join (SQL `EXISTS` / `IN` subquery) against a
+/// [`KeySet`] built before the probe side opens: streams the probe
+/// tuples that have at least one build match — each probe tuple at most
+/// once, never widened with build columns.
 pub struct SemiJoin<'a> {
+    keys: &'a KeySet,
     probe: BoxOp<'a>,
     probe_keys: Vec<Expr>,
-    keys: HashSet<Row, BuildHasherDefault<MurmurHasher>>,
     key: Row,
 }
 
 impl<'a> SemiJoin<'a> {
-    /// Fully consumes `build` on construction (the pipeline breaker).
-    pub fn new(mut build: BoxOp<'_>, build_keys: Vec<Expr>, probe: BoxOp<'a>, probe_keys: Vec<Expr>) -> Self {
-        assert_eq!(build_keys.len(), probe_keys.len(), "join key arity");
-        let mut keys = HashSet::default();
-        let (mut row, mut key) = (Row::new(), Row::new());
-        while build.next(&mut row) {
-            eval_into(&mut key, &build_keys, &row);
-            if !keys.contains(key.as_slice()) {
-                keys.insert(key.clone());
-            }
-        }
+    pub fn new(keys: &'a KeySet, probe: BoxOp<'a>, probe_keys: Vec<Expr>) -> Self {
         SemiJoin {
+            keys,
             probe,
             probe_keys,
-            keys,
-            key,
+            key: Row::new(),
         }
     }
 }
@@ -385,7 +454,7 @@ impl<'a> Operator for SemiJoin<'a> {
     fn next(&mut self, row: &mut Row) -> bool {
         while self.probe.next(row) {
             eval_into(&mut self.key, &self.probe_keys, row);
-            if self.keys.contains(self.key.as_slice()) {
+            if self.keys.0.contains(self.key.as_slice()) {
                 return true;
             }
         }
@@ -404,7 +473,7 @@ pub enum AggSpec {
 }
 
 impl AggSpec {
-    pub(crate) fn zero(&self) -> Val {
+    fn zero(&self) -> Val {
         match self {
             AggSpec::SumI64(_) | AggSpec::Count => Val::I64(0),
             AggSpec::SumI128(_) => Val::I128(0),
@@ -423,43 +492,191 @@ fn accumulate(state: &mut [Val], aggs: &[AggSpec], row: &[Val]) {
     }
 }
 
+/// The groups of an aggregation: per group key, one state per
+/// [`AggSpec`], in one or more partitions by the hash of the key. A
+/// shard holds the groups of the rows one instance saw; merged shards
+/// add up the states of a key. Partitioned shards are merged one
+/// partition at a time, by as many instances in parallel.
+pub(crate) struct Groups {
+    aggs: Vec<AggSpec>,
+    parts: Vec<Part>,
+}
+
+/// One partition of [`Groups`].
+#[derive(Default)]
+pub(crate) struct Part {
+    /// Group key → group number `g`, whose aggregates are
+    /// `states[g * n..][..n]`.
+    index: ValMap<usize>,
+    states: Vec<Val>,
+}
+
+impl Part {
+    /// The number of `key`'s group, inserted with zero states if new.
+    fn group(&mut self, key: &[Val], aggs: &[AggSpec]) -> usize {
+        if let Some(&g) = self.index.get(key) {
+            return g;
+        }
+        let g = self.index.len();
+        self.index.insert(key.to_vec(), g);
+        self.states.extend(aggs.iter().map(AggSpec::zero));
+        g
+    }
+
+    /// Adds the other parts' states into the one with the most groups:
+    /// counts and 64-bit sums as 64-bit sums, 128-bit sums as 128-bit
+    /// sums. Room is made first as in [`JoinTable`]'s merge.
+    pub(crate) fn merge(mut parts: Vec<Part>, aggs: &[AggSpec]) -> Part {
+        let mut merged = take_largest(&mut parts, |p| p.index.len());
+        let n = aggs.len();
+        for part in parts {
+            merged.index.reserve(part.index.len());
+            for (key, g) in part.index {
+                let next = merged.index.len();
+                let into = match merged.index.entry(key) {
+                    Entry::Occupied(e) => *e.get(),
+                    Entry::Vacant(e) => {
+                        merged.states.extend(aggs.iter().map(AggSpec::zero));
+                        *e.insert(next)
+                    }
+                };
+                let (to, from) = (&mut merged.states[into * n..][..n], &part.states[g * n..][..n]);
+                for (to, from) in to.iter_mut().zip(from) {
+                    *to = match to {
+                        Val::I128(v) => Val::I128(*v + from.as_i128()),
+                        _ => Val::I64(to.as_i64().wrapping_add(from.as_i64())),
+                    };
+                }
+            }
+        }
+        merged
+    }
+}
+
+impl Groups {
+    /// No groups yet, in `parts` partitions; an ungrouped aggregation
+    /// starts with its one group, so it yields a row of zeros when no
+    /// input arrives.
+    pub(crate) fn new(aggs: Vec<AggSpec>, ungrouped: bool, parts: usize) -> Self {
+        let mut groups = Groups {
+            aggs,
+            parts: (0..parts.max(1)).map(|_| Part::default()).collect(),
+        };
+        if ungrouped {
+            groups.push_group(&[]);
+        }
+        groups
+    }
+
+    /// The partition and number of `key`'s group, inserted if new. The
+    /// partition is taken from the hash's upper half; a partition's
+    /// table places its keys by the lower bits.
+    fn push_group(&mut self, key: &[Val]) -> (usize, usize) {
+        let p = match self.parts.len() {
+            1 => 0,
+            parts => {
+                let mut h = MurmurHasher::default();
+                key.hash(&mut h);
+                (h.finish() >> 32) as usize % parts
+            }
+        };
+        (p, self.parts[p].group(key, &self.aggs))
+    }
+
+    /// Entry `p` holds partition `p` of every shard; every shard has
+    /// as many partitions.
+    pub(crate) fn partitions(shards: Vec<Groups>) -> Vec<Vec<Part>> {
+        let mut by_part: Vec<Vec<Part>> = shards[0].parts.iter().map(|_| Vec::new()).collect();
+        for shard in shards {
+            assert_eq!(shard.parts.len(), by_part.len(), "shards partitioned alike");
+            for (into, part) in by_part.iter_mut().zip(shard.parts) {
+                into.push(part);
+            }
+        }
+        by_part
+    }
+
+    /// The groups as a source of rows, each the key, then the
+    /// aggregates.
+    pub(crate) fn into_source(self) -> GroupRows {
+        GroupRows::new(self.parts, self.aggs.len())
+    }
+}
+
+impl Shard for Groups {
+    fn push(&mut self, key: &[Val], row: &[Val]) {
+        let n = self.aggs.len();
+        let (p, g) = self.push_group(key);
+        accumulate(&mut self.parts[p].states[g * n..][..n], &self.aggs, row);
+    }
+
+    /// Merges partition by partition.
+    fn merge(mut shards: Vec<Self>) -> Self {
+        let aggs = std::mem::take(&mut shards[0].aggs);
+        let parts = Groups::partitions(shards)
+            .into_iter()
+            .map(|part| Part::merge(part, &aggs))
+            .collect();
+        Groups { aggs, parts }
+    }
+}
+
+/// Source over the groups of a [`Groups`]: each group's key and
+/// aggregates are copied into the caller's buffer, and the keys are
+/// freed together when the source is dropped, not one per row.
+pub(crate) struct GroupRows {
+    groups: Vec<(Row, usize)>,
+    states: Vec<Val>,
+    n: usize,
+    next: usize,
+}
+
+impl GroupRows {
+    /// The groups of `parts`, `n` aggregates each.
+    pub(crate) fn new(parts: Vec<Part>, n: usize) -> Self {
+        let mut groups = Vec::with_capacity(parts.iter().map(|p| p.index.len()).sum());
+        let mut states = Vec::with_capacity(parts.iter().map(|p| p.states.len()).sum());
+        let mut base = 0;
+        for part in parts {
+            let len = part.index.len();
+            groups.extend(part.index.into_iter().map(|(k, g)| (k, base + g)));
+            states.extend(part.states);
+            base += len;
+        }
+        GroupRows {
+            groups,
+            states,
+            n,
+            next: 0,
+        }
+    }
+}
+
+impl Operator for GroupRows {
+    fn next(&mut self, row: &mut Row) -> bool {
+        let Some((key, g)) = self.groups.get(self.next) else {
+            return false;
+        };
+        self.next += 1;
+        let states = &self.states[g * self.n..][..self.n];
+        overwrite(row, key.iter().chain(states).map(Cow::Borrowed));
+        true
+    }
+}
+
 /// Blocking hash aggregation (group by a list of expressions); emits one
-/// row per group, group keys followed by the aggregates.
+/// row per group, group keys followed by the aggregates. An ungrouped
+/// aggregate emits exactly one row, zeros when its input is empty.
 pub struct Aggregate {
-    out: Rows,
+    out: GroupRows,
 }
 
 impl Aggregate {
-    pub fn new(mut input: BoxOp<'_>, group_by: Vec<Expr>, aggs: Vec<AggSpec>) -> Self {
-        let n = aggs.len();
-        // Group key → group number `g`, whose aggregates are
-        // `states[g * n..][..n]`. A key is stored with room for its
-        // aggregates, which are appended to it on output.
-        let mut groups: ValMap<usize> = ValMap::default();
-        let mut states: Vec<Val> = Vec::new();
-        let (mut row, mut key) = (Row::new(), Row::new());
-        while input.next(&mut row) {
-            eval_into(&mut key, &group_by, &row);
-            let g = match groups.get(key.as_slice()) {
-                Some(&g) => g,
-                None => {
-                    let mut stored = Row::with_capacity(key.len() + n);
-                    stored.extend_from_slice(&key);
-                    groups.insert(stored, groups.len());
-                    states.extend(aggs.iter().map(AggSpec::zero));
-                    groups.len() - 1
-                }
-            };
-            accumulate(&mut states[g * n..][..n], &aggs, &row);
+    pub fn new(input: BoxOp<'_>, group_by: Vec<Expr>, aggs: Vec<AggSpec>) -> Self {
+        let groups = build(input, &group_by, Groups::new(aggs, group_by.is_empty(), 1));
+        Aggregate {
+            out: groups.into_source(),
         }
-        let rows = groups
-            .into_iter()
-            .map(|(mut k, g)| {
-                k.extend_from_slice(&states[g * n..][..n]);
-                k
-            })
-            .collect();
-        Aggregate { out: Rows::new(rows) }
     }
 }
 
@@ -470,12 +687,8 @@ impl Operator for Aggregate {
 }
 
 /// Drain an operator into a vector of rows.
-pub fn collect(mut op: BoxOp<'_>) -> Vec<Row> {
-    let (mut out, mut row) = (Vec::new(), Row::new());
-    while op.next(&mut row) {
-        out.push(row.clone());
-    }
-    out
+pub fn collect(op: BoxOp<'_>) -> Vec<Row> {
+    build(op, &[], Vec::new())
 }
 
 #[cfg(test)]
@@ -563,12 +776,12 @@ mod tests {
     fn join_produces_all_matches() {
         let t = test_table();
         // Self-join on s: 'a' x 'a' (2x2=4 rows) + 'b' x 'b' (4) = 8.
-        let join = HashJoin::new(
+        let table = build(
             Box::new(Scan::new(&t, &["k", "s"])),
-            vec![Expr::col(1)],
-            Box::new(Scan::new(&t, &["k", "s"])),
-            vec![Expr::col(1)],
+            &[Expr::col(1)],
+            JoinTable::default(),
         );
+        let join = HashJoin::new(&table, Box::new(Scan::new(&t, &["k", "s"])), vec![Expr::col(1)]);
         let rows = collect(Box::new(join));
         assert_eq!(rows.len(), 8);
         for r in &rows {
@@ -589,9 +802,13 @@ mod tests {
                 "tag",
                 ColumnData::Str(["p0", "p1", "p2", "p3"].into_iter().collect()),
             );
-        let join = HashJoin::new(
+        let table = super::build(
             Box::new(Scan::new(&build, &["id", "key"])),
-            vec![Expr::col(1)],
+            &[Expr::col(1)],
+            JoinTable::default(),
+        );
+        let join = HashJoin::new(
+            &table,
             Box::new(Scan::new(&probe, &["tag", "key"])),
             vec![Expr::col(1)],
         );
@@ -613,19 +830,106 @@ mod tests {
     }
 
     #[test]
+    fn merged_join_table_chains_each_shard_newest_first() {
+        // Two shards of (key, id); key 7 is in both.
+        let shard = |rows: &[(i32, i64)]| {
+            let mut t = JoinTable::default();
+            for &(k, id) in rows {
+                t.push(&[Val::I32(k)], &[Val::I64(id), Val::I32(k)]);
+            }
+            t
+        };
+        let first = shard(&[(7, 1), (8, 2), (7, 3)]);
+        let second = shard(&[(7, 4), (9, 5), (7, 6), (10, 7)]);
+        // `second` has more keys, so `first`'s rows are appended to it.
+        let table = JoinTable::merge(vec![first, second]);
+        let mut probe = Table::new("p");
+        probe.add_column("key", ColumnData::I32(vec![7, 8, 9, 10, 11]));
+        let join = HashJoin::new(&table, Box::new(Scan::new(&probe, &["key"])), vec![Expr::col(0)]);
+        let emitted: Vec<(i64, i32)> = collect(Box::new(join))
+            .iter()
+            .map(|r| (r[0].as_i64(), r[2].as_i32()))
+            .collect();
+        assert_eq!(
+            emitted,
+            vec![(3, 7), (1, 7), (6, 7), (4, 7), (2, 8), (5, 9), (7, 10)]
+        );
+    }
+
+    #[test]
+    fn merged_groups_add_up_the_states_of_a_key() {
+        let aggs = vec![
+            AggSpec::Count,
+            AggSpec::SumI64(Expr::col(1)),
+            AggSpec::SumI128(Expr::col(1)),
+        ];
+        let row = |k: i32, n: i64, s: i64| vec![Val::I32(k), Val::I64(n), Val::I64(s), Val::I128(s as i128)];
+        let want = vec![row(1, 1, 10), row(2, 2, 25), row(3, 2, 8)];
+        for parts in [1, 3] {
+            let shard = |rows: &[(i32, i64)]| {
+                let mut g = Groups::new(aggs.clone(), false, parts);
+                for &(k, v) in rows {
+                    g.push(&[Val::I32(k)], &[Val::I32(k), Val::I64(v)]);
+                }
+                g
+            };
+            let shards = || vec![shard(&[(1, 10), (2, 20)]), shard(&[(2, 5), (3, 7), (3, 1)])];
+            let rows_of = |g: Groups| collect(Box::new(g.into_source()));
+            let mut rows = rows_of(Groups::merge(shards()));
+            rows.sort();
+            assert_eq!(rows, want, "{parts} partitions");
+            // Partition by partition: no key is in two partitions.
+            let mut rows: Vec<Row> = Groups::partitions(shards())
+                .into_iter()
+                .flat_map(|part| {
+                    collect(Box::new(GroupRows::new(
+                        vec![Part::merge(part, &aggs)],
+                        aggs.len(),
+                    )))
+                })
+                .collect();
+            rows.sort();
+            assert_eq!(rows, want, "{parts} partitions, merged one at a time");
+        }
+        // An ungrouped aggregation keeps its one group through a merge.
+        let none = || Groups::new(aggs.clone(), true, 2);
+        assert_eq!(
+            collect(Box::new(Groups::merge(vec![none(), none()]).into_source())),
+            vec![vec![Val::I64(0), Val::I64(0), Val::I128(0)]]
+        );
+    }
+
+    #[test]
+    fn merged_key_set_is_the_union_of_its_shards() {
+        let shard = |keys: &[i32]| {
+            let mut s = KeySet::default();
+            for &k in keys {
+                s.push(&[Val::I32(k)], &[]);
+            }
+            s
+        };
+        let keys = KeySet::merge(vec![shard(&[1, 2, 2]), shard(&[2, 3]), KeySet::default()]);
+        let mut probe = Table::new("p");
+        probe.add_column("key", ColumnData::I32((0..6).collect()));
+        let semi = SemiJoin::new(&keys, Box::new(Scan::new(&probe, &["key"])), vec![Expr::col(0)]);
+        let got: Vec<i32> = collect(Box::new(semi)).iter().map(|r| r[0].as_i32()).collect();
+        assert_eq!(got, vec![1, 2, 3]);
+    }
+
+    #[test]
     fn semi_join_emits_probe_rows_once() {
         let t = test_table();
         // Build side has duplicate s values; every probe row with a
         // matching s must come out exactly once, unwidened.
-        let semi = SemiJoin::new(
+        let keys = build(
             Box::new(Select {
                 input: Box::new(Scan::new(&t, &["s", "v"])),
                 pred: Expr::cmp(CmpOp::Eq, Expr::col(0), Expr::Const(Val::Str("a".into()))),
             }),
-            vec![Expr::col(0)],
-            Box::new(Scan::new(&t, &["k", "s"])),
-            vec![Expr::col(1)],
+            &[Expr::col(0)],
+            KeySet::default(),
         );
+        let semi = SemiJoin::new(&keys, Box::new(Scan::new(&t, &["k", "s"])), vec![Expr::col(1)]);
         let rows = collect(Box::new(semi));
         assert_eq!(
             rows,
@@ -642,12 +946,12 @@ mod tests {
         build.add_column("key", ColumnData::I32((0..1000).map(|i| i % 3).collect()));
         let mut probe = Table::new("p");
         probe.add_column("key", ColumnData::I32(vec![0, 5, 2, 2, 1, 3]));
-        let semi = SemiJoin::new(
+        let keys = super::build(
             Box::new(Scan::new(&build, &["key"])),
-            vec![Expr::col(0)],
-            Box::new(Scan::new(&probe, &["key"])),
-            vec![Expr::col(0)],
+            &[Expr::col(0)],
+            KeySet::default(),
         );
+        let semi = SemiJoin::new(&keys, Box::new(Scan::new(&probe, &["key"])), vec![Expr::col(0)]);
         let keys: Vec<i64> = collect(Box::new(semi)).iter().map(|r| r[0].as_i64()).collect();
         assert_eq!(keys, vec![0, 2, 2, 1]);
     }
@@ -655,15 +959,15 @@ mod tests {
     #[test]
     fn semi_join_empty_build_side() {
         let t = test_table();
-        let semi = SemiJoin::new(
+        let keys = build(
             Box::new(Select {
                 input: Box::new(Scan::new(&t, &["s"])),
                 pred: Expr::cmp(CmpOp::Eq, Expr::col(0), Expr::Const(Val::Str("zzz".into()))),
             }),
-            vec![Expr::col(0)],
-            Box::new(Scan::new(&t, &["k", "s"])),
-            vec![Expr::col(1)],
+            &[Expr::col(0)],
+            KeySet::default(),
         );
+        let semi = SemiJoin::new(&keys, Box::new(Scan::new(&t, &["k", "s"])), vec![Expr::col(1)]);
         assert!(collect(Box::new(semi)).is_empty());
     }
 
@@ -729,23 +1033,6 @@ mod tests {
     }
 
     #[test]
-    fn rows_drain_through_the_buffer() {
-        let rows = vec![
-            vec![Val::I32(2), Val::Str("two".into())],
-            vec![Val::I32(1)],
-            vec![Val::I32(3), Val::Str("three".into()), Val::I64(3)],
-        ];
-        let mut src = Rows::new(rows.clone());
-        let mut row = vec![Val::Str("stale".into()); 4];
-        for want in &rows {
-            assert!(src.next(&mut row));
-            assert_eq!(&row, want);
-        }
-        assert!(!src.next(&mut row));
-        assert!(!src.next(&mut row), "an exhausted source stays exhausted");
-    }
-
-    #[test]
     fn empty_inputs_everywhere() {
         let mut t = Table::new("e");
         t.add_column("k", ColumnData::I32(vec![]));
@@ -755,5 +1042,14 @@ mod tests {
             vec![AggSpec::Count],
         );
         assert!(collect(Box::new(agg)).is_empty());
+        let ungrouped = Aggregate::new(
+            Box::new(Scan::new(&t, &["k"])),
+            vec![],
+            vec![AggSpec::Count, AggSpec::SumI128(Expr::col(0))],
+        );
+        assert_eq!(
+            collect(Box::new(ungrouped)),
+            vec![vec![Val::I64(0), Val::I128(0)]]
+        );
     }
 }

@@ -4,35 +4,50 @@
 //! scanned, in which column order, what is selected, projected, joined
 //! (with which build side) and aggregated — written down once and
 //! handed to [`Plan::run`]. The interpreter does the wiring every query
-//! needs the same way: it opens every scan paced against the storage
-//! device and recorded into the run's byte counter, partitions the one
-//! *driving* scan by morsel across the workers of the exchange union
-//! ([`crate::exchange`]), and merges the workers' partial rows. The
-//! driving scan is the plan's shape, not a mark: the leaf reached from
-//! the root through inputs and probe sides, so every plan has exactly
-//! one.
+//! needs the same way. It cuts the plan into pipelines at its breakers:
+//! each join's build side is a pipeline of its own, run before the
+//! pipeline that probes it, and each aggregate's input is a pipeline
+//! of its own, run before the pipeline that reads its groups. Every
+//! pipeline runs as one parallel region of the exchange union: its
+//! *driving* scan — the leaf reached from its root through inputs and
+//! probe sides — is partitioned by morsel across the workers, each
+//! worker drains its instance into a shard of its own, and the shards
+//! are merged once. A build side's shards become the one read-only
+//! [`JoinTable`] or [`KeySet`] every worker of the probing pipeline
+//! borrows; an aggregate's are merged in parallel, one hash partition
+//! per worker (see [`Plan::run`]); the plan's own pipeline yields the
+//! result rows. So every scan reads its table once, at any thread
+//! count, paced against the storage device and recorded into the run's
+//! byte counter. With one worker every breaker does what a hand-wired
+//! tree would: the one shard is the table, its one partition the
+//! groups.
 //!
 //! Interpretation changes nothing about the engine: every worker opens
-//! the same boxed operator tree a hand-wired plan would build, so the
+//! the same boxed operators a hand-wired plan would build, so the
 //! per-tuple costs that make up the Volcano model stay exactly as they
-//! were. The plan also answers questions about itself, such as the
-//! §3.4 normalization denominator ([`Plan::tuples_scanned`]).
+//! were. Sharing a built table between workers is parallelization, not
+//! compilation. The plan also answers questions about itself, such as
+//! the §3.4 normalization denominator ([`Plan::tuples_scanned`]).
 
 use crate::exchange;
 use crate::expr::Expr;
-use crate::ops::{collect, AggSpec, Aggregate, BoxOp, HashJoin, Project, Row, Rows, Scan, Select, SemiJoin};
+use crate::ops::{
+    AggSpec, BoxOp, GroupRows, Groups, HashJoin, JoinTable, KeySet, Part, Project, Row, Scan, Select,
+    SemiJoin, Shard,
+};
 use dbep_runtime::{ExecCtx, Morsels};
 use dbep_scheduler::QueryRun;
 use dbep_storage::throttle::Throttle;
 use dbep_storage::Database;
+use std::sync::Mutex;
 
 /// One physical plan over the tables of a [`Database`]: a tree of the
 /// operators of [`crate::ops`].
 #[derive(Clone, Debug)]
 pub enum Plan {
-    /// The named columns of `table`, in order. The driving scan claims
-    /// morsels from a cursor all workers share; every other scan (a
-    /// build side) is read whole by every worker.
+    /// The named columns of `table`, in order. Every scan drives the
+    /// pipeline it is the leaf of, claiming morsels from a cursor that
+    /// pipeline's workers share.
     Scan {
         table: &'static str,
         columns: Vec<&'static str>,
@@ -57,20 +72,12 @@ pub enum Plan {
         probe_keys: Vec<Expr>,
     },
     /// One row per group: the `group_by` values, then `aggs`
-    /// ([`Aggregate`]).
+    /// ([`crate::ops::Aggregate`]).
     Aggregate {
         input: Box<Plan>,
         group_by: Vec<Expr>,
         aggs: Vec<AggSpec>,
     },
-}
-
-/// What every scan of one run is opened with.
-struct Io<'a> {
-    db: &'a Database,
-    morsels: &'a Morsels,
-    throttle: Option<&'a Throttle>,
-    recorder: Option<&'a QueryRun>,
 }
 
 impl Plan {
@@ -97,6 +104,7 @@ impl Plan {
 
     /// `self` is the build side, `probe` the probe side.
     pub fn hash_join(self, build_keys: Vec<Expr>, probe: Plan, probe_keys: Vec<Expr>) -> Plan {
+        assert_eq!(build_keys.len(), probe_keys.len(), "join key arity");
         Plan::HashJoin {
             build: Box::new(self),
             build_keys,
@@ -107,6 +115,7 @@ impl Plan {
 
     /// `self` is the build side, `probe` the probe side.
     pub fn semi_join(self, build_keys: Vec<Expr>, probe: Plan, probe_keys: Vec<Expr>) -> Plan {
+        assert_eq!(build_keys.len(), probe_keys.len(), "join key arity");
         Plan::SemiJoin {
             build: Box::new(self),
             build_keys,
@@ -145,124 +154,186 @@ impl Plan {
         self.scans().iter().map(|t| db.table(t).len()).sum()
     }
 
-    /// The table of the driving scan: the leaf at the end of the input
-    /// and probe edges from the root.
-    fn driving_table(&self) -> &'static str {
-        match self {
-            Plan::Scan { table, .. } => table,
-            Plan::Select { input, .. } | Plan::Project { input, .. } | Plan::Aggregate { input, .. } => {
-                input.driving_table()
-            }
-            Plan::HashJoin { probe, .. } | Plan::SemiJoin { probe, .. } => probe.driving_table(),
-        }
-    }
-
-    /// Run the plan on one instance per degree of parallelism of `exec`
-    /// and merge their outputs. Every scan is paced against `throttle`
-    /// and recorded into the run attached to `exec`; the driving scan is
-    /// partitioned across the instances. When the root is an
-    /// [`Plan::Aggregate`], the partial groups are re-aggregated on the
-    /// group columns — counts and 64-bit sums add up as 64-bit sums,
-    /// 128-bit sums as 128-bit sums — and an ungrouped aggregate yields
-    /// exactly one row, zeros when no tuple qualified. Any other root's
-    /// partial rows are concatenated.
+    /// Run the plan with one instance of every pipeline per degree of
+    /// parallelism of `exec`, and concatenate the instances' rows. Every
+    /// scan is paced against `throttle` and recorded into the run
+    /// attached to `exec`; with one instance, the plan is one task of
+    /// `exec`. A [`Plan::Aggregate`] is two-phase: the instances of its
+    /// input's pipeline fold their rows into groups partitioned by key
+    /// hash, one partition per instance, then each instance of the
+    /// pipeline reading it merges one partition — counts and 64-bit sums
+    /// add up as 64-bit sums, 128-bit sums as 128-bit sums. An ungrouped
+    /// aggregate yields exactly one row, zeros when no tuple qualified.
     pub fn run(&self, db: &Database, exec: &ExecCtx, throttle: Option<&Throttle>) -> Vec<Row> {
-        let morsels = Morsels::new(db.table(self.driving_table()).len());
-        let io = Io {
-            db,
-            morsels: &morsels,
-            throttle,
-            recorder: exec.run,
+        let rows = |pipelines: &ExecCtx| {
+            let run = Run {
+                db,
+                exec: pipelines,
+                throttle,
+                recorder: exec.run,
+            };
+            Vec::merge(run.pipeline(self, &[], Vec::new))
         };
-        let partials = exchange::union(exec, |_| self.open(&io, true));
-        match self {
-            Plan::Aggregate { group_by, aggs, .. } => merge(partials, group_by.len(), aggs),
-            _ => partials,
+        if exec.parallelism() > 1 {
+            return rows(exec);
         }
+        // One instance: the whole plan is one task of `exec`, its
+        // pipelines run inline in it, as one operator tree's would.
+        Vec::merge(exec.map_parts(1, |_| rows(&ExecCtx::inline())))
+    }
+}
+
+/// What every pipeline of one run is opened with.
+struct Run<'a> {
+    db: &'a Database,
+    /// Where the pipelines' instances run.
+    exec: &'a ExecCtx<'a>,
+    throttle: Option<&'a Throttle>,
+    /// The run every scan records its bytes into.
+    recorder: Option<&'a QueryRun>,
+}
+
+/// What a pipeline borrows from the pipelines run before it: one entry
+/// per breaker on its driving path, from the root down.
+enum Built {
+    Join(JoinTable),
+    Keys(KeySet),
+    /// The groups of an aggregate, drained from its input by the
+    /// instances of a pipeline of its own into shards partitioned by
+    /// key hash: partition `p` of every shard, for instance `p` of the
+    /// reading pipeline to merge and drive it with.
+    Groups(Vec<Mutex<Vec<Part>>>),
+}
+
+impl Run<'_> {
+    /// Build what the pipeline rooted at `plan` borrows, then run one
+    /// instance of it per degree of parallelism of [`Run::exec`], each
+    /// drained into a shard made by `init` and keyed by `keys`. The
+    /// pipelines it depends on run first, one after another, from the
+    /// calling thread: never from inside a worker's task, which would
+    /// nest parallel regions.
+    fn pipeline<S: Shard>(&self, plan: &Plan, keys: &[Expr], init: impl Fn() -> S + Sync) -> Vec<S> {
+        let mut built = Vec::new();
+        let morsels = Morsels::new(self.prepare(plan, &mut built));
+        exchange::shards(self.exec, keys, init, |w| {
+            self.open(plan, w, &morsels, &mut built.iter())
+        })
     }
 
-    /// Build this worker's operator tree; `driving` holds on the path
-    /// from the root through inputs and probe sides. A join opens its
-    /// build side first, and drains it on construction.
-    fn open<'a>(&self, io: &Io<'a>, driving: bool) -> BoxOp<'a> {
-        match self {
-            Plan::Scan { table, columns } => {
-                let scan = Scan::new(io.db.table(table), columns)
-                    .paced(io.throttle)
-                    .recorded(io.recorder);
-                Box::new(if driving {
-                    scan.morsel_driven(io.morsels)
-                } else {
-                    scan
-                })
-            }
-            Plan::Select { input, pred } => Box::new(Select {
-                input: input.open(io, driving),
-                pred: pred.clone(),
-            }),
-            Plan::Project { input, exprs } => Box::new(Project {
-                input: input.open(io, driving),
-                exprs: exprs.clone(),
-            }),
-            Plan::HashJoin {
-                build,
-                build_keys,
-                probe,
-                probe_keys,
-            }
-            | Plan::SemiJoin {
-                build,
-                build_keys,
-                probe,
-                probe_keys,
-            } => {
-                let (build, probe) = (build.open(io, false), probe.open(io, driving));
-                let (build_keys, probe_keys) = (build_keys.clone(), probe_keys.clone());
-                match self {
-                    Plan::HashJoin { .. } => Box::new(HashJoin::new(build, build_keys, probe, probe_keys)),
-                    _ => Box::new(SemiJoin::new(build, build_keys, probe, probe_keys)),
-                }
-            }
+    /// Push to `built` what the pipeline rooted at `plan` borrows, in
+    /// the order [`Run::open`] takes it, and return the number of rows
+    /// its driving scan partitions by morsel (none when the pipeline is
+    /// driven by an aggregate's partitions).
+    fn prepare(&self, plan: &Plan, built: &mut Vec<Built>) -> usize {
+        match plan {
+            Plan::Scan { table, .. } => self.db.table(table).len(),
+            Plan::Select { input, .. } | Plan::Project { input, .. } => self.prepare(input, built),
             Plan::Aggregate {
                 input,
                 group_by,
                 aggs,
-            } => Box::new(Aggregate::new(
-                input.open(io, driving),
-                group_by.clone(),
-                aggs.clone(),
-            )),
+            } => {
+                let n = self.exec.parallelism();
+                let init = || Groups::new(aggs.clone(), group_by.is_empty(), n);
+                let parts = Groups::partitions(self.pipeline(input, group_by, init));
+                built.push(Built::Groups(parts.into_iter().map(Mutex::new).collect()));
+                0
+            }
+            Plan::HashJoin {
+                build,
+                build_keys,
+                probe,
+                ..
+            } => {
+                built.push(Built::Join(self.table(build, build_keys)));
+                self.prepare(probe, built)
+            }
+            Plan::SemiJoin {
+                build,
+                build_keys,
+                probe,
+                ..
+            } => {
+                built.push(Built::Keys(self.table(build, build_keys)));
+                self.prepare(probe, built)
+            }
         }
     }
-}
 
-/// Re-aggregate the workers' partial rows — `keys` group columns, then
-/// one partial per entry of `aggs` — into the final groups.
-fn merge(partials: Vec<Row>, keys: usize, aggs: &[AggSpec]) -> Vec<Row> {
-    let sums = aggs
-        .iter()
-        .enumerate()
-        .map(|(i, spec)| match spec {
-            AggSpec::SumI64(_) | AggSpec::Count => AggSpec::SumI64(Expr::col(keys + i)),
-            AggSpec::SumI128(_) => AggSpec::SumI128(Expr::col(keys + i)),
-        })
-        .collect();
-    let (input, group_by) = (Box::new(Rows::new(partials)), (0..keys).map(Expr::col).collect());
-    let mut rows = collect(Box::new(Aggregate::new(input, group_by, sums)));
-    if keys == 0 && rows.is_empty() {
-        rows.push(aggs.iter().map(AggSpec::zero).collect());
+    /// The build side `plan` of a join, keyed by `keys`, as one table.
+    /// At one instance the one shard is the table.
+    fn table<S: Shard + Default>(&self, plan: &Plan, keys: &[Expr]) -> S {
+        S::merge(self.pipeline(plan, keys, S::default))
     }
-    rows
+
+    /// Open instance `w` of the pipeline rooted at `plan`, its driving
+    /// scan claiming from `morsels`, its breakers borrowed from `built`.
+    fn open<'b>(
+        &'b self,
+        plan: &'b Plan,
+        w: usize,
+        morsels: &'b Morsels,
+        built: &mut std::slice::Iter<'b, Built>,
+    ) -> BoxOp<'b> {
+        match plan {
+            Plan::Scan { table, columns } => Box::new(
+                Scan::new(self.db.table(table), columns)
+                    .paced(self.throttle)
+                    .recorded(self.recorder)
+                    .morsel_driven(morsels),
+            ),
+            Plan::Select { input, pred } => Box::new(Select {
+                input: self.open(input, w, morsels, built),
+                pred: pred.clone(),
+            }),
+            Plan::Project { input, exprs } => Box::new(Project {
+                input: self.open(input, w, morsels, built),
+                exprs: exprs.clone(),
+            }),
+            Plan::HashJoin {
+                probe, probe_keys, ..
+            } => {
+                let Some(Built::Join(table)) = built.next() else {
+                    unreachable!("prepare builds every join table on the driving path")
+                };
+                Box::new(HashJoin::new(
+                    table,
+                    self.open(probe, w, morsels, built),
+                    probe_keys.clone(),
+                ))
+            }
+            Plan::SemiJoin {
+                probe, probe_keys, ..
+            } => {
+                let Some(Built::Keys(keys)) = built.next() else {
+                    unreachable!("prepare builds every key set on the driving path")
+                };
+                Box::new(SemiJoin::new(
+                    keys,
+                    self.open(probe, w, morsels, built),
+                    probe_keys.clone(),
+                ))
+            }
+            Plan::Aggregate { aggs, .. } => {
+                let Some(Built::Groups(parts)) = built.next() else {
+                    unreachable!("prepare groups every aggregate on the driving path")
+                };
+                let part = std::mem::take(&mut *parts[w].lock().expect("group partition"));
+                Box::new(GroupRows::new(vec![Part::merge(part, aggs)], aggs.len()))
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::expr::{CmpOp, Val};
+    use dbep_scheduler::{Scheduler, DEFAULT_PRIORITY};
     use dbep_storage::{ColumnData, Table};
 
     /// `t(k, g, v)`: 50 000 rows, `k` = `v` = row number, `g` = `k % 4`;
-    /// `d(g)`: the two groups 1 and 3.
+    /// `d(g)`: the two groups 1 and 3; `e(k)`: 0, 5, …, 49 995.
     fn db() -> Database {
         let n = 50_000;
         let mut t = Table::new("t");
@@ -271,15 +342,41 @@ mod tests {
             .add_column("v", ColumnData::I64((0..n as i64).collect()));
         let mut d = Table::new("d");
         d.add_column("g", ColumnData::I32(vec![1, 3]));
+        let mut e = Table::new("e");
+        e.add_column("k", ColumnData::I32((0..n).step_by(5).collect()));
         let mut db = Database::new();
-        db.add(t).add(d);
+        db.add(t).add(d).add(e);
         db
     }
 
-    fn run_on(plan: &Plan, db: &Database, threads: usize) -> Vec<Row> {
-        let mut rows = plan.run(db, &ExecCtx::spawn(threads), None);
-        rows.sort();
-        rows
+    /// The sorted rows of `plan` over `db` at 1, 2 and 4 threads, spawned
+    /// per query and on a pool of as many workers; every run must return
+    /// the same rows and scan the same bytes.
+    fn run_everywhere(plan: &Plan, db: &Database) -> Vec<Row> {
+        let run = |exec: &ExecCtx| {
+            let mut rows = plan.run(db, exec, None);
+            rows.sort();
+            rows
+        };
+        let want = run(&ExecCtx::inline());
+        let mut bytes = None;
+        for threads in [1, 2, 4] {
+            assert_eq!(run(&ExecCtx::spawn(threads)), want, "{threads} threads spawned");
+            let pool = Scheduler::new(threads);
+            let query = pool.begin_query(DEFAULT_PRIORITY);
+            assert_eq!(
+                run(&ExecCtx::pooled(threads, &query)),
+                want,
+                "{threads} threads pooled"
+            );
+            let scanned = query.stats().bytes_scanned;
+            assert_eq!(
+                *bytes.get_or_insert(scanned),
+                scanned,
+                "bytes at {threads} threads"
+            );
+        }
+        want
     }
 
     #[test]
@@ -299,7 +396,6 @@ mod tests {
             ],
         );
         assert_eq!(plan.scans(), vec!["d", "t"]);
-        assert_eq!(plan.driving_table(), "t");
         assert_eq!(plan.tuples_scanned(&db), 50_002);
         let group = |g: i32| {
             let sum = (0..50_000i64).filter(|v| v % 4 == g as i64).sum::<i64>();
@@ -310,10 +406,36 @@ mod tests {
                 Val::I128(sum as i128),
             ]
         };
-        let want = vec![group(1), group(3)];
-        for threads in [1, 4] {
-            assert_eq!(run_on(&plan, &db, threads), want, "{threads} threads");
-        }
+        assert_eq!(run_everywhere(&plan, &db), vec![group(1), group(3)]);
+    }
+
+    #[test]
+    fn grouped_root_at_one_instance_returns_the_rows_of_four() {
+        let db = db();
+        // 20 000 groups of one to four rows, no join: the one instance's
+        // groups are the result, with no re-aggregation.
+        let plan = Plan::scan("t", &["k", "v"])
+            .select(Expr::cmp(CmpOp::Lt, Expr::col(0), Expr::lit_i32(20_000)))
+            .hash_join(vec![Expr::col(0)], Plan::scan("e", &["k"]), vec![Expr::col(0)])
+            .aggregate(
+                vec![Expr::col(0)],
+                vec![AggSpec::Count, AggSpec::SumI64(Expr::col(1))],
+            );
+        let rows = run_everywhere(&plan, &db);
+        let want: Vec<Row> = (0..20_000)
+            .step_by(5)
+            .map(|k| vec![Val::I32(k), Val::I64(1), Val::I64(k as i64)])
+            .collect();
+        assert_eq!(rows, want);
+        let grouped = Plan::scan("t", &["k", "v"]).aggregate(
+            vec![Expr::col(0)],
+            vec![AggSpec::Count, AggSpec::SumI64(Expr::col(1))],
+        );
+        let rows = run_everywhere(&grouped, &db);
+        assert_eq!(rows.len(), 50_000);
+        assert!(rows
+            .iter()
+            .all(|r| r[1] == Val::I64(1) && r[2] == Val::I64(r[0].as_i64())));
     }
 
     #[test]
@@ -330,18 +452,14 @@ mod tests {
                 .select(Expr::cmp(CmpOp::Lt, Expr::col(0), Expr::lit_i32(n)))
                 .aggregate(vec![], aggs.clone())
         };
-        for threads in [1, 4] {
-            assert_eq!(
-                run_on(&below(1000), &db, threads),
-                vec![vec![Val::I64(499_500), Val::I64(1000), Val::I128(499_500)]],
-                "{threads} threads"
-            );
-            assert_eq!(
-                run_on(&below(0), &db, threads),
-                vec![vec![Val::I64(0), Val::I64(0), Val::I128(0)]],
-                "{threads} threads"
-            );
-        }
+        assert_eq!(
+            run_everywhere(&below(1000), &db),
+            vec![vec![Val::I64(499_500), Val::I64(1000), Val::I128(499_500)]]
+        );
+        assert_eq!(
+            run_everywhere(&below(0), &db),
+            vec![vec![Val::I64(0), Val::I64(0), Val::I128(0)]]
+        );
     }
 
     #[test]
@@ -356,8 +474,100 @@ mod tests {
             .select(Expr::cmp(CmpOp::Lt, Expr::col(0), Expr::lit_i32(8)))
             .project(vec![Expr::col(0)]);
         let want: Vec<Row> = [1, 3, 5, 7].map(|k| vec![Val::I32(k)]).into();
-        for threads in [1, 4] {
-            assert_eq!(run_on(&plan, &db, threads), want, "{threads} threads");
-        }
+        assert_eq!(run_everywhere(&plan, &db), want);
+    }
+
+    /// The Q18 shape: a build side that is an aggregate, once as the
+    /// build's root and once under a HAVING selection.
+    #[test]
+    fn aggregate_build_sides_are_merged_before_they_are_probed() {
+        let db = db();
+        let sums = Plan::scan("t", &["g", "v"]).aggregate(
+            vec![Expr::col(0)],
+            vec![AggSpec::SumI64(Expr::col(1)), AggSpec::Count],
+        );
+        let sum = |g: i64| (0..50_000i64).filter(|v| v % 4 == g).sum::<i64>();
+        let group = |g: i32| {
+            vec![
+                Val::I32(g),
+                Val::I64(sum(g as i64)),
+                Val::I64(12_500),
+                Val::I32(g),
+            ]
+        };
+        let probe = || Plan::scan("d", &["g"]);
+        let root = sums
+            .clone()
+            .hash_join(vec![Expr::col(0)], probe(), vec![Expr::col(0)]);
+        assert_eq!(run_everywhere(&root, &db), vec![group(1), group(3)]);
+        // Only group 3's sum exceeds group 2's: a HAVING that a partial
+        // group, holding a fraction of its sum, would fail.
+        let having = sums
+            .select(Expr::cmp(CmpOp::Gt, Expr::col(1), Expr::lit_i64(sum(2))))
+            .hash_join(vec![Expr::col(0)], probe(), vec![Expr::col(0)]);
+        assert_eq!(run_everywhere(&having, &db), vec![group(3)]);
+    }
+
+    /// The Q9 shape: the build side is itself a join, with its own
+    /// driving scan, and the outer join probes its output.
+    #[test]
+    fn a_build_side_with_its_own_join_is_built_once() {
+        let db = db();
+        // d ⋈ t on g: [g, k, g] for the 25 000 rows of groups 1 and 3.
+        let inner = Plan::scan("d", &["g"]).hash_join(
+            vec![Expr::col(0)],
+            Plan::scan("t", &["k", "g"]),
+            vec![Expr::col(1)],
+        );
+        // ⋈ e on k: the multiples of 5 among them; [g, k, g, k].
+        let plan = inner
+            .hash_join(vec![Expr::col(1)], Plan::scan("e", &["k"]), vec![Expr::col(0)])
+            .aggregate(vec![Expr::col(0)], vec![AggSpec::Count]);
+        assert_eq!(plan.tuples_scanned(&db), 2 + 50_000 + 10_000);
+        assert_eq!(
+            run_everywhere(&plan, &db),
+            vec![
+                vec![Val::I32(1), Val::I64(2_500)],
+                vec![Val::I32(3), Val::I64(2_500)]
+            ]
+        );
+    }
+
+    #[test]
+    fn duplicate_build_keys_keep_every_row_and_pass_each_semi_join_probe_once() {
+        let db = db();
+        // 50 000 build rows over four keys, spread over every worker's
+        // shard; the probe's two rows match.
+        let build = || Plan::scan("t", &["g"]);
+        let semi = build().semi_join(vec![Expr::col(0)], Plan::scan("d", &["g"]), vec![Expr::col(0)]);
+        assert_eq!(
+            run_everywhere(&semi, &db),
+            vec![vec![Val::I32(1)], vec![Val::I32(3)]]
+        );
+        let join = build()
+            .hash_join(vec![Expr::col(0)], Plan::scan("d", &["g"]), vec![Expr::col(0)])
+            .aggregate(vec![Expr::col(1)], vec![AggSpec::Count]);
+        assert_eq!(
+            run_everywhere(&join, &db),
+            vec![
+                vec![Val::I32(1), Val::I64(12_500)],
+                vec![Val::I32(3), Val::I64(12_500)]
+            ]
+        );
+    }
+
+    #[test]
+    fn an_empty_build_side_matches_nothing() {
+        let db = db();
+        let none = || Plan::scan("t", &["k"]).select(Expr::cmp(CmpOp::Lt, Expr::col(0), Expr::lit_i32(0)));
+        let probe = || Plan::scan("e", &["k"]);
+        let join = none().hash_join(vec![Expr::col(0)], probe(), vec![Expr::col(0)]);
+        let semi = none().semi_join(vec![Expr::col(0)], probe(), vec![Expr::col(0)]);
+        assert!(run_everywhere(&join, &db).is_empty());
+        assert!(run_everywhere(&semi, &db).is_empty());
+        let counted = none()
+            .hash_join(vec![Expr::col(0)], probe(), vec![Expr::col(0)])
+            .aggregate(vec![], vec![AggSpec::Count]);
+        assert_eq!(run_everywhere(&counted, &db), vec![vec![Val::I64(0)]]);
     }
 }

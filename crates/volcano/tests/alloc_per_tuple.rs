@@ -1,12 +1,13 @@
 //! Regression guard: a Volcano plan allocates per inserted build row and
 //! per group, never per scanned tuple. With the build side and the group
-//! count fixed, draining a plan over N and over 4N scanned tuples must
-//! make exactly the same number of allocations.
+//! count fixed, building the join tables and draining a plan over N and
+//! over 4N scanned tuples must make exactly the same number of
+//! allocations.
 
 use dbep_storage::{ColumnData, Table};
-use dbep_volcano::ops::collect;
+use dbep_volcano::ops::{build, collect};
 use dbep_volcano::{
-    AggSpec, Aggregate, BinOp, BoxOp, CmpOp, Expr, HashJoin, Project, Scan, Select, SemiJoin,
+    AggSpec, Aggregate, BinOp, CmpOp, Expr, HashJoin, JoinTable, KeySet, Project, Row, Scan, Select, SemiJoin,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -47,11 +48,11 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations the current thread makes while building and draining the
-/// plan returned by `plan`.
-fn allocations<'a>(plan: impl FnOnce() -> BoxOp<'a>) -> u64 {
+/// Allocations the current thread makes while `run` builds and drains a
+/// plan.
+fn allocations(run: impl FnOnce() -> Vec<Row>) -> u64 {
     let before = ALLOCS.with(Cell::get);
-    let rows = collect(plan());
+    let rows = run();
     let after = ALLOCS.with(Cell::get);
     assert!(!rows.is_empty());
     after - before
@@ -85,7 +86,7 @@ fn build_table() -> Table {
 }
 
 /// Scan → Select → Project → Aggregate over 48 groups.
-fn select_project_aggregate(t: &Table) -> BoxOp<'_> {
+fn select_project_aggregate(t: &Table, _: &Table) -> Vec<Row> {
     let filtered = Select {
         input: Box::new(Scan::new(t, &["k", "v", "f"])),
         pred: Expr::cmp(CmpOp::Lt, Expr::col(0), Expr::lit_i32(48)),
@@ -98,7 +99,7 @@ fn select_project_aggregate(t: &Table) -> BoxOp<'_> {
             Expr::col(2),
         ],
     };
-    Box::new(Aggregate::new(
+    collect(Box::new(Aggregate::new(
         Box::new(projected),
         vec![Expr::col(0)],
         vec![
@@ -106,19 +107,24 @@ fn select_project_aggregate(t: &Table) -> BoxOp<'_> {
             AggSpec::SumI64(Expr::col(2)),
             AggSpec::Count,
         ],
-    ))
+    )))
 }
 
-/// Scan → HashJoin (probe) → Aggregate grouped by the string column.
-fn join_aggregate<'a>(t: &'a Table, build: &'a Table) -> BoxOp<'a> {
+/// Build a join table, then Scan → HashJoin (probe) → Aggregate grouped
+/// by the string column.
+fn join_aggregate(t: &Table, build_side: &Table) -> Vec<Row> {
+    let table = build(
+        Box::new(Scan::new(build_side, &["bk", "bv"])),
+        &[Expr::col(0)],
+        JoinTable::default(),
+    );
     // [bk, bv, k, v, s]
     let join = HashJoin::new(
-        Box::new(Scan::new(build, &["bk", "bv"])),
-        vec![Expr::col(0)],
+        &table,
         Box::new(Scan::new(t, &["k", "v", "s"])),
         vec![Expr::col(0)],
     );
-    Box::new(Aggregate::new(
+    collect(Box::new(Aggregate::new(
         Box::new(join),
         vec![Expr::col(4)],
         vec![
@@ -126,27 +132,32 @@ fn join_aggregate<'a>(t: &'a Table, build: &'a Table) -> BoxOp<'a> {
             AggSpec::SumI128(Expr::col(3)),
             AggSpec::Count,
         ],
-    ))
+    )))
 }
 
-/// Scan → SemiJoin (probe) → Aggregate grouped by (string, flag).
-fn semi_join_aggregate<'a>(t: &'a Table, build: &'a Table) -> BoxOp<'a> {
+/// Build a key set, then Scan → SemiJoin (probe) → Aggregate grouped by
+/// (string, flag).
+fn semi_join_aggregate(t: &Table, build_side: &Table) -> Vec<Row> {
+    let keys = build(
+        Box::new(Scan::new(build_side, &["bk"])),
+        &[Expr::col(0)],
+        KeySet::default(),
+    );
     let semi = SemiJoin::new(
-        Box::new(Scan::new(build, &["bk"])),
-        vec![Expr::col(0)],
+        &keys,
         Box::new(Scan::new(t, &["s", "f", "k"])),
         vec![Expr::col(2)],
     );
-    Box::new(Aggregate::new(
+    collect(Box::new(Aggregate::new(
         Box::new(semi),
         vec![Expr::col(0), Expr::col(1)],
         vec![AggSpec::Count],
-    ))
+    )))
 }
 
 /// Allocation counts of `plan` over N and 4N scanned tuples, after one
 /// warm-up drain so one-time process state is not charged to either.
-fn counts_at_n_and_4n(plan: impl for<'a> Fn(&'a Table, &'a Table) -> BoxOp<'a>) -> (u64, u64) {
+fn counts_at_n_and_4n(plan: impl Fn(&Table, &Table) -> Vec<Row>) -> (u64, u64) {
     const N: usize = 20_000;
     let build = build_table();
     let (small, large) = (probe_table(N), probe_table(4 * N));
@@ -159,7 +170,7 @@ fn counts_at_n_and_4n(plan: impl for<'a> Fn(&'a Table, &'a Table) -> BoxOp<'a>) 
 
 #[test]
 fn scan_select_project_aggregate_allocates_independently_of_input_size() {
-    let (n, n4) = counts_at_n_and_4n(|t, _| select_project_aggregate(t));
+    let (n, n4) = counts_at_n_and_4n(select_project_aggregate);
     assert_eq!(
         n, n4,
         "allocations grow with scanned tuples: {n} at N, {n4} at 4N"
