@@ -30,7 +30,7 @@ pub mod simd;
 
 pub use agg_ht::{AggHt, GroupByShard, PARTITION_COUNT};
 pub use counters::{CounterSet, CounterValues};
-pub use dbep_scheduler::{map_workers, scope_workers, ExecCtx, Morsels, MORSEL_TUPLES};
+pub use dbep_scheduler::{scope_workers, ExecCtx, Morsels, MORSEL_TUPLES};
 pub use hash::{crc64, hash_bytes_murmur2, murmur2, rehash_crc, rehash_murmur2, HashFn};
 pub use join_ht::JoinHt;
 pub use rng::SmallRng;

@@ -1,8 +1,8 @@
 //! [`ExecCtx`] — how execution code reaches the scheduler.
 //!
 //! Every parallel region of the engines (fused scan loops, vectorized
-//! chunk loops, hash-table publishes, partition merges, exchange
-//! unions) is written against this context. With a [`QueryRun`]
+//! chunk loops, hash-table publishes, partition merges, Volcano
+//! pipelines) is written against this context. With a [`QueryRun`]
 //! attached, regions submit to the shared pool (morsel-level
 //! inter-query scheduling, fixed worker count); without one, they fall
 //! back to the original spawn-per-query scoped threads — inline on the
@@ -11,7 +11,7 @@
 
 use crate::morsel::Morsels;
 use crate::pool::QueryRun;
-use crate::{map_workers, scope_workers};
+use crate::scope_workers;
 use std::ops::Range;
 use std::sync::Mutex;
 
@@ -105,26 +105,6 @@ impl<'a> ExecCtx<'a> {
             .filter_map(|s| s.into_inner().expect("worker slot"))
             .collect()
     }
-
-    /// Run `f(part)` once for each of `parts` independent work items
-    /// (unit morsels) and collect the results in part order — the
-    /// exchange-union / partition-merge shape.
-    pub fn map_parts<T: Send>(&self, parts: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-        if self.run.is_none() && self.parallelism() >= parts {
-            // Fallback with enough workers: one scoped thread per part
-            // (exactly the old map_workers behavior).
-            return map_workers(parts, &f);
-        }
-        let out: Vec<Mutex<Option<T>>> = (0..parts).map(|_| Mutex::new(None)).collect();
-        self.for_each_morsel(Morsels::with_size(parts, 1), |_, r| {
-            for p in r {
-                *out[p].lock().expect("part slot") = Some(f(p));
-            }
-        });
-        out.into_iter()
-            .map(|s| s.into_inner().expect("part slot").expect("part produced a value"))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -175,18 +155,6 @@ mod tests {
     fn map_slots_empty_scan_yields_no_states() {
         let states = ExecCtx::spawn(4).map_slots(Morsels::new(0), |_| 1u32, |_, _| {});
         assert!(states.is_empty());
-    }
-
-    #[test]
-    fn map_parts_preserves_part_order() {
-        let check = |exec: ExecCtx| {
-            assert_eq!(exec.map_parts(7, |p| p * p), vec![0, 1, 4, 9, 16, 25, 36]);
-        };
-        check(ExecCtx::inline());
-        check(ExecCtx::spawn(3));
-        let pool = Scheduler::new(3);
-        let run = pool.begin_query(DEFAULT_PRIORITY);
-        check(ExecCtx::pooled(3, &run));
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! layers of that story:
 //!
 //! * [`Morsels`] — the lock-free dispenser of tuple ranges.
-//! * [`scope_workers`]/[`map_workers`] — the *spawn-per-query* fallback:
-//!   scoped OS threads for one parallel region, as the original
-//!   reproduction did for every pipeline of every query run.
+//! * [`scope_workers`] — the *spawn-per-query* fallback: scoped OS
+//!   threads for one parallel region, as the original reproduction did
+//!   for every pipeline of every query run.
 //! * [`Scheduler`] — a **persistent worker pool plus morsel-level
 //!   inter-query scheduler**: a fixed set of workers executes morsels
 //!   from all concurrently running queries, interleaving them by
@@ -48,31 +48,6 @@ pub fn scope_workers(threads: usize, f: impl Fn(usize) + Sync) {
     });
 }
 
-/// Collect one value per scoped worker from a parallel region (used to
-/// gather thread-local build shards / pre-aggregation shards in the
-/// spawn-per-query fallback).
-pub fn map_workers<T: Send>(threads: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    let mut out: Vec<Option<T>> = (0..threads.max(1)).map(|_| None).collect();
-    if threads <= 1 {
-        out[0] = Some(f(0));
-    } else {
-        let cells: Vec<std::sync::Mutex<&mut Option<T>>> =
-            out.iter_mut().map(std::sync::Mutex::new).collect();
-        std::thread::scope(|s| {
-            for (w, cell) in cells.iter().enumerate() {
-                let f = &f;
-                s.spawn(move || {
-                    let v = f(w);
-                    **cell.lock().expect("worker cell") = Some(v);
-                });
-            }
-        });
-    }
-    out.into_iter()
-        .map(|v| v.expect("worker produced a value"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,13 +78,5 @@ mod tests {
             assert_eq!(w, 0);
             assert_eq!(std::thread::current().id(), tid);
         });
-    }
-
-    #[test]
-    fn map_workers_collects_in_order() {
-        let vals = map_workers(6, |w| w * w);
-        assert_eq!(vals, vec![0, 1, 4, 9, 16, 25]);
-        let single = map_workers(1, |w| w + 41);
-        assert_eq!(single, vec![41]);
     }
 }

@@ -23,14 +23,14 @@
 //!
 //! A query is a [`Plan`] value — scans, selections, projections, joins
 //! and aggregates over named tables — and [`Plan::run`] is the one
-//! interpreter. It runs every join's build side once, as its own
-//! morsel-partitioned pipeline across the workers of the exchange
-//! union, into one read-only table all workers probe; it then opens
-//! only the probe pipeline from the driving scan on each worker, paces
-//! and records every scan, and concatenates the workers' rows. Every
-//! aggregate is merged one hash partition per worker.
+//! interpreter. It runs every pipeline of the plan on the scheduler's
+//! one morsel driver, as Typer and Tectorwise do: for each morsel of the
+//! pipeline's driving scan a worker opens the pipeline's operators over
+//! that morsel and drains them into a shard of its own. Every join's
+//! build side runs once this way, into one read-only table all workers
+//! probe; every aggregate is merged one hash partition per morsel; every
+//! scan is paced and recorded, and the workers' rows are concatenated.
 
-mod exchange;
 pub mod expr;
 pub mod ops;
 pub mod plan;

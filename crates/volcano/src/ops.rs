@@ -9,7 +9,7 @@
 //! an [`Expr`] tree walked per tuple.
 
 use crate::expr::{Expr, Val};
-use dbep_runtime::{hash_bytes_murmur2, rehash_murmur2, Morsels, MORSEL_TUPLES};
+use dbep_runtime::{hash_bytes_murmur2, rehash_murmur2};
 use dbep_scheduler::QueryRun;
 use dbep_storage::throttle::Throttle;
 use dbep_storage::{ColumnData, Table};
@@ -90,21 +90,18 @@ fn eval_into(key: &mut Row, exprs: &[Expr], row: &[Val]) {
     overwrite(key, exprs.iter().map(|e| e.eval_ref(row)));
 }
 
-/// Table scan producing the named columns in order.
-///
-/// By default it walks the whole table. [`Scan::morsel_driven`] makes it
-/// claim tuple ranges from a shared [`Morsels`] cursor instead — the
-/// mechanism the exchange-style parallel union uses to partition the
-/// driving scan of a plan across workers (§6.1 applied to the baseline
-/// engine). [`Scan::paced`] debits every claimed range against a shared
-/// bandwidth [`Throttle`], giving Volcano the same emulated-SSD behaviour
-/// (Table 5) as the other two engines.
+/// Table scan producing the named columns in order, over one range of
+/// rows: the whole table unless [`Scan::rows`] narrows it. The plan
+/// interpreter opens one scan per morsel of a pipeline's driving table
+/// (§6.1 applied to the baseline engine). [`Scan::paced`] debits the
+/// range against a shared bandwidth [`Throttle`] when the first tuple is
+/// pulled, giving Volcano the same emulated-SSD behaviour (Table 5) as
+/// the other two engines.
 pub struct Scan<'a> {
     cols: Vec<&'a ColumnData>,
-    current: Range<usize>,
-    next_dense: usize,
-    len: usize,
-    morsels: Option<&'a Morsels>,
+    rows: Range<usize>,
+    /// Whether `rows` has been debited and recorded yet.
+    charged: bool,
     throttle: Option<&'a Throttle>,
     recorder: Option<&'a QueryRun>,
     bytes_per_row: usize,
@@ -120,64 +117,45 @@ impl<'a> Scan<'a> {
         };
         Scan {
             cols,
-            current: 0..0,
-            next_dense: 0,
-            len: table.len(),
-            morsels: None,
+            rows: 0..table.len(),
+            charged: false,
             throttle: None,
             recorder: None,
             bytes_per_row,
         }
     }
 
-    /// Pace every claimed tuple range against `throttle` (no-op if `None`).
+    /// Walk only `rows`, which must lie within the table.
+    pub fn rows(mut self, rows: Range<usize>) -> Self {
+        assert!(rows.end <= self.rows.end, "scan range exceeds table");
+        self.rows = rows;
+        self
+    }
+
+    /// Pace the scanned range against `throttle` (no-op if `None`).
     pub fn paced(mut self, throttle: Option<&'a Throttle>) -> Self {
         self.throttle = throttle;
         self
     }
 
-    /// Record every claimed tuple range's bytes into the run's scheduler
-    /// stats (no-op if `None`). Volcano always scans the flat columns —
-    /// its interpretation overhead is the baseline — so it reports flat
-    /// byte volume even when encoded companions exist.
+    /// Record the scanned range's bytes into the run's scheduler stats
+    /// (no-op if `None`). Volcano always scans the flat columns — its
+    /// interpretation overhead is the baseline — so it reports flat byte
+    /// volume even when encoded companions exist.
     pub fn recorded(mut self, run: Option<&'a QueryRun>) -> Self {
         self.recorder = run;
         self
     }
 
-    /// Claim tuple ranges from a shared cursor instead of scanning densely.
-    /// The cursor must dispense ranges within this table's row count.
-    pub fn morsel_driven(mut self, morsels: &'a Morsels) -> Self {
-        assert!(morsels.total() <= self.len, "morsel cursor exceeds table");
-        self.morsels = Some(morsels);
-        self
-    }
-
-    fn refill(&mut self) -> bool {
-        let range = match self.morsels {
-            Some(m) => match m.claim() {
-                Some(r) => r,
-                None => return false,
-            },
-            None => {
-                if self.next_dense >= self.len {
-                    return false;
-                }
-                let start = self.next_dense;
-                let end = (start + MORSEL_TUPLES).min(self.len);
-                self.next_dense = end;
-                start..end
-            }
-        };
-        let bytes = range.len() * self.bytes_per_row;
+    fn charge(&mut self) {
+        self.charged = true;
+        let bytes = self.rows.len() * self.bytes_per_row;
         if let Some(run) = self.recorder {
             run.add_bytes(bytes as u64);
         }
         if let Some(t) = self.throttle {
             t.consume(bytes);
         }
-        self.current = range;
-        true
     }
 }
 
@@ -185,11 +163,12 @@ impl<'a> Operator for Scan<'a> {
     /// Overwrites the buffer's slots in place; a string column copies
     /// into the slot's existing `String` when the slot already holds one.
     fn next(&mut self, row: &mut Row) -> bool {
-        if self.current.is_empty() && !self.refill() {
-            return false;
+        if !self.charged {
+            self.charge();
         }
-        let i = self.current.start;
-        self.current.start += 1;
+        let Some(i) = self.rows.next() else {
+            return false;
+        };
         row.resize_with(self.cols.len(), || Val::I32(0));
         for (slot, c) in row.iter_mut().zip(&self.cols) {
             match c {
@@ -255,23 +234,29 @@ impl<'a> Operator for Project<'a> {
 }
 
 /// A pipeline breaker's state as its input is drained into it: one per
-/// instance of a parallel region, then merged once. Each input row
+/// worker of a parallel region, then merged once. Each input row
 /// arrives with its key already evaluated.
 pub trait Shard: Send + Sized {
     fn push(&mut self, key: &[Val], row: &[Val]);
 
-    /// Combine the instances' shards — at least one — into one.
+    /// Combine the workers' shards — at least one — into one.
     fn merge(shards: Vec<Self>) -> Self;
 }
 
 /// Drain `op` into `shard`, keying every row by `keys`.
-pub fn build<S: Shard>(mut op: BoxOp<'_>, keys: &[Expr], mut shard: S) -> S {
+pub fn build<S: Shard>(op: BoxOp<'_>, keys: &[Expr], mut shard: S) -> S {
+    drain(op, keys, &mut shard);
+    shard
+}
+
+/// [`build`] into a shard the caller keeps, as a worker does across the
+/// morsels of a pipeline.
+pub(crate) fn drain<S: Shard>(mut op: BoxOp<'_>, keys: &[Expr], shard: &mut S) {
     let (mut row, mut key) = (Row::new(), Row::new());
     while op.next(&mut row) {
         eval_into(&mut key, keys, &row);
         shard.push(&key, &row);
     }
-    shard
 }
 
 /// Remove the shard for which `size` is largest, the one the others are
@@ -279,7 +264,7 @@ pub fn build<S: Shard>(mut op: BoxOp<'_>, keys: &[Expr], mut shard: S) -> S {
 fn take_largest<S>(shards: &mut Vec<S>, size: impl Fn(&S) -> usize) -> S {
     let largest = (0..shards.len())
         .max_by_key(|&i| size(&shards[i]))
-        .expect("one shard per instance");
+        .expect("one shard per worker");
     shards.swap_remove(largest)
 }
 
@@ -494,9 +479,9 @@ fn accumulate(state: &mut [Val], aggs: &[AggSpec], row: &[Val]) {
 
 /// The groups of an aggregation: per group key, one state per
 /// [`AggSpec`], in one or more partitions by the hash of the key. A
-/// shard holds the groups of the rows one instance saw; merged shards
+/// shard holds the groups of the rows one worker saw; merged shards
 /// add up the states of a key. Partitioned shards are merged one
-/// partition at a time, by as many instances in parallel.
+/// partition at a time, the partitions in parallel.
 pub(crate) struct Groups {
     aggs: Vec<AggSpec>,
     parts: Vec<Part>,

@@ -8,37 +8,39 @@
 //! each join's build side is a pipeline of its own, run before the
 //! pipeline that probes it, and each aggregate's input is a pipeline
 //! of its own, run before the pipeline that reads its groups. Every
-//! pipeline runs as one parallel region of the exchange union: its
-//! *driving* scan — the leaf reached from its root through inputs and
-//! probe sides — is partitioned by morsel across the workers, each
-//! worker drains its instance into a shard of its own, and the shards
-//! are merged once. A build side's shards become the one read-only
-//! [`JoinTable`] or [`KeySet`] every worker of the probing pipeline
-//! borrows; an aggregate's are merged in parallel, one hash partition
-//! per worker (see [`Plan::run`]); the plan's own pipeline yields the
-//! result rows. So every scan reads its table once, at any thread
-//! count, paced against the storage device and recorded into the run's
-//! byte counter. With one worker every breaker does what a hand-wired
-//! tree would: the one shard is the table, its one partition the
-//! groups.
+//! pipeline is one morsel-driven parallel region, the same
+//! [`ExecCtx::map_slots`] loop Typer and Tectorwise run (§6.1): the
+//! morsels are row ranges of its *driving* scan — the leaf reached from
+//! its root through inputs and probe sides — or, for a pipeline driven
+//! by an aggregate, the aggregate's hash partitions. For every morsel a
+//! worker opens the pipeline's operators over that morsel alone and
+//! drains them into a shard of its own; the workers' shards are merged
+//! once. A build side's shards become the one read-only [`JoinTable`]
+//! or [`KeySet`] every worker of the probing pipeline borrows; an
+//! aggregate's are merged in parallel, one hash partition per morsel
+//! (see [`Plan::run`]); the plan's own pipeline yields the result rows.
+//! So every scan reads its table once, at any thread count, paced
+//! against the storage device and recorded into the run's byte counter,
+//! and on a shared pool a Volcano query yields to the others between
+//! any two morsels, as the other engines' queries do.
 //!
-//! Interpretation changes nothing about the engine: every worker opens
+//! Interpretation changes nothing about the engine: every morsel opens
 //! the same boxed operators a hand-wired plan would build, so the
 //! per-tuple costs that make up the Volcano model stay exactly as they
-//! were. Sharing a built table between workers is parallelization, not
-//! compilation. The plan also answers questions about itself, such as
-//! the §3.4 normalization denominator ([`Plan::tuples_scanned`]).
+//! were; re-opening costs O(operators) per morsel. Sharing a built
+//! table between workers is parallelization, not compilation. The plan
+//! also answers questions about itself, such as the §3.4 normalization
+//! denominator ([`Plan::tuples_scanned`]).
 
-use crate::exchange;
 use crate::expr::Expr;
 use crate::ops::{
-    AggSpec, BoxOp, GroupRows, Groups, HashJoin, JoinTable, KeySet, Part, Project, Row, Scan, Select,
+    drain, AggSpec, BoxOp, GroupRows, Groups, HashJoin, JoinTable, KeySet, Part, Project, Row, Scan, Select,
     SemiJoin, Shard,
 };
 use dbep_runtime::{ExecCtx, Morsels};
-use dbep_scheduler::QueryRun;
 use dbep_storage::throttle::Throttle;
 use dbep_storage::Database;
+use std::ops::Range;
 use std::sync::Mutex;
 
 /// One physical plan over the tables of a [`Database`]: a tree of the
@@ -46,8 +48,8 @@ use std::sync::Mutex;
 #[derive(Clone, Debug)]
 pub enum Plan {
     /// The named columns of `table`, in order. Every scan drives the
-    /// pipeline it is the leaf of, claiming morsels from a cursor that
-    /// pipeline's workers share.
+    /// pipeline it is the leaf of: that pipeline's morsels are ranges of
+    /// its rows.
     Scan {
         table: &'static str,
         columns: Vec<&'static str>,
@@ -154,43 +156,31 @@ impl Plan {
         self.scans().iter().map(|t| db.table(t).len()).sum()
     }
 
-    /// Run the plan with one instance of every pipeline per degree of
-    /// parallelism of `exec`, and concatenate the instances' rows. Every
-    /// scan is paced against `throttle` and recorded into the run
-    /// attached to `exec`; with one instance, the plan is one task of
-    /// `exec`. A [`Plan::Aggregate`] is two-phase: the instances of its
-    /// input's pipeline fold their rows into groups partitioned by key
-    /// hash, one partition per instance, then each instance of the
-    /// pipeline reading it merges one partition — counts and 64-bit sums
-    /// add up as 64-bit sums, 128-bit sums as 128-bit sums. An ungrouped
-    /// aggregate yields exactly one row, zeros when no tuple qualified.
+    /// Run the plan's pipelines on `exec`, one after another, each
+    /// morsel by morsel across its workers, and concatenate the rows the
+    /// workers drained from the last one, the plan's own. Every scan is
+    /// paced against `throttle` and recorded into the run attached to
+    /// `exec`.
+    /// A [`Plan::Aggregate`] is two-phase: the workers of its input's
+    /// pipeline fold their rows into groups partitioned by key hash, one
+    /// partition per degree of parallelism of `exec`, then each morsel
+    /// of the pipeline reading it merges one partition — counts and
+    /// 64-bit sums add up as 64-bit sums, 128-bit sums as 128-bit sums.
+    /// An ungrouped aggregate yields exactly one row, zeros when no tuple
+    /// qualified.
     pub fn run(&self, db: &Database, exec: &ExecCtx, throttle: Option<&Throttle>) -> Vec<Row> {
-        let rows = |pipelines: &ExecCtx| {
-            let run = Run {
-                db,
-                exec: pipelines,
-                throttle,
-                recorder: exec.run,
-            };
-            Vec::merge(run.pipeline(self, &[], Vec::new))
-        };
-        if exec.parallelism() > 1 {
-            return rows(exec);
-        }
-        // One instance: the whole plan is one task of `exec`, its
-        // pipelines run inline in it, as one operator tree's would.
-        Vec::merge(exec.map_parts(1, |_| rows(&ExecCtx::inline())))
+        let run = Run { db, exec, throttle };
+        Vec::merge(run.pipeline(self, &[], Vec::new))
     }
 }
 
 /// What every pipeline of one run is opened with.
 struct Run<'a> {
     db: &'a Database,
-    /// Where the pipelines' instances run.
+    /// Where the pipelines' morsels run, and the run every scan records
+    /// its bytes into.
     exec: &'a ExecCtx<'a>,
     throttle: Option<&'a Throttle>,
-    /// The run every scan records its bytes into.
-    recorder: Option<&'a QueryRun>,
 }
 
 /// What a pipeline borrows from the pipelines run before it: one entry
@@ -199,34 +189,43 @@ enum Built {
     Join(JoinTable),
     Keys(KeySet),
     /// The groups of an aggregate, drained from its input by the
-    /// instances of a pipeline of its own into shards partitioned by
-    /// key hash: partition `p` of every shard, for instance `p` of the
-    /// reading pipeline to merge and drive it with.
+    /// workers of a pipeline of its own into shards partitioned by key
+    /// hash: partition `p` of every shard, for morsel `p` of the reading
+    /// pipeline to merge and drive it with.
     Groups(Vec<Mutex<Vec<Part>>>),
 }
 
 impl Run<'_> {
-    /// Build what the pipeline rooted at `plan` borrows, then run one
-    /// instance of it per degree of parallelism of [`Run::exec`], each
-    /// drained into a shard made by `init` and keyed by `keys`. The
-    /// pipelines it depends on run first, one after another, from the
-    /// calling thread: never from inside a worker's task, which would
-    /// nest parallel regions.
+    /// Build what the pipeline rooted at `plan` borrows, then run it
+    /// over its morsels: each worker drains every morsel it claims into
+    /// one shard made by `init` and keyed by `keys`. The pipelines it
+    /// depends on run first, one after another, from the calling thread:
+    /// never from inside a worker's task, which would nest parallel
+    /// regions.
     fn pipeline<S: Shard>(&self, plan: &Plan, keys: &[Expr], init: impl Fn() -> S + Sync) -> Vec<S> {
         let mut built = Vec::new();
-        let morsels = Morsels::new(self.prepare(plan, &mut built));
-        exchange::shards(self.exec, keys, init, |w| {
-            self.open(plan, w, &morsels, &mut built.iter())
-        })
+        let morsels = self.prepare(plan, &mut built);
+        let mut shards = self.exec.map_slots(
+            morsels,
+            |_| init(),
+            |shard, morsel| drain(self.open(plan, morsel, &mut built.iter()), keys, shard),
+        );
+        if shards.is_empty() {
+            // No morsel, as over an empty table: no worker made a shard,
+            // but the merge needs one, and an ungrouped aggregate's is
+            // its row of zeros.
+            shards.push(init());
+        }
+        shards
     }
 
     /// Push to `built` what the pipeline rooted at `plan` borrows, in
-    /// the order [`Run::open`] takes it, and return the number of rows
-    /// its driving scan partitions by morsel (none when the pipeline is
-    /// driven by an aggregate's partitions).
-    fn prepare(&self, plan: &Plan, built: &mut Vec<Built>) -> usize {
+    /// the order [`Run::open`] takes it, and return the pipeline's
+    /// morsels: row ranges of its driving scan, or the partitions of the
+    /// aggregate driving it, one per morsel.
+    fn prepare(&self, plan: &Plan, built: &mut Vec<Built>) -> Morsels {
         match plan {
-            Plan::Scan { table, .. } => self.db.table(table).len(),
+            Plan::Scan { table, .. } => Morsels::new(self.db.table(table).len()),
             Plan::Select { input, .. } | Plan::Project { input, .. } => self.prepare(input, built),
             Plan::Aggregate {
                 input,
@@ -237,7 +236,7 @@ impl Run<'_> {
                 let init = || Groups::new(aggs.clone(), group_by.is_empty(), n);
                 let parts = Groups::partitions(self.pipeline(input, group_by, init));
                 built.push(Built::Groups(parts.into_iter().map(Mutex::new).collect()));
-                0
+                Morsels::with_size(n, 1)
             }
             Plan::HashJoin {
                 build,
@@ -261,33 +260,32 @@ impl Run<'_> {
     }
 
     /// The build side `plan` of a join, keyed by `keys`, as one table.
-    /// At one instance the one shard is the table.
+    /// With one worker's shard, that shard is the table.
     fn table<S: Shard + Default>(&self, plan: &Plan, keys: &[Expr]) -> S {
         S::merge(self.pipeline(plan, keys, S::default))
     }
 
-    /// Open instance `w` of the pipeline rooted at `plan`, its driving
-    /// scan claiming from `morsels`, its breakers borrowed from `built`.
+    /// Open the pipeline rooted at `plan` over one of its morsels, its
+    /// breakers borrowed from `built`.
     fn open<'b>(
         &'b self,
         plan: &'b Plan,
-        w: usize,
-        morsels: &'b Morsels,
+        morsel: Range<usize>,
         built: &mut std::slice::Iter<'b, Built>,
     ) -> BoxOp<'b> {
         match plan {
             Plan::Scan { table, columns } => Box::new(
                 Scan::new(self.db.table(table), columns)
+                    .rows(morsel)
                     .paced(self.throttle)
-                    .recorded(self.recorder)
-                    .morsel_driven(morsels),
+                    .recorded(self.exec.run),
             ),
             Plan::Select { input, pred } => Box::new(Select {
-                input: self.open(input, w, morsels, built),
+                input: self.open(input, morsel, built),
                 pred: pred.clone(),
             }),
             Plan::Project { input, exprs } => Box::new(Project {
-                input: self.open(input, w, morsels, built),
+                input: self.open(input, morsel, built),
                 exprs: exprs.clone(),
             }),
             Plan::HashJoin {
@@ -298,7 +296,7 @@ impl Run<'_> {
                 };
                 Box::new(HashJoin::new(
                     table,
-                    self.open(probe, w, morsels, built),
+                    self.open(probe, morsel, built),
                     probe_keys.clone(),
                 ))
             }
@@ -310,7 +308,7 @@ impl Run<'_> {
                 };
                 Box::new(SemiJoin::new(
                     keys,
-                    self.open(probe, w, morsels, built),
+                    self.open(probe, morsel, built),
                     probe_keys.clone(),
                 ))
             }
@@ -318,7 +316,7 @@ impl Run<'_> {
                 let Some(Built::Groups(parts)) = built.next() else {
                     unreachable!("prepare groups every aggregate on the driving path")
                 };
-                let part = std::mem::take(&mut *parts[w].lock().expect("group partition"));
+                let part = std::mem::take(&mut *parts[morsel.start].lock().expect("group partition"));
                 Box::new(GroupRows::new(vec![Part::merge(part, aggs)], aggs.len()))
             }
         }
@@ -329,11 +327,13 @@ impl Run<'_> {
 mod tests {
     use super::*;
     use crate::expr::{CmpOp, Val};
+    use dbep_runtime::MORSEL_TUPLES;
     use dbep_scheduler::{Scheduler, DEFAULT_PRIORITY};
     use dbep_storage::{ColumnData, Table};
 
     /// `t(k, g, v)`: 50 000 rows, `k` = `v` = row number, `g` = `k % 4`;
-    /// `d(g)`: the two groups 1 and 3; `e(k)`: 0, 5, …, 49 995.
+    /// `d(g)`: the two groups 1 and 3; `e(k)`: 0, 5, …, 49 995; `z(k, v)`:
+    /// no rows.
     fn db() -> Database {
         let n = 50_000;
         let mut t = Table::new("t");
@@ -344,8 +344,11 @@ mod tests {
         d.add_column("g", ColumnData::I32(vec![1, 3]));
         let mut e = Table::new("e");
         e.add_column("k", ColumnData::I32((0..n).step_by(5).collect()));
+        let mut z = Table::new("z");
+        z.add_column("k", ColumnData::I32(Vec::new()))
+            .add_column("v", ColumnData::I64(Vec::new()));
         let mut db = Database::new();
-        db.add(t).add(d).add(e);
+        db.add(t).add(d).add(e).add(z);
         db
     }
 
@@ -412,8 +415,8 @@ mod tests {
     #[test]
     fn grouped_root_at_one_instance_returns_the_rows_of_four() {
         let db = db();
-        // 20 000 groups of one to four rows, no join: the one instance's
-        // groups are the result, with no re-aggregation.
+        // 20 000 groups of one to four rows, no join: one worker's groups
+        // are the result, with no re-aggregation.
         let plan = Plan::scan("t", &["k", "v"])
             .select(Expr::cmp(CmpOp::Lt, Expr::col(0), Expr::lit_i32(20_000)))
             .hash_join(vec![Expr::col(0)], Plan::scan("e", &["k"]), vec![Expr::col(0)])
@@ -569,5 +572,63 @@ mod tests {
             .hash_join(vec![Expr::col(0)], probe(), vec![Expr::col(0)])
             .aggregate(vec![], vec![AggSpec::Count]);
         assert_eq!(run_everywhere(&counted, &db), vec![vec![Val::I64(0)]]);
+    }
+
+    /// A pipeline over an empty table gets no morsel, so no worker makes
+    /// a shard: the pipeline still yields one empty shard.
+    #[test]
+    fn an_empty_driving_table_yields_what_an_empty_input_does() {
+        let db = db();
+        let empty = || Plan::scan("z", &["k", "v"]);
+        let ungrouped = empty().aggregate(vec![], vec![AggSpec::Count, AggSpec::SumI64(Expr::col(1))]);
+        assert_eq!(
+            run_everywhere(&ungrouped, &db),
+            vec![vec![Val::I64(0), Val::I64(0)]]
+        );
+        let grouped = empty().aggregate(vec![Expr::col(0)], vec![AggSpec::Count]);
+        assert!(run_everywhere(&grouped, &db).is_empty());
+        let build = || Plan::scan("e", &["k"]);
+        let join = build().hash_join(vec![Expr::col(0)], empty(), vec![Expr::col(0)]);
+        let semi = build().semi_join(vec![Expr::col(0)], empty(), vec![Expr::col(0)]);
+        assert!(run_everywhere(&join, &db).is_empty());
+        assert!(run_everywhere(&semi, &db).is_empty());
+        let counted = join.aggregate(vec![], vec![AggSpec::Count]);
+        assert_eq!(run_everywhere(&counted, &db), vec![vec![Val::I64(0)]]);
+        let as_build = empty().hash_join(vec![Expr::col(0)], build(), vec![Expr::col(0)]);
+        let as_keys = empty().semi_join(vec![Expr::col(0)], build(), vec![Expr::col(0)]);
+        assert!(run_everywhere(&as_build, &db).is_empty());
+        assert!(run_everywhere(&as_keys, &db).is_empty());
+    }
+
+    /// On a pool, every pipeline is one task and every morsel of its
+    /// driving scan, or every partition of its driving aggregate, one
+    /// morsel of that task: a Volcano query yields to other queries
+    /// between any two of them.
+    #[test]
+    fn every_pipeline_is_one_pool_task_run_morsel_by_morsel() {
+        let db = db();
+        // The Q9 shape: pipelines driven by d (building d ⋈ t's table),
+        // by t (building the outer join's table), by e (folding the
+        // groups) and by the groups' partitions.
+        let plan = Plan::scan("d", &["g"])
+            .hash_join(
+                vec![Expr::col(0)],
+                Plan::scan("t", &["k", "g"]),
+                vec![Expr::col(1)],
+            )
+            .hash_join(vec![Expr::col(1)], Plan::scan("e", &["k"]), vec![Expr::col(0)])
+            .aggregate(vec![Expr::col(0)], vec![AggSpec::Count]);
+        let scanned: usize = [2, 50_000, 10_000]
+            .map(|rows: usize| rows.div_ceil(MORSEL_TUPLES))
+            .iter()
+            .sum();
+        for threads in [1, 2] {
+            let pool = Scheduler::new(threads);
+            let query = pool.begin_query(DEFAULT_PRIORITY);
+            assert_eq!(plan.run(&db, &ExecCtx::pooled(threads, &query), None).len(), 2);
+            let stats = query.stats();
+            assert_eq!(stats.tasks, 4, "{threads} threads");
+            assert_eq!(stats.morsels, (scanned + threads) as u64, "{threads} threads");
+        }
     }
 }
