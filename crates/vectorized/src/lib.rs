@@ -23,7 +23,6 @@
 //! [`SimdPolicy`] chooses between the scalar baseline, hand-written SIMD
 //! (§5) and the auto-vectorization variants (§5.3) at plan level.
 
-pub mod adaptive;
 pub mod chunk;
 pub mod col;
 pub mod gather;

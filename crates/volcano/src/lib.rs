@@ -17,9 +17,12 @@
 //! operators, a runtime-typed [`Val`] per value with type dispatch on
 //! every use, and an [`Expr`] tree walked per tuple. The allocator is not
 //! one of those costs: operators overwrite a [`Row`] buffer their caller
-//! owns, hash operators probe by a borrowed key buffer, and value-keyed
-//! tables hash with the runtime's Murmur2 — so a plan allocates per
-//! inserted build row and group, never per scanned tuple.
+//! owns and hash operators probe by a reused key buffer, so a plan
+//! allocates per inserted build row and group, never per scanned tuple.
+//! Nor is a hash table of its own: its joins build and probe the
+//! runtime's [`dbep_runtime::JoinHt`] and its aggregates fold into the
+//! runtime's [`dbep_runtime::GroupByShard`]s, the tables Typer and
+//! Tectorwise use, keyed by the runtime's Murmur2 over the key's values.
 //!
 //! A query is a [`Plan`] value — scans, selections, projections, joins
 //! and aggregates over named tables — and [`Plan::run`] is the one
@@ -28,8 +31,9 @@
 //! pipeline's driving scan a worker opens the pipeline's operators over
 //! that morsel and drains them into a shard of its own. Every join's
 //! build side runs once this way, into one read-only table all workers
-//! probe; every aggregate is merged one hash partition per morsel; every
-//! scan is paced and recorded, and the workers' rows are concatenated.
+//! probe; every aggregate's shards are merged one hash partition per
+//! morsel; every scan is paced and recorded, and the workers' rows are
+//! concatenated.
 
 pub mod expr;
 pub mod ops;
@@ -37,7 +41,7 @@ pub mod plan;
 
 pub use expr::{BinOp, CmpOp, Expr, Val};
 pub use ops::{
-    AggSpec, Aggregate, BoxOp, HashJoin, JoinTable, KeySet, Operator, Project, Row, Scan, Select, SemiJoin,
+    AggSpec, Aggregate, BoxOp, HashJoin, JoinShard, KeyShard, Operator, Project, Row, Scan, Select, SemiJoin,
     Shard,
 };
 pub use plan::Plan;

@@ -3,20 +3,23 @@
 //! Every operator writes its tuple into a [`Row`] its caller owns and
 //! reuses that buffer's slots — and their string buffers — from one call
 //! to the next. Hash operators evaluate keys into one reused key buffer
-//! and look up by `&[Val]`, so a plan allocates only when a build row or
-//! a group is inserted. What is left per tuple is the model itself: one
-//! virtual `next()` per operator, a runtime-typed [`Val`] per value and
-//! an [`Expr`] tree walked per tuple.
+//! and probe with it, so a plan allocates only when a build row or a
+//! group is inserted. The breakers build the runtime's tables, the ones
+//! Typer and Tectorwise build: a join's build side is a [`JoinHt`], an
+//! aggregate folds into [`GroupByShard`]s merged by [`merge_partitions`].
+//! What is left per tuple is the model itself: one virtual `next()` per
+//! operator, a runtime-typed [`Val`] per value and an [`Expr`] tree
+//! walked per tuple.
 
 use crate::expr::{Expr, Val};
-use dbep_runtime::{hash_bytes_murmur2, rehash_murmur2};
+use dbep_runtime::agg_ht::merge_partitions;
+use dbep_runtime::join_ht::{JoinHtShard, ProbeIter};
+use dbep_runtime::{hash_bytes_murmur2, rehash_murmur2, ExecCtx, GroupByShard, JoinHt};
 use dbep_scheduler::QueryRun;
 use dbep_storage::throttle::Throttle;
 use dbep_storage::{ColumnData, Table};
 use std::borrow::Cow;
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{Hash, Hasher};
 use std::ops::Range;
 
 /// One tuple.
@@ -29,15 +32,13 @@ pub trait Operator {
     fn next(&mut self, row: &mut Row) -> bool;
 }
 
-/// [`Hasher`] over the runtime's Murmur2 for the value-keyed tables:
-/// every word is folded in with [`rehash_murmur2`] (Tectorwise's
-/// composite-key rehash), byte strings are first reduced with
-/// [`hash_bytes_murmur2`]. The overridden `write_*` methods are the ones
-/// a key's hash calls per value (and `write_usize` for its length);
-/// `i128` falls back to `write`. Unseeded, unlike std's SipHash: the
-/// keys are column values of the loaded database, not input a client
-/// chooses.
-#[derive(Default)]
+/// [`Hasher`] over the runtime's Murmur2 that turns a key into the hash
+/// the runtime's tables take ([`hash_key`]): every word is folded in
+/// with [`rehash_murmur2`] (Tectorwise's composite-key rehash), byte
+/// strings are first reduced with [`hash_bytes_murmur2`]. The overridden
+/// `write_*` methods are the ones a key's hash calls per value; `i128`
+/// falls back to `write`. Unseeded: the keys are column values of the
+/// loaded database, not input a client chooses.
 struct MurmurHasher(u64);
 
 impl Hasher for MurmurHasher {
@@ -60,15 +61,14 @@ impl Hasher for MurmurHasher {
     fn write_u64(&mut self, v: u64) {
         self.0 = rehash_murmur2(self.0, v);
     }
-
-    fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
 }
 
-/// Hash map keyed by a value tuple, probed with a borrowed `&[Val]`.
-type ValMap<V> = HashMap<Row, V, BuildHasherDefault<MurmurHasher>>;
-
+/// The hash of a key, its values folded in order.
+fn hash_key(key: &[Val]) -> u64 {
+    let mut h = MurmurHasher(0);
+    Val::hash_slice(key, &mut h);
+    h.finish()
+}
 /// Overwrite `row` with `vals`, reusing its slots: a borrowed value is
 /// copied into its slot (into the slot's string buffer when both are
 /// strings), an owned one is moved in.
@@ -234,22 +234,28 @@ impl<'a> Operator for Project<'a> {
 }
 
 /// A pipeline breaker's state as its input is drained into it: one per
-/// worker of a parallel region, then merged once. Each input row
-/// arrives with its key already evaluated.
+/// worker of a parallel region, then merged once into what the breaker
+/// builds. Each input row arrives with its key already evaluated, as a
+/// [`Row`] a group table can look up without copying it.
 pub trait Shard: Send + Sized {
-    fn push(&mut self, key: &[Val], row: &[Val]);
+    /// What the merged shards build.
+    type Built;
 
-    /// Combine the workers' shards — at least one — into one.
-    fn merge(shards: Vec<Self>) -> Self;
+    fn push(&mut self, key: &Row, row: &[Val]);
+
+    /// Combine the workers' shards — at least one — into what they
+    /// build, in parallel on `exec` where the table allows.
+    fn merge(shards: Vec<Self>, exec: &ExecCtx) -> Self::Built;
 }
 
-/// Drain `op` into `shard`, keying every row by `keys`.
-pub fn build<S: Shard>(op: BoxOp<'_>, keys: &[Expr], mut shard: S) -> S {
+/// Drain `op` into `shard`, keying every row by `keys`, and build what
+/// the one shard builds.
+pub fn build<S: Shard>(op: BoxOp<'_>, keys: &[Expr], mut shard: S) -> S::Built {
     drain(op, keys, &mut shard);
-    shard
+    S::merge(vec![shard], &ExecCtx::inline())
 }
 
-/// [`build`] into a shard the caller keeps, as a worker does across the
+/// Drain `op` into a shard the caller keeps, as a worker does across the
 /// morsels of a pipeline.
 pub(crate) fn drain<S: Shard>(mut op: BoxOp<'_>, keys: &[Expr], shard: &mut S) {
     let (mut row, mut key) = (Row::new(), Row::new());
@@ -259,103 +265,52 @@ pub(crate) fn drain<S: Shard>(mut op: BoxOp<'_>, keys: &[Expr], shard: &mut S) {
     }
 }
 
-/// Remove the shard for which `size` is largest, the one the others are
-/// merged into, so the fewest entries are hashed again.
-fn take_largest<S>(shards: &mut Vec<S>, size: impl Fn(&S) -> usize) -> S {
-    let largest = (0..shards.len())
-        .max_by_key(|&i| size(&shards[i]))
-        .expect("one shard per worker");
-    shards.swap_remove(largest)
-}
-
 /// The rows themselves, in order; the key is ignored.
 impl Shard for Vec<Row> {
-    fn push(&mut self, _: &[Val], row: &[Val]) {
+    type Built = Vec<Row>;
+
+    fn push(&mut self, _: &Row, row: &[Val]) {
         Vec::push(self, row.to_vec());
     }
 
-    fn merge(shards: Vec<Self>) -> Self {
+    fn merge(shards: Vec<Self>, _: &ExecCtx) -> Vec<Row> {
         shards.into_iter().flatten().collect()
     }
 }
 
-/// The build side of a [`HashJoin`]: every build row, and per key its
-/// newest row, from which each row links to the next-older row with
-/// the same key.
+/// The build side of a [`HashJoin`] as one worker drains it: one
+/// [`JoinHt`] entry per build row, the key values followed by the row.
 #[derive(Default)]
-pub struct JoinTable {
-    /// Build key → index of its newest build row.
-    newest: ValMap<usize>,
-    /// Build rows in build order; `older[i]` is the next-older row with
-    /// row `i`'s key.
-    rows: Vec<Row>,
-    older: Vec<Option<usize>>,
-}
+pub struct JoinShard(JoinHtShard<Row>);
 
-impl Shard for JoinTable {
-    fn push(&mut self, key: &[Val], row: &[Val]) {
-        let i = self.rows.len();
-        self.older.push(match self.newest.get_mut(key) {
-            Some(newest) => Some(std::mem::replace(newest, i)),
-            None => {
-                self.newest.insert(key.to_vec(), i);
-                None
-            }
-        });
-        self.rows.push(row.to_vec());
+impl Shard for JoinShard {
+    type Built = JoinHt<Row>;
+
+    fn push(&mut self, key: &Row, row: &[Val]) {
+        self.0.push(hash_key(key), [key, row].concat());
     }
 
-    /// Appends the other shards' rows to the one with the most keys.
-    /// Where a key is in both, the appended shard's rows come first,
-    /// newest first, then the rows already there.
-    fn merge(mut shards: Vec<Self>) -> Self {
-        let mut table = take_largest(&mut shards, |t| t.newest.len());
-        for shard in shards {
-            // Keys arrive in the shard's hash order, which crowds a
-            // growing table with the same hash function into a few long
-            // probe sequences; room for all of them is made first.
-            table.newest.reserve(shard.newest.len());
-            let base = table.rows.len();
-            table.rows.extend(shard.rows);
-            table
-                .older
-                .extend(shard.older.iter().map(|o| o.map(|i| i + base)));
-            for (key, newest) in shard.newest {
-                match table.newest.entry(key) {
-                    Entry::Occupied(mut head) => {
-                        let mut oldest = newest + base;
-                        while let Some(i) = table.older[oldest] {
-                            oldest = i;
-                        }
-                        table.older[oldest] = Some(head.insert(newest + base));
-                    }
-                    Entry::Vacant(slot) => {
-                        slot.insert(newest + base);
-                    }
-                }
-            }
-        }
-        table
+    fn merge(shards: Vec<Self>, exec: &ExecCtx) -> JoinHt<Row> {
+        JoinHt::from_shards(shards.into_iter().map(|s| s.0).collect(), exec)
     }
 }
 
-/// Inner hash join against a [`JoinTable`] built before the probe side
-/// opens: streams the probe side, each match emitted as build columns
-/// followed by probe columns, a probe tuple's matches newest build row
-/// first.
+/// Inner hash join against the table of [`JoinShard`]s built before the
+/// probe side opens: streams the probe side, each match emitted as build
+/// columns followed by probe columns.
 pub struct HashJoin<'a> {
-    table: &'a JoinTable,
+    table: &'a JoinHt<Row>,
     probe: BoxOp<'a>,
     probe_keys: Vec<Expr>,
     /// The current probe tuple and the key buffer, reused across tuples.
     probe_row: Row,
     key: Row,
-    /// The next build row to emit for `probe_row`.
-    cursor: Option<usize>,
+    /// The entries left to compare with `key`: the chain of its hash.
+    cursor: Option<ProbeIter<'a, Row>>,
 }
 
 impl<'a> HashJoin<'a> {
-    pub fn new(table: &'a JoinTable, probe: BoxOp<'a>, probe_keys: Vec<Expr>) -> Self {
+    pub fn new(table: &'a JoinHt<Row>, probe: BoxOp<'a>, probe_keys: Vec<Expr>) -> Self {
         HashJoin {
             table,
             probe,
@@ -369,63 +324,53 @@ impl<'a> HashJoin<'a> {
 
 impl<'a> Operator for HashJoin<'a> {
     fn next(&mut self, row: &mut Row) -> bool {
+        let n = self.probe_keys.len();
         loop {
-            if let Some(b) = self.cursor {
-                self.cursor = self.table.older[b];
-                overwrite(
-                    row,
-                    self.table.rows[b]
-                        .iter()
-                        .chain(&self.probe_row)
-                        .map(Cow::Borrowed),
-                );
-                return true;
+            if let Some(cursor) = &mut self.cursor {
+                if let Some(e) = cursor.find(|e| e.row[..n] == self.key[..]) {
+                    overwrite(row, e.row[n..].iter().chain(&self.probe_row).map(Cow::Borrowed));
+                    return true;
+                }
             }
             if !self.probe.next(&mut self.probe_row) {
                 return false;
             }
             eval_into(&mut self.key, &self.probe_keys, &self.probe_row);
-            self.cursor = self.table.newest.get(self.key.as_slice()).copied();
+            self.cursor = Some(self.table.probe(hash_key(&self.key)));
         }
     }
 }
 
-/// The build side of a [`SemiJoin`]: its distinct keys.
+/// The build side of a [`SemiJoin`] as one worker drains it: one
+/// [`JoinHt`] entry per build row, its key values.
 #[derive(Default)]
-pub struct KeySet(HashSet<Row, BuildHasherDefault<MurmurHasher>>);
+pub struct KeyShard(JoinHtShard<Row>);
 
-impl Shard for KeySet {
-    fn push(&mut self, key: &[Val], _: &[Val]) {
-        if !self.0.contains(key) {
-            self.0.insert(key.to_vec());
-        }
+impl Shard for KeyShard {
+    type Built = JoinHt<Row>;
+
+    fn push(&mut self, key: &Row, _: &[Val]) {
+        self.0.push(hash_key(key), key.clone());
     }
 
-    /// Adds the other shards' keys to the largest, room made first as in
-    /// [`JoinTable`]'s merge.
-    fn merge(mut shards: Vec<Self>) -> Self {
-        let mut keys = take_largest(&mut shards, |k| k.0.len());
-        for shard in shards {
-            keys.0.reserve(shard.0.len());
-            keys.0.extend(shard.0);
-        }
-        keys
+    fn merge(shards: Vec<Self>, exec: &ExecCtx) -> JoinHt<Row> {
+        JoinHt::from_shards(shards.into_iter().map(|s| s.0).collect(), exec)
     }
 }
 
-/// Hash **semi**-join (SQL `EXISTS` / `IN` subquery) against a
-/// [`KeySet`] built before the probe side opens: streams the probe
+/// Hash **semi**-join (SQL `EXISTS` / `IN` subquery) against the table
+/// of [`KeyShard`]s built before the probe side opens: streams the probe
 /// tuples that have at least one build match — each probe tuple at most
 /// once, never widened with build columns.
 pub struct SemiJoin<'a> {
-    keys: &'a KeySet,
+    keys: &'a JoinHt<Row>,
     probe: BoxOp<'a>,
     probe_keys: Vec<Expr>,
     key: Row,
 }
 
 impl<'a> SemiJoin<'a> {
-    pub fn new(keys: &'a KeySet, probe: BoxOp<'a>, probe_keys: Vec<Expr>) -> Self {
+    pub fn new(keys: &'a JoinHt<Row>, probe: BoxOp<'a>, probe_keys: Vec<Expr>) -> Self {
         SemiJoin {
             keys,
             probe,
@@ -439,7 +384,7 @@ impl<'a> Operator for SemiJoin<'a> {
     fn next(&mut self, row: &mut Row) -> bool {
         while self.probe.next(row) {
             eval_into(&mut self.key, &self.probe_keys, row);
-            if self.keys.0.contains(self.key.as_slice()) {
+            if self.keys.contains(hash_key(&self.key), |k| *k == self.key) {
                 return true;
             }
         }
@@ -466,9 +411,14 @@ impl AggSpec {
     }
 }
 
-/// Fold one input tuple into a group's aggregate state.
-fn accumulate(state: &mut [Val], aggs: &[AggSpec], row: &[Val]) {
-    for (slot, spec) in state.iter_mut().zip(aggs) {
+/// A new group's states.
+fn zeros(aggs: &[AggSpec]) -> Row {
+    aggs.iter().map(AggSpec::zero).collect()
+}
+
+/// Fold one input tuple into a group's aggregate states.
+fn accumulate(states: &mut [Val], aggs: &[AggSpec], row: &[Val]) {
+    for (slot, spec) in states.iter_mut().zip(aggs) {
         *slot = match spec {
             AggSpec::SumI64(e) => Val::I64(slot.as_i64().wrapping_add(e.eval_ref(row).as_i64())),
             AggSpec::SumI128(e) => Val::I128(slot.as_i128() + e.eval_ref(row).as_i128()),
@@ -477,175 +427,70 @@ fn accumulate(state: &mut [Val], aggs: &[AggSpec], row: &[Val]) {
     }
 }
 
-/// The groups of an aggregation: per group key, one state per
-/// [`AggSpec`], in one or more partitions by the hash of the key. A
-/// shard holds the groups of the rows one worker saw; merged shards
-/// add up the states of a key. Partitioned shards are merged one
-/// partition at a time, the partitions in parallel.
-pub(crate) struct Groups {
-    aggs: Vec<AggSpec>,
-    parts: Vec<Part>,
-}
-
-/// One partition of [`Groups`].
-#[derive(Default)]
-pub(crate) struct Part {
-    /// Group key → group number `g`, whose aggregates are
-    /// `states[g * n..][..n]`.
-    index: ValMap<usize>,
-    states: Vec<Val>,
-}
-
-impl Part {
-    /// The number of `key`'s group, inserted with zero states if new.
-    fn group(&mut self, key: &[Val], aggs: &[AggSpec]) -> usize {
-        if let Some(&g) = self.index.get(key) {
-            return g;
-        }
-        let g = self.index.len();
-        self.index.insert(key.to_vec(), g);
-        self.states.extend(aggs.iter().map(AggSpec::zero));
-        g
-    }
-
-    /// Adds the other parts' states into the one with the most groups:
-    /// counts and 64-bit sums as 64-bit sums, 128-bit sums as 128-bit
-    /// sums. Room is made first as in [`JoinTable`]'s merge.
-    pub(crate) fn merge(mut parts: Vec<Part>, aggs: &[AggSpec]) -> Part {
-        let mut merged = take_largest(&mut parts, |p| p.index.len());
-        let n = aggs.len();
-        for part in parts {
-            merged.index.reserve(part.index.len());
-            for (key, g) in part.index {
-                let next = merged.index.len();
-                let into = match merged.index.entry(key) {
-                    Entry::Occupied(e) => *e.get(),
-                    Entry::Vacant(e) => {
-                        merged.states.extend(aggs.iter().map(AggSpec::zero));
-                        *e.insert(next)
-                    }
-                };
-                let (to, from) = (&mut merged.states[into * n..][..n], &part.states[g * n..][..n]);
-                for (to, from) in to.iter_mut().zip(from) {
-                    *to = match to {
-                        Val::I128(v) => Val::I128(*v + from.as_i128()),
-                        _ => Val::I64(to.as_i64().wrapping_add(from.as_i64())),
-                    };
-                }
-            }
-        }
-        merged
-    }
-}
-
-impl Groups {
-    /// No groups yet, in `parts` partitions; an ungrouped aggregation
-    /// starts with its one group, so it yields a row of zeros when no
-    /// input arrives.
-    pub(crate) fn new(aggs: Vec<AggSpec>, ungrouped: bool, parts: usize) -> Self {
-        let mut groups = Groups {
-            aggs,
-            parts: (0..parts.max(1)).map(|_| Part::default()).collect(),
+/// Add a partial group's states into another's: counts and 64-bit sums
+/// as 64-bit sums, 128-bit sums as 128-bit sums.
+fn add_states(states: &mut Row, partial: Row) {
+    for (to, from) in states.iter_mut().zip(partial) {
+        *to = match to {
+            Val::I128(v) => Val::I128(*v + from.as_i128()),
+            _ => Val::I64(to.as_i64().wrapping_add(from.as_i64())),
         };
+    }
+}
+
+/// The groups of an aggregation as one worker folds its rows into them:
+/// per group key, one state per [`AggSpec`]. Merged shards add up the
+/// states of a key and yield each group as its key and its states.
+pub(crate) struct GroupShard<'a> {
+    aggs: &'a [AggSpec],
+    groups: GroupByShard<Row, Row>,
+}
+
+impl<'a> GroupShard<'a> {
+    /// No groups yet; an ungrouped aggregation starts with its one
+    /// group, so it yields a row of zeros when no input arrives.
+    pub(crate) fn new(aggs: &'a [AggSpec], ungrouped: bool) -> Self {
+        // No pre-aggregation bound: past one, every row of a group not
+        // in the table spills as a boxed key and states of its own,
+        // which costs more memory and time than the one table it bounds.
+        let mut groups = GroupByShard::new(usize::MAX);
         if ungrouped {
-            groups.push_group(&[]);
+            groups.update(hash_key(&[]), Row::new(), || zeros(aggs), |_| {});
         }
-        groups
-    }
-
-    /// The partition and number of `key`'s group, inserted if new. The
-    /// partition is taken from the hash's upper half; a partition's
-    /// table places its keys by the lower bits.
-    fn push_group(&mut self, key: &[Val]) -> (usize, usize) {
-        let p = match self.parts.len() {
-            1 => 0,
-            parts => {
-                let mut h = MurmurHasher::default();
-                key.hash(&mut h);
-                (h.finish() >> 32) as usize % parts
-            }
-        };
-        (p, self.parts[p].group(key, &self.aggs))
-    }
-
-    /// Entry `p` holds partition `p` of every shard; every shard has
-    /// as many partitions.
-    pub(crate) fn partitions(shards: Vec<Groups>) -> Vec<Vec<Part>> {
-        let mut by_part: Vec<Vec<Part>> = shards[0].parts.iter().map(|_| Vec::new()).collect();
-        for shard in shards {
-            assert_eq!(shard.parts.len(), by_part.len(), "shards partitioned alike");
-            for (into, part) in by_part.iter_mut().zip(shard.parts) {
-                into.push(part);
-            }
-        }
-        by_part
-    }
-
-    /// The groups as a source of rows, each the key, then the
-    /// aggregates.
-    pub(crate) fn into_source(self) -> GroupRows {
-        GroupRows::new(self.parts, self.aggs.len())
+        GroupShard { aggs, groups }
     }
 }
 
-impl Shard for Groups {
-    fn push(&mut self, key: &[Val], row: &[Val]) {
-        let n = self.aggs.len();
-        let (p, g) = self.push_group(key);
-        accumulate(&mut self.parts[p].states[g * n..][..n], &self.aggs, row);
-    }
+impl Shard for GroupShard<'_> {
+    type Built = Vec<(Row, Row)>;
 
-    /// Merges partition by partition.
-    fn merge(mut shards: Vec<Self>) -> Self {
-        let aggs = std::mem::take(&mut shards[0].aggs);
-        let parts = Groups::partitions(shards)
-            .into_iter()
-            .map(|part| Part::merge(part, &aggs))
-            .collect();
-        Groups { aggs, parts }
-    }
-}
-
-/// Source over the groups of a [`Groups`]: each group's key and
-/// aggregates are copied into the caller's buffer, and the keys are
-/// freed together when the source is dropped, not one per row.
-pub(crate) struct GroupRows {
-    groups: Vec<(Row, usize)>,
-    states: Vec<Val>,
-    n: usize,
-    next: usize,
-}
-
-impl GroupRows {
-    /// The groups of `parts`, `n` aggregates each.
-    pub(crate) fn new(parts: Vec<Part>, n: usize) -> Self {
-        let mut groups = Vec::with_capacity(parts.iter().map(|p| p.index.len()).sum());
-        let mut states = Vec::with_capacity(parts.iter().map(|p| p.states.len()).sum());
-        let mut base = 0;
-        for part in parts {
-            let len = part.index.len();
-            groups.extend(part.index.into_iter().map(|(k, g)| (k, base + g)));
-            states.extend(part.states);
-            base += len;
-        }
-        GroupRows {
-            groups,
-            states,
-            n,
-            next: 0,
+    fn push(&mut self, key: &Row, row: &[Val]) {
+        let (hash, aggs) = (hash_key(key), self.aggs);
+        match self.groups.ht.find(hash, key) {
+            Some(g) => accumulate(self.groups.ht.agg_mut(g), aggs, row),
+            None => self
+                .groups
+                .update(hash, key.clone(), || zeros(aggs), |s| accumulate(s, aggs, row)),
         }
     }
+
+    fn merge(shards: Vec<Self>, exec: &ExecCtx) -> Vec<(Row, Row)> {
+        let parts = shards.into_iter().map(|s| s.groups.finish()).collect();
+        merge_partitions(parts, exec, add_states)
+    }
 }
 
-impl Operator for GroupRows {
+/// Overwrite `row` with a group: its key, then its states.
+fn emit_group(row: &mut Row, (key, states): &(Row, Row)) {
+    overwrite(row, key.iter().chain(states).map(Cow::Borrowed));
+}
+
+/// Source over merged groups, as [`emit_group`] writes them.
+pub(crate) struct GroupRows<'a>(pub(crate) std::slice::Iter<'a, (Row, Row)>);
+
+impl Operator for GroupRows<'_> {
     fn next(&mut self, row: &mut Row) -> bool {
-        let Some((key, g)) = self.groups.get(self.next) else {
-            return false;
-        };
-        self.next += 1;
-        let states = &self.states[g * self.n..][..self.n];
-        overwrite(row, key.iter().chain(states).map(Cow::Borrowed));
-        true
+        self.0.next().map(|group| emit_group(row, group)).is_some()
     }
 }
 
@@ -653,21 +498,25 @@ impl Operator for GroupRows {
 /// row per group, group keys followed by the aggregates. An ungrouped
 /// aggregate emits exactly one row, zeros when its input is empty.
 pub struct Aggregate {
-    out: GroupRows,
+    groups: Vec<(Row, Row)>,
+    next: usize,
 }
 
 impl Aggregate {
     pub fn new(input: BoxOp<'_>, group_by: Vec<Expr>, aggs: Vec<AggSpec>) -> Self {
-        let groups = build(input, &group_by, Groups::new(aggs, group_by.is_empty(), 1));
-        Aggregate {
-            out: groups.into_source(),
-        }
+        let groups = build(input, &group_by, GroupShard::new(&aggs, group_by.is_empty()));
+        Aggregate { groups, next: 0 }
     }
 }
 
 impl Operator for Aggregate {
     fn next(&mut self, row: &mut Row) -> bool {
-        self.out.next(row)
+        let Some(group) = self.groups.get(self.next) else {
+            return false;
+        };
+        self.next += 1;
+        emit_group(row, group);
+        true
     }
 }
 
@@ -764,7 +613,7 @@ mod tests {
         let table = build(
             Box::new(Scan::new(&t, &["k", "s"])),
             &[Expr::col(1)],
-            JoinTable::default(),
+            JoinShard::default(),
         );
         let join = HashJoin::new(&table, Box::new(Scan::new(&t, &["k", "s"])), vec![Expr::col(1)]);
         let rows = collect(Box::new(join));
@@ -774,70 +623,68 @@ mod tests {
         }
     }
 
+    /// `rows` as `(key, id)` pushed into `S`'s shards, one shard per
+    /// slice and one more left empty, merged on two threads.
+    fn merged<S: Shard + Default>(shards: &[&[(i32, i64)]]) -> S::Built {
+        let mut built: Vec<S> = shards
+            .iter()
+            .map(|rows| {
+                let mut shard = S::default();
+                for &(k, id) in rows.iter() {
+                    shard.push(&vec![Val::I32(k)], &[Val::I64(id), Val::I32(k)]);
+                }
+                shard
+            })
+            .collect();
+        built.push(S::default());
+        S::merge(built, &ExecCtx::spawn(2))
+    }
+
+    /// The rows of `op`, sorted: equal to another such list exactly when
+    /// the two hold the same rows as often.
+    fn sorted(op: BoxOp<'_>) -> Vec<Row> {
+        let mut rows = collect(op);
+        rows.sort();
+        rows
+    }
+
     #[test]
-    fn join_emits_duplicate_build_keys_newest_first() {
-        let mut build = Table::new("b");
-        build
-            .add_column("key", ColumnData::I32(vec![7, 8, 7, 7]))
-            .add_column("id", ColumnData::I64(vec![1, 2, 3, 4]));
+    fn join_emits_each_pair_of_duplicate_build_keys_once() {
+        // Key 7 has three build rows, one of them in the second shard.
+        let table = merged::<JoinShard>(&[&[(7, 1), (8, 2), (7, 3)], &[(7, 4)]]);
         let mut probe = Table::new("p");
         probe
             .add_column("key", ColumnData::I32(vec![7, 9, 8, 7]))
-            .add_column(
-                "tag",
-                ColumnData::Str(["p0", "p1", "p2", "p3"].into_iter().collect()),
-            );
-        let table = super::build(
-            Box::new(Scan::new(&build, &["id", "key"])),
-            &[Expr::col(1)],
-            JoinTable::default(),
-        );
+            .add_column("tag", ColumnData::I64(vec![0, 1, 2, 3]));
         let join = HashJoin::new(
             &table,
             Box::new(Scan::new(&probe, &["tag", "key"])),
             vec![Expr::col(1)],
         );
-        let emitted: Vec<(i64, String)> = collect(Box::new(join))
-            .iter()
-            .map(|r| (r[0].as_i64(), r[2].as_str().to_string()))
-            .collect();
-        let want = [
-            (4, "p0"),
-            (3, "p0"),
-            (1, "p0"),
-            (2, "p2"),
-            (4, "p3"),
-            (3, "p3"),
-            (1, "p3"),
-        ];
-        let want: Vec<(i64, String)> = want.iter().map(|&(id, tag)| (id, tag.to_string())).collect();
-        assert_eq!(emitted, want);
+        let pair = |id: i64, k: i32, tag: i64| vec![Val::I64(id), Val::I32(k), Val::I64(tag), Val::I32(k)];
+        let mut want = vec![pair(2, 8, 2)];
+        for tag in [0, 3] {
+            want.extend([1, 3, 4].map(|id| pair(id, 7, tag)));
+        }
+        want.sort();
+        assert_eq!(sorted(Box::new(join)), want);
     }
 
     #[test]
-    fn merged_join_table_chains_each_shard_newest_first() {
-        // Two shards of (key, id); key 7 is in both.
-        let shard = |rows: &[(i32, i64)]| {
-            let mut t = JoinTable::default();
-            for &(k, id) in rows {
-                t.push(&[Val::I32(k)], &[Val::I64(id), Val::I32(k)]);
-            }
-            t
-        };
-        let first = shard(&[(7, 1), (8, 2), (7, 3)]);
-        let second = shard(&[(7, 4), (9, 5), (7, 6), (10, 7)]);
-        // `second` has more keys, so `first`'s rows are appended to it.
-        let table = JoinTable::merge(vec![first, second]);
+    fn merged_join_table_holds_every_row_of_every_shard() {
+        // Key 7 is in both non-empty shards.
+        let table = merged::<JoinShard>(&[&[(7, 1), (8, 2), (7, 3)], &[(7, 4), (9, 5), (7, 6), (10, 7)]]);
+        assert_eq!(table.len(), 7);
         let mut probe = Table::new("p");
         probe.add_column("key", ColumnData::I32(vec![7, 8, 9, 10, 11]));
         let join = HashJoin::new(&table, Box::new(Scan::new(&probe, &["key"])), vec![Expr::col(0)]);
-        let emitted: Vec<(i64, i32)> = collect(Box::new(join))
+        let emitted: Vec<(i64, i32)> = sorted(Box::new(join))
             .iter()
             .map(|r| (r[0].as_i64(), r[2].as_i32()))
             .collect();
         assert_eq!(
             emitted,
-            vec![(3, 7), (1, 7), (6, 7), (4, 7), (2, 8), (5, 9), (7, 10)]
+            vec![(1, 7), (2, 8), (3, 7), (4, 7), (5, 9), (6, 7), (7, 10)]
         );
     }
 
@@ -848,52 +695,49 @@ mod tests {
             AggSpec::SumI64(Expr::col(1)),
             AggSpec::SumI128(Expr::col(1)),
         ];
+        let shard = |ungrouped: bool, rows: &[(i32, i64)]| {
+            let mut g = GroupShard::new(&aggs, ungrouped);
+            let key = |k: i32| if ungrouped { vec![] } else { vec![Val::I32(k)] };
+            for &(k, v) in rows {
+                g.push(&key(k), &[Val::I32(k), Val::I64(v)]);
+            }
+            g
+        };
+        let rows_of = |groups: Vec<(Row, Row)>| {
+            let mut rows = collect(Box::new(GroupRows(groups.iter())));
+            rows.sort();
+            rows
+        };
         let row = |k: i32, n: i64, s: i64| vec![Val::I32(k), Val::I64(n), Val::I64(s), Val::I128(s as i128)];
-        let want = vec![row(1, 1, 10), row(2, 2, 25), row(3, 2, 8)];
-        for parts in [1, 3] {
-            let shard = |rows: &[(i32, i64)]| {
-                let mut g = Groups::new(aggs.clone(), false, parts);
-                for &(k, v) in rows {
-                    g.push(&[Val::I32(k)], &[Val::I32(k), Val::I64(v)]);
-                }
-                g
-            };
-            let shards = || vec![shard(&[(1, 10), (2, 20)]), shard(&[(2, 5), (3, 7), (3, 1)])];
-            let rows_of = |g: Groups| collect(Box::new(g.into_source()));
-            let mut rows = rows_of(Groups::merge(shards()));
-            rows.sort();
-            assert_eq!(rows, want, "{parts} partitions");
-            // Partition by partition: no key is in two partitions.
-            let mut rows: Vec<Row> = Groups::partitions(shards())
-                .into_iter()
-                .flat_map(|part| {
-                    collect(Box::new(GroupRows::new(
-                        vec![Part::merge(part, &aggs)],
-                        aggs.len(),
-                    )))
-                })
-                .collect();
-            rows.sort();
-            assert_eq!(rows, want, "{parts} partitions, merged one at a time");
+        for exec in [ExecCtx::inline(), ExecCtx::spawn(3)] {
+            let shards = vec![
+                shard(false, &[(1, 10), (2, 20)]),
+                shard(false, &[]),
+                shard(false, &[(2, 5), (3, 7), (3, 1)]),
+            ];
+            assert_eq!(
+                rows_of(GroupShard::merge(shards, &exec)),
+                vec![row(1, 1, 10), row(2, 2, 25), row(3, 2, 8)]
+            );
+            // An ungrouped aggregation keeps its one group through a
+            // merge, zeros when no shard saw a row, the sums otherwise.
+            let none = || shard(true, &[]);
+            let zero = vec![Val::I64(0), Val::I64(0), Val::I128(0)];
+            assert_eq!(
+                rows_of(GroupShard::merge(vec![none(), none()], &exec)),
+                vec![zero]
+            );
+            let some = vec![none(), shard(true, &[(1, 4), (2, 5)]), shard(true, &[(3, 6)])];
+            assert_eq!(
+                rows_of(GroupShard::merge(some, &exec)),
+                vec![vec![Val::I64(3), Val::I64(15), Val::I128(15)]]
+            );
         }
-        // An ungrouped aggregation keeps its one group through a merge.
-        let none = || Groups::new(aggs.clone(), true, 2);
-        assert_eq!(
-            collect(Box::new(Groups::merge(vec![none(), none()]).into_source())),
-            vec![vec![Val::I64(0), Val::I64(0), Val::I128(0)]]
-        );
     }
 
     #[test]
     fn merged_key_set_is_the_union_of_its_shards() {
-        let shard = |keys: &[i32]| {
-            let mut s = KeySet::default();
-            for &k in keys {
-                s.push(&[Val::I32(k)], &[]);
-            }
-            s
-        };
-        let keys = KeySet::merge(vec![shard(&[1, 2, 2]), shard(&[2, 3]), KeySet::default()]);
+        let keys = merged::<KeyShard>(&[&[(1, 0), (2, 0), (2, 0)], &[(2, 0), (3, 0)]]);
         let mut probe = Table::new("p");
         probe.add_column("key", ColumnData::I32((0..6).collect()));
         let semi = SemiJoin::new(&keys, Box::new(Scan::new(&probe, &["key"])), vec![Expr::col(0)]);
@@ -912,7 +756,7 @@ mod tests {
                 pred: Expr::cmp(CmpOp::Eq, Expr::col(0), Expr::Const(Val::Str("a".into()))),
             }),
             &[Expr::col(0)],
-            KeySet::default(),
+            KeyShard::default(),
         );
         let semi = SemiJoin::new(&keys, Box::new(Scan::new(&t, &["k", "s"])), vec![Expr::col(1)]);
         let rows = collect(Box::new(semi));
@@ -934,7 +778,7 @@ mod tests {
         let keys = super::build(
             Box::new(Scan::new(&build, &["key"])),
             &[Expr::col(0)],
-            KeySet::default(),
+            KeyShard::default(),
         );
         let semi = SemiJoin::new(&keys, Box::new(Scan::new(&probe, &["key"])), vec![Expr::col(0)]);
         let keys: Vec<i64> = collect(Box::new(semi)).iter().map(|r| r[0].as_i64()).collect();
@@ -950,7 +794,7 @@ mod tests {
                 pred: Expr::cmp(CmpOp::Eq, Expr::col(0), Expr::Const(Val::Str("zzz".into()))),
             }),
             &[Expr::col(0)],
-            KeySet::default(),
+            KeyShard::default(),
         );
         let semi = SemiJoin::new(&keys, Box::new(Scan::new(&t, &["k", "s"])), vec![Expr::col(1)]);
         assert!(collect(Box::new(semi)).is_empty());

@@ -12,13 +12,15 @@
 //! [`ExecCtx::map_slots`] loop Typer and Tectorwise run (§6.1): the
 //! morsels are row ranges of its *driving* scan — the leaf reached from
 //! its root through inputs and probe sides — or, for a pipeline driven
-//! by an aggregate, the aggregate's hash partitions. For every morsel a
+//! by an aggregate, row ranges of its merged groups. For every morsel a
 //! worker opens the pipeline's operators over that morsel alone and
 //! drains them into a shard of its own; the workers' shards are merged
-//! once. A build side's shards become the one read-only [`JoinTable`]
-//! or [`KeySet`] every worker of the probing pipeline borrows; an
-//! aggregate's are merged in parallel, one hash partition per morsel
-//! (see [`Plan::run`]); the plan's own pipeline yields the result rows.
+//! once. A build side's shards are published into the one read-only
+//! [`JoinHt`] every worker of the probing pipeline borrows; an
+//! aggregate's are merged by the runtime's two-phase group-by, one hash
+//! partition per morsel, into the groups whose morsels drive the
+//! pipeline reading them (see [`Plan::run`]); the plan's own pipeline
+//! yields the result rows.
 //! So every scan reads its table once, at any thread count, paced
 //! against the storage device and recorded into the run's byte counter,
 //! and on a shared pool a Volcano query yields to the others between
@@ -34,14 +36,13 @@
 
 use crate::expr::Expr;
 use crate::ops::{
-    drain, AggSpec, BoxOp, GroupRows, Groups, HashJoin, JoinTable, KeySet, Part, Project, Row, Scan, Select,
+    drain, AggSpec, BoxOp, GroupRows, GroupShard, HashJoin, JoinShard, KeyShard, Project, Row, Scan, Select,
     SemiJoin, Shard,
 };
-use dbep_runtime::{ExecCtx, Morsels};
+use dbep_runtime::{ExecCtx, JoinHt, Morsels};
 use dbep_storage::throttle::Throttle;
 use dbep_storage::Database;
 use std::ops::Range;
-use std::sync::Mutex;
 
 /// One physical plan over the tables of a [`Database`]: a tree of the
 /// operators of [`crate::ops`].
@@ -161,16 +162,17 @@ impl Plan {
     /// workers drained from the last one, the plan's own. Every scan is
     /// paced against `throttle` and recorded into the run attached to
     /// `exec`.
-    /// A [`Plan::Aggregate`] is two-phase: the workers of its input's
-    /// pipeline fold their rows into groups partitioned by key hash, one
-    /// partition per degree of parallelism of `exec`, then each morsel
-    /// of the pipeline reading it merges one partition — counts and
-    /// 64-bit sums add up as 64-bit sums, 128-bit sums as 128-bit sums.
-    /// An ungrouped aggregate yields exactly one row, zeros when no tuple
-    /// qualified.
+    /// A [`Plan::Aggregate`] is the runtime's two-phase group-by: the
+    /// workers of its input's pipeline fold their rows into a
+    /// pre-aggregation table each, whose groups
+    /// [`dbep_runtime::agg_ht::merge_partitions`] merges one hash
+    /// partition per morsel — counts and 64-bit sums add up as 64-bit
+    /// sums, 128-bit sums as 128-bit sums — and the pipeline reading it
+    /// scans the merged groups in morsels. An ungrouped aggregate yields
+    /// exactly one row, zeros when no tuple qualified.
     pub fn run(&self, db: &Database, exec: &ExecCtx, throttle: Option<&Throttle>) -> Vec<Row> {
         let run = Run { db, exec, throttle };
-        Vec::merge(run.pipeline(self, &[], Vec::new))
+        run.pipeline(self, &[], Vec::new)
     }
 }
 
@@ -186,23 +188,22 @@ struct Run<'a> {
 /// What a pipeline borrows from the pipelines run before it: one entry
 /// per breaker on its driving path, from the root down.
 enum Built {
-    Join(JoinTable),
-    Keys(KeySet),
-    /// The groups of an aggregate, drained from its input by the
-    /// workers of a pipeline of its own into shards partitioned by key
-    /// hash: partition `p` of every shard, for morsel `p` of the reading
-    /// pipeline to merge and drive it with.
-    Groups(Vec<Mutex<Vec<Part>>>),
+    /// A join's build side: per build row its key values, then the row
+    /// for a [`HashJoin`], nothing more for a [`SemiJoin`].
+    Table(JoinHt<Row>),
+    /// The merged groups of an aggregate, each its key and its states:
+    /// the rows that drive the pipeline reading them.
+    Groups(Vec<(Row, Row)>),
 }
 
 impl Run<'_> {
     /// Build what the pipeline rooted at `plan` borrows, then run it
     /// over its morsels: each worker drains every morsel it claims into
-    /// one shard made by `init` and keyed by `keys`. The pipelines it
-    /// depends on run first, one after another, from the calling thread:
-    /// never from inside a worker's task, which would nest parallel
-    /// regions.
-    fn pipeline<S: Shard>(&self, plan: &Plan, keys: &[Expr], init: impl Fn() -> S + Sync) -> Vec<S> {
+    /// one shard made by `init` and keyed by `keys`, and the workers'
+    /// shards are merged into what they build. The pipelines it depends
+    /// on run first, one after another, from the calling thread: never
+    /// from inside a worker's task, which would nest parallel regions.
+    fn pipeline<S: Shard>(&self, plan: &Plan, keys: &[Expr], init: impl Fn() -> S + Sync) -> S::Built {
         let mut built = Vec::new();
         let morsels = self.prepare(plan, &mut built);
         let mut shards = self.exec.map_slots(
@@ -216,13 +217,13 @@ impl Run<'_> {
             // its row of zeros.
             shards.push(init());
         }
-        shards
+        S::merge(shards, self.exec)
     }
 
     /// Push to `built` what the pipeline rooted at `plan` borrows, in
     /// the order [`Run::open`] takes it, and return the pipeline's
-    /// morsels: row ranges of its driving scan, or the partitions of the
-    /// aggregate driving it, one per morsel.
+    /// morsels: row ranges of its driving scan, or of the groups of the
+    /// aggregate driving it.
     fn prepare(&self, plan: &Plan, built: &mut Vec<Built>) -> Morsels {
         match plan {
             Plan::Scan { table, .. } => Morsels::new(self.db.table(table).len()),
@@ -232,11 +233,10 @@ impl Run<'_> {
                 group_by,
                 aggs,
             } => {
-                let n = self.exec.parallelism();
-                let init = || Groups::new(aggs.clone(), group_by.is_empty(), n);
-                let parts = Groups::partitions(self.pipeline(input, group_by, init));
-                built.push(Built::Groups(parts.into_iter().map(Mutex::new).collect()));
-                Morsels::with_size(n, 1)
+                let groups = self.pipeline(input, group_by, || GroupShard::new(aggs, group_by.is_empty()));
+                let morsels = Morsels::new(groups.len());
+                built.push(Built::Groups(groups));
+                morsels
             }
             Plan::HashJoin {
                 build,
@@ -244,7 +244,7 @@ impl Run<'_> {
                 probe,
                 ..
             } => {
-                built.push(Built::Join(self.table(build, build_keys)));
+                built.push(Built::Table(self.pipeline(build, build_keys, JoinShard::default)));
                 self.prepare(probe, built)
             }
             Plan::SemiJoin {
@@ -253,16 +253,10 @@ impl Run<'_> {
                 probe,
                 ..
             } => {
-                built.push(Built::Keys(self.table(build, build_keys)));
+                built.push(Built::Table(self.pipeline(build, build_keys, KeyShard::default)));
                 self.prepare(probe, built)
             }
         }
-    }
-
-    /// The build side `plan` of a join, keyed by `keys`, as one table.
-    /// With one worker's shard, that shard is the table.
-    fn table<S: Shard + Default>(&self, plan: &Plan, keys: &[Expr]) -> S {
-        S::merge(self.pipeline(plan, keys, S::default))
     }
 
     /// Open the pipeline rooted at `plan` over one of its morsels, its
@@ -291,7 +285,7 @@ impl Run<'_> {
             Plan::HashJoin {
                 probe, probe_keys, ..
             } => {
-                let Some(Built::Join(table)) = built.next() else {
+                let Some(Built::Table(table)) = built.next() else {
                     unreachable!("prepare builds every join table on the driving path")
                 };
                 Box::new(HashJoin::new(
@@ -303,8 +297,8 @@ impl Run<'_> {
             Plan::SemiJoin {
                 probe, probe_keys, ..
             } => {
-                let Some(Built::Keys(keys)) = built.next() else {
-                    unreachable!("prepare builds every key set on the driving path")
+                let Some(Built::Table(keys)) = built.next() else {
+                    unreachable!("prepare builds every join table on the driving path")
                 };
                 Box::new(SemiJoin::new(
                     keys,
@@ -312,12 +306,11 @@ impl Run<'_> {
                     probe_keys.clone(),
                 ))
             }
-            Plan::Aggregate { aggs, .. } => {
-                let Some(Built::Groups(parts)) = built.next() else {
+            Plan::Aggregate { .. } => {
+                let Some(Built::Groups(groups)) = built.next() else {
                     unreachable!("prepare groups every aggregate on the driving path")
                 };
-                let part = std::mem::take(&mut *parts[morsel.start].lock().expect("group partition"));
-                Box::new(GroupRows::new(vec![Part::merge(part, aggs)], aggs.len()))
+                Box::new(GroupRows(groups[morsel].iter()))
             }
         }
     }
@@ -327,7 +320,7 @@ impl Run<'_> {
 mod tests {
     use super::*;
     use crate::expr::{CmpOp, Val};
-    use dbep_runtime::MORSEL_TUPLES;
+    use dbep_runtime::{MORSEL_TUPLES, PARTITION_COUNT};
     use dbep_scheduler::{Scheduler, DEFAULT_PRIORITY};
     use dbep_storage::{ColumnData, Table};
 
@@ -415,8 +408,8 @@ mod tests {
     #[test]
     fn grouped_root_at_one_instance_returns_the_rows_of_four() {
         let db = db();
-        // 20 000 groups of one to four rows, no join: one worker's groups
-        // are the result, with no re-aggregation.
+        // The merged groups are the result, scanned in morsels: 4 000
+        // groups of a join here, 50 000 groups of a scan below.
         let plan = Plan::scan("t", &["k", "v"])
             .select(Expr::cmp(CmpOp::Lt, Expr::col(0), Expr::lit_i32(20_000)))
             .hash_join(vec![Expr::col(0)], Plan::scan("e", &["k"]), vec![Expr::col(0)])
@@ -601,15 +594,17 @@ mod tests {
     }
 
     /// On a pool, every pipeline is one task and every morsel of its
-    /// driving scan, or every partition of its driving aggregate, one
+    /// driving scan, or of the groups of its driving aggregate, one
     /// morsel of that task: a Volcano query yields to other queries
-    /// between any two of them.
+    /// between any two of them. So is every publish of a join table,
+    /// one morsel per worker's shard, and every merge of an aggregate,
+    /// one morsel per hash partition.
     #[test]
     fn every_pipeline_is_one_pool_task_run_morsel_by_morsel() {
         let db = db();
         // The Q9 shape: pipelines driven by d (building d ⋈ t's table),
         // by t (building the outer join's table), by e (folding the
-        // groups) and by the groups' partitions.
+        // groups) and by the merged groups.
         let plan = Plan::scan("d", &["g"])
             .hash_join(
                 vec![Expr::col(0)],
@@ -622,13 +617,22 @@ mod tests {
             .map(|rows: usize| rows.div_ceil(MORSEL_TUPLES))
             .iter()
             .sum();
+        // d's one morsel makes one shard to publish, the two groups one
+        // morsel to read; t's morsels make one shard per worker that
+        // claimed any.
+        let fixed = scanned + 1 + PARTITION_COUNT + 1;
         for threads in [1, 2] {
             let pool = Scheduler::new(threads);
             let query = pool.begin_query(DEFAULT_PRIORITY);
             assert_eq!(plan.run(&db, &ExecCtx::pooled(threads, &query), None).len(), 2);
             let stats = query.stats();
-            assert_eq!(stats.tasks, 4, "{threads} threads");
-            assert_eq!(stats.morsels, (scanned + threads) as u64, "{threads} threads");
+            // Four pipelines, two publishes, one merge.
+            assert_eq!(stats.tasks, 7, "{threads} threads");
+            let morsels = stats.morsels as usize;
+            assert!(
+                (fixed + 1..=fixed + threads).contains(&morsels),
+                "{threads} threads: {morsels} morsels"
+            );
         }
     }
 }

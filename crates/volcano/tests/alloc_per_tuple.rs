@@ -7,7 +7,8 @@
 use dbep_storage::{ColumnData, Table};
 use dbep_volcano::ops::{build, collect};
 use dbep_volcano::{
-    AggSpec, Aggregate, BinOp, CmpOp, Expr, HashJoin, JoinTable, KeySet, Project, Row, Scan, Select, SemiJoin,
+    AggSpec, Aggregate, BinOp, CmpOp, Expr, HashJoin, JoinShard, KeyShard, Project, Row, Scan, Select,
+    SemiJoin,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -116,7 +117,7 @@ fn join_aggregate(t: &Table, build_side: &Table) -> Vec<Row> {
     let table = build(
         Box::new(Scan::new(build_side, &["bk", "bv"])),
         &[Expr::col(0)],
-        JoinTable::default(),
+        JoinShard::default(),
     );
     // [bk, bv, k, v, s]
     let join = HashJoin::new(
@@ -141,7 +142,7 @@ fn semi_join_aggregate(t: &Table, build_side: &Table) -> Vec<Row> {
     let keys = build(
         Box::new(Scan::new(build_side, &["bk"])),
         &[Expr::col(0)],
-        KeySet::default(),
+        KeyShard::default(),
     );
     let semi = SemiJoin::new(
         &keys,

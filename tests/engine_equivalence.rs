@@ -237,7 +237,8 @@ fn typer_equals_tectorwise_equals_volcano() {
     }
 }
 
-/// Volcano's exchange-style parallel union must not change results.
+/// Running Volcano's pipelines over their morsels on more workers must
+/// not change results.
 #[test]
 fn volcano_threads_do_not_change_results() {
     for q in ALL {
