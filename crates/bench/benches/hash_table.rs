@@ -57,7 +57,7 @@ fn bench_aggregation(b: &Bench) {
             &format!("group_by_{groups}_groups/shard_update_merge"),
             keys.len() as u64,
             || {
-                let mut shard: GroupByShard<u64, i64> = GroupByShard::new(1 << 14);
+                let mut shard: GroupByShard<u64, i64> = GroupByShard::new();
                 for &k in &keys {
                     shard.update(murmur2(k), k, || 0, |a| *a += 1);
                 }

@@ -25,7 +25,6 @@ use dbep_vectorized as tw;
 use dbep_volcano::{AggSpec, CmpOp, Expr, Plan, Row};
 
 const LO_BITS: usize = 8 * (4 * 3 + 8);
-const PREAGG_GROUPS: usize = 1 << 12;
 
 fn finish(groups: Vec<((i32, i32), i64)>) -> QueryResult {
     let rows = groups
@@ -94,7 +93,7 @@ fn probe_lineorder(
             let shards = cfg.map_scan(
                 lo.len(),
                 LO_BITS,
-                |_| GroupByShard::<(i32, i32), i64>::new(PREAGG_GROUPS),
+                |_| GroupByShard::<(i32, i32), i64>::new(),
                 |shard, r| {
                     for i in r {
                         let hp = hf.hash(lpk[i] as u64);
@@ -140,12 +139,7 @@ fn probe_lineorder(
             let shards = cfg.map_scan(
                 lo.len(),
                 LO_BITS,
-                |_| {
-                    (
-                        GroupByShard::<(i32, i32), i64>::new(PREAGG_GROUPS),
-                        Scratch::default(),
-                    )
-                },
+                |_| (GroupByShard::<(i32, i32), i64>::new(), Scratch::default()),
                 |(shard, st), r| {
                     for c in tw::chunks(r, cfg.vector_size) {
                         tw::hashp::iota(c.start as u32, c.len(), &mut st.rows0);
@@ -205,6 +199,12 @@ fn probe_lineorder(
                             },
                             &mut st.gb,
                         );
+                        // Hits first: a miss may flush the table, which renumbers
+                        // the groups `find_groups` resolved.
+                        tw::gather::gather_i64(&st.v_rev, &st.gb.group_sel, policy, &mut st.v_rev_sel);
+                        tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_rev_sel, |a, v| {
+                            *a += v
+                        });
                         for &j in &st.gb.miss_sel {
                             let j = j as usize;
                             shard.update(
@@ -214,13 +214,6 @@ fn probe_lineorder(
                                 |a| *a += st.v_rev[j],
                             );
                         }
-                        if st.gb.groups.is_empty() {
-                            continue;
-                        }
-                        tw::gather::gather_i64(&st.v_rev, &st.gb.group_sel, policy, &mut st.v_rev_sel);
-                        tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_rev_sel, |a, v| {
-                            *a += v
-                        });
                     }
                 },
             );

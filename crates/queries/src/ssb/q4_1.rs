@@ -26,7 +26,6 @@ use dbep_vectorized as tw;
 use dbep_volcano::{AggSpec, BinOp, CmpOp, Expr, Plan, Row};
 
 const LO_BITS: usize = 8 * (4 * 4 + 8 * 2);
-const PREAGG_GROUPS: usize = 1 << 12;
 
 type Key = (i32, i32); // (d_year, c_nation)
 
@@ -110,7 +109,7 @@ fn probe_lineorder(db: &Database, cfg: &ExecCfg, engine: Engine, hf: HashFn, dim
             let shards = cfg.map_scan(
                 lo.len(),
                 LO_BITS,
-                |_| GroupByShard::<Key, i64>::new(PREAGG_GROUPS),
+                |_| GroupByShard::<Key, i64>::new(),
                 |shard, r| {
                     for i in r {
                         let hs = hf.hash(lsk[i] as u64);
@@ -163,7 +162,7 @@ fn probe_lineorder(db: &Database, cfg: &ExecCfg, engine: Engine, hf: HashFn, dim
             let shards = cfg.map_scan(
                 lo.len(),
                 LO_BITS,
-                |_| (GroupByShard::<Key, i64>::new(PREAGG_GROUPS), Scratch::default()),
+                |_| (GroupByShard::<Key, i64>::new(), Scratch::default()),
                 |(shard, st), r| {
                     for c in tw::chunks(r, cfg.vector_size) {
                         tw::hashp::iota(c.start as u32, c.len(), &mut st.rows0);
@@ -229,6 +228,15 @@ fn probe_lineorder(db: &Database, cfg: &ExecCfg, engine: Engine, hf: HashFn, dim
                             },
                             &mut st.gb,
                         );
+                        // Hits first: a miss may flush the table, which renumbers
+                        // the groups `find_groups` resolved.
+                        tw::gather::gather_i64(&st.v_profit, &st.gb.group_sel, policy, &mut st.v_profit_sel);
+                        tw::grouping::agg_update_i64(
+                            &mut shard.ht,
+                            &st.gb.groups,
+                            &st.v_profit_sel,
+                            |a, v| *a += v,
+                        );
                         for &j in &st.gb.miss_sel {
                             let j = j as usize;
                             shard.update(
@@ -238,16 +246,6 @@ fn probe_lineorder(db: &Database, cfg: &ExecCfg, engine: Engine, hf: HashFn, dim
                                 |a| *a += st.v_profit[j],
                             );
                         }
-                        if st.gb.groups.is_empty() {
-                            continue;
-                        }
-                        tw::gather::gather_i64(&st.v_profit, &st.gb.group_sel, policy, &mut st.v_profit_sel);
-                        tw::grouping::agg_update_i64(
-                            &mut shard.ht,
-                            &st.gb.groups,
-                            &st.v_profit_sel,
-                            |a, v| *a += v,
-                        );
                     }
                 },
             );

@@ -34,10 +34,6 @@ use dbep_volcano::{AggSpec, BinOp, CmpOp, Expr, Plan, Row, Val};
 /// form, so both layouts read them flat, one byte each.
 const FLAG_BITS: usize = 2 * 8;
 
-/// Pre-aggregation capacity: Q1 has 4 groups, but sizing generously
-/// keeps the shard generic.
-const PREAGG_GROUPS: usize = 1 << 12;
-
 /// Per-group aggregate state (sums at scales 2/2/4/6/2 plus count).
 #[derive(Clone, Copy, Default)]
 pub struct Q1Agg {
@@ -117,7 +113,7 @@ fn scan_agg(db: &Database, cfg: &ExecCfg, p: &Q1Params, engine: Engine) -> Vec<(
             let shards = cfg.map_scan(
                 li.len(),
                 scan.bits() + FLAG_BITS,
-                |_| GroupByShard::<(u8, u8), Q1Agg>::new(PREAGG_GROUPS),
+                |_| GroupByShard::<(u8, u8), Q1Agg>::new(),
                 |shard, r| {
                     for_each_row!(scan, r, |i, [s], [q, e, d, t]| {
                         if s <= ship_cut {
@@ -170,12 +166,7 @@ fn scan_agg(db: &Database, cfg: &ExecCfg, p: &Q1Params, engine: Engine) -> Vec<(
             let shards = cfg.map_scan(
                 li.len(),
                 ship.bits() + qty.bits() + ext.bits() + disc.bits() + tax.bits() + FLAG_BITS,
-                |_| {
-                    (
-                        GroupByShard::<(u8, u8), Q1Agg>::new(PREAGG_GROUPS),
-                        Scratch::default(),
-                    )
-                },
+                |_| (GroupByShard::<(u8, u8), Q1Agg>::new(), Scratch::default()),
                 |(shard, st), r| {
                     for c in tw::chunks(r, cfg.vector_size) {
                         if ship.sel_le(ship_cut, c, &mut st.sel, policy) == 0 {
@@ -190,27 +181,9 @@ fn scan_agg(db: &Database, cfg: &ExecCfg, p: &Q1Params, engine: Engine) -> Vec<(
                             |k, t| k.0 == rf[t as usize] && k.1 == ls[t as usize],
                             &mut st.gb,
                         );
-                        // Misses: per-tuple find-or-insert on the private shard
-                        // (DESIGN.md simplification of the equal-key shuffle).
-                        for &t in &st.gb.miss_sel {
-                            let t = t as usize;
-                            let key = (rf[t], ls[t]);
-                            let h = hf.rehash(hf.hash(key.0 as u64), key.1 as u64);
-                            let (e, d) = (ext.get(t), disc.get(t));
-                            let disc_price = e * (100 - d);
-                            shard.update(h, key, Q1Agg::default, |a| {
-                                a.qty += qty.get(t);
-                                a.base += e;
-                                a.disc_price += disc_price;
-                                a.charge += disc_price as i128 * (100 + tax.get(t)) as i128;
-                                a.disc += d;
-                                a.count += 1;
-                            });
-                        }
-                        if st.gb.groups.is_empty() {
-                            continue;
-                        }
-                        // Hits: vector-at-a-time, one primitive per step/aggregate.
+                        // Hits: vector-at-a-time, one primitive per step/aggregate,
+                        // and first: a miss may flush the table, which renumbers
+                        // the groups `find_groups` resolved.
                         qty.gather(&st.gb.group_sel, policy, &mut st.v_qty);
                         tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_qty, |a, v| {
                             a.qty += v
@@ -235,6 +208,23 @@ fn scan_agg(db: &Database, cfg: &ExecCfg, p: &Q1Params, engine: Engine) -> Vec<(
                             a.disc += v
                         });
                         tw::grouping::agg_update_unit(&mut shard.ht, &st.gb.groups, |a| a.count += 1);
+                        // Misses: per-tuple find-or-insert on the private shard
+                        // (DESIGN.md simplification of the equal-key shuffle).
+                        for &t in &st.gb.miss_sel {
+                            let t = t as usize;
+                            let key = (rf[t], ls[t]);
+                            let h = hf.rehash(hf.hash(key.0 as u64), key.1 as u64);
+                            let (e, d) = (ext.get(t), disc.get(t));
+                            let disc_price = e * (100 - d);
+                            shard.update(h, key, Q1Agg::default, |a| {
+                                a.qty += qty.get(t);
+                                a.base += e;
+                                a.disc_price += disc_price;
+                                a.charge += disc_price as i128 * (100 + tax.get(t)) as i128;
+                                a.disc += d;
+                                a.count += 1;
+                            });
+                        }
                     }
                 },
             );

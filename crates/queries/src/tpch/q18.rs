@@ -1,6 +1,9 @@
 //! TPC-H Q18: high-cardinality aggregation — 1.5 M groups per scale
 //! factor (§3.3), the workload where the two-phase partitioned group-by
-//! earns its keep.
+//! earns its keep. Far more groups than a pre-aggregation table holds,
+//! so every worker's table flushes into the partitions again and again;
+//! `lineitem` arrives in `l_orderkey` runs, so each order's rows fold
+//! into one group before it is spilled.
 //!
 //! ```sql
 //! SELECT c_name, c_custkey, o_orderkey, o_orderdate, o_totalprice,
@@ -33,9 +36,6 @@ use dbep_volcano::{AggSpec, CmpOp, Expr, Plan, Row};
 const LI_BITS: usize = 8 * (4 + 8);
 const ORD_BITS: usize = 8 * (4 + 4 + 4 + 8);
 const CUST_BITS: usize = 8 * (4 + 18);
-/// Pre-aggregation shard capacity. Q18's group count is huge, so shards
-/// spill heavily — exactly the §3.2 design point.
-const PREAGG_GROUPS: usize = 1 << 16;
 
 /// (custkey, orderkey, orderdate, totalprice, sum_qty)
 type OrdRow = (i32, i32, i32, i64, i64);
@@ -223,12 +223,12 @@ fn agg_lineitem(db: &Database, cfg: &ExecCfg, p: &Q18Params, engine: Engine) -> 
     let lok = li.col("l_orderkey").i32s();
     let qty = li.col("l_quantity").i64s();
     let shards = match engine {
-        // Fused 1.5 M-group aggregation.
+        // Fused 1.5 M-group aggregation; the shard flushes when full.
         Engine::Typer => {
             let shards = cfg.map_scan(
                 li.len(),
                 LI_BITS,
-                |_| GroupByShard::<i32, i64>::new(PREAGG_GROUPS),
+                |_| GroupByShard::<i32, i64>::new(),
                 |shard, r| {
                     for i in r {
                         shard.update(hf.hash(lok[i] as u64), lok[i], || 0, |a| *a += qty[i]);
@@ -250,7 +250,7 @@ fn agg_lineitem(db: &Database, cfg: &ExecCfg, p: &Q18Params, engine: Engine) -> 
             let shards = cfg.map_scan(
                 li.len(),
                 LI_BITS,
-                |_| (GroupByShard::<i32, i64>::new(PREAGG_GROUPS), Scratch::default()),
+                |_| (GroupByShard::<i32, i64>::new(), Scratch::default()),
                 |(shard, st), r| {
                     for c in tw::chunks(r, cfg.vector_size) {
                         tw::hashp::iota(c.start as u32, c.len(), &mut st.all);
@@ -262,15 +262,14 @@ fn agg_lineitem(db: &Database, cfg: &ExecCfg, p: &Q18Params, engine: Engine) -> 
                             |k, t| *k == lok[t as usize],
                             &mut st.gb,
                         );
+                        // Hits first: a miss may flush the table, which
+                        // renumbers the groups `find_groups` resolved.
+                        tw::gather::gather_i64(qty, &st.gb.group_sel, policy, &mut st.v_qty);
+                        tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_qty, |a, v| *a += v);
                         for &t in &st.gb.miss_sel {
                             let t = t as usize;
                             shard.update(hf.hash(lok[t] as u64), lok[t], || 0, |a| *a += qty[t]);
                         }
-                        if st.gb.groups.is_empty() {
-                            continue;
-                        }
-                        tw::gather::gather_i64(qty, &st.gb.group_sel, policy, &mut st.v_qty);
-                        tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_qty, |a, v| *a += v);
                     }
                 },
             );

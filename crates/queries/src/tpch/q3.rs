@@ -31,7 +31,6 @@ use dbep_volcano::{AggSpec, BinOp, CmpOp, Expr, Plan, Row, Val};
 const CUST_BITS: usize = 8 * (4 + 10); // custkey + segment text
 const ORD_BITS: usize = 8 * (4 + 4 + 4 + 4);
 const LI_BITS: usize = 8 * (4 + 8 + 8 + 4);
-const PREAGG_GROUPS: usize = 1 << 14;
 
 type GroupKey = (i32, i32, i32); // (o_orderkey, o_orderdate, o_shippriority)
 
@@ -195,7 +194,7 @@ fn probe_lineitem(
             let shards = cfg.map_scan(
                 li.len(),
                 LI_BITS,
-                |_| GroupByShard::<GroupKey, i64>::new(PREAGG_GROUPS),
+                |_| GroupByShard::<GroupKey, i64>::new(),
                 |shard, r| {
                     for i in r {
                         if ship[i] > cut {
@@ -234,12 +233,7 @@ fn probe_lineitem(
             let shards = cfg.map_scan(
                 li.len(),
                 LI_BITS,
-                |_| {
-                    (
-                        GroupByShard::<GroupKey, i64>::new(PREAGG_GROUPS),
-                        P3Scratch::default(),
-                    )
-                },
+                |_| (GroupByShard::<GroupKey, i64>::new(), P3Scratch::default()),
                 |(shard, st), r| {
                     for c in tw::chunks(r, cfg.vector_size) {
                         if tw::sel::sel_gt_i32_dense(
@@ -287,6 +281,12 @@ fn probe_lineitem(
                             },
                             &mut st.gb,
                         );
+                        // Hits first: a miss may flush the table, which renumbers
+                        // the groups `find_groups` resolved.
+                        tw::gather::gather_i64(&st.v_rev, &st.gb.group_sel, policy, &mut st.v_rev_sel);
+                        tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_rev_sel, |a, v| {
+                            *a += v
+                        });
                         for &j in &st.gb.miss_sel {
                             let j = j as usize;
                             shard.update(
@@ -296,13 +296,6 @@ fn probe_lineitem(
                                 |a| *a += st.v_rev[j],
                             );
                         }
-                        if st.gb.groups.is_empty() {
-                            continue;
-                        }
-                        tw::gather::gather_i64(&st.v_rev, &st.gb.group_sel, policy, &mut st.v_rev_sel);
-                        tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_rev_sel, |a, v| {
-                            *a += v
-                        });
                     }
                 },
             );

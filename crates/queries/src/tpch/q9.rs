@@ -38,7 +38,6 @@ const PS_BITS: usize = 8 * (4 + 4 + 8);
 const SUPP_BITS: usize = 8 * (4 + 4);
 const LI_BITS: usize = 8 * (4 + 4 + 4 + 8 + 8 + 8);
 const ORD_BITS: usize = 8 * (4 + 4);
-const PREAGG_GROUPS: usize = 1 << 10; // 25 nations x 7 years
 
 type PsRow = (i32, i32, i64); // (ps_partkey, ps_suppkey, ps_supplycost)
 type LiRow = (i32, i32, i64); // (l_orderkey, nationkey, amount s4)
@@ -347,7 +346,7 @@ fn probe_orders(
             let shards = cfg.map_scan(
                 ord.len(),
                 ORD_BITS,
-                |_| GroupByShard::<(i32, i32), i64>::new(PREAGG_GROUPS),
+                |_| GroupByShard::<(i32, i32), i64>::new(),
                 |shard, r| {
                     for i in r {
                         let h = hf.hash(okey[i] as u64);
@@ -382,12 +381,7 @@ fn probe_orders(
             let shards = cfg.map_scan(
                 ord.len(),
                 ORD_BITS,
-                |_| {
-                    (
-                        GroupByShard::<(i32, i32), i64>::new(PREAGG_GROUPS),
-                        Scratch::default(),
-                    )
-                },
+                |_| (GroupByShard::<(i32, i32), i64>::new(), Scratch::default()),
                 |(shard, st), r| {
                     for c in tw::chunks(r, cfg.vector_size) {
                         tw::hashp::iota(c.start as u32, c.len(), &mut st.all);
@@ -421,6 +415,12 @@ fn probe_orders(
                             },
                             &mut st.gb,
                         );
+                        // Hits first: a miss may flush the table, which renumbers
+                        // the groups `find_groups` resolved.
+                        tw::gather::gather_i64(&st.v_amt, &st.gb.group_sel, policy, &mut st.v_amt_sel);
+                        tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_amt_sel, |a, v| {
+                            *a += v
+                        });
                         for &j in &st.gb.miss_sel {
                             let j = j as usize;
                             shard.update(
@@ -430,13 +430,6 @@ fn probe_orders(
                                 |a| *a += st.v_amt[j],
                             );
                         }
-                        if st.gb.groups.is_empty() {
-                            continue;
-                        }
-                        tw::gather::gather_i64(&st.v_amt, &st.gb.group_sel, policy, &mut st.v_amt_sel);
-                        tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_amt_sel, |a, v| {
-                            *a += v
-                        });
                     }
                 },
             );

@@ -7,10 +7,17 @@
 //!
 //! * [`AggHt`] — single-writer chaining table (index-linked, no atomics)
 //!   used for each thread's pre-aggregation and for each final partition.
-//! * [`GroupByShard`] — a bounded pre-aggregation table plus
-//!   [`PARTITION_COUNT`] spill buffers keyed by hash radix.
-//! * [`merge_partitions`] — the final phase: each partition is merged by
-//!   exactly one worker, so no synchronization on group state is needed.
+//! * [`GroupByShard`] — one worker's pre-aggregation: an [`AggHt`] of at
+//!   most [`PREAGG_GROUPS`] groups that *flushes when full* — a new group
+//!   arriving at a full table first moves every group the table holds
+//!   into its radix partition ([`PARTITION_COUNT`] spill buffers) and
+//!   empties the table, as HyPer's morsel-driven group-by does. A group
+//!   is spilled once per flush, however many rows it folded, so runs of
+//!   equal keys (Q18's `l_orderkey`) cost one spilled entry, not one per
+//!   row. The table starts small and grows up to the bound.
+//! * [`merge_partitions`] — the final phase: each non-empty partition is
+//!   merged by exactly one worker, so no synchronization on group state
+//!   is needed.
 
 /// Number of spill partitions. 64 keeps every partition's final table
 /// well inside L2 for the paper's workloads while giving 64-way final
@@ -148,9 +155,11 @@ impl<K: PartialEq, A> AggHt<K, A> {
         self.entries[idx_plus_1 as usize - 1].next
     }
 
-    /// Consume the table, yielding `(hash, key, aggregate)` per group.
-    pub fn drain(self) -> impl Iterator<Item = (u64, K, A)> {
-        self.entries.into_iter().map(|e| (e.hash, e.key, e.agg))
+    /// Empty the table, yielding `(hash, key, aggregate)` per group. The
+    /// entries and the directory keep their size for the groups to come.
+    pub fn drain(&mut self) -> impl Iterator<Item = (u64, K, A)> + '_ {
+        self.dir.fill(0);
+        self.entries.drain(..).map(|e| (e.hash, e.key, e.agg))
     }
 
     /// Iterate `(key, aggregate)` pairs.
@@ -159,57 +168,87 @@ impl<K: PartialEq, A> AggHt<K, A> {
     }
 }
 
-/// One worker's pre-aggregation state: a bounded [`AggHt`] plus spill
-/// buffers partitioned by hash radix.
+/// Groups a pre-aggregation table holds before it flushes; the one
+/// bound of every engine's group-by. Chosen by measuring Q18 per engine
+/// at SF 0.5 on two workers with `1 << 12`, `1 << 14` and `1 << 16`
+/// (EXPERIMENTS.md, "The pre-aggregation flushes when full").
+pub const PREAGG_GROUPS: usize = 1 << 14;
+
+/// Groups a pre-aggregation table makes room for before it first grows.
+const START_GROUPS: usize = 1 << 8;
+
+/// One worker's pre-aggregation state: an [`AggHt`] that flushes into
+/// spill buffers partitioned by hash radix when it is full.
+///
+/// An [`update`](Self::update) for a new group may flush, which empties
+/// `ht` and so renumbers every group: an index taken from `ht` (e.g. by
+/// the vectorized engine's `find_groups`) must be used before the next
+/// `update` of a missing group.
 pub struct GroupByShard<K, A> {
     pub ht: AggHt<K, A>,
     max_groups: usize,
     spill: Vec<Vec<(u64, K, A)>>,
 }
 
+impl<K: PartialEq, A> Default for GroupByShard<K, A> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl<K: PartialEq, A> GroupByShard<K, A> {
-    /// `max_groups` bounds the pre-aggregation table; rows for further
-    /// groups spill. The paper sizes this to stay cache-resident.
-    pub fn new(max_groups: usize) -> Self {
+    /// A shard bounded at [`PREAGG_GROUPS`].
+    pub fn new() -> Self {
+        Self::with_bound(PREAGG_GROUPS)
+    }
+
+    /// A shard whose table flushes when it holds `max_groups` groups.
+    pub fn with_bound(max_groups: usize) -> Self {
+        assert!(max_groups > 0, "a pre-aggregation table holds at least one group");
         GroupByShard {
-            ht: AggHt::with_capacity(max_groups.min(1 << 16)),
+            ht: AggHt::with_capacity(max_groups.min(START_GROUPS)),
             max_groups,
             spill: (0..PARTITION_COUNT).map(|_| Vec::new()).collect(),
         }
     }
 
-    /// Fold one row into its group, spilling if the group is new and the
-    /// pre-aggregation table is full.
+    /// Fold one row into its group; a new group arriving at a full table
+    /// flushes the table first.
     #[inline]
     pub fn update(&mut self, hash: u64, key: K, init: impl FnOnce() -> A, fold: impl FnOnce(&mut A)) {
         if let Some(idx) = self.ht.find(hash, &key) {
             fold(self.ht.agg_mut(idx));
-        } else if self.ht.len() < self.max_groups {
-            let mut agg = init();
-            fold(&mut agg);
-            self.ht.insert_new(hash, key, agg);
-        } else {
-            let mut agg = init();
-            fold(&mut agg);
+            return;
+        }
+        if self.ht.len() >= self.max_groups {
+            self.flush();
+        }
+        let mut agg = init();
+        fold(&mut agg);
+        self.ht.insert_new(hash, key, agg);
+    }
+
+    /// Move every group of the table into its partition.
+    #[cold]
+    fn flush(&mut self) {
+        for (hash, key, agg) in self.ht.drain() {
             self.spill[partition_of(hash)].push((hash, key, agg));
         }
     }
 
-    /// End of phase 1: flush the pre-aggregation table into the
-    /// partitions and hand the buffers to the merge phase.
+    /// End of phase 1: flush the table and hand the partitions to the
+    /// merge phase.
     pub fn finish(mut self) -> Vec<Vec<(u64, K, A)>> {
-        for (hash, key, agg) in self.ht.drain() {
-            self.spill[partition_of(hash)].push((hash, key, agg));
-        }
+        self.flush();
         self.spill
     }
 }
 
-/// Final phase: merge all shards' partition buffers. Each partition is
-/// processed by exactly one worker (partitions are dispensed as unit
-/// morsels through `exec` — the shared pool when one is attached);
-/// `combine` folds a partial aggregate into the surviving one. Result
-/// order is unspecified.
+/// Final phase: merge all shards' partition buffers. Each partition that
+/// any shard spilled into is merged by exactly one worker (dispensed as
+/// unit morsels through `exec` — the shared pool when one is attached;
+/// empty partitions cost no morsel); `combine` folds a partial aggregate
+/// into the surviving one. Result order is unspecified.
 pub fn merge_partitions<K, A>(
     shards: Vec<Vec<Vec<(u64, K, A)>>>,
     exec: &dbep_scheduler::ExecCtx,
@@ -220,24 +259,24 @@ where
     A: Send + Sync,
 {
     use std::sync::Mutex;
-    type SpillBuf<K, A> = Vec<(u64, K, A)>;
-    let results: Vec<Mutex<Vec<(K, A)>>> = (0..PARTITION_COUNT).map(|_| Mutex::new(Vec::new())).collect();
-    let shards: Vec<Vec<Mutex<SpillBuf<K, A>>>> = shards
-        .into_iter()
-        .map(|s| s.into_iter().map(Mutex::new).collect())
-        .collect();
-    let merge_one = |p: usize| {
-        let expected: usize = shards
-            .iter()
-            .map(|s| s[p].lock().expect("spill lock").len())
-            .sum();
-        if expected == 0 {
-            return;
+    // Per partition, the shards' non-empty buffers; only partitions with
+    // any are merged.
+    let mut parts: Vec<Vec<Vec<(u64, K, A)>>> = (0..PARTITION_COUNT).map(|_| Vec::new()).collect();
+    for shard in shards {
+        for (p, buf) in shard.into_iter().enumerate() {
+            if !buf.is_empty() {
+                parts[p].push(buf);
+            }
         }
-        let mut ht: AggHt<K, A> = AggHt::with_capacity(expected);
-        for shard in &shards {
-            let buf = std::mem::take(&mut *shard[p].lock().expect("spill lock"));
-            for (hash, key, agg) in buf {
+    }
+    parts.retain(|bufs| !bufs.is_empty());
+    let parts: Vec<_> = parts.into_iter().map(Mutex::new).collect();
+    let results: Vec<Mutex<Vec<(K, A)>>> = parts.iter().map(|_| Mutex::new(Vec::new())).collect();
+    exec.for_each_morsel(dbep_scheduler::Morsels::with_size(parts.len(), 1), |_, r| {
+        for p in r {
+            let bufs = std::mem::take(&mut *parts[p].lock().expect("spill lock"));
+            let mut ht: AggHt<K, A> = AggHt::with_capacity(bufs.iter().map(Vec::len).sum());
+            for (hash, key, agg) in bufs.into_iter().flatten() {
                 match ht.find(hash, &key) {
                     Some(idx) => combine(ht.agg_mut(idx), agg),
                     None => {
@@ -245,13 +284,7 @@ where
                     }
                 }
             }
-        }
-        let groups: Vec<(K, A)> = ht.drain().map(|(_, k, a)| (k, a)).collect();
-        *results[p].lock().expect("result lock") = groups;
-    };
-    exec.for_each_morsel(dbep_scheduler::Morsels::with_size(PARTITION_COUNT, 1), |_, r| {
-        for p in r {
-            merge_one(p);
+            *results[p].lock().expect("result lock") = ht.drain().map(|(_, k, a)| (k, a)).collect();
         }
     });
     results
@@ -321,10 +354,11 @@ mod tests {
 
     #[test]
     fn shard_spills_beyond_capacity() {
-        let mut shard: GroupByShard<u64, i64> = GroupByShard::new(4);
+        let mut shard: GroupByShard<u64, i64> = GroupByShard::with_bound(4);
         for i in 0..1000u64 {
             let key = i % 100; // 100 groups, only 4 fit
             shard.update(murmur2(key), key, || 0, |a| *a += 1);
+            assert!(shard.ht.len() <= 4);
         }
         let parts = shard.finish();
         let total_rows: usize = parts.iter().map(|p| p.len()).sum();
@@ -337,12 +371,72 @@ mod tests {
     }
 
     #[test]
+    fn a_full_table_spills_groups_not_rows() {
+        // Sorted keys, each four times in a row, ten times more groups
+        // than the bound: every group is whole in the table when it
+        // flushes, so it is spilled once, not once per row.
+        let bound = 64;
+        let groups = 10 * bound as u64;
+        let mut shard: GroupByShard<u64, i64> = GroupByShard::with_bound(bound);
+        let mut model = std::collections::BTreeMap::new();
+        for key in 0..groups {
+            for rep in 0..4 {
+                let v = (key * 7 + rep) as i64;
+                shard.update(murmur2(key), key, || 0, |a| *a += v);
+                *model.entry(key).or_insert(0) += v;
+            }
+        }
+        let parts = shard.finish();
+        assert_eq!(parts.iter().map(Vec::len).sum::<usize>(), groups as usize);
+        let merged = merge_partitions(vec![parts], &dbep_scheduler::ExecCtx::spawn(2), |a, b| *a += b);
+        assert_eq!(
+            merged.into_iter().collect::<std::collections::BTreeMap<_, _>>(),
+            model
+        );
+    }
+
+    #[test]
+    fn a_flush_empties_the_table_and_keeps_its_groups() {
+        // Two flushes split key 0's rows over three generations of the
+        // table: three spilled entries whose sum is the model's.
+        let mut shard: GroupByShard<u64, i64> = GroupByShard::with_bound(2);
+        for key in [0u64, 1, 2, 0, 3, 4, 0] {
+            shard.update(murmur2(key), key, || 0, |a| *a += 1);
+        }
+        assert_eq!(shard.ht.len(), 1, "the last flush left only key 0's new group");
+        let parts = shard.finish();
+        let zeros: Vec<i64> = parts.iter().flatten().filter(|e| e.1 == 0).map(|e| e.2).collect();
+        assert_eq!(zeros, vec![1, 1, 1]);
+        let mut merged = merge_partitions(vec![parts], &dbep_scheduler::ExecCtx::inline(), |a, b| *a += b);
+        merged.sort_unstable();
+        assert_eq!(merged, vec![(0, 3), (1, 1), (2, 1), (3, 1), (4, 1)]);
+    }
+
+    #[test]
+    fn merge_dispatches_only_non_empty_partitions() {
+        let pool = dbep_scheduler::Scheduler::new(2);
+        let query = pool.begin_query(dbep_scheduler::DEFAULT_PRIORITY);
+        let mut shard: GroupByShard<u64, i64> = GroupByShard::new();
+        for key in [3u64, 5] {
+            shard.update(murmur2(key), key, || 0, |a| *a += 1);
+        }
+        let used: std::collections::BTreeSet<usize> = [3u64, 5].map(|k| partition_of(murmur2(k))).into();
+        let merged = merge_partitions(
+            vec![shard.finish()],
+            &dbep_scheduler::ExecCtx::pooled(2, &query),
+            |a, b| *a += b,
+        );
+        assert_eq!(merged.len(), 2);
+        assert_eq!(query.stats().morsels as usize, used.len());
+    }
+
+    #[test]
     fn multi_shard_merge_parallel() {
         // 4 shards, overlapping groups; merged counts must match a
         // sequential model.
         let mut shards = Vec::new();
         for s in 0..4u64 {
-            let mut shard: GroupByShard<u64, i64> = GroupByShard::new(16);
+            let mut shard: GroupByShard<u64, i64> = GroupByShard::with_bound(16);
             for i in 0..5000u64 {
                 let key = (i + s) % 997;
                 shard.update(murmur2(key), key, || 0, |a| *a += 1);

@@ -78,26 +78,40 @@ pub fn hash_bytes_murmur2(bytes: &[u8]) -> u64 {
 #[cfg(target_arch = "x86_64")]
 #[inline]
 fn has_sse42() -> bool {
-    // Detection is one load + predictable branch per call; the hardware
-    // path compiles to a single `crc32` instruction.
+    // Detection is one load + predictable branch per hash.
     use std::sync::OnceLock;
     static HAS: OnceLock<bool> = OnceLock::new();
     *HAS.get_or_init(|| std::arch::is_x86_feature_detected!("sse4.2"))
 }
 
+/// One `crc32` instruction, emitted inline at every use (a
+/// `#[target_feature]` function cannot be inlined into callers built
+/// without the feature, so each hash would cost calls instead).
+///
 /// # Safety
 /// Requires SSE4.2 — callers check [`has_sse42`] first.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse4.2")]
-#[inline]
+#[inline(always)]
 unsafe fn crc32_hw(seed: u32, key: u64) -> u32 {
-    std::arch::x86_64::_mm_crc32_u64(seed as u64, key) as u32
+    let mut crc = seed as u64;
+    // SAFETY: the caller guarantees SSE4.2; the instruction reads and
+    // writes registers only and leaves the flags alone.
+    unsafe {
+        std::arch::asm!(
+            "crc32 {crc}, {key}",
+            crc = inout(reg) crc,
+            key = in(reg) key,
+            options(pure, nomem, nostack, preserves_flags),
+        );
+    }
+    crc as u32
 }
 
 /// Software CRC32C (Castagnoli), bitwise; only the fallback path.
 ///
-/// Matches the semantics of `_mm_crc32_u64`: the seed is the running CRC
-/// state, with no initial or final complement.
+/// Matches the semantics of the `crc32` instruction: the seed is the
+/// running CRC state, with no initial or final complement.
+#[inline(always)]
 fn crc32_sw(seed: u32, key: u64) -> u32 {
     let mut crc = seed;
     for i in 0..8 {
@@ -111,16 +125,21 @@ fn crc32_sw(seed: u32, key: u64) -> u32 {
     crc
 }
 
-#[inline]
-fn crc32(seed: u32, key: u64) -> u32 {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if has_sse42() {
-            // SAFETY: guarded by runtime detection of sse4.2.
-            return unsafe { crc32_hw(seed, key) };
-        }
-    }
-    crc32_sw(seed, key)
+/// [`crc64`] over the given 32-bit CRC.
+#[inline(always)]
+fn crc64_with(crc32: impl Fn(u32, u64) -> u32, key: u64) -> u64 {
+    let lo = crc32(0xD7E8_9A2C, key) as u64;
+    let hi = crc32(0x8F41_5C6B, key) as u64;
+    (lo | (hi << 32)).wrapping_mul(0x2545_F491_4F6C_DD1D)
+}
+
+/// [`crc64`] without the instruction; out of line, so its bitwise loop
+/// is not inlined into every hash loop on hosts that have the
+/// instruction.
+#[cfg_attr(target_arch = "x86_64", cold)]
+#[inline(never)]
+fn crc64_sw(key: u64) -> u64 {
+    crc64_with(crc32_sw, key)
 }
 
 /// HyPer-style 64-bit hash: two independent 32-bit CRCs of the key,
@@ -128,9 +147,14 @@ fn crc32(seed: u32, key: u64) -> u32 {
 /// (the directory tag lives there).
 #[inline]
 pub fn crc64(key: u64) -> u64 {
-    let lo = crc32(0xD7E8_9A2C, key) as u64;
-    let hi = crc32(0x8F41_5C6B, key) as u64;
-    (lo | (hi << 32)).wrapping_mul(0x2545_F491_4F6C_DD1D)
+    #[cfg(target_arch = "x86_64")]
+    {
+        if has_sse42() {
+            // SAFETY: guarded by runtime detection of sse4.2.
+            return crc64_with(|seed, k| unsafe { crc32_hw(seed, k) }, key);
+        }
+    }
+    crc64_sw(key)
 }
 
 /// Combine an existing CRC-based hash with another key column.
@@ -174,12 +198,18 @@ mod tests {
     #[test]
     fn crc_sw_matches_hw() {
         // On machines with SSE4.2 the software path must agree with the
-        // hardware instruction — they implement the same polynomial.
+        // hardware instruction — they implement the same polynomial —
+        // and so must the hashes built on it.
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("sse4.2") {
             for k in [0u64, 1, 42, 0xdead_beef_cafe_babe, u64::MAX] {
                 let hw = unsafe { crc32_hw(123, k) };
                 assert_eq!(crc32_sw(123, k), hw, "key {k:#x}");
+                assert_eq!(crc64(k), crc64_sw(k), "crc64 of {k:#x}");
+                for h in [0u64, 7, crc64_sw(k), u64::MAX] {
+                    let sw = crc64_sw(h ^ k.rotate_left(32));
+                    assert_eq!(rehash_crc(h, k), sw, "rehash_crc({h:#x}, {k:#x})");
+                }
             }
         }
     }

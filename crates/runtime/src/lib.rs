@@ -28,7 +28,7 @@ pub mod join_ht;
 pub mod rng;
 pub mod simd;
 
-pub use agg_ht::{AggHt, GroupByShard, PARTITION_COUNT};
+pub use agg_ht::{AggHt, GroupByShard, PARTITION_COUNT, PREAGG_GROUPS};
 pub use counters::{CounterSet, CounterValues};
 pub use dbep_scheduler::{scope_workers, ExecCtx, Morsels, MORSEL_TUPLES};
 pub use hash::{crc64, hash_bytes_murmur2, murmur2, rehash_crc, rehash_murmur2, HashFn};

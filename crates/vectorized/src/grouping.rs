@@ -7,6 +7,11 @@
 //! shuffle documented in DESIGN.md — identical results, the vector path
 //! still handles every hit). Aggregate updates then run as one primitive
 //! per aggregate column over (group, value) pairs.
+//!
+//! A pipeline applies a vector's hits before it resolves the vector's
+//! misses: resolving a miss may flush the worker's pre-aggregation table
+//! ([`dbep_runtime::GroupByShard::update`]), and a flush renumbers every
+//! group `find_groups` returned.
 
 use dbep_runtime::AggHt;
 
@@ -112,7 +117,10 @@ pub fn agg_update_unit<K: PartialEq, A>(ht: &mut AggHt<K, A>, groups: &[u32], f:
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dbep_runtime::agg_ht::merge_partitions;
     use dbep_runtime::hash::murmur2;
+    use dbep_runtime::GroupByShard;
+    use std::collections::BTreeMap;
 
     #[test]
     fn hits_and_misses_split_correctly() {
@@ -175,6 +183,46 @@ mod tests {
         find_groups(&ht, &hashes, &sel, |_, _| true, &mut bufs);
         assert!(bufs.groups.is_empty());
         assert_eq!(bufs.miss_sel, vec![10, 20]);
+    }
+
+    #[test]
+    fn hits_then_misses_survive_a_flush_mid_vector() {
+        // The Tectorwise pattern over a shard of 8 groups: the first
+        // vector fills the table, the second hits all 8 groups and
+        // brings 20 new ones, whose misses flush the table three times.
+        let mut shard: GroupByShard<u64, i64> = GroupByShard::with_bound(8);
+        let first: Vec<u64> = (0..8).collect();
+        let second: Vec<u64> = (0..8)
+            .flat_map(|k| [k, 100 + k, 200 + k])
+            .chain(300..304)
+            .collect();
+        let mut model = BTreeMap::new();
+        let mut bufs = GroupBuffers::new();
+        for keys in [&first, &second] {
+            let vals: Vec<i64> = keys.iter().map(|&k| k as i64 * 3 + 1).collect();
+            let hashes: Vec<u64> = keys.iter().map(|&k| murmur2(k)).collect();
+            let sel: Vec<u32> = (0..keys.len() as u32).collect();
+            find_groups(&shard.ht, &hashes, &sel, |k, t| *k == keys[t as usize], &mut bufs);
+            let hit_vals: Vec<i64> = bufs.group_sel.iter().map(|&t| vals[t as usize]).collect();
+            agg_update_i64(&mut shard.ht, &bufs.groups, &hit_vals, |a, v| *a += v);
+            for &t in &bufs.miss_sel {
+                let t = t as usize;
+                shard.update(hashes[t], keys[t], || 0, |a| *a += vals[t]);
+            }
+            for (&k, &v) in keys.iter().zip(&vals) {
+                *model.entry(k).or_insert(0) += v;
+            }
+        }
+        assert_eq!(
+            bufs.groups.len(),
+            8,
+            "the second vector hits every group of the first"
+        );
+        assert_eq!(bufs.miss_sel.len(), 20);
+        let merged = merge_partitions(vec![shard.finish()], &dbep_runtime::ExecCtx::inline(), |a, b| {
+            *a += b
+        });
+        assert_eq!(merged.into_iter().collect::<BTreeMap<_, _>>(), model);
     }
 
     #[test]

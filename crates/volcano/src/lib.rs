@@ -31,9 +31,9 @@
 //! pipeline's driving scan a worker opens the pipeline's operators over
 //! that morsel and drains them into a shard of its own. Every join's
 //! build side runs once this way, into one read-only table all workers
-//! probe; every aggregate's shards are merged one hash partition per
-//! morsel; every scan is paced and recorded, and the workers' rows are
-//! concatenated.
+//! probe; every aggregate's shards are merged one non-empty hash
+//! partition per morsel; every scan is paced and recorded, and the
+//! workers' rows are concatenated.
 
 pub mod expr;
 pub mod ops;

@@ -64,7 +64,7 @@ impl Hasher for MurmurHasher {
 }
 
 /// The hash of a key, its values folded in order.
-fn hash_key(key: &[Val]) -> u64 {
+pub(crate) fn hash_key(key: &[Val]) -> u64 {
     let mut h = MurmurHasher(0);
     Val::hash_slice(key, &mut h);
     h.finish()
@@ -450,10 +450,7 @@ impl<'a> GroupShard<'a> {
     /// No groups yet; an ungrouped aggregation starts with its one
     /// group, so it yields a row of zeros when no input arrives.
     pub(crate) fn new(aggs: &'a [AggSpec], ungrouped: bool) -> Self {
-        // No pre-aggregation bound: past one, every row of a group not
-        // in the table spills as a boxed key and states of its own,
-        // which costs more memory and time than the one table it bounds.
-        let mut groups = GroupByShard::new(usize::MAX);
+        let mut groups = GroupByShard::new();
         if ungrouped {
             groups.update(hash_key(&[]), Row::new(), || zeros(aggs), |_| {});
         }

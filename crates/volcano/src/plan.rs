@@ -17,10 +17,10 @@
 //! drains them into a shard of its own; the workers' shards are merged
 //! once. A build side's shards are published into the one read-only
 //! [`JoinHt`] every worker of the probing pipeline borrows; an
-//! aggregate's are merged by the runtime's two-phase group-by, one hash
-//! partition per morsel, into the groups whose morsels drive the
-//! pipeline reading them (see [`Plan::run`]); the plan's own pipeline
-//! yields the result rows.
+//! aggregate's are merged by the runtime's two-phase group-by, one
+//! non-empty hash partition per morsel, into the groups whose morsels
+//! drive the pipeline reading them (see [`Plan::run`]); the plan's own
+//! pipeline yields the result rows.
 //! So every scan reads its table once, at any thread count, paced
 //! against the storage device and recorded into the run's byte counter,
 //! and on a shared pool a Volcano query yields to the others between
@@ -164,8 +164,9 @@ impl Plan {
     /// `exec`.
     /// A [`Plan::Aggregate`] is the runtime's two-phase group-by: the
     /// workers of its input's pipeline fold their rows into a
-    /// pre-aggregation table each, whose groups
-    /// [`dbep_runtime::agg_ht::merge_partitions`] merges one hash
+    /// pre-aggregation table each, which spills its groups into hash
+    /// partitions whenever it is full and at the end;
+    /// [`dbep_runtime::agg_ht::merge_partitions`] merges one non-empty
     /// partition per morsel — counts and 64-bit sums add up as 64-bit
     /// sums, 128-bit sums as 128-bit sums — and the pipeline reading it
     /// scans the merged groups in morsels. An ungrouped aggregate yields
@@ -320,9 +321,12 @@ impl Run<'_> {
 mod tests {
     use super::*;
     use crate::expr::{CmpOp, Val};
-    use dbep_runtime::{MORSEL_TUPLES, PARTITION_COUNT};
+    use crate::ops::hash_key;
+    use dbep_runtime::agg_ht::partition_of;
+    use dbep_runtime::MORSEL_TUPLES;
     use dbep_scheduler::{Scheduler, DEFAULT_PRIORITY};
     use dbep_storage::{ColumnData, Table};
+    use std::collections::BTreeSet;
 
     /// `t(k, g, v)`: 50 000 rows, `k` = `v` = row number, `g` = `k % 4`;
     /// `d(g)`: the two groups 1 and 3; `e(k)`: 0, 5, …, 49 995; `z(k, v)`:
@@ -598,7 +602,7 @@ mod tests {
     /// morsel of that task: a Volcano query yields to other queries
     /// between any two of them. So is every publish of a join table,
     /// one morsel per worker's shard, and every merge of an aggregate,
-    /// one morsel per hash partition.
+    /// one morsel per hash partition that holds a group.
     #[test]
     fn every_pipeline_is_one_pool_task_run_morsel_by_morsel() {
         let db = db();
@@ -617,10 +621,12 @@ mod tests {
             .map(|rows: usize| rows.div_ceil(MORSEL_TUPLES))
             .iter()
             .sum();
-        // d's one morsel makes one shard to publish, the two groups one
-        // morsel to read; t's morsels make one shard per worker that
-        // claimed any.
-        let fixed = scanned + 1 + PARTITION_COUNT + 1;
+        // d's one morsel makes one shard to publish, the merge one morsel
+        // per partition holding a group, the two groups one morsel to
+        // read; t's morsels make one shard per worker that claimed any.
+        let groups = plan.run(&db, &ExecCtx::inline(), None);
+        let partitions: BTreeSet<usize> = groups.iter().map(|g| partition_of(hash_key(&g[..1]))).collect();
+        let fixed = scanned + 1 + partitions.len() + 1;
         for threads in [1, 2] {
             let pool = Scheduler::new(threads);
             let query = pool.begin_query(DEFAULT_PRIORITY);

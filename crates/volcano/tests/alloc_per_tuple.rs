@@ -1,7 +1,10 @@
-//! Regression guard: a Volcano plan allocates per inserted build row and
-//! per group, never per scanned tuple. With the build side and the group
-//! count fixed, building the join tables and draining a plan over N and
-//! over 4N scanned tuples must make exactly the same number of
+//! Regression guard: a Volcano plan allocates for what its breakers
+//! store — one `Row` per build row or key a join table takes in, a key
+//! and a `Row` of states each time a group enters a pre-aggregation
+//! table, and the growth of the runtime tables and spill partitions that
+//! hold them — never per scanned tuple. With the build side and the
+//! group count fixed, building the join tables and draining a plan over
+//! N and over 4N scanned tuples must make exactly the same number of
 //! allocations.
 
 use dbep_storage::{ColumnData, Table};

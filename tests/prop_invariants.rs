@@ -298,7 +298,7 @@ fn group_by_matches_hashmap() {
         let shard_count = rng.gen_range(1usize..4);
         let mut shards = Vec::new();
         for s in 0..shard_count {
-            let mut shard: GroupByShard<u64, i64> = GroupByShard::new(cap);
+            let mut shard: GroupByShard<u64, i64> = GroupByShard::with_bound(cap);
             for (i, &k) in keys.iter().enumerate() {
                 if i % shard_count == s {
                     shard.update(murmur2(k), k, || 0, |a| *a += 1);
