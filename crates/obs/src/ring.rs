@@ -147,12 +147,6 @@ impl TraceSink {
         }
     }
 
-    /// Default capacity: 64K events (~2.5 MiB), several seconds of
-    /// serving traffic at morsel-batch granularity.
-    pub fn with_default_capacity() -> TraceSink {
-        TraceSink::new(1 << 16)
-    }
-
     /// Slot count of the ring.
     pub fn capacity(&self) -> usize {
         self.slots.len()

@@ -134,7 +134,6 @@ fn probe_lineorder(
                 v_rev: Vec<i64>,
                 ghash: Vec<u64>,
                 ordinals: Vec<u32>,
-                v_rev_sel: Vec<i64>,
             }
             let shards = cfg.map_scan(
                 lo.len(),
@@ -189,31 +188,18 @@ fn probe_lineorder(
                         tw::hashp::hash_i32_dense(&st.v_year, hf, &mut st.ghash);
                         tw::hashp::rehash_i32(&st.v_brand3, &st.ordinals, hf, &mut st.ghash);
                         let (v_year, v_brand3) = (&st.v_year, &st.v_brand3);
-                        tw::grouping::find_groups(
-                            &shard.ht,
+                        tw::grouping::find_or_insert_groups(
+                            shard,
                             &st.ghash,
                             &st.ordinals,
-                            |k, j| {
+                            |j| {
                                 let j = j as usize;
-                                k.0 == v_year[j] && k.1 == v_brand3[j]
+                                (v_year[j], v_brand3[j])
                             },
+                            || 0,
                             &mut st.gb,
                         );
-                        // Hits first: a miss may flush the table, which renumbers
-                        // the groups `find_groups` resolved.
-                        tw::gather::gather_i64(&st.v_rev, &st.gb.group_sel, policy, &mut st.v_rev_sel);
-                        tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_rev_sel, |a, v| {
-                            *a += v
-                        });
-                        for &j in &st.gb.miss_sel {
-                            let j = j as usize;
-                            shard.update(
-                                st.ghash[j],
-                                (st.v_year[j], st.v_brand3[j]),
-                                || 0,
-                                |a| *a += st.v_rev[j],
-                            );
-                        }
+                        tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_rev, |a, v| *a += v);
                     }
                 },
             );

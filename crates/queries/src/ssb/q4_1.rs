@@ -157,7 +157,6 @@ fn probe_lineorder(db: &Database, cfg: &ExecCfg, engine: Engine, hf: HashFn, dim
                 v_profit: Vec<i64>,
                 ghash: Vec<u64>,
                 ordinals: Vec<u32>,
-                v_profit_sel: Vec<i64>,
             }
             let shards = cfg.map_scan(
                 lo.len(),
@@ -218,34 +217,20 @@ fn probe_lineorder(db: &Database, cfg: &ExecCfg, engine: Engine, hf: HashFn, dim
                         tw::hashp::hash_i32_dense(&st.v_year, hf, &mut st.ghash);
                         tw::hashp::rehash_i32(&st.v_cnat3, &st.ordinals, hf, &mut st.ghash);
                         let (v_year, v_cnat3) = (&st.v_year, &st.v_cnat3);
-                        tw::grouping::find_groups(
-                            &shard.ht,
+                        tw::grouping::find_or_insert_groups(
+                            shard,
                             &st.ghash,
                             &st.ordinals,
-                            |k, j| {
+                            |j| {
                                 let j = j as usize;
-                                k.0 == v_year[j] && k.1 == v_cnat3[j]
+                                (v_year[j], v_cnat3[j])
                             },
+                            || 0,
                             &mut st.gb,
                         );
-                        // Hits first: a miss may flush the table, which renumbers
-                        // the groups `find_groups` resolved.
-                        tw::gather::gather_i64(&st.v_profit, &st.gb.group_sel, policy, &mut st.v_profit_sel);
-                        tw::grouping::agg_update_i64(
-                            &mut shard.ht,
-                            &st.gb.groups,
-                            &st.v_profit_sel,
-                            |a, v| *a += v,
-                        );
-                        for &j in &st.gb.miss_sel {
-                            let j = j as usize;
-                            shard.update(
-                                st.ghash[j],
-                                (st.v_year[j], st.v_cnat3[j]),
-                                || 0,
-                                |a| *a += st.v_profit[j],
-                            );
-                        }
+                        tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_profit, |a, v| {
+                            *a += v
+                        });
                     }
                 },
             );

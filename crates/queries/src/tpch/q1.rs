@@ -137,7 +137,7 @@ fn scan_agg(db: &Database, cfg: &ExecCfg, p: &Q1Params, engine: Engine) -> Vec<(
             );
             shards.into_iter().map(GroupByShard::finish).collect()
         }
-        // Selection → hash → find-groups → one aggregate-update
+        // Selection → hash → find-or-insert-groups → one aggregate-update
         // primitive per sum, with every intermediate materialized
         // (Fig. 2b shape). The arithmetic and aggregate primitives only
         // ever see the dense vectors the column readers gather.
@@ -174,31 +174,30 @@ fn scan_agg(db: &Database, cfg: &ExecCfg, p: &Q1Params, engine: Engine) -> Vec<(
                         }
                         tw::hashp::hash_u8(rf, &st.sel, hf, &mut st.hashes);
                         tw::hashp::rehash_u8(ls, &st.sel, hf, &mut st.hashes);
-                        tw::grouping::find_groups(
-                            &shard.ht,
+                        tw::grouping::find_or_insert_groups(
+                            shard,
                             &st.hashes,
                             &st.sel,
-                            |k, t| k.0 == rf[t as usize] && k.1 == ls[t as usize],
+                            |t| (rf[t as usize], ls[t as usize]),
+                            Q1Agg::default,
                             &mut st.gb,
                         );
-                        // Hits: vector-at-a-time, one primitive per step/aggregate,
-                        // and first: a miss may flush the table, which renumbers
-                        // the groups `find_groups` resolved.
-                        qty.gather(&st.gb.group_sel, policy, &mut st.v_qty);
+                        // Vector-at-a-time, one primitive per step/aggregate.
+                        qty.gather(&st.sel, policy, &mut st.v_qty);
                         tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_qty, |a, v| {
                             a.qty += v
                         });
-                        ext.gather(&st.gb.group_sel, policy, &mut st.v_ext);
+                        ext.gather(&st.sel, policy, &mut st.v_ext);
                         tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_ext, |a, v| {
                             a.base += v
                         });
-                        disc.gather(&st.gb.group_sel, policy, &mut st.v_disc);
+                        disc.gather(&st.sel, policy, &mut st.v_disc);
                         tw::map::map_rsub_const_i64(100, &st.v_disc, &mut st.v_om);
                         tw::map::map_mul_i64(&st.v_ext, &st.v_om, &mut st.v_dp);
                         tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_dp, |a, v| {
                             a.disc_price += v
                         });
-                        tax.gather(&st.gb.group_sel, policy, &mut st.v_tax);
+                        tax.gather(&st.sel, policy, &mut st.v_tax);
                         tw::map::map_add_const_i64(100, &st.v_tax, &mut st.v_ot);
                         tw::map::map_mul_i64(&st.v_dp, &st.v_ot, &mut st.v_ch);
                         tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_ch, |a, v| {
@@ -208,23 +207,6 @@ fn scan_agg(db: &Database, cfg: &ExecCfg, p: &Q1Params, engine: Engine) -> Vec<(
                             a.disc += v
                         });
                         tw::grouping::agg_update_unit(&mut shard.ht, &st.gb.groups, |a| a.count += 1);
-                        // Misses: per-tuple find-or-insert on the private shard
-                        // (DESIGN.md simplification of the equal-key shuffle).
-                        for &t in &st.gb.miss_sel {
-                            let t = t as usize;
-                            let key = (rf[t], ls[t]);
-                            let h = hf.rehash(hf.hash(key.0 as u64), key.1 as u64);
-                            let (e, d) = (ext.get(t), disc.get(t));
-                            let disc_price = e * (100 - d);
-                            shard.update(h, key, Q1Agg::default, |a| {
-                                a.qty += qty.get(t);
-                                a.base += e;
-                                a.disc_price += disc_price;
-                                a.charge += disc_price as i128 * (100 + tax.get(t)) as i128;
-                                a.disc += d;
-                                a.count += 1;
-                            });
-                        }
                     }
                 },
             );

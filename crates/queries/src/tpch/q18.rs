@@ -237,14 +237,12 @@ fn agg_lineitem(db: &Database, cfg: &ExecCfg, p: &Q18Params, engine: Engine) -> 
             );
             shards.into_iter().map(GroupByShard::finish).collect()
         }
-        // Vectorized find-groups/aggregate primitives.
+        // Vectorized find-or-insert-groups/aggregate primitives.
         Engine::Tectorwise => {
-            let policy = cfg.policy;
             #[derive(Default)]
             struct Scratch {
                 all: Vec<u32>,
                 hashes: Vec<u64>,
-                v_qty: Vec<i64>,
                 gb: tw::grouping::GroupBuffers,
             }
             let shards = cfg.map_scan(
@@ -255,21 +253,15 @@ fn agg_lineitem(db: &Database, cfg: &ExecCfg, p: &Q18Params, engine: Engine) -> 
                     for c in tw::chunks(r, cfg.vector_size) {
                         tw::hashp::iota(c.start as u32, c.len(), &mut st.all);
                         tw::hashp::hash_i32(lok, &st.all, hf, &mut st.hashes);
-                        tw::grouping::find_groups(
-                            &shard.ht,
+                        tw::grouping::find_or_insert_groups(
+                            shard,
                             &st.hashes,
                             &st.all,
-                            |k, t| *k == lok[t as usize],
+                            |t| lok[t as usize],
+                            || 0,
                             &mut st.gb,
                         );
-                        // Hits first: a miss may flush the table, which
-                        // renumbers the groups `find_groups` resolved.
-                        tw::gather::gather_i64(qty, &st.gb.group_sel, policy, &mut st.v_qty);
-                        tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_qty, |a, v| *a += v);
-                        for &t in &st.gb.miss_sel {
-                            let t = t as usize;
-                            shard.update(hf.hash(lok[t] as u64), lok[t], || 0, |a| *a += qty[t]);
-                        }
+                        tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &qty[c], |a, v| *a += v);
                     }
                 },
             );

@@ -226,7 +226,6 @@ fn probe_lineitem(
                 v_disc: Vec<i64>,
                 v_om: Vec<i64>,
                 v_rev: Vec<i64>,
-                v_rev_sel: Vec<i64>,
                 ghash: Vec<u64>,
                 ordinals: Vec<u32>,
             }
@@ -271,31 +270,18 @@ fn probe_lineitem(
                         tw::hashp::hash_i32_dense(&st.k_okey, hf, &mut st.ghash);
                         tw::hashp::iota(0, nm, &mut st.ordinals);
                         let (k_okey, k_odate, k_prio) = (&st.k_okey, &st.k_odate, &st.k_prio);
-                        tw::grouping::find_groups(
-                            &shard.ht,
+                        tw::grouping::find_or_insert_groups(
+                            shard,
                             &st.ghash,
                             &st.ordinals,
-                            |k, j| {
+                            |j| {
                                 let j = j as usize;
-                                k.0 == k_okey[j] && k.1 == k_odate[j] && k.2 == k_prio[j]
+                                (k_okey[j], k_odate[j], k_prio[j])
                             },
+                            || 0,
                             &mut st.gb,
                         );
-                        // Hits first: a miss may flush the table, which renumbers
-                        // the groups `find_groups` resolved.
-                        tw::gather::gather_i64(&st.v_rev, &st.gb.group_sel, policy, &mut st.v_rev_sel);
-                        tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_rev_sel, |a, v| {
-                            *a += v
-                        });
-                        for &j in &st.gb.miss_sel {
-                            let j = j as usize;
-                            shard.update(
-                                st.ghash[j],
-                                (st.k_okey[j], st.k_odate[j], st.k_prio[j]),
-                                || 0,
-                                |a| *a += st.v_rev[j],
-                            );
-                        }
+                        tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_rev, |a, v| *a += v);
                     }
                 },
             );

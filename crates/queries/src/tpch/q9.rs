@@ -376,7 +376,6 @@ fn probe_orders(
                 v_amt: Vec<i64>,
                 v_date: Vec<i32>,
                 k_year: Vec<i32>,
-                v_amt_sel: Vec<i64>,
             }
             let shards = cfg.map_scan(
                 ord.len(),
@@ -405,31 +404,18 @@ fn probe_orders(
                         tw::hashp::hash_i32_dense(&st.k_nat, hf, &mut st.ghash);
                         tw::hashp::rehash_i32(&st.k_year, &st.ordinals, hf, &mut st.ghash);
                         let (k_nat, k_year) = (&st.k_nat, &st.k_year);
-                        tw::grouping::find_groups(
-                            &shard.ht,
+                        tw::grouping::find_or_insert_groups(
+                            shard,
                             &st.ghash,
                             &st.ordinals,
-                            |k, j| {
+                            |j| {
                                 let j = j as usize;
-                                k.0 == k_nat[j] && k.1 == k_year[j]
+                                (k_nat[j], k_year[j])
                             },
+                            || 0,
                             &mut st.gb,
                         );
-                        // Hits first: a miss may flush the table, which renumbers
-                        // the groups `find_groups` resolved.
-                        tw::gather::gather_i64(&st.v_amt, &st.gb.group_sel, policy, &mut st.v_amt_sel);
-                        tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_amt_sel, |a, v| {
-                            *a += v
-                        });
-                        for &j in &st.gb.miss_sel {
-                            let j = j as usize;
-                            shard.update(
-                                st.ghash[j],
-                                (st.k_nat[j], st.k_year[j]),
-                                || 0,
-                                |a| *a += st.v_amt[j],
-                            );
-                        }
+                        tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_amt, |a, v| *a += v);
                     }
                 },
             );

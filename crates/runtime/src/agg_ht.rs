@@ -14,7 +14,11 @@
 //!   empties the table, as HyPer's morsel-driven group-by does. A group
 //!   is spilled once per flush, however many rows it folded, so runs of
 //!   equal keys (Q18's `l_orderkey`) cost one spilled entry, not one per
-//!   row. The table starts small and grows up to the bound.
+//!   row. The table starts small and grows up to the bound. The
+//!   vectorized engine instead makes room for a whole vector's groups
+//!   before it resolves them ([`GroupByShard::make_room`]), so its table
+//!   holds at most the larger of the bound and one vector's distinct
+//!   keys.
 //! * [`merge_partitions`] — the final phase: each non-empty partition is
 //!   merged by exactly one worker, so no synchronization on group state
 //!   is needed.
@@ -72,8 +76,17 @@ impl<K: PartialEq, A> AggHt<K, A> {
     /// Index of the group for `(hash, key)`, if present.
     #[inline]
     pub fn find(&self, hash: u64, key: &K) -> Option<u32> {
+        self.find_newer(hash, key, 0)
+    }
+
+    /// Index of the group for `(hash, key)` among the groups inserted
+    /// after the first `older`, if present. Chains run newest first (an
+    /// insert prepends, and growing relinks in index order), so the walk
+    /// stops at the first older group.
+    #[inline]
+    pub fn find_newer(&self, hash: u64, key: &K, older: u32) -> Option<u32> {
         let mut idx = self.dir[(hash & self.mask) as usize];
-        while idx != 0 {
+        while idx > older {
             let e = &self.entries[idx as usize - 1];
             if e.hash == hash && e.key == *key {
                 return Some(idx - 1);
@@ -180,10 +193,11 @@ const START_GROUPS: usize = 1 << 8;
 /// One worker's pre-aggregation state: an [`AggHt`] that flushes into
 /// spill buffers partitioned by hash radix when it is full.
 ///
-/// An [`update`](Self::update) for a new group may flush, which empties
-/// `ht` and so renumbers every group: an index taken from `ht` (e.g. by
-/// the vectorized engine's `find_groups`) must be used before the next
-/// `update` of a missing group.
+/// A flush empties `ht` and so renumbers every group. It happens only in
+/// [`update`](Self::update), when a new group finds the table full, and
+/// in [`make_room`](Self::make_room), which the vectorized engine calls
+/// before it resolves a vector's groups, so the indices of one vector
+/// stay valid until its aggregates are updated.
 pub struct GroupByShard<K, A> {
     pub ht: AggHt<K, A>,
     max_groups: usize,
@@ -226,6 +240,15 @@ impl<K: PartialEq, A> GroupByShard<K, A> {
         let mut agg = init();
         fold(&mut agg);
         self.ht.insert_new(hash, key, agg);
+    }
+
+    /// Flush unless the table can take `n` more groups within its bound;
+    /// an empty table is left as it is.
+    #[inline]
+    pub fn make_room(&mut self, n: usize) {
+        if !self.ht.is_empty() && self.ht.len().saturating_add(n) > self.max_groups {
+            self.flush();
+        }
     }
 
     /// Move every group of the table into its partition.
@@ -349,6 +372,28 @@ mod tests {
                 node = ht.node_next(node);
             }
             assert!(found, "key {k} unreachable via chain");
+        }
+    }
+
+    #[test]
+    fn find_newer_skips_the_older_groups() {
+        // Ten older groups, then ten newer ones inserted across a growth
+        // of the directory: only the newer ones are seen past `older`.
+        let mut ht: AggHt<u64, u64> = AggHt::with_capacity(8);
+        for k in 0..10u64 {
+            ht.insert_new(murmur2(k), k, 0);
+        }
+        let older = ht.len() as u32;
+        for k in 0..10u64 {
+            assert_eq!(ht.find_newer(murmur2(k), &k, older), None, "older key {k}");
+        }
+        for k in 10..20u64 {
+            ht.insert_new(murmur2(k), k, 0);
+        }
+        for k in 0..20u64 {
+            let want = (k >= 10).then_some(k as u32);
+            assert_eq!(ht.find_newer(murmur2(k), &k, older), want, "key {k}");
+            assert_eq!(ht.find(murmur2(k), &k), Some(k as u32), "key {k}");
         }
     }
 

@@ -254,11 +254,6 @@ impl CounterValues {
             _ => None,
         }
     }
-
-    /// True if real hardware counters (not just TSC) were captured.
-    pub fn has_hw_counters(&self) -> bool {
-        self.cycles.is_some()
-    }
 }
 
 /// A set of per-thread hardware counters bracketing a measurement region.

@@ -4,10 +4,8 @@
 //! configured size; §4.3's Fig. 5 sweeps this size from 1 to "Max"
 //! (full materialization, the MonetDB end of the spectrum). With the
 //! shared scheduler, scan bodies receive one morsel range at a time and
-//! slice it locally via [`chunks`]; [`ChunkSource`] remains for code
-//! that drives a dispenser directly.
+//! slice it locally via [`chunks`].
 
-use dbep_runtime::Morsels;
 use std::ops::Range;
 
 /// The paper's default vector size ("1,000 tuples, the default in
@@ -17,8 +15,7 @@ pub const DEFAULT_VECTOR_SIZE: usize = 1024;
 
 /// Slice one morsel range into consecutive vectors of at most
 /// `vector_size` tuples — the per-morsel chunk loop of a scheduler-run
-/// scan body. Chunks never cross the morsel boundary (same invariant
-/// the dispenser-driven [`ChunkSource`] keeps).
+/// scan body. Chunks never cross the morsel boundary.
 pub fn chunks(range: Range<usize>, vector_size: usize) -> Chunks {
     assert!(vector_size > 0, "vector size must be positive");
     Chunks { range, vector_size }
@@ -45,65 +42,9 @@ impl Iterator for Chunks {
     }
 }
 
-/// Yields consecutive chunk ranges of at most `vector_size` tuples,
-/// claiming new morsels from the shared dispenser as needed.
-pub struct ChunkSource<'a> {
-    morsels: &'a Morsels,
-    current: Range<usize>,
-    vector_size: usize,
-}
-
-impl<'a> ChunkSource<'a> {
-    pub fn new(morsels: &'a Morsels, vector_size: usize) -> Self {
-        assert!(vector_size > 0, "vector size must be positive");
-        ChunkSource {
-            morsels,
-            current: 0..0,
-            vector_size,
-        }
-    }
-
-    /// Next chunk of up to `vector_size` tuples, or `None` when the scan
-    /// is exhausted.
-    #[inline]
-    pub fn next_chunk(&mut self) -> Option<Range<usize>> {
-        if self.current.is_empty() {
-            self.current = self.morsels.claim()?;
-        }
-        let start = self.current.start;
-        let end = (start + self.vector_size).min(self.current.end);
-        self.current.start = end;
-        Some(start..end)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn chunks_tile_the_relation() {
-        let m = Morsels::with_size(10_000, 4096);
-        let mut src = ChunkSource::new(&m, 1000);
-        let mut covered = 0usize;
-        let mut expected_start = 0usize;
-        while let Some(r) = src.next_chunk() {
-            assert_eq!(r.start, expected_start);
-            assert!(r.len() <= 1000 && !r.is_empty());
-            covered += r.len();
-            expected_start = r.end;
-        }
-        assert_eq!(covered, 10_000);
-    }
-
-    #[test]
-    fn chunk_never_crosses_morsel_boundary() {
-        let m = Morsels::with_size(5000, 1024);
-        let mut src = ChunkSource::new(&m, 1000);
-        while let Some(r) = src.next_chunk() {
-            assert_eq!(r.start / 1024, (r.end - 1) / 1024, "chunk {r:?} crosses a morsel");
-        }
-    }
 
     #[test]
     fn chunks_tile_a_morsel_range() {
@@ -112,17 +53,7 @@ mod tests {
         assert!(chunks(7..7, 256).next().is_none());
         // Degenerate "Max" vector size must not overflow.
         assert_eq!(chunks(5..50, usize::MAX).collect::<Vec<_>>(), vec![5..50]);
-    }
-
-    #[test]
-    fn vector_size_one_degrades_to_volcano() {
-        let m = Morsels::new(5);
-        let mut src = ChunkSource::new(&m, 1);
-        let mut n = 0;
-        while let Some(r) = src.next_chunk() {
-            assert_eq!(r.len(), 1);
-            n += 1;
-        }
-        assert_eq!(n, 5);
+        // Vector size 1 degrades to tuple-at-a-time.
+        assert_eq!(chunks(3..6, 1).collect::<Vec<_>>(), vec![3..4, 4..5, 5..6]);
     }
 }

@@ -38,7 +38,7 @@ impl<T: Copy + Into<i64>> Col<'_, T> {
         }
     }
 
-    /// One row's value — probe equality and group-miss paths, not scans.
+    /// One row's value — probe equality and build-side pushes, not scans.
     #[inline]
     pub fn get(&self, i: usize) -> i64 {
         match self {

@@ -32,7 +32,7 @@ pub mod map;
 pub mod probe;
 pub mod sel;
 
-pub use chunk::{chunks, ChunkSource, Chunks, DEFAULT_VECTOR_SIZE};
+pub use chunk::{chunks, Chunks, DEFAULT_VECTOR_SIZE};
 pub use col::Col;
 pub use probe::ProbeBuffers;
 

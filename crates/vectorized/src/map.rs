@@ -238,15 +238,6 @@ pub fn sum_i64(vals: &[i64], policy: SimdPolicy) -> i64 {
     sum_i64_scalar(vals)
 }
 
-/// Widening sum into i128 (Q1's scale-6 charge column).
-pub fn sum_i64_to_i128(vals: &[i64]) -> i128 {
-    let mut s = 0i128;
-    for &v in vals {
-        s += v as i128;
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,7 +263,6 @@ mod tests {
         let model: i64 = vals.iter().sum();
         assert_eq!(sum_i64(&vals, SimdPolicy::Scalar), model);
         assert_eq!(sum_i64(&vals, SimdPolicy::Simd), model);
-        assert_eq!(sum_i64_to_i128(&vals), model as i128);
     }
 
     #[test]

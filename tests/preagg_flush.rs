@@ -4,7 +4,9 @@
 //! aggregates each flush at least once (at two, as the morsels fall).
 //! Every per-stage Typer/Tectorwise assignment and Volcano must then
 //! return the orders a `BTreeMap` over `lineitem` qualifies, with their
-//! sums.
+//! sums. The Tectorwise aggregate also runs with one-tuple vectors and
+//! with whole-morsel vectors, as long as the bound, so that every vector
+//! after the first flushes the table before it finds its groups.
 
 use db_engine_paradigms::prelude::*;
 use db_engine_paradigms::queries::params::Q18Params;
@@ -57,6 +59,16 @@ fn q18_agrees_with_a_model_when_every_engine_flushes() {
             let what = format!("{threads} threads, {choices:?}");
             check(&r, &what);
             assert_eq!(r, volcano, "{what} vs volcano");
+            if choices[0] != Engine::Tectorwise {
+                continue;
+            }
+            for vector_size in [1, usize::MAX] {
+                let cfg = ExecCfg { vector_size, ..cfg };
+                let r = plan.run_stages(&db, &cfg, &params, &choices);
+                let what = format!("{what}, vector size {vector_size}");
+                check(&r, &what);
+                assert_eq!(r, volcano, "{what} vs volcano");
+            }
         }
     }
 }
