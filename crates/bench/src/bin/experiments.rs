@@ -1415,9 +1415,10 @@ fn query(a: &Args) -> Report {
         let doc = dbep_obs::chrome_trace(&events, &dbep_queries::trace_names());
         std::fs::write(path, doc).unwrap_or_else(|e| usage_error(&format!("--trace {path}: {e}")));
         eprintln!(
-            "[trace] wrote {} span(s) to {path} ({} dropped by the ring); open in Perfetto or chrome://tracing",
+            "[trace] wrote {} span(s) to {path} ({} overwritten and {} lost by the ring); open in Perfetto or chrome://tracing",
             events.len(),
-            sink.dropped()
+            sink.dropped(),
+            sink.lost()
         );
     }
     let storage = if a.encoded { ", encoded storage" } else { "" };
@@ -1649,6 +1650,7 @@ fn serve_scenario(
                 Obj::new()
                     .with("spans_retained", sink.as_ref().map_or(0, |s| s.snapshot().len()))
                     .with("spans_overwritten", sink.as_ref().map_or(0, |s| s.dropped()))
+                    .with("spans_lost", sink.as_ref().map_or(0, |s| s.lost()))
                     .with("metrics", Value::Raw(m.registry().snapshot_json()))
             }),
         )

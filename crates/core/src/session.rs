@@ -287,8 +287,10 @@ impl PreparedQuery {
         &self.params
     }
 
-    /// Scheduling priority of this query's runs: picks per round-robin
-    /// cycle of the shared pool (clamped to
+    /// Scheduling priority of this query's runs: the weight the shared
+    /// pool divides their attained worker time by when it chooses whom
+    /// to serve, so priority *p* gets *p* times the worker time of a
+    /// priority-1 query beside it (clamped to
     /// `1..=`[`dbep_scheduler::MAX_PRIORITY`]). Default 1.
     pub fn with_priority(mut self, priority: usize) -> Self {
         self.priority = priority;

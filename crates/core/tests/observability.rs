@@ -49,6 +49,7 @@ fn trace_spans_nest_and_export_as_chrome_json() {
     }
     let events = sink.snapshot();
     assert_eq!(sink.dropped(), 0, "ring sized to hold every span");
+    assert_eq!(sink.lost(), 0, "no writer wraps onto another's slot");
 
     // One query span per run, and every other span nests inside its
     // run's query span (by run_seq and by time containment).

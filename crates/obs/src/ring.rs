@@ -9,10 +9,18 @@
 //! sink keeps the most recent window and counts what it overwrote
 //! ([`TraceSink::dropped`]).
 //!
-//! Overhead budget: recording one event is one `fetch_add` plus six
-//! relaxed stores (and one clock read at span start) — a handful of
-//! atomics per *morsel batch*, not per tuple, and nothing at all when
-//! no sink is attached (one `Option` test).
+//! Once the ring has wrapped, two writers can address one slot. A
+//! writer therefore claims its slot by a compare-and-swap from the
+//! sequence word it observed to "being written" — the standard seqlock
+//! writer — so only one writer owns a slot at a time. A writer that
+//! finds the slot being written, or already holding a newer ticket,
+//! drops its event and counts it ([`TraceSink::lost`]) instead of
+//! mixing its payload into another writer's.
+//!
+//! Overhead budget: recording one event is one `fetch_add`, one load,
+//! one compare-and-swap and five stores (and one clock read at span
+//! start) — a handful of atomics per *morsel batch*, not per tuple, and
+//! nothing at all when no sink is attached (one `Option` test).
 //!
 //! Readers ([`TraceSink::snapshot`]) validate each slot's sequence word
 //! before and after copying it and discard torn slots, so a snapshot
@@ -124,6 +132,8 @@ pub struct TraceSink {
     slots: Box<[Slot]>,
     /// Next write ticket; `ticket % slots.len()` addresses the slot.
     head: AtomicU64,
+    /// Events whose writer found its slot owned by another writer.
+    lost: AtomicU64,
     /// Per-sink query-run sequence source (see [`QueryTrace::new`]).
     next_run: AtomicU64,
     epoch: Instant,
@@ -142,6 +152,7 @@ impl TraceSink {
                 })
                 .collect(),
             head: AtomicU64::new(0),
+            lost: AtomicU64::new(0),
             next_run: AtomicU64::new(0),
             epoch: Instant::now(),
         }
@@ -173,6 +184,15 @@ impl TraceSink {
         self.recorded().saturating_sub(self.slots.len() as u64)
     }
 
+    /// Events dropped because another writer owned their slot: the ring
+    /// had wrapped onto a slot still being written, or already holding
+    /// a newer event. Counted apart from [`TraceSink::dropped`], which
+    /// counts overwritten events.
+    pub fn lost(&self) -> u64 {
+        // ORDERING: Relaxed — monotonic stats read.
+        self.lost.load(Ordering::Relaxed)
+    }
+
     /// Record one event (lock-free; callable from any thread).
     pub fn push(&self, ev: SpanEvent) {
         // ORDERING: Relaxed — the ticket only picks a slot; the slot's
@@ -180,17 +200,37 @@ impl TraceSink {
         let ticket = self.head.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(ticket as usize) & (self.slots.len() - 1)];
         let words = ev.pack();
-        // ORDERING: Release on both seq stores — the WRITING marker
-        // must be visible before any payload word changes (so a
-        // concurrent reader's first seq load flags the slot as torn),
-        // and the final store must order after the payload stores (so a
-        // reader that sees the published ticket sees the full payload).
-        slot.seq.store(SEQ_WRITING, Ordering::Release);
-        for (d, w) in slot.data.iter().zip(words) {
-            // ORDERING: Relaxed — payload words; the seq word's
-            // release/acquire pair carries them.
+        // ORDERING: Relaxed load and CAS — they only decide which writer
+        // owns the slot; the CAS's atomicity makes that one writer, and
+        // no payload is read through them. The fence below orders the
+        // claim before the payload stores.
+        let seen = slot.seq.load(Ordering::Relaxed);
+        if seen == SEQ_WRITING
+            || seen >= ticket + SEQ_BASE
+            || slot
+                .seq
+                .compare_exchange(seen, SEQ_WRITING, Ordering::Relaxed, Ordering::Relaxed)
+                .is_err()
+        {
+            // ORDERING: Relaxed — monotonic stats counter.
+            self.lost.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        // ORDERING: Release fence — no payload store below may become
+        // visible before the WRITING claim above, so a reader whose
+        // Acquire fence sees any new payload word re-reads a changed seq
+        // and discards the slot (the seqlock writer's fence).
+        fence(Ordering::Release);
+        for (i, (d, w)) in slot.data.iter().zip(words).enumerate() {
+            if i == 2 {
+                test_pause::between_words();
+            }
+            // ORDERING: Relaxed — payload words; the fence above and
+            // the publishing store below carry them.
             d.store(w, Ordering::Relaxed);
         }
+        // ORDERING: Release — a reader that sees the published ticket
+        // sees the full payload.
         slot.seq.store(ticket + SEQ_BASE, Ordering::Release);
     }
 
@@ -224,6 +264,27 @@ impl TraceSink {
         }
         out.sort_by_key(|(ticket, _)| *ticket);
         out.into_iter().map(|(_, ev)| ev).collect()
+    }
+}
+
+/// A pause a test can place in the middle of a writer's payload stores,
+/// between its claim and its publish, to interleave two writers of one
+/// slot deterministically. Compiled to nothing outside tests.
+mod test_pause {
+    #[cfg(test)]
+    thread_local! {
+        pub(super) static HOOK: std::cell::RefCell<Option<Box<dyn FnMut()>>> =
+            const { std::cell::RefCell::new(None) };
+    }
+
+    #[inline(always)]
+    pub(super) fn between_words() {
+        #[cfg(test)]
+        HOOK.with(|h| {
+            if let Some(f) = h.borrow_mut().as_mut() {
+                f()
+            }
+        });
     }
 }
 
@@ -500,6 +561,47 @@ mod tests {
         });
         assert_eq!(sink.recorded(), 20_000);
         assert_eq!(sink.dropped(), 20_000 - 8);
+        assert!(sink.lost() < 20_000);
+    }
+
+    /// Two writers eight tickets apart on a ring of eight slots: the
+    /// first pauses halfway through its payload while the second writes
+    /// the same slot. Neither may publish a mix of the two events.
+    #[test]
+    fn a_writer_wrapped_onto_a_slot_mid_write_never_tears_it() {
+        let sink = TraceSink::new(8);
+        let (paused_tx, paused_rx) = std::sync::mpsc::channel();
+        let (resume_tx, resume_rx) = std::sync::mpsc::channel::<()>();
+        let consistent = |e: &SpanEvent| e.run_seq == e.rows && e.t0_ns == e.run_seq as u64;
+        let tagged = |v: u32| SpanEvent {
+            run_seq: v,
+            rows: v,
+            t0_ns: v as u64,
+            dur_ns: v as u64,
+            ..ev(0, 0)
+        };
+        std::thread::scope(|s| {
+            let sink = &sink;
+            s.spawn(move || {
+                test_pause::HOOK.with(|h| {
+                    *h.borrow_mut() = Some(Box::new(move || {
+                        paused_tx.send(()).unwrap();
+                        resume_rx.recv().unwrap();
+                    }))
+                });
+                sink.push(tagged(1)); // ticket 0, slot 0
+            });
+            paused_rx.recv().unwrap();
+            for v in 2..=9 {
+                sink.push(tagged(v)); // tickets 1..=8; ticket 8 is slot 0
+            }
+            resume_tx.send(()).unwrap();
+        });
+        let snap = sink.snapshot();
+        assert!(snap.iter().all(consistent), "torn event published: {snap:?}");
+        assert_eq!(sink.recorded(), 9);
+        assert_eq!(sink.lost(), 1, "the second writer of slot 0 drops its event");
+        assert_eq!(snap.len(), 8);
     }
 
     #[test]

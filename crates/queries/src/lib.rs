@@ -136,10 +136,12 @@ impl<'a> ExecCfg<'a> {
     /// `row_bits` is the per-row payload width in **bits**, summed from
     /// the column readers the stage holds (`RowScan::bits`, `Col::bits`):
     /// packed columns contribute their packed width, flat columns their
-    /// byte width × 8.
+    /// byte width × 8. A morsel is charged the whole bytes between the
+    /// bit offsets of its first and its end row, so a scan charges
+    /// `total * row_bits / 8` however the pool cuts it into morsels.
     #[inline]
-    pub fn pace(&self, rows: usize, row_bits: usize) {
-        let bytes = rows * row_bits / 8;
+    pub fn pace(&self, rows: Range<usize>, row_bits: usize) {
+        let bytes = rows.end * row_bits / 8 - rows.start * row_bits / 8;
         if let Some(run) = self.sched {
             run.add_bytes(bytes as u64);
         }
@@ -204,7 +206,7 @@ impl<'a> ExecCfg<'a> {
             // Morsel spans read the clock only when a trace is attached;
             // untraced serving runs pay nothing here.
             let t0 = self.trace.map(|t| t.now_ns());
-            self.pace(r.len(), row_bits);
+            self.pace(r.clone(), row_bits);
             let rows = r.len();
             fold(state, r);
             if let (Some(trace), Some(t0)) = (self.trace, t0) {

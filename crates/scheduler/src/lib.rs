@@ -1,9 +1,9 @@
 //! Morsel-driven scheduling (§6.1), from single-query to multi-tenant.
 //!
 //! Both engines parallelize the HyPer way \[22\]: the table-scan loop of
-//! every pipeline is replaced by workers repeatedly *claiming* fixed-size
-//! tuple ranges ("morsels") from a shared dispenser, and pipeline
-//! breakers synchronize phases with a barrier. This crate owns all three
+//! every pipeline is replaced by workers repeatedly *claiming* tuple
+//! ranges ("morsels") from a shared dispenser, and pipeline breakers
+//! synchronize phases with a barrier. This crate owns all three
 //! layers of that story:
 //!
 //! * [`Morsels`] — the lock-free dispenser of tuple ranges.
@@ -12,10 +12,10 @@
 //!   for every pipeline of every query run.
 //! * [`Scheduler`] — a **persistent worker pool plus morsel-level
 //!   inter-query scheduler**: a fixed set of workers executes morsels
-//!   from all concurrently running queries, interleaving them by
-//!   weighted round-robin, with an admission gate bounding the number of
-//!   in-flight queries. Worker count stays fixed regardless of client
-//!   concurrency.
+//!   from all concurrently running queries, sizing each morsel to a
+//!   time slice and serving the query with the least attained worker
+//!   time first, with an admission gate bounding the number of in-flight
+//!   queries. Worker count stays fixed regardless of client concurrency.
 //! * [`ExecCtx`] — the handle execution code is written against; it
 //!   routes a parallel region to the pool when one is attached and to
 //!   the spawn fallback (or inline execution) otherwise.

@@ -3,8 +3,12 @@
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Default morsel size in tuples. HyPer-style systems use 10k–100k;
-/// 16 Ki keeps per-claim overhead negligible while load-balancing well.
+/// Morsel size cap in tuples: the size of every fixed-size claim
+/// ([`Morsels::claim`], the spawn fallback's) and the most one sized
+/// claim ([`Morsels::claim_up_to`], the pool's) hands out. HyPer-style
+/// systems use 10k–100k; the pool sizes its claims below this to a
+/// time slice ([`crate::pool::SLICE`]), so a slow engine's morsel holds a
+/// worker about as long as a fast engine's.
 pub const MORSEL_TUPLES: usize = 16 * 1024;
 
 /// A lock-free dispenser of tuple ranges over `0..total`.
@@ -33,17 +37,27 @@ impl Morsels {
         }
     }
 
-    /// Claim the next morsel; `None` once the relation is exhausted.
+    /// Claim the next morsel of [`Morsels::morsel_size`] tuples; `None`
+    /// once the relation is exhausted.
     #[inline]
     pub fn claim(&self) -> Option<Range<usize>> {
+        self.claim_up_to(self.morsel)
+    }
+
+    /// Claim the next `n` tuples, `n` clamped to `1..=morsel_size`, so
+    /// the dispenser's size stays the cap of every claim; `None` once
+    /// the relation is exhausted.
+    #[inline]
+    pub fn claim_up_to(&self, n: usize) -> Option<Range<usize>> {
+        let n = n.clamp(1, self.morsel);
         // ORDERING: Relaxed — the fetch_add's atomicity alone makes the
         // claimed ranges disjoint; the morsel data itself is published
         // by the scheduler's run/join edges, not by this cursor.
-        let start = self.next.fetch_add(self.morsel, Ordering::Relaxed);
+        let start = self.next.fetch_add(n, Ordering::Relaxed);
         if start >= self.total {
             return None;
         }
-        Some(start..(start + self.morsel).min(self.total))
+        Some(start..(start + n).min(self.total))
     }
 
     pub fn total(&self) -> usize {
@@ -59,7 +73,8 @@ impl Morsels {
         self.next.load(Ordering::Relaxed) >= self.total
     }
 
-    /// The (normalized) morsel size tuples are dispensed in.
+    /// The (normalized) morsel size: what [`Morsels::claim`] dispenses
+    /// and the cap of [`Morsels::claim_up_to`].
     pub fn morsel_size(&self) -> usize {
         self.morsel
     }
@@ -74,6 +89,21 @@ mod tests {
         let m = Morsels::with_size(100_000, 1024);
         let mut seen = vec![false; 100_000];
         while let Some(r) = m.claim() {
+            for i in r {
+                assert!(!seen[i], "tuple {i} dispensed twice");
+                seen[i] = true;
+            }
+        }
+        assert!(seen.iter().all(|&b| b), "gap in coverage");
+    }
+
+    #[test]
+    fn sized_claims_cover_exactly_once_and_never_exceed_the_cap() {
+        let m = Morsels::with_size(10_000, 700);
+        let mut seen = vec![false; 10_000];
+        for n in (0..).map(|i| [0, 1, 5, 699, 700, 701, usize::MAX][i % 7]) {
+            let Some(r) = m.claim_up_to(n) else { break };
+            assert!(r.len() <= n.clamp(1, 700), "claim of {n} got {r:?}");
             for i in r {
                 assert!(!seen[i], "tuple {i} dispensed twice");
                 seen[i] = true;

@@ -4,12 +4,31 @@
 //! executions register through the admission gate
 //! ([`Scheduler::begin_query`], bounding in-flight queries), then submit
 //! each pipeline as a *task*: a [`Morsels`] dispenser plus a
-//! `Fn(worker_id, range)` body. Workers pick runnable tasks by
-//! **weighted round-robin across active queries** (a query with
-//! priority *p* receives *p* picks per cycle), claim one morsel, execute
-//! it, and move on — so morsels from concurrently running queries
-//! interleave at morsel granularity and worker count stays fixed at the
-//! pool size no matter how many clients submit.
+//! `Fn(worker_id, range)` body. The pool schedules **worker time**, not
+//! morsel counts, by the two rules Wagner, Kohn & Neumann apply in
+//! Umbra ("Self-Tuning Query Scheduling for Analytical Workloads",
+//! SIGMOD 2021):
+//!
+//! * **Slice-sized morsels.** A worker times every morsel it runs and
+//!   adds its units and nanoseconds to the task. Each claim is sized
+//!   from the task's own measured rate to take about [`SLICE`] of
+//!   worker time, capped by the dispenser's morsel size; a task's first
+//!   claim, made before any rate is known, is a probe of a sixteenth
+//!   of that size. So a Volcano morsel holds a worker about as long as
+//!   a Typer one, and a light query waits about one slice for a worker,
+//!   not one heavy morsel.
+//! * **Least attained service.** Of the tasks a worker may claim from,
+//!   it serves the one whose query has so far received the least
+//!   worker time divided by its priority: a query of priority *p* gets
+//!   *p* times the time of a priority-1 query it runs beside. Ties go
+//!   to a cursor that rotates past every served task. A query that has
+//!   waited `STARVE_AFTER` (eight slices) since it was last served is
+//!   served next whatever its time, so a long query keeps a fixed share
+//!   of a worker while short queries keep arriving.
+//!
+//! Morsels from concurrently running queries thus interleave slice by
+//! slice, and worker count stays fixed at the pool size no matter how
+//! many clients submit.
 //!
 //! [`QueryRun::run_task`] is the pipeline barrier: it returns only after
 //! every morsel of the task has been executed, which is also what makes
@@ -29,9 +48,26 @@ use std::time::{Duration, Instant};
 
 /// Priority a query runs at when nothing else is requested.
 pub const DEFAULT_PRIORITY: usize = 1;
-/// Upper bound for the per-query priority knob (picks per round-robin
-/// cycle); keeps the pick list small.
+/// Upper bound for the per-query priority: the weight its attained
+/// worker time is divided by when the pool chooses whom to serve.
 pub const MAX_PRIORITY: usize = 16;
+
+/// Worker time one claim is sized to take, from the task's measured
+/// rate. The longest a query waits for a worker another query holds is
+/// about one slice. Chosen by a sweep of 50, 100 and 250 µs on the
+/// benchmark's `serve_mix` tail against `hash_heavy`'s Volcano time
+/// (EXPERIMENTS.md, *Scheduling by worker time*).
+pub const SLICE: Duration = Duration::from_micros(100);
+
+/// A task's first claim, made before its rate is known, is this share
+/// of its dispenser's morsel size (at least one unit).
+const PROBE_SHARE: usize = 16;
+
+/// How long a query with a claimable task may wait for one with less
+/// attained service before it is served regardless: the starvation
+/// bound. Eight slices, so a query that stays claimable gets about one
+/// slice in nine of a worker, however short the other queries' claims.
+const STARVE_AFTER: Duration = Duration::from_nanos(8 * SLICE.as_nanos() as u64);
 
 /// Scheduler-side counters of one query execution.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -80,6 +116,13 @@ struct StatsCell {
     morsels: AtomicU64,
     steals: AtomicU64,
     bytes_scanned: AtomicU64,
+    /// Worker time the query's morsels took so far: its attained
+    /// service. Only changed with the pool state lock held.
+    attained_ns: AtomicU64,
+    /// When the query last began to wait for a worker, in nanoseconds
+    /// since the pool's epoch: its last claim, or the submission of its
+    /// task. Only changed with the pool state lock held.
+    waiting_since_ns: AtomicU64,
 }
 
 impl StatsCell {
@@ -124,34 +167,94 @@ struct TaskState {
     exhausted: AtomicBool,
     completed: AtomicBool,
     first_claim: AtomicBool,
+    /// Units the task's finished morsels covered, and the worker time
+    /// they took: its measured rate.
+    units_done: AtomicU64,
+    busy_ns: AtomicU64,
     panic: Mutex<Option<Box<dyn Any + Send>>>,
+}
+
+impl TaskState {
+    /// Units the next claim asks for: a [`SLICE`] at the measured rate,
+    /// or the probe while no morsel has finished. The dispenser clamps
+    /// it to `1..=morsel_size`.
+    fn claim_size(&self) -> usize {
+        let cap = self.morsels.morsel_size();
+        // ORDERING: Relaxed — only changed with the state lock held,
+        // which the caller holds.
+        let (units, ns) = (
+            self.units_done.load(Ordering::Relaxed),
+            self.busy_ns.load(Ordering::Relaxed),
+        );
+        if units == 0 {
+            return cap / PROBE_SHARE;
+        }
+        let sized = SLICE.as_nanos() * units as u128 / (ns as u128).max(1);
+        sized.min(cap as u128) as usize
+    }
+
+    /// Whether a worker may claim from this task now (it is below its
+    /// worker cap).
+    fn claimable(&self) -> bool {
+        // ORDERING: Relaxed — only changed with the state lock held,
+        // which the caller holds.
+        self.running.load(Ordering::Relaxed) < self.max_workers
+    }
 }
 
 struct PoolState {
     /// Tasks that may still have morsels to hand out.
     tasks: Vec<Arc<TaskState>>,
-    /// Weighted round-robin pick list: indices into `tasks`, each task
-    /// appearing `priority` times. Rebuilt whenever `tasks` changes.
-    picks: Vec<usize>,
+    /// Where the scan for the least-served task starts, so ties rotate.
     cursor: usize,
+    /// Workers parked on `work_cv`, so a finished morsel wakes one only
+    /// when there is one to wake.
+    idle: usize,
+    /// The time base of every query's `waiting_since_ns`.
+    epoch: Instant,
     inflight: usize,
     next_run_seq: u64,
     shutdown: bool,
 }
 
 impl PoolState {
-    fn rebuild_picks(&mut self) {
-        self.picks.clear();
-        for (i, t) in self.tasks.iter().enumerate() {
-            for _ in 0..t.priority {
-                self.picks.push(i);
-            }
-        }
-        if !self.picks.is_empty() {
-            self.cursor %= self.picks.len();
-        } else {
-            self.cursor = 0;
-        }
+    /// Nanoseconds since the pool's epoch.
+    fn now_ns(&self) -> u64 {
+        self.epoch.elapsed().as_nanos() as u64
+    }
+
+    /// The claimable task to serve next, with the time it was chosen:
+    /// one whose query has waited [`STARVE_AFTER`] if any, else the
+    /// least attained worker time ÷ priority; the first from the cursor
+    /// among equals.
+    fn pick(&self) -> Option<(usize, u64)> {
+        let (n, now) = (self.tasks.len(), self.now_ns());
+        (0..n)
+            .map(|k| (self.cursor + k) % n)
+            .filter(|&i| self.tasks[i].claimable())
+            .min_by_key(|&i| {
+                let t = &self.tasks[i];
+                // ORDERING: Relaxed — only changed with the state lock
+                // held, which the caller holds.
+                let since = t.stats.waiting_since_ns.load(Ordering::Relaxed);
+                let starved = now.saturating_sub(since) >= STARVE_AFTER.as_nanos() as u64;
+                // ORDERING: as above — state lock held.
+                let attained = t.stats.attained_ns.load(Ordering::Relaxed);
+                (!starved, attained / t.priority as u64)
+            })
+            .map(|i| (i, now))
+    }
+
+    /// Record that `tasks[chosen]` was served at `now`: its query's wait
+    /// restarts and the cursor moves past it.
+    fn served(&mut self, chosen: usize, now: u64) {
+        // ORDERING: Relaxed — only changed with the state lock held,
+        // which the caller holds.
+        self.tasks[chosen]
+            .stats
+            .waiting_since_ns
+            .store(now, Ordering::Relaxed);
+        self.cursor = chosen + 1;
     }
 }
 
@@ -195,8 +298,9 @@ impl Scheduler {
             max_inflight: max_inflight.max(1),
             state: Mutex::new(PoolState {
                 tasks: Vec::new(),
-                picks: Vec::new(),
                 cursor: 0,
+                idle: 0,
+                epoch: Instant::now(),
                 inflight: 0,
                 next_run_seq: 0,
                 shutdown: false,
@@ -260,9 +364,9 @@ impl Scheduler {
 
     /// Enter the admission gate: blocks while [`Scheduler::max_inflight`]
     /// queries are in flight, then registers a query run at `priority`
-    /// (clamped to `1..=`[`MAX_PRIORITY`]; higher = more round-robin
-    /// picks). The slot is released when the returned [`QueryRun`]
-    /// drops.
+    /// (clamped to `1..=`[`MAX_PRIORITY`]; the weight its worker time is
+    /// divided by, so higher = a larger share of the workers). The slot
+    /// is released when the returned [`QueryRun`] drops.
     pub fn begin_query(&self, priority: usize) -> QueryRun {
         let t0 = Instant::now();
         let mut st = self.inner.state.lock().expect("pool state");
@@ -360,7 +464,8 @@ impl QueryRun {
         self.inner.workers
     }
 
-    /// The priority this run's tasks are scheduled at.
+    /// The priority this run's tasks are scheduled at: the weight its
+    /// attained worker time is divided by (see the module docs).
     pub fn priority(&self) -> usize {
         self.priority
     }
@@ -411,6 +516,8 @@ impl QueryRun {
             exhausted: AtomicBool::new(false),
             completed: AtomicBool::new(false),
             first_claim: AtomicBool::new(false),
+            units_done: AtomicU64::new(0),
+            busy_ns: AtomicU64::new(0),
             panic: Mutex::new(None),
         });
         {
@@ -420,8 +527,10 @@ impl QueryRun {
             // released instead (no poisoning).
             let shutdown = st.shutdown;
             if !shutdown {
+                // ORDERING: Relaxed — only changed with the state lock
+                // held, which we hold.
+                self.stats.waiting_since_ns.store(st.now_ns(), Ordering::Relaxed);
                 st.tasks.push(Arc::clone(&task));
-                st.rebuild_picks();
             }
             drop(st);
             assert!(!shutdown, "run_task on a shut-down scheduler");
@@ -451,62 +560,51 @@ impl Drop for QueryRun {
     }
 }
 
-/// Pick a runnable task and claim one of its morsels. Runs with the
-/// state lock held. Weighted round-robin: the cursor walks the pick
-/// list; tasks at their `max_workers` cap are skipped; an exhausted
-/// task is retired from the claimable set (and completed here if no
-/// morsel of it is still running).
+/// Pick the task to serve ([`PoolState::pick`]) and claim a slice of
+/// it. Runs with the state lock held. An exhausted task is retired from
+/// the claimable set (and completed here if no morsel of it is still
+/// running), and the pick is made again.
 fn claim_next(inner: &PoolInner, st: &mut PoolState) -> Option<(Arc<TaskState>, Range<usize>)> {
-    'rescan: loop {
-        let n = st.picks.len();
-        for k in 0..n {
-            let pi = (st.cursor + k) % n;
-            let task = &st.tasks[st.picks[pi]];
-            // ORDERING: Relaxed everywhere in claim_next — the
-            // TaskState flag/count atomics are read and written only
-            // with the state lock held (we hold it), so the mutex
-            // orders them; queue_wait_ns is a stats counter.
-            if task.running.load(Ordering::Relaxed) >= task.max_workers {
-                continue;
-            }
-            match task.morsels.claim() {
-                Some(r) => {
-                    st.cursor = (pi + 1) % n;
-                    let task = Arc::clone(task);
-                    // ORDERING: as above — state lock held.
-                    task.running.fetch_add(1, Ordering::Relaxed);
-                    if !task.first_claim.swap(true, Ordering::Relaxed) {
-                        task.stats
-                            .queue_wait_ns
-                            .fetch_add(task.submitted.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    }
-                    return Some((task, r));
+    loop {
+        let (i, now) = st.pick()?;
+        let task = Arc::clone(&st.tasks[i]);
+        // ORDERING: Relaxed everywhere in claim_next — the TaskState
+        // flag/count atomics are read and written only with the state
+        // lock held (we hold it), so the mutex orders them;
+        // queue_wait_ns is a stats counter.
+        match task.morsels.claim_up_to(task.claim_size()) {
+            Some(r) => {
+                st.served(i, now);
+                // ORDERING: as above — state lock held.
+                task.running.fetch_add(1, Ordering::Relaxed);
+                // ORDERING: as above — state lock held; stats counter.
+                if !task.first_claim.swap(true, Ordering::Relaxed) {
+                    // ORDERING: Relaxed — monotonic stats counter.
+                    task.stats
+                        .queue_wait_ns
+                        .fetch_add(task.submitted.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 }
-                None => {
-                    // Retire the exhausted task; if nothing is mid-morsel
-                    // it is already complete.
-                    // ORDERING: as above — state lock held.
-                    task.exhausted.store(true, Ordering::Relaxed);
-                    let task = Arc::clone(task);
-                    st.tasks.retain(|t| !Arc::ptr_eq(t, &task));
-                    st.rebuild_picks();
-                    // ORDERING: as above — state lock held.
-                    if task.running.load(Ordering::Relaxed) == 0
-                        && !task.completed.swap(true, Ordering::Relaxed)
-                    {
-                        inner.done_cv.notify_all();
-                    }
-                    if st.shutdown {
-                        // Parked workers must re-check the (shutdown,
-                        // tasks-empty) exit condition now that the
-                        // claimable set shrank.
-                        inner.work_cv.notify_all();
-                    }
-                    continue 'rescan;
+                return Some((task, r));
+            }
+            None => {
+                // Retire the exhausted task; if nothing is mid-morsel it
+                // is already complete.
+                // ORDERING: as above — state lock held.
+                task.exhausted.store(true, Ordering::Relaxed);
+                st.tasks.swap_remove(i);
+                // ORDERING: as above — state lock held.
+                if task.running.load(Ordering::Relaxed) == 0 && !task.completed.swap(true, Ordering::Relaxed)
+                {
+                    inner.done_cv.notify_all();
+                }
+                if st.shutdown {
+                    // Parked workers must re-check the (shutdown,
+                    // tasks-empty) exit condition now that the
+                    // claimable set shrank.
+                    inner.work_cv.notify_all();
                 }
             }
         }
-        return None;
     }
 }
 
@@ -526,15 +624,22 @@ fn worker_loop(inner: &PoolInner, worker_id: usize) {
                 // ORDERING: Relaxed — monotonic stats counter.
                 task.stats.morsels.fetch_add(1, Ordering::Relaxed);
                 drop(st);
+                let units = range.len() as u64;
                 // SAFETY: the submitter blocks in `run_task` until this
                 // task completes, keeping the erased body alive.
                 let body = unsafe { &*task.body.0 };
+                let t0 = Instant::now();
                 let result = catch_unwind(AssertUnwindSafe(|| body(worker_id, range)));
+                let ns = t0.elapsed().as_nanos() as u64;
                 st = inner.state.lock().expect("pool state");
                 // ORDERING: Relaxed for every TaskState flag/count
-                // atomic in this block — they are read and written only
-                // with the state lock held (reacquired above), so the
-                // mutex is the happens-before edge.
+                // atomic in this block, and for the query's attained
+                // time — they are read and written only with the state
+                // lock held (reacquired above), so the mutex is the
+                // happens-before edge.
+                task.units_done.fetch_add(units, Ordering::Relaxed);
+                task.busy_ns.fetch_add(ns, Ordering::Relaxed);
+                task.stats.attained_ns.fetch_add(ns, Ordering::Relaxed);
                 let was_exhausted = task.exhausted.load(Ordering::Relaxed);
                 if let Err(payload) = result {
                     *task.panic.lock().expect("task panic slot") = Some(payload);
@@ -542,18 +647,16 @@ fn worker_loop(inner: &PoolInner, worker_id: usize) {
                     // ORDERING: as above — state lock held.
                     task.exhausted.store(true, Ordering::Relaxed);
                     st.tasks.retain(|t| !Arc::ptr_eq(t, &task));
-                    st.rebuild_picks();
                 } else if !was_exhausted && task.morsels.is_exhausted() {
                     // Eager barrier release: the dispenser drained while
                     // we ran its last claimed morsel. Retire the task now
-                    // instead of waiting for a future pick-walk to visit
-                    // it — otherwise the submitter could stay blocked
+                    // instead of waiting for a future pick to reach it —
+                    // otherwise the submitter could stay blocked
                     // behind other queries' long morsels with all of its
                     // own work already finished.
                     // ORDERING: as above — state lock held.
                     task.exhausted.store(true, Ordering::Relaxed);
                     st.tasks.retain(|t| !Arc::ptr_eq(t, &task));
-                    st.rebuild_picks();
                 }
                 // ORDERING: as above — state lock held.
                 let prev = task.running.fetch_sub(1, Ordering::Relaxed);
@@ -566,7 +669,7 @@ fn worker_loop(inner: &PoolInner, worker_id: usize) {
                         // (the claimable set may just have emptied).
                         inner.work_cv.notify_all();
                     }
-                } else {
+                } else if st.idle > 0 {
                     // This task dropped below its worker cap — another
                     // waiter may be able to pick it up now.
                     inner.work_cv.notify_one();
@@ -576,7 +679,9 @@ fn worker_loop(inner: &PoolInner, worker_id: usize) {
                 if st.shutdown && st.tasks.is_empty() {
                     break;
                 }
+                st.idle += 1;
                 st = inner.work_cv.wait(st).expect("pool state");
+                st.idle -= 1;
             }
         }
     }
@@ -597,6 +702,15 @@ mod tests {
         assert_eq!(s.live_workers(), 1);
     }
 
+    /// Spin for `d` of wall time: a body whose cost per unit is known
+    /// whatever the build (a sanitizer slows the loop, not the clock).
+    fn spin(d: Duration) {
+        let t0 = Instant::now();
+        while t0.elapsed() < d {
+            std::hint::spin_loop();
+        }
+    }
+
     #[test]
     fn pool_executes_every_morsel_exactly_once() {
         let s = Scheduler::new(4);
@@ -612,7 +726,132 @@ mod tests {
         }
         let stats = run.stats();
         assert_eq!(stats.tasks, 1);
-        assert_eq!(stats.morsels, 100_000usize.div_ceil(1024) as u64);
+        // Claims are sized to a slice, capped at the dispenser's 1024:
+        // at least as many morsels as fixed-size claims would make.
+        assert!(stats.morsels >= 100_000usize.div_ceil(1024) as u64, "{stats:?}");
+    }
+
+    #[test]
+    fn claims_start_with_the_probe_and_stay_within_slice_and_cap() {
+        let s = Scheduler::new(1);
+        let run = s.begin_query(DEFAULT_PRIORITY);
+        let unit = Duration::from_micros(2);
+        let claims = Mutex::new(Vec::new());
+        run.run_task(Morsels::with_size(3_000, 1_000), 1, &|_, r| {
+            spin(unit * r.len() as u32);
+            claims.lock().unwrap().push(r);
+        });
+        let claims = claims.into_inner().unwrap();
+        // One worker: claims run in order, and tile 0..3000 exactly.
+        assert!(claims.windows(2).all(|w| w[0].end == w[1].start), "{claims:?}");
+        assert_eq!((claims[0].start, claims.last().unwrap().end), (0, 3_000));
+        assert_eq!(
+            claims[0].len(),
+            1_000 / PROBE_SHARE,
+            "the first claim is the probe"
+        );
+        // Every unit takes at least `unit`, so the measured rate sizes
+        // no later claim above one slice of them.
+        let slice_units = (SLICE.as_nanos() / unit.as_nanos()) as usize;
+        assert!(
+            claims[1..].iter().all(|r| (1..=slice_units).contains(&r.len())),
+            "{claims:?}"
+        );
+        assert_eq!(run.stats().morsels, claims.len() as u64);
+        // A unit dispenser (join publish, partition merge) still hands
+        // out one unit per claim.
+        let run = s.begin_query(DEFAULT_PRIORITY);
+        let ones = AtomicUsize::new(0);
+        run.run_task(Morsels::with_size(50, 1), 1, &|_, r| {
+            assert_eq!(r.len(), 1);
+            ones.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!((ones.into_inner(), run.stats().morsels), (50, 50));
+    }
+
+    #[test]
+    fn a_light_query_waits_about_a_slice_not_a_heavy_morsel() {
+        // One worker, a heavy query of 4096 units at 20 µs each in one
+        // dispenser: 82 ms, one morsel if claims were fixed-size. A
+        // light query of ten units submitted once the heavy one is past
+        // its probe must get the worker within about a slice.
+        let s = Arc::new(Scheduler::new(1));
+        let unit = Duration::from_micros(20);
+        let done = Arc::new(AtomicUsize::new(0));
+        let heavy = {
+            let (s, done) = (Arc::clone(&s), Arc::clone(&done));
+            std::thread::spawn(move || {
+                let run = s.begin_query(DEFAULT_PRIORITY);
+                run.run_task(Morsels::new(4096), 1, &|_, r| {
+                    for _ in r {
+                        spin(unit);
+                        done.fetch_add(1, Ordering::Relaxed);
+                    }
+                });
+            })
+        };
+        while done.load(Ordering::Relaxed) < 2 * 4096 / PROBE_SHARE {
+            std::thread::sleep(Duration::from_micros(100));
+        }
+        let run = s.begin_query(DEFAULT_PRIORITY);
+        let t0 = Instant::now();
+        run.run_task(Morsels::new(10), 1, &|_, r| spin(unit * r.len() as u32));
+        let waited = t0.elapsed();
+        // Own work 0.2 ms, one slice 0.1 ms; the heavy morsel would be
+        // 70+ ms.
+        assert!(waited < Duration::from_millis(25), "light query took {waited:?}");
+        assert!(
+            done.load(Ordering::Relaxed) < 4096,
+            "the heavy query finished first: the test proves nothing"
+        );
+        heavy.join().unwrap();
+    }
+
+    #[test]
+    fn a_long_query_keeps_a_share_while_short_ones_keep_arriving() {
+        // One worker. A long query of 1000 units at 20 µs each, while two
+        // threads submit short queries of ten units back to back. A
+        // short's last unit waits until another short is queued (the
+        // queue holds the long query, this short and that one), so some
+        // short is always claimable, and each has less attained time
+        // than the long query once that is past a short's length. Only
+        // the starvation bound serves the long query then; it must finish
+        // long before the shorts stop at their deadline.
+        let s = Arc::new(Scheduler::new(1));
+        let unit = Duration::from_micros(20);
+        let stop = Arc::new(AtomicBool::new(false));
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let shorts: Vec<_> = (0..2)
+            .map(|_| {
+                let (s, stop) = (Arc::clone(&s), Arc::clone(&stop));
+                std::thread::spawn(move || {
+                    while !stop.load(Ordering::SeqCst) && Instant::now() < deadline {
+                        let run = s.begin_query(DEFAULT_PRIORITY);
+                        run.run_task(Morsels::new(10), 1, &|_, r| {
+                            spin(unit * r.len() as u32);
+                            while r.end == 10
+                                && s.queue_depth() < 3
+                                && !stop.load(Ordering::SeqCst)
+                                && Instant::now() < deadline
+                            {
+                                std::hint::spin_loop();
+                            }
+                        });
+                    }
+                })
+            })
+            .collect();
+        let run = s.begin_query(DEFAULT_PRIORITY);
+        let t0 = Instant::now();
+        run.run_task(Morsels::new(1000), 1, &|_, r| spin(unit * r.len() as u32));
+        let took = t0.elapsed();
+        stop.store(true, Ordering::SeqCst);
+        for t in shorts {
+            t.join().unwrap();
+        }
+        // 20 ms of own work at a share of about one slice in nine:
+        // about two tenths of a second.
+        assert!(took < Duration::from_secs(1), "long query took {took:?}");
     }
 
     #[test]
@@ -669,7 +908,7 @@ mod tests {
     #[test]
     fn concurrent_queries_interleave_on_one_worker() {
         // One worker, two queries whose execution windows must overlap:
-        // with morsel-level round-robin the single worker switches
+        // serving the least attained time, the single worker switches
         // between the tasks instead of draining one first.
         let s = Arc::new(Scheduler::new(1));
         let barrier = Arc::new(Barrier::new(2));
@@ -706,10 +945,10 @@ mod tests {
     }
 
     #[test]
-    fn priority_weights_round_robin() {
+    fn priority_weights_worker_time() {
         // Equal-length queries on one worker: the priority-4 query gets
-        // 4 picks per cycle and must finish well before the priority-1
-        // query that started alongside it.
+        // four times the worker time of the priority-1 query that
+        // started alongside it, so it must finish first.
         let s = Arc::new(Scheduler::new(1));
         let started_high = Arc::new(AtomicBool::new(false));
         let done = Arc::new(Mutex::new(Vec::<&'static str>::new()));
@@ -819,7 +1058,7 @@ mod tests {
     fn drained_task_releases_its_barrier_before_other_queries_finish() {
         // Regression: query A's barrier must release as soon as A's last
         // morsel finishes, even while query B still has long morsels
-        // queued — not when a later pick-walk happens to revisit A.
+        // queued — not when a later claim happens to reach A.
         let s = Arc::new(Scheduler::new(1));
         let b_started = Arc::new(AtomicBool::new(false));
         let b = {
@@ -835,8 +1074,8 @@ mod tests {
         while !b_started.load(Ordering::SeqCst) {
             std::hint::spin_loop();
         }
-        // B occupies the only worker; A's single tiny morsel runs in one
-        // of the round-robin gaps and must return right after it.
+        // B occupies the only worker; A's single tiny morsel runs as
+        // soon as B's current one ends and must return right after it.
         let run = s.begin_query(DEFAULT_PRIORITY);
         let t0 = Instant::now();
         run.run_task(Morsels::with_size(1, 1), 1, &|_, _| {});

@@ -27,9 +27,10 @@
 //! A query is a [`Plan`] value — scans, selections, projections, joins
 //! and aggregates over named tables — and [`Plan::run`] is the one
 //! interpreter. It runs every pipeline of the plan on the scheduler's
-//! one morsel driver, as Typer and Tectorwise do: for each morsel of the
-//! pipeline's driving scan a worker opens the pipeline's operators over
-//! that morsel and drains them into a shard of its own. Every join's
+//! one morsel driver, as Typer and Tectorwise do: a worker opens the
+//! pipeline's operators once and, for each morsel of the pipeline's
+//! driving scan it claims, re-opens them over that morsel and drains
+//! them into a shard of its own. Every join's
 //! build side runs once this way, into one read-only table all workers
 //! probe; every aggregate's shards are merged one non-empty hash
 //! partition per morsel; every scan is paced and recorded, and the
@@ -41,7 +42,6 @@ pub mod plan;
 
 pub use expr::{BinOp, CmpOp, Expr, Val};
 pub use ops::{
-    AggSpec, Aggregate, BoxOp, HashJoin, JoinShard, KeyShard, Operator, Project, Row, Scan, Select, SemiJoin,
-    Shard,
+    AggSpec, BoxOp, HashJoin, JoinShard, KeyShard, Operator, Project, Row, Scan, Select, SemiJoin, Shard,
 };
 pub use plan::Plan;

@@ -4,7 +4,10 @@
 //! reuses that buffer's slots — and their string buffers — from one call
 //! to the next. Hash operators evaluate keys into one reused key buffer
 //! and probe with it, so a plan allocates only when a build row or a
-//! group is inserted. The breakers build the runtime's tables, the ones
+//! group is inserted. Operators borrow their expressions from the plan,
+//! and [`Operator::reopen`] restarts a built tree over another morsel,
+//! so a worker builds a pipeline's operators once and re-opens them per
+//! morsel without allocating. The breakers build the runtime's tables, the ones
 //! Typer and Tectorwise build: a join's build side is a [`JoinHt`], an
 //! aggregate folds into [`GroupByShard`]s merged by [`merge_partitions`].
 //! What is left per tuple is the model itself: one virtual `next()` per
@@ -30,6 +33,13 @@ pub trait Operator {
     /// Overwrite `row` with the next tuple and return `true`, or return
     /// `false` when exhausted (`row` then holds nothing to use).
     fn next(&mut self, row: &mut Row) -> bool;
+
+    /// Restart over `morsel`, a range of rows of the leaf that drives
+    /// the pipeline (its scan, or the groups it reads): the leaf moves to
+    /// the range, every other operator drops its state and passes the
+    /// range down. Volcano's `open()`, made cheap enough to call per
+    /// morsel: it allocates nothing.
+    fn reopen(&mut self, morsel: Range<usize>);
 }
 
 /// [`Hasher`] over the runtime's Murmur2 that turns a key into the hash
@@ -91,14 +101,17 @@ fn eval_into(key: &mut Row, exprs: &[Expr], row: &[Val]) {
 }
 
 /// Table scan producing the named columns in order, over one range of
-/// rows: the whole table unless [`Scan::rows`] narrows it. The plan
-/// interpreter opens one scan per morsel of a pipeline's driving table
-/// (§6.1 applied to the baseline engine). [`Scan::paced`] debits the
-/// range against a shared bandwidth [`Throttle`] when the first tuple is
-/// pulled, giving Volcano the same emulated-SSD behaviour (Table 5) as
-/// the other two engines.
+/// rows: the whole table unless [`Scan::rows`] or [`Operator::reopen`]
+/// narrows it. The columns are looked up once, when the scan is built;
+/// the plan interpreter re-opens a worker's scan over every morsel of a
+/// pipeline's driving table it claims (§6.1 applied to the baseline
+/// engine). [`Scan::paced`] debits the range against a shared bandwidth
+/// [`Throttle`] when the first tuple is pulled, giving Volcano the same
+/// emulated-SSD behaviour (Table 5) as the other two engines.
 pub struct Scan<'a> {
     cols: Vec<&'a ColumnData>,
+    /// The table's row count: the bound of every range.
+    len: usize,
     rows: Range<usize>,
     /// Whether `rows` has been debited and recorded yet.
     charged: bool,
@@ -117,6 +130,7 @@ impl<'a> Scan<'a> {
         };
         Scan {
             cols,
+            len: table.len(),
             rows: 0..table.len(),
             charged: false,
             throttle: None,
@@ -127,8 +141,7 @@ impl<'a> Scan<'a> {
 
     /// Walk only `rows`, which must lie within the table.
     pub fn rows(mut self, rows: Range<usize>) -> Self {
-        assert!(rows.end <= self.rows.end, "scan range exceeds table");
-        self.rows = rows;
+        self.reopen(rows);
         self
     }
 
@@ -187,15 +200,22 @@ impl<'a> Operator for Scan<'a> {
         }
         true
     }
+
+    fn reopen(&mut self, morsel: Range<usize>) {
+        assert!(morsel.end <= self.len, "scan range exceeds table");
+        self.rows = morsel;
+        self.charged = false;
+    }
 }
 
-/// A boxed operator with borrowed table data.
-pub type BoxOp<'a> = Box<dyn Operator + 'a>;
+/// A boxed operator with borrowed table data and plan expressions; it
+/// is `Send`, so a worker's built pipeline can live in its slot.
+pub type BoxOp<'a> = Box<dyn Operator + Send + 'a>;
 
 /// Tuple-at-a-time selection.
 pub struct Select<'a> {
     pub input: BoxOp<'a>,
-    pub pred: Expr,
+    pub pred: &'a Expr,
 }
 
 impl<'a> Operator for Select<'a> {
@@ -207,6 +227,10 @@ impl<'a> Operator for Select<'a> {
         }
         false
     }
+
+    fn reopen(&mut self, morsel: Range<usize>) {
+        self.input.reopen(morsel);
+    }
 }
 
 /// Tuple-at-a-time projection. The outputs are appended behind the input
@@ -215,7 +239,7 @@ impl<'a> Operator for Select<'a> {
 /// per tuple, since its slot's buffer leaves with the drained input.
 pub struct Project<'a> {
     pub input: BoxOp<'a>,
-    pub exprs: Vec<Expr>,
+    pub exprs: &'a [Expr],
 }
 
 impl<'a> Operator for Project<'a> {
@@ -224,12 +248,16 @@ impl<'a> Operator for Project<'a> {
             return false;
         }
         let n = row.len();
-        for e in &self.exprs {
+        for e in self.exprs {
             let v = e.eval_ref(&row[..n]).into_owned();
             row.push(v);
         }
         row.drain(..n);
         true
+    }
+
+    fn reopen(&mut self, morsel: Range<usize>) {
+        self.input.reopen(morsel);
     }
 }
 
@@ -250,18 +278,35 @@ pub trait Shard: Send + Sized {
 
 /// Drain `op` into `shard`, keying every row by `keys`, and build what
 /// the one shard builds.
-pub fn build<S: Shard>(op: BoxOp<'_>, keys: &[Expr], mut shard: S) -> S::Built {
-    drain(op, keys, &mut shard);
-    S::merge(vec![shard], &ExecCtx::inline())
+pub fn build<S: Shard>(mut op: BoxOp<'_>, keys: &[Expr], shard: S) -> S::Built {
+    let mut drained = Drained::new(shard);
+    drained.drain(&mut *op, keys);
+    S::merge(vec![drained.shard], &ExecCtx::inline())
 }
 
-/// Drain `op` into a shard the caller keeps, as a worker does across the
-/// morsels of a pipeline.
-pub(crate) fn drain<S: Shard>(mut op: BoxOp<'_>, keys: &[Expr], shard: &mut S) {
-    let (mut row, mut key) = (Row::new(), Row::new());
-    while op.next(&mut row) {
-        eval_into(&mut key, keys, &row);
-        shard.push(&key, &row);
+/// A shard with the row and key buffers it is drained through, kept
+/// together so a worker reuses both across the morsels of a pipeline.
+pub(crate) struct Drained<S> {
+    pub(crate) shard: S,
+    row: Row,
+    key: Row,
+}
+
+impl<S: Shard> Drained<S> {
+    pub(crate) fn new(shard: S) -> Self {
+        Drained {
+            shard,
+            row: Row::new(),
+            key: Row::new(),
+        }
+    }
+
+    /// Drain `op` into the shard, keying every row by `keys`.
+    pub(crate) fn drain(&mut self, op: &mut dyn Operator, keys: &[Expr]) {
+        while op.next(&mut self.row) {
+            eval_into(&mut self.key, keys, &self.row);
+            self.shard.push(&self.key, &self.row);
+        }
     }
 }
 
@@ -301,7 +346,7 @@ impl Shard for JoinShard {
 pub struct HashJoin<'a> {
     table: &'a JoinHt<Row>,
     probe: BoxOp<'a>,
-    probe_keys: Vec<Expr>,
+    probe_keys: &'a [Expr],
     /// The current probe tuple and the key buffer, reused across tuples.
     probe_row: Row,
     key: Row,
@@ -310,7 +355,7 @@ pub struct HashJoin<'a> {
 }
 
 impl<'a> HashJoin<'a> {
-    pub fn new(table: &'a JoinHt<Row>, probe: BoxOp<'a>, probe_keys: Vec<Expr>) -> Self {
+    pub fn new(table: &'a JoinHt<Row>, probe: BoxOp<'a>, probe_keys: &'a [Expr]) -> Self {
         HashJoin {
             table,
             probe,
@@ -335,9 +380,14 @@ impl<'a> Operator for HashJoin<'a> {
             if !self.probe.next(&mut self.probe_row) {
                 return false;
             }
-            eval_into(&mut self.key, &self.probe_keys, &self.probe_row);
+            eval_into(&mut self.key, self.probe_keys, &self.probe_row);
             self.cursor = Some(self.table.probe(hash_key(&self.key)));
         }
+    }
+
+    fn reopen(&mut self, morsel: Range<usize>) {
+        self.cursor = None;
+        self.probe.reopen(morsel);
     }
 }
 
@@ -365,12 +415,12 @@ impl Shard for KeyShard {
 pub struct SemiJoin<'a> {
     keys: &'a JoinHt<Row>,
     probe: BoxOp<'a>,
-    probe_keys: Vec<Expr>,
+    probe_keys: &'a [Expr],
     key: Row,
 }
 
 impl<'a> SemiJoin<'a> {
-    pub fn new(keys: &'a JoinHt<Row>, probe: BoxOp<'a>, probe_keys: Vec<Expr>) -> Self {
+    pub fn new(keys: &'a JoinHt<Row>, probe: BoxOp<'a>, probe_keys: &'a [Expr]) -> Self {
         SemiJoin {
             keys,
             probe,
@@ -383,12 +433,16 @@ impl<'a> SemiJoin<'a> {
 impl<'a> Operator for SemiJoin<'a> {
     fn next(&mut self, row: &mut Row) -> bool {
         while self.probe.next(row) {
-            eval_into(&mut self.key, &self.probe_keys, row);
+            eval_into(&mut self.key, self.probe_keys, row);
             if self.keys.contains(hash_key(&self.key), |k| *k == self.key) {
                 return true;
             }
         }
         false
+    }
+
+    fn reopen(&mut self, morsel: Range<usize>) {
+        self.probe.reopen(morsel);
     }
 }
 
@@ -482,38 +536,33 @@ fn emit_group(row: &mut Row, (key, states): &(Row, Row)) {
     overwrite(row, key.iter().chain(states).map(Cow::Borrowed));
 }
 
-/// Source over merged groups, as [`emit_group`] writes them.
-pub(crate) struct GroupRows<'a>(pub(crate) std::slice::Iter<'a, (Row, Row)>);
+/// Source over a range of merged groups, as [`emit_group`] writes
+/// them: all of them until [`Operator::reopen`] narrows it.
+pub(crate) struct GroupRows<'a> {
+    groups: &'a [(Row, Row)],
+    rows: Range<usize>,
+}
+
+impl<'a> GroupRows<'a> {
+    pub(crate) fn new(groups: &'a [(Row, Row)]) -> Self {
+        GroupRows {
+            groups,
+            rows: 0..groups.len(),
+        }
+    }
+}
 
 impl Operator for GroupRows<'_> {
     fn next(&mut self, row: &mut Row) -> bool {
-        self.0.next().map(|group| emit_group(row, group)).is_some()
+        self.rows
+            .next()
+            .map(|i| emit_group(row, &self.groups[i]))
+            .is_some()
     }
-}
 
-/// Blocking hash aggregation (group by a list of expressions); emits one
-/// row per group, group keys followed by the aggregates. An ungrouped
-/// aggregate emits exactly one row, zeros when its input is empty.
-pub struct Aggregate {
-    groups: Vec<(Row, Row)>,
-    next: usize,
-}
-
-impl Aggregate {
-    pub fn new(input: BoxOp<'_>, group_by: Vec<Expr>, aggs: Vec<AggSpec>) -> Self {
-        let groups = build(input, &group_by, GroupShard::new(&aggs, group_by.is_empty()));
-        Aggregate { groups, next: 0 }
-    }
-}
-
-impl Operator for Aggregate {
-    fn next(&mut self, row: &mut Row) -> bool {
-        let Some(group) = self.groups.get(self.next) else {
-            return false;
-        };
-        self.next += 1;
-        emit_group(row, group);
-        true
+    fn reopen(&mut self, morsel: Range<usize>) {
+        assert!(morsel.end <= self.groups.len(), "group range exceeds groups");
+        self.rows = morsel;
     }
 }
 
@@ -527,7 +576,6 @@ mod tests {
     use super::*;
     use crate::expr::{BinOp, CmpOp};
     use dbep_storage::column::ColumnData;
-    use std::collections::BTreeMap;
 
     fn test_table() -> Table {
         let mut t = Table::new("t");
@@ -540,12 +588,14 @@ mod tests {
     #[test]
     fn scan_select_project() {
         let t = test_table();
+        let pred = Expr::cmp(CmpOp::Gt, Expr::col(1), Expr::lit_i64(15));
+        let exprs = [Expr::arith(BinOp::Mul, Expr::col(0), Expr::lit_i64(2))];
         let plan = Project {
             input: Box::new(Select {
                 input: Box::new(Scan::new(&t, &["k", "v"])),
-                pred: Expr::cmp(CmpOp::Gt, Expr::col(1), Expr::lit_i64(15)),
+                pred: &pred,
             }),
-            exprs: vec![Expr::arith(BinOp::Mul, Expr::col(0), Expr::lit_i64(2))],
+            exprs: &exprs,
         };
         let rows = collect(Box::new(plan));
         assert_eq!(
@@ -558,17 +608,21 @@ mod tests {
     fn project_narrows_and_widens_through_a_reused_buffer() {
         let t = test_table();
         // [k, v, s] → [v] → [v, v + 1, "x"]
-        let narrow = Project {
-            input: Box::new(Scan::new(&t, &["k", "v", "s"])),
-            exprs: vec![Expr::col(1)],
-        };
-        let mut widen = Project {
-            input: Box::new(narrow),
-            exprs: vec![
+        let (to_v, widened) = (
+            [Expr::col(1)],
+            [
                 Expr::col(0),
                 Expr::arith(BinOp::Add, Expr::col(0), Expr::lit_i64(1)),
                 Expr::Const(Val::Str("x".into())),
             ],
+        );
+        let narrow = Project {
+            input: Box::new(Scan::new(&t, &["k", "v", "s"])),
+            exprs: &to_v,
+        };
+        let mut widen = Project {
+            input: Box::new(narrow),
+            exprs: &widened,
         };
         let mut row = vec![Val::Str("stale".into()); 5];
         let mut buffers = Vec::new();
@@ -612,7 +666,8 @@ mod tests {
             &[Expr::col(1)],
             JoinShard::default(),
         );
-        let join = HashJoin::new(&table, Box::new(Scan::new(&t, &["k", "s"])), vec![Expr::col(1)]);
+        let keys = [Expr::col(1)];
+        let join = HashJoin::new(&table, Box::new(Scan::new(&t, &["k", "s"])), &keys);
         let rows = collect(Box::new(join));
         assert_eq!(rows.len(), 8);
         for r in &rows {
@@ -653,11 +708,8 @@ mod tests {
         probe
             .add_column("key", ColumnData::I32(vec![7, 9, 8, 7]))
             .add_column("tag", ColumnData::I64(vec![0, 1, 2, 3]));
-        let join = HashJoin::new(
-            &table,
-            Box::new(Scan::new(&probe, &["tag", "key"])),
-            vec![Expr::col(1)],
-        );
+        let keys = [Expr::col(1)];
+        let join = HashJoin::new(&table, Box::new(Scan::new(&probe, &["tag", "key"])), &keys);
         let pair = |id: i64, k: i32, tag: i64| vec![Val::I64(id), Val::I32(k), Val::I64(tag), Val::I32(k)];
         let mut want = vec![pair(2, 8, 2)];
         for tag in [0, 3] {
@@ -674,7 +726,8 @@ mod tests {
         assert_eq!(table.len(), 7);
         let mut probe = Table::new("p");
         probe.add_column("key", ColumnData::I32(vec![7, 8, 9, 10, 11]));
-        let join = HashJoin::new(&table, Box::new(Scan::new(&probe, &["key"])), vec![Expr::col(0)]);
+        let keys = [Expr::col(0)];
+        let join = HashJoin::new(&table, Box::new(Scan::new(&probe, &["key"])), &keys);
         let emitted: Vec<(i64, i32)> = sorted(Box::new(join))
             .iter()
             .map(|r| (r[0].as_i64(), r[2].as_i32()))
@@ -701,7 +754,7 @@ mod tests {
             g
         };
         let rows_of = |groups: Vec<(Row, Row)>| {
-            let mut rows = collect(Box::new(GroupRows(groups.iter())));
+            let mut rows = collect(Box::new(GroupRows::new(&groups)));
             rows.sort();
             rows
         };
@@ -737,7 +790,8 @@ mod tests {
         let keys = merged::<KeyShard>(&[&[(1, 0), (2, 0), (2, 0)], &[(2, 0), (3, 0)]]);
         let mut probe = Table::new("p");
         probe.add_column("key", ColumnData::I32((0..6).collect()));
-        let semi = SemiJoin::new(&keys, Box::new(Scan::new(&probe, &["key"])), vec![Expr::col(0)]);
+        let by = [Expr::col(0)];
+        let semi = SemiJoin::new(&keys, Box::new(Scan::new(&probe, &["key"])), &by);
         let got: Vec<i32> = collect(Box::new(semi)).iter().map(|r| r[0].as_i32()).collect();
         assert_eq!(got, vec![1, 2, 3]);
     }
@@ -747,15 +801,17 @@ mod tests {
         let t = test_table();
         // Build side has duplicate s values; every probe row with a
         // matching s must come out exactly once, unwidened.
+        let pred = Expr::cmp(CmpOp::Eq, Expr::col(0), Expr::Const(Val::Str("a".into())));
         let keys = build(
             Box::new(Select {
                 input: Box::new(Scan::new(&t, &["s", "v"])),
-                pred: Expr::cmp(CmpOp::Eq, Expr::col(0), Expr::Const(Val::Str("a".into()))),
+                pred: &pred,
             }),
             &[Expr::col(0)],
             KeyShard::default(),
         );
-        let semi = SemiJoin::new(&keys, Box::new(Scan::new(&t, &["k", "s"])), vec![Expr::col(1)]);
+        let by = [Expr::col(1)];
+        let semi = SemiJoin::new(&keys, Box::new(Scan::new(&t, &["k", "s"])), &by);
         let rows = collect(Box::new(semi));
         assert_eq!(
             rows,
@@ -777,7 +833,8 @@ mod tests {
             &[Expr::col(0)],
             KeyShard::default(),
         );
-        let semi = SemiJoin::new(&keys, Box::new(Scan::new(&probe, &["key"])), vec![Expr::col(0)]);
+        let by = [Expr::col(0)];
+        let semi = SemiJoin::new(&keys, Box::new(Scan::new(&probe, &["key"])), &by);
         let keys: Vec<i64> = collect(Box::new(semi)).iter().map(|r| r[0].as_i64()).collect();
         assert_eq!(keys, vec![0, 2, 2, 1]);
     }
@@ -785,97 +842,59 @@ mod tests {
     #[test]
     fn semi_join_empty_build_side() {
         let t = test_table();
+        let pred = Expr::cmp(CmpOp::Eq, Expr::col(0), Expr::Const(Val::Str("zzz".into())));
         let keys = build(
             Box::new(Select {
                 input: Box::new(Scan::new(&t, &["s"])),
-                pred: Expr::cmp(CmpOp::Eq, Expr::col(0), Expr::Const(Val::Str("zzz".into()))),
+                pred: &pred,
             }),
             &[Expr::col(0)],
             KeyShard::default(),
         );
-        let semi = SemiJoin::new(&keys, Box::new(Scan::new(&t, &["k", "s"])), vec![Expr::col(1)]);
+        let by = [Expr::col(1)];
+        let semi = SemiJoin::new(&keys, Box::new(Scan::new(&t, &["k", "s"])), &by);
         assert!(collect(Box::new(semi)).is_empty());
     }
 
     #[test]
-    fn aggregate_groups_and_sums() {
+    fn reopened_operators_restart_over_the_new_range() {
         let t = test_table();
-        let agg = Aggregate::new(
-            Box::new(Scan::new(&t, &["s", "v"])),
-            vec![Expr::col(0)],
-            vec![AggSpec::SumI64(Expr::col(1)), AggSpec::Count],
+        let table = build(
+            Box::new(Scan::new(&t, &["s"])),
+            &[Expr::col(0)],
+            JoinShard::default(),
         );
-        let mut rows = collect(Box::new(agg));
-        rows.sort_by(|a, b| a[0].partial_cmp(&b[0]).unwrap());
-        assert_eq!(
-            rows,
-            vec![
-                vec![Val::Str("a".into()), Val::I64(40), Val::I64(2)],
-                vec![Val::Str("b".into()), Val::I64(60), Val::I64(2)],
-            ]
+        let (pred, keys) = (
+            Expr::cmp(CmpOp::Gt, Expr::col(1), Expr::lit_i64(0)),
+            [Expr::col(2)],
         );
-    }
-
-    #[test]
-    fn aggregate_ten_thousand_groups_matches_btreemap() {
-        let n = 100_000usize;
-        let mut t = Table::new("t");
-        t.add_column(
-            "g",
-            ColumnData::I32((0..n).map(|i| (i * 7919 % 10_000) as i32).collect()),
-        )
-        .add_column("h", ColumnData::Str((0..n).map(|i| ["x", "yy"][i % 2]).collect()))
-        .add_column(
-            "v",
-            ColumnData::I64((0..n).map(|i| i as i64 * 31 - 5_000).collect()),
+        // [s, k, v, s] for the probe rows v > 0, two build matches each.
+        let mut join = HashJoin::new(
+            &table,
+            Box::new(Select {
+                input: Box::new(Scan::new(&t, &["k", "v", "s"])),
+                pred: &pred,
+            }),
+            &keys,
         );
-        let agg = Aggregate::new(
-            Box::new(Scan::new(&t, &["g", "h", "v"])),
-            vec![Expr::col(0), Expr::col(1)],
-            vec![
-                AggSpec::SumI64(Expr::col(2)),
-                AggSpec::SumI128(Expr::arith(BinOp::Mul, Expr::col(2), Expr::col(2))),
-                AggSpec::Count,
-            ],
-        );
-        let got: BTreeMap<(i64, String), (i64, i128, i64)> = collect(Box::new(agg))
-            .into_iter()
-            .map(|r| {
-                (
-                    (r[0].as_i64(), r[1].as_str().to_string()),
-                    (r[2].as_i64(), r[3].as_i128(), r[4].as_i64()),
-                )
-            })
-            .collect();
-        let mut want: BTreeMap<(i64, String), (i64, i128, i64)> = BTreeMap::new();
-        for i in 0..n {
-            let key = ((i * 7919 % 10_000) as i64, ["x", "yy"][i % 2].to_string());
-            let v = i as i64 * 31 - 5_000;
-            let e = want.entry(key).or_default();
-            *e = (e.0 + v, e.1 + v.wrapping_mul(v) as i128, e.2 + 1);
-        }
-        assert_eq!(want.len(), 10_000);
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn empty_inputs_everywhere() {
-        let mut t = Table::new("e");
-        t.add_column("k", ColumnData::I32(vec![]));
-        let agg = Aggregate::new(
-            Box::new(Scan::new(&t, &["k"])),
-            vec![Expr::col(0)],
-            vec![AggSpec::Count],
-        );
-        assert!(collect(Box::new(agg)).is_empty());
-        let ungrouped = Aggregate::new(
-            Box::new(Scan::new(&t, &["k"])),
-            vec![],
-            vec![AggSpec::Count, AggSpec::SumI128(Expr::col(0))],
-        );
-        assert_eq!(
-            collect(Box::new(ungrouped)),
-            vec![vec![Val::I64(0), Val::I128(0)]]
-        );
+        let mut row = Row::new();
+        // Stop mid-chain, then re-open: nothing of the old range leaks.
+        assert!(join.next(&mut row));
+        let mut drain = |op: &mut HashJoin, morsel: Range<usize>| {
+            op.reopen(morsel);
+            let mut ks = Vec::new();
+            while op.next(&mut row) {
+                ks.push(row[1].as_i32());
+            }
+            ks
+        };
+        assert_eq!(drain(&mut join, 2..4), vec![3, 3, 4, 4]);
+        assert_eq!(drain(&mut join, 0..1), vec![1, 1]);
+        assert!(drain(&mut join, 4..4).is_empty());
+        let groups = vec![(vec![Val::I32(1)], vec![Val::I64(2)]); 3];
+        let mut rows = GroupRows::new(&groups);
+        rows.reopen(1..2);
+        let mut row = Row::new();
+        assert!(rows.next(&mut row) && !rows.next(&mut row));
     }
 }

@@ -12,9 +12,12 @@
 //! [`ExecCtx::map_slots`] loop Typer and Tectorwise run (§6.1): the
 //! morsels are row ranges of its *driving* scan — the leaf reached from
 //! its root through inputs and probe sides — or, for a pipeline driven
-//! by an aggregate, row ranges of its merged groups. For every morsel a
-//! worker opens the pipeline's operators over that morsel alone and
-//! drains them into a shard of its own; the workers' shards are merged
+//! by an aggregate, row ranges of its merged groups. A worker opens the
+//! pipeline's operators once, on the first morsel it claims, borrowing
+//! the plan's expressions and resolving each scan's columns then; for
+//! every morsel it re-opens them over that morsel alone
+//! ([`crate::Operator::reopen`]) and drains them into a shard of its own
+//! through row and key buffers it keeps; the workers' shards are merged
 //! once. A build side's shards are published into the one read-only
 //! [`JoinHt`] every worker of the probing pipeline borrows; an
 //! aggregate's are merged by the runtime's two-phase group-by, one
@@ -26,23 +29,24 @@
 //! and on a shared pool a Volcano query yields to the others between
 //! any two morsels, as the other engines' queries do.
 //!
-//! Interpretation changes nothing about the engine: every morsel opens
+//! Interpretation changes nothing about the engine: every worker opens
 //! the same boxed operators a hand-wired plan would build, so the
 //! per-tuple costs that make up the Volcano model stay exactly as they
-//! were; re-opening costs O(operators) per morsel. Sharing a built
+//! were; re-opening costs one call per operator per morsel and
+//! allocates nothing, so the pool's slice-sized morsels cost Volcano no
+//! more than its 16 Ki-tuple ones did. Sharing a built
 //! table between workers is parallelization, not compilation. The plan
 //! also answers questions about itself, such as the §3.4 normalization
 //! denominator ([`Plan::tuples_scanned`]).
 
 use crate::expr::Expr;
 use crate::ops::{
-    drain, AggSpec, BoxOp, GroupRows, GroupShard, HashJoin, JoinShard, KeyShard, Project, Row, Scan, Select,
-    SemiJoin, Shard,
+    AggSpec, BoxOp, Drained, GroupRows, GroupShard, HashJoin, JoinShard, KeyShard, Project, Row, Scan,
+    Select, SemiJoin, Shard,
 };
 use dbep_runtime::{ExecCtx, JoinHt, Morsels};
 use dbep_storage::throttle::Throttle;
 use dbep_storage::Database;
-use std::ops::Range;
 
 /// One physical plan over the tables of a [`Database`]: a tree of the
 /// operators of [`crate::ops`].
@@ -74,8 +78,8 @@ pub enum Plan {
         probe: Box<Plan>,
         probe_keys: Vec<Expr>,
     },
-    /// One row per group: the `group_by` values, then `aggs`
-    /// ([`crate::ops::Aggregate`]).
+    /// One row per group: the `group_by` values, then `aggs`: a
+    /// two-phase group-by (see [`Plan::run`]).
     Aggregate {
         input: Box<Plan>,
         group_by: Vec<Expr>,
@@ -199,19 +203,24 @@ enum Built {
 
 impl Run<'_> {
     /// Build what the pipeline rooted at `plan` borrows, then run it
-    /// over its morsels: each worker drains every morsel it claims into
-    /// one shard made by `init` and keyed by `keys`, and the workers'
-    /// shards are merged into what they build. The pipelines it depends
-    /// on run first, one after another, from the calling thread: never
-    /// from inside a worker's task, which would nest parallel regions.
+    /// over its morsels: each worker opens the pipeline once, then
+    /// re-opens it over every morsel it claims and drains it into one
+    /// shard made by `init` and keyed by `keys`, and the workers' shards
+    /// are merged into what they build. The pipelines it depends on run
+    /// first, one after another, from the calling thread: never from
+    /// inside a worker's task, which would nest parallel regions.
     fn pipeline<S: Shard>(&self, plan: &Plan, keys: &[Expr], init: impl Fn() -> S + Sync) -> S::Built {
         let mut built = Vec::new();
         let morsels = self.prepare(plan, &mut built);
-        let mut shards = self.exec.map_slots(
+        let workers = self.exec.map_slots(
             morsels,
-            |_| init(),
-            |shard, morsel| drain(self.open(plan, morsel, &mut built.iter()), keys, shard),
+            |_| (self.open(plan, &mut built.iter()), Drained::new(init())),
+            |(op, drained), morsel| {
+                op.reopen(morsel);
+                drained.drain(&mut **op, keys);
+            },
         );
+        let mut shards: Vec<S> = workers.into_iter().map(|(_, drained)| drained.shard).collect();
         if shards.is_empty() {
             // No morsel, as over an empty table: no worker made a shard,
             // but the merge needs one, and an ungrouped aggregate's is
@@ -260,28 +269,22 @@ impl Run<'_> {
         }
     }
 
-    /// Open the pipeline rooted at `plan` over one of its morsels, its
-    /// breakers borrowed from `built`.
-    fn open<'b>(
-        &'b self,
-        plan: &'b Plan,
-        morsel: Range<usize>,
-        built: &mut std::slice::Iter<'b, Built>,
-    ) -> BoxOp<'b> {
+    /// Open the pipeline rooted at `plan`, its breakers borrowed from
+    /// `built`, to be re-opened over each of its morsels.
+    fn open<'b>(&'b self, plan: &'b Plan, built: &mut std::slice::Iter<'b, Built>) -> BoxOp<'b> {
         match plan {
             Plan::Scan { table, columns } => Box::new(
                 Scan::new(self.db.table(table), columns)
-                    .rows(morsel)
                     .paced(self.throttle)
                     .recorded(self.exec.run),
             ),
             Plan::Select { input, pred } => Box::new(Select {
-                input: self.open(input, morsel, built),
-                pred: pred.clone(),
+                input: self.open(input, built),
+                pred,
             }),
             Plan::Project { input, exprs } => Box::new(Project {
-                input: self.open(input, morsel, built),
-                exprs: exprs.clone(),
+                input: self.open(input, built),
+                exprs,
             }),
             Plan::HashJoin {
                 probe, probe_keys, ..
@@ -289,11 +292,7 @@ impl Run<'_> {
                 let Some(Built::Table(table)) = built.next() else {
                     unreachable!("prepare builds every join table on the driving path")
                 };
-                Box::new(HashJoin::new(
-                    table,
-                    self.open(probe, morsel, built),
-                    probe_keys.clone(),
-                ))
+                Box::new(HashJoin::new(table, self.open(probe, built), probe_keys))
             }
             Plan::SemiJoin {
                 probe, probe_keys, ..
@@ -301,17 +300,13 @@ impl Run<'_> {
                 let Some(Built::Table(keys)) = built.next() else {
                     unreachable!("prepare builds every join table on the driving path")
                 };
-                Box::new(SemiJoin::new(
-                    keys,
-                    self.open(probe, morsel, built),
-                    probe_keys.clone(),
-                ))
+                Box::new(SemiJoin::new(keys, self.open(probe, built), probe_keys))
             }
             Plan::Aggregate { .. } => {
                 let Some(Built::Groups(groups)) = built.next() else {
                     unreachable!("prepare groups every aggregate on the driving path")
                 };
-                Box::new(GroupRows(groups[morsel].iter()))
+                Box::new(GroupRows::new(groups))
             }
         }
     }
@@ -320,13 +315,13 @@ impl Run<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::{CmpOp, Val};
+    use crate::expr::{BinOp, CmpOp, Val};
     use crate::ops::hash_key;
     use dbep_runtime::agg_ht::partition_of;
     use dbep_runtime::MORSEL_TUPLES;
     use dbep_scheduler::{Scheduler, DEFAULT_PRIORITY};
     use dbep_storage::{ColumnData, Table};
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeMap, BTreeSet};
 
     /// `t(k, g, v)`: 50 000 rows, `k` = `v` = row number, `g` = `k % 4`;
     /// `d(g)`: the two groups 1 and 3; `e(k)`: 0, 5, …, 49 995; `z(k, v)`:
@@ -477,6 +472,49 @@ mod tests {
         assert_eq!(run_everywhere(&plan, &db), want);
     }
 
+    #[test]
+    fn ten_thousand_groups_of_two_keys_match_a_btreemap() {
+        let n = 100_000usize;
+        let mut a = Table::new("a");
+        a.add_column(
+            "g",
+            ColumnData::I32((0..n).map(|i| (i * 7919 % 10_000) as i32).collect()),
+        )
+        .add_column("h", ColumnData::Str((0..n).map(|i| ["x", "yy"][i % 2]).collect()))
+        .add_column(
+            "v",
+            ColumnData::I64((0..n).map(|i| i as i64 * 31 - 5_000).collect()),
+        );
+        let mut db = Database::new();
+        db.add(a);
+        let plan = Plan::scan("a", &["g", "h", "v"]).aggregate(
+            vec![Expr::col(0), Expr::col(1)],
+            vec![
+                AggSpec::SumI64(Expr::col(2)),
+                AggSpec::SumI128(Expr::arith(BinOp::Mul, Expr::col(2), Expr::col(2))),
+                AggSpec::Count,
+            ],
+        );
+        let got: BTreeMap<(i64, String), (i64, i128, i64)> = run_everywhere(&plan, &db)
+            .into_iter()
+            .map(|r| {
+                (
+                    (r[0].as_i64(), r[1].as_str().to_string()),
+                    (r[2].as_i64(), r[3].as_i128(), r[4].as_i64()),
+                )
+            })
+            .collect();
+        let mut want: BTreeMap<(i64, String), (i64, i128, i64)> = BTreeMap::new();
+        for i in 0..n {
+            let key = ((i * 7919 % 10_000) as i64, ["x", "yy"][i % 2].to_string());
+            let v = i as i64 * 31 - 5_000;
+            let e = want.entry(key).or_default();
+            *e = (e.0 + v, e.1 + v.wrapping_mul(v) as i128, e.2 + 1);
+        }
+        assert_eq!(want.len(), 10_000);
+        assert_eq!(got, want);
+    }
+
     /// The Q18 shape: a build side that is an aggregate, once as the
     /// build's root and once under a HAVING selection.
     #[test]
@@ -597,12 +635,14 @@ mod tests {
         assert!(run_everywhere(&as_keys, &db).is_empty());
     }
 
-    /// On a pool, every pipeline is one task and every morsel of its
-    /// driving scan, or of the groups of its driving aggregate, one
-    /// morsel of that task: a Volcano query yields to other queries
-    /// between any two of them. So is every publish of a join table,
-    /// one morsel per worker's shard, and every merge of an aggregate,
-    /// one morsel per hash partition that holds a group.
+    /// On a pool, every pipeline is one task run morsel by morsel over
+    /// its driving scan, or the groups of its driving aggregate: a
+    /// Volcano query yields to other queries between any two morsels.
+    /// So is every publish of a join table, one morsel per worker's
+    /// shard, and every merge of an aggregate, one morsel per hash
+    /// partition that holds a group. The pool sizes scan morsels to a
+    /// time slice, at most `MORSEL_TUPLES` rows, so there are at least
+    /// as many as fixed-size claims make.
     #[test]
     fn every_pipeline_is_one_pool_task_run_morsel_by_morsel() {
         let db = db();
@@ -621,9 +661,10 @@ mod tests {
             .map(|rows: usize| rows.div_ceil(MORSEL_TUPLES))
             .iter()
             .sum();
-        // d's one morsel makes one shard to publish, the merge one morsel
-        // per partition holding a group, the two groups one morsel to
-        // read; t's morsels make one shard per worker that claimed any.
+        // d's morsels make one shard to publish, the merge one morsel
+        // per partition holding a group, the two groups at least one
+        // morsel to read; t's morsels make one shard per worker that
+        // claimed any.
         let groups = plan.run(&db, &ExecCtx::inline(), None);
         let partitions: BTreeSet<usize> = groups.iter().map(|g| partition_of(hash_key(&g[..1]))).collect();
         let fixed = scanned + 1 + partitions.len() + 1;
@@ -635,10 +676,7 @@ mod tests {
             // Four pipelines, two publishes, one merge.
             assert_eq!(stats.tasks, 7, "{threads} threads");
             let morsels = stats.morsels as usize;
-            assert!(
-                (fixed + 1..=fixed + threads).contains(&morsels),
-                "{threads} threads: {morsels} morsels"
-            );
+            assert!(morsels > fixed, "{threads} threads: {morsels} morsels");
         }
     }
 }

@@ -2,19 +2,21 @@
 //! store — one `Row` per build row or key a join table takes in, a key
 //! and a `Row` of states each time a group enters a pre-aggregation
 //! table, and the growth of the runtime tables and spill partitions that
-//! hold them — never per scanned tuple. With the build side and the
-//! group count fixed, building the join tables and draining a plan over
-//! N and over 4N scanned tuples must make exactly the same number of
-//! allocations.
+//! hold them — and for opening each pipeline once per worker, never per
+//! scanned tuple. Re-opening a pipeline over a morsel gets a fixed
+//! budget of allocations. With the build side and the group count
+//! fixed, running a one-aggregate [`Plan`] over N and over 4N scanned
+//! tuples may differ by at most that budget per extra morsel.
 
-use dbep_storage::{ColumnData, Table};
-use dbep_volcano::ops::{build, collect};
-use dbep_volcano::{
-    AggSpec, Aggregate, BinOp, CmpOp, Expr, HashJoin, JoinShard, KeyShard, Project, Row, Scan, Select,
-    SemiJoin,
-};
+use dbep_runtime::{ExecCtx, MORSEL_TUPLES};
+use dbep_storage::{ColumnData, Database, Table};
+use dbep_volcano::{AggSpec, BinOp, CmpOp, Expr, Plan, Row};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+
+/// Allocations one re-open of a pipeline over a morsel may make: none,
+/// since a worker's operators, row and key buffers outlive its morsels.
+const ALLOCS_PER_MORSEL: u64 = 0;
 
 /// The system allocator, counting the allocations of each thread.
 struct Counting;
@@ -52,8 +54,7 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations the current thread makes while `run` builds and drains a
-/// plan.
+/// Allocations the current thread makes while `run` runs a plan.
 fn allocations(run: impl FnOnce() -> Vec<Row>) -> u64 {
     let before = ALLOCS.with(Cell::get);
     let rows = run();
@@ -64,137 +65,112 @@ fn allocations(run: impl FnOnce() -> Vec<Row>) -> u64 {
 
 const NAMES: [&str; 4] = ["AIR", "MAIL", "REG AIR", "TRUCK"];
 
-/// `n` probe tuples: a key over 200 values, a payload, a flag byte and a
-/// string of one of four lengths.
-fn probe_table(n: usize) -> Table {
-    let mut t = Table::new("probe");
-    t.add_column(
-        "k",
-        ColumnData::I32((0..n).map(|i| (i * 37 % 200) as i32).collect()),
-    )
-    .add_column("v", ColumnData::I64((0..n).map(|i| i as i64 * 3 - 7).collect()))
-    .add_column("f", ColumnData::Char((0..n).map(|i| b"NR"[i % 2]).collect()))
-    .add_column(
-        "s",
-        ColumnData::Str((0..n).map(|i| NAMES[i % NAMES.len()]).collect()),
-    );
-    t
-}
-
-/// A fixed build side: 256 rows over 128 keys (two rows per key).
-fn build_table() -> Table {
-    let mut t = Table::new("build");
-    t.add_column("bk", ColumnData::I32((0..256).map(|i| i % 128).collect()))
+/// `probe`: `n` tuples, a key over 200 values, a payload, a flag byte and
+/// a string of one of four lengths; `build`: 256 rows over 128 keys (two
+/// rows per key).
+fn db(n: usize) -> Database {
+    let mut probe = Table::new("probe");
+    probe
+        .add_column(
+            "k",
+            ColumnData::I32((0..n).map(|i| (i * 37 % 200) as i32).collect()),
+        )
+        .add_column("v", ColumnData::I64((0..n).map(|i| i as i64 * 3 - 7).collect()))
+        .add_column("f", ColumnData::Char((0..n).map(|i| b"NR"[i % 2]).collect()))
+        .add_column(
+            "s",
+            ColumnData::Str((0..n).map(|i| NAMES[i % NAMES.len()]).collect()),
+        );
+    let mut build = Table::new("build");
+    build
+        .add_column("bk", ColumnData::I32((0..256).map(|i| i % 128).collect()))
         .add_column("bv", ColumnData::I64((0..256).collect()));
-    t
+    let mut db = Database::new();
+    db.add(probe).add(build);
+    db
 }
 
 /// Scan → Select → Project → Aggregate over 48 groups.
-fn select_project_aggregate(t: &Table, _: &Table) -> Vec<Row> {
-    let filtered = Select {
-        input: Box::new(Scan::new(t, &["k", "v", "f"])),
-        pred: Expr::cmp(CmpOp::Lt, Expr::col(0), Expr::lit_i32(48)),
-    };
-    let projected = Project {
-        input: Box::new(filtered),
-        exprs: vec![
+fn select_project_aggregate() -> Plan {
+    Plan::scan("probe", &["k", "v", "f"])
+        .select(Expr::cmp(CmpOp::Lt, Expr::col(0), Expr::lit_i32(48)))
+        .project(vec![
             Expr::col(0),
             Expr::arith(BinOp::Mul, Expr::col(1), Expr::lit_i64(2)),
             Expr::col(2),
-        ],
-    };
-    collect(Box::new(Aggregate::new(
-        Box::new(projected),
-        vec![Expr::col(0)],
-        vec![
-            AggSpec::SumI64(Expr::col(1)),
-            AggSpec::SumI64(Expr::col(2)),
-            AggSpec::Count,
-        ],
-    )))
+        ])
+        .aggregate(
+            vec![Expr::col(0)],
+            vec![
+                AggSpec::SumI64(Expr::col(1)),
+                AggSpec::SumI64(Expr::col(2)),
+                AggSpec::Count,
+            ],
+        )
 }
 
 /// Build a join table, then Scan → HashJoin (probe) → Aggregate grouped
 /// by the string column.
-fn join_aggregate(t: &Table, build_side: &Table) -> Vec<Row> {
-    let table = build(
-        Box::new(Scan::new(build_side, &["bk", "bv"])),
-        &[Expr::col(0)],
-        JoinShard::default(),
-    );
+fn join_aggregate() -> Plan {
     // [bk, bv, k, v, s]
-    let join = HashJoin::new(
-        &table,
-        Box::new(Scan::new(t, &["k", "v", "s"])),
-        vec![Expr::col(0)],
-    );
-    collect(Box::new(Aggregate::new(
-        Box::new(join),
-        vec![Expr::col(4)],
-        vec![
-            AggSpec::SumI64(Expr::col(1)),
-            AggSpec::SumI128(Expr::col(3)),
-            AggSpec::Count,
-        ],
-    )))
+    Plan::scan("build", &["bk", "bv"])
+        .hash_join(
+            vec![Expr::col(0)],
+            Plan::scan("probe", &["k", "v", "s"]),
+            vec![Expr::col(0)],
+        )
+        .aggregate(
+            vec![Expr::col(4)],
+            vec![
+                AggSpec::SumI64(Expr::col(1)),
+                AggSpec::SumI128(Expr::col(3)),
+                AggSpec::Count,
+            ],
+        )
 }
 
 /// Build a key set, then Scan → SemiJoin (probe) → Aggregate grouped by
 /// (string, flag).
-fn semi_join_aggregate(t: &Table, build_side: &Table) -> Vec<Row> {
-    let keys = build(
-        Box::new(Scan::new(build_side, &["bk"])),
-        &[Expr::col(0)],
-        KeyShard::default(),
-    );
-    let semi = SemiJoin::new(
-        &keys,
-        Box::new(Scan::new(t, &["s", "f", "k"])),
-        vec![Expr::col(2)],
-    );
-    collect(Box::new(Aggregate::new(
-        Box::new(semi),
-        vec![Expr::col(0), Expr::col(1)],
-        vec![AggSpec::Count],
-    )))
+fn semi_join_aggregate() -> Plan {
+    Plan::scan("build", &["bk"])
+        .semi_join(
+            vec![Expr::col(0)],
+            Plan::scan("probe", &["s", "f", "k"]),
+            vec![Expr::col(2)],
+        )
+        .aggregate(vec![Expr::col(0), Expr::col(1)], vec![AggSpec::Count])
 }
 
-/// Allocation counts of `plan` over N and 4N scanned tuples, after one
-/// warm-up drain so one-time process state is not charged to either.
-fn counts_at_n_and_4n(plan: impl Fn(&Table, &Table) -> Vec<Row>) -> (u64, u64) {
+/// Run `plan` inline over N and over 4N probe tuples, after one warm-up
+/// run so one-time process state is not charged to either, and check
+/// that the allocation counts differ by at most the re-open budget of
+/// the extra morsels. Inline, the probe scan is cut into fixed-size
+/// morsels of `MORSEL_TUPLES` rows, so their count is known.
+fn allocations_grow_with_morsels_not_tuples(plan: Plan) {
     const N: usize = 20_000;
-    let build = build_table();
-    let (small, large) = (probe_table(N), probe_table(4 * N));
-    allocations(|| plan(&small, &build));
-    (
-        allocations(|| plan(&small, &build)),
-        allocations(|| plan(&large, &build)),
-    )
-}
-
-#[test]
-fn scan_select_project_aggregate_allocates_independently_of_input_size() {
-    let (n, n4) = counts_at_n_and_4n(select_project_aggregate);
-    assert_eq!(
-        n, n4,
-        "allocations grow with scanned tuples: {n} at N, {n4} at 4N"
+    let (small, large) = (db(N), db(4 * N));
+    let run = |db: &Database| plan.run(db, &ExecCtx::inline(), None);
+    allocations(|| run(&small));
+    let (n, n4) = (allocations(|| run(&small)), allocations(|| run(&large)));
+    let extra_morsels = (4 * N).div_ceil(MORSEL_TUPLES) - N.div_ceil(MORSEL_TUPLES);
+    assert!(extra_morsels > 0);
+    assert!(
+        n4 <= n + ALLOCS_PER_MORSEL * extra_morsels as u64,
+        "allocations grow with scanned tuples: {n} at N, {n4} at 4N, {extra_morsels} more morsels"
     );
 }
 
 #[test]
-fn scan_join_aggregate_allocates_independently_of_input_size() {
-    let (n, n4) = counts_at_n_and_4n(join_aggregate);
-    assert_eq!(
-        n, n4,
-        "allocations grow with scanned tuples: {n} at N, {n4} at 4N"
-    );
+fn scan_select_project_aggregate_allocates_per_morsel_not_per_tuple() {
+    allocations_grow_with_morsels_not_tuples(select_project_aggregate());
 }
 
 #[test]
-fn scan_semi_join_aggregate_allocates_independently_of_input_size() {
-    let (n, n4) = counts_at_n_and_4n(semi_join_aggregate);
-    assert_eq!(
-        n, n4,
-        "allocations grow with scanned tuples: {n} at N, {n4} at 4N"
-    );
+fn scan_join_aggregate_allocates_per_morsel_not_per_tuple() {
+    allocations_grow_with_morsels_not_tuples(join_aggregate());
+}
+
+#[test]
+fn scan_semi_join_aggregate_allocates_per_morsel_not_per_tuple() {
+    allocations_grow_with_morsels_not_tuples(semi_join_aggregate());
 }
