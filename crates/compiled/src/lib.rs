@@ -8,13 +8,14 @@
 //! *execution of the fused loops*. This crate therefore represents the
 //! generator's **output** directly in Rust (see DESIGN.md substitution 1):
 //!
-//! * The Typer arms of the per-query stages in `dbep-queries::tpch`/`ssb`
-//!   are the "generated code" for each physical plan — hand-written
-//!   fused loops exactly in the shape of Fig. 2a (push-based, the
-//!   consumer's code inside the scan loop, no materialization between
-//!   operators), driven by `ExecCfg::map_scan` over the shared
-//!   substrate (`dbep-runtime`'s hash tables, hash functions and
-//!   morsel-driven scheduler).
+//! * The Typer bodies of the per-query stages in `dbep-queries::tpch`/
+//!   `ssb` are the "generated code" for each physical plan —
+//!   hand-written fused loops exactly in the shape of Fig. 2a
+//!   (push-based, the consumer's code inside the scan loop, no
+//!   materialization between operators), each run over a whole morsel
+//!   by the stage's driver call (`ExecCfg::fold`, `build` or
+//!   `group_by`) over the shared substrate (`dbep-runtime`'s hash
+//!   tables, hash functions and morsel-driven scheduler).
 //! * [`scan`] — the column reader of the plans that scan encoded
 //!   tables: [`RowScan`] + [`for_each_row!`] run one fused row body
 //!   over flat slices or, through [`packed`]'s block-wise unpack, over

@@ -4,8 +4,11 @@
 //! Per the methodology (§3), every query is *one physical plan* — same
 //! join order, same build sides, same data structures. For Typer and
 //! Tectorwise it is written as its list of pipeline stages: each stage
-//! is a function with a Typer arm and a Tectorwise arm, so the execution
-//! paradigm is the only variable and is chosen per stage
+//! is one driver call ([`ExecCfg`]'s `fold`, `build` or `group_by`)
+//! given the stage's engine, a Typer morsel body (a fused loop) and a
+//! Tectorwise vector body (a primitive chain) over one per-worker state.
+//! The driver picks the body in one place, so the execution paradigm is
+//! the only variable and is chosen per stage
 //! ([`QueryPlan::run_stages`]); the pure engines are the two uniform
 //! assignments. For Volcano it is a value, a [`dbep_volcano::Plan`]
 //! ([`QueryPlan::volcano_plan`]), that the one interpreter
@@ -37,10 +40,11 @@ pub mod tpch;
 pub use params::Params;
 
 use dbep_obs::QueryTrace;
+use dbep_runtime::agg_ht::merge_partitions;
 use dbep_runtime::counters::{StageCounterGuard, StageCounters};
 use dbep_runtime::hash::HashFn;
 use dbep_runtime::join_ht::JoinHtShard;
-use dbep_runtime::{ExecCtx, JoinHt, Morsels};
+use dbep_runtime::{ExecCtx, GroupByShard, JoinHt, Morsels};
 use dbep_scheduler::{QueryRun, StageTimer, StageTrace};
 use dbep_storage::throttle::Throttle;
 use dbep_vectorized::SimdPolicy;
@@ -133,12 +137,15 @@ impl<'a> ExecCfg<'a> {
     /// Account a scan morsel: record the touched bytes into the run's
     /// scheduler stats and pace against the configured storage device.
     ///
-    /// `row_bits` is the per-row payload width in **bits**, summed from
-    /// the column readers the stage holds (`RowScan::bits`, `Col::bits`):
-    /// packed columns contribute their packed width, flat columns their
-    /// byte width × 8. A morsel is charged the whole bytes between the
-    /// bit offsets of its first and its end row, so a scan charges
-    /// `total * row_bits / 8` however the pool cuts it into morsels.
+    /// `row_bits` is the per-row payload width in **bits**, one value per
+    /// stage whichever body runs it. Where a stage reads through column
+    /// readers it is the Typer reader's `RowScan::bits`, which the
+    /// Tectorwise readers' `Col::bits` match column for column (pinned
+    /// by test): packed columns contribute their packed width, flat
+    /// columns their byte width × 8. A morsel is charged the whole
+    /// bytes between the bit offsets of its first and its end row, so a
+    /// scan charges `total * row_bits / 8` however the pool cuts it into
+    /// morsels.
     #[inline]
     pub fn pace(&self, rows: Range<usize>, row_bits: usize) {
         let bytes = rows.end * row_bits / 8 - rows.start * row_bits / 8;
@@ -186,9 +193,9 @@ impl<'a> ExecCfg<'a> {
     /// every morsel of `0..total`, paced against the configured storage
     /// device, on the shared pool when a scheduler run is attached.
     /// Per-worker state (build shards, pre-aggregation shards, vector
-    /// scratch, local accumulators) lives in slots: `init(worker)`
-    /// creates a slot's state on its first morsel, and the
-    /// participating workers' states come back for the merge step.
+    /// scratch, local accumulators) lives in slots: `init()` creates a
+    /// slot's state on its first morsel, and the participating workers'
+    /// states come back for the merge step.
     ///
     /// Note on throttling: [`ExecCfg::pace`] sleeps inside the morsel
     /// body, i.e. **on the pool workers** when pooled — an emulated
@@ -199,7 +206,7 @@ impl<'a> ExecCfg<'a> {
         &self,
         total: usize,
         row_bits: usize,
-        init: impl Fn(usize) -> T + Sync,
+        init: impl Fn() -> T + Sync,
         fold: impl Fn(&mut T, Range<usize>) + Sync,
     ) -> Vec<T> {
         self.exec().map_slots(Morsels::new(total), init, |state, r| {
@@ -218,22 +225,104 @@ impl<'a> ExecCfg<'a> {
     /// One σ→build pipeline, to its breaker: a [`ExecCfg::map_scan`]
     /// (so it is paced and traced like every other scan) whose workers
     /// push `(hash, row)` pairs into private shards, merged into one
-    /// [`JoinHt`]. `scratch` creates a worker's vectors for a
-    /// vectorized arm; a fused loop passes `|| ()`.
+    /// [`JoinHt`]. A worker's state is its shard and the `scratch` a
+    /// vectorized body needs (`()` for a fused loop).
     pub fn build_ht<K: Send + Sync, S: Send>(
         &self,
         total: usize,
         row_bits: usize,
         scratch: impl Fn() -> S + Sync,
-        each: impl Fn(&mut JoinHtShard<K>, &mut S, Range<usize>) + Sync,
+        body: impl Fn(&mut (JoinHtShard<K>, S), Range<usize>) + Sync,
     ) -> JoinHt<K> {
-        let parts = self.map_scan(
-            total,
-            row_bits,
-            |_| (JoinHtShard::new(), scratch()),
-            |(sh, st), r| each(sh, st, r),
-        );
+        let parts = self.map_scan(total, row_bits, || (JoinHtShard::new(), scratch()), body);
         JoinHt::from_shards(parts.into_iter().map(|(sh, _)| sh).collect(), &self.exec())
+    }
+
+    /// **The** paradigm dispatch of a stage: the morsel body it runs
+    /// under `engine`. Typer runs `typer` over the whole morsel (a fused
+    /// loop); Tectorwise runs `tectorwise` over each vector of at most
+    /// [`ExecCfg::vector_size`] rows of it, in order (a primitive
+    /// chain, which ends a vector with `return`). Both bodies fold into
+    /// the same per-worker state; every morsel of a stage runs the
+    /// stage's one engine. Panics unless `engine` is `Typer` or
+    /// `Tectorwise`.
+    fn bodies<S>(
+        &self,
+        engine: Engine,
+        typer: impl Fn(&mut S, Range<usize>) + Sync,
+        tectorwise: impl Fn(&mut S, Range<usize>) + Sync,
+    ) -> impl Fn(&mut S, Range<usize>) + Sync {
+        assert!(
+            matches!(engine, Engine::Typer | Engine::Tectorwise),
+            "{} is not a per-stage candidate",
+            engine.name()
+        );
+        let vector_size = self.vector_size;
+        move |state, morsel| match engine {
+            Engine::Typer => typer(state, morsel),
+            _ => {
+                for vector in dbep_vectorized::chunks(morsel, vector_size) {
+                    tectorwise(state, vector);
+                }
+            }
+        }
+    }
+
+    /// A stage that folds each worker's rows into a private state
+    /// (`init`), e.g. a sum or a counter matrix, under `engine`'s body
+    /// (see [`ExecCfg::bodies`]); the workers' states come back for the
+    /// stage to combine.
+    pub(crate) fn fold<S: Send>(
+        &self,
+        engine: Engine,
+        total: usize,
+        row_bits: usize,
+        init: impl Fn() -> S + Sync,
+        typer: impl Fn(&mut S, Range<usize>) + Sync,
+        tectorwise: impl Fn(&mut S, Range<usize>) + Sync,
+    ) -> Vec<S> {
+        self.map_scan(total, row_bits, init, self.bodies(engine, typer, tectorwise))
+    }
+
+    /// A stage that builds a [`JoinHt`] ([`ExecCfg::build_ht`]) under
+    /// `engine`'s body.
+    pub(crate) fn build<K: Send + Sync, S: Send>(
+        &self,
+        engine: Engine,
+        total: usize,
+        row_bits: usize,
+        scratch: impl Fn() -> S + Sync,
+        typer: impl Fn(&mut (JoinHtShard<K>, S), Range<usize>) + Sync,
+        tectorwise: impl Fn(&mut (JoinHtShard<K>, S), Range<usize>) + Sync,
+    ) -> JoinHt<K> {
+        self.build_ht(total, row_bits, scratch, self.bodies(engine, typer, tectorwise))
+    }
+
+    /// A stage that groups its rows under `engine`'s body: each worker
+    /// pre-aggregates into a bounded [`GroupByShard`] beside its
+    /// `scratch`, and the shards' partitions are merged with `combine`
+    /// (§3.2's two-phase aggregation). Returns every group once, in no
+    /// particular order.
+    #[allow(clippy::too_many_arguments)] // the fold's six, plus the merge's `combine`
+    pub(crate) fn group_by<K, A, S>(
+        &self,
+        engine: Engine,
+        total: usize,
+        row_bits: usize,
+        scratch: impl Fn() -> S + Sync,
+        typer: impl Fn(&mut (GroupByShard<K, A>, S), Range<usize>) + Sync,
+        tectorwise: impl Fn(&mut (GroupByShard<K, A>, S), Range<usize>) + Sync,
+        combine: impl Fn(&mut A, A) + Sync,
+    ) -> Vec<(K, A)>
+    where
+        K: PartialEq + Send + Sync,
+        A: Send + Sync,
+        S: Send,
+    {
+        let init = || (GroupByShard::new(), scratch());
+        let shards = self.fold(engine, total, row_bits, init, typer, tectorwise);
+        let parts = shards.into_iter().map(|(shard, _)| shard.finish()).collect();
+        merge_partitions(parts, &self.exec(), combine)
     }
 }
 
@@ -462,9 +551,10 @@ impl StageDesc {
 ///
 /// Per the methodology (§3) every paradigm runs the same plan — join
 /// order, build sides, data structures — so the paradigm is the only
-/// variable, and it is chosen *per stage*: each stage is one function
-/// with a Typer arm (a fused loop) and a Tectorwise arm (a primitive
-/// chain), and a pure engine is the uniform assignment. Volcano
+/// variable, and it is chosen *per stage*: each stage is one driver call
+/// with a Typer body (a fused loop over a morsel) and a Tectorwise body
+/// (a primitive chain over a vector) that fold into the same per-worker
+/// state, and a pure engine is the uniform assignment. Volcano
 /// interprets [`QueryPlan::volcano_plan`]. Every entry point receives
 /// the query's bound substitution [`Params`] (see [`params`]); with
 /// [`Params::default_for`] the plan reproduces the paper's instance
@@ -737,7 +827,7 @@ mod registry_tests {
         let total = 10_000;
         let states = {
             let _stage = cfg.stage(0);
-            cfg.map_scan(total, 64, |_| 0usize, |acc, r| *acc += r.len())
+            cfg.map_scan(total, 64, || 0usize, |acc, r| *acc += r.len())
         };
         assert_eq!(states.iter().sum::<usize>(), total);
         let events = sink.snapshot();
@@ -751,8 +841,92 @@ mod registry_tests {
 
         // Untraced cfg: same scan still works with no trace attached.
         let cfg = ExecCfg::default();
-        let states = cfg.map_scan(total, 64, |_| 0usize, |acc, r| *acc += r.len());
+        let states = cfg.map_scan(total, 64, || 0usize, |acc, r| *acc += r.len());
         assert_eq!(states.iter().sum::<usize>(), total);
+    }
+
+    /// The paradigm dispatch: Typer's body sees exactly the morsels,
+    /// Tectorwise's sees vectors of at most `vector_size` rows that tile
+    /// each morsel in order, inline and on a 2-worker pool, and a morsel
+    /// span is recorded per morsel, not per vector. Each worker's state
+    /// holds the morsels it ran and the ranges its bodies saw.
+    #[test]
+    fn bodies_run_typer_per_morsel_and_tectorwise_per_vector() {
+        type Seen = (Vec<Range<usize>>, Vec<Range<usize>>);
+        let total = 100_000;
+        let pool = dbep_scheduler::Scheduler::new(2);
+        let run = pool.begin_query(dbep_scheduler::DEFAULT_PRIORITY);
+        for (threads, sched) in [(1, None), (2, Some(&run))] {
+            for vector_size in [1, 1024, usize::MAX] {
+                for engine in [Engine::Typer, Engine::Tectorwise] {
+                    let sink = dbep_obs::TraceSink::new(1 << 12);
+                    let qt = QueryTrace::new(&sink, QueryId::Q6.ordinal(), engine.ordinal());
+                    let cfg = ExecCfg {
+                        threads,
+                        vector_size,
+                        sched,
+                        trace: Some(&qt),
+                        ..ExecCfg::default()
+                    };
+                    let see = |(_, seen): &mut Seen, r: Range<usize>| seen.push(r);
+                    let body = cfg.bodies(engine, see, see);
+                    let states = cfg.map_scan(total, 64, Seen::default, |state, r| {
+                        state.0.push(r.clone());
+                        body(state, r);
+                    });
+                    let mut morsels = Vec::new();
+                    for (ran, seen) in states {
+                        let mut seen = seen.into_iter();
+                        for m in ran {
+                            if engine == Engine::Typer {
+                                assert_eq!(seen.next(), Some(m.clone()), "Typer's body sees the morsel");
+                            } else {
+                                let mut at = m.start;
+                                while at < m.end {
+                                    let v = seen.next().expect("the morsel's vectors cover it");
+                                    assert_eq!(v.start, at, "vectors tile the morsel in order");
+                                    assert!(!v.is_empty() && v.len() <= vector_size, "{v:?}");
+                                    at = v.end;
+                                }
+                                assert_eq!(at, m.end, "a vector crosses its morsel's end");
+                            }
+                            morsels.push(m);
+                        }
+                        assert!(seen.next().is_none(), "a body ran outside any morsel");
+                    }
+                    morsels.sort_by_key(|m| m.start);
+                    assert!(morsels.windows(2).all(|w| w[0].end == w[1].start));
+                    assert_eq!((morsels[0].start, morsels[morsels.len() - 1].end), (0, total));
+                    let mut rows: Vec<usize> = morsels.iter().map(|m| m.len()).collect();
+                    let mut spans: Vec<usize> = sink
+                        .snapshot()
+                        .iter()
+                        .filter(|e| e.kind == dbep_obs::SpanKind::Morsel)
+                        .map(|e| e.rows as usize)
+                        .collect();
+                    rows.sort_unstable();
+                    spans.sort_unstable();
+                    assert_eq!(spans, rows, "one morsel span per morsel, with its rows");
+                    assert_eq!(sink.dropped(), 0);
+                }
+            }
+        }
+    }
+
+    /// Volcano and Adaptive have no morsel body: choosing one for a
+    /// stage panics at the driver, before any morsel runs.
+    #[test]
+    fn driver_rejects_non_candidates() {
+        for engine in [Engine::Volcano, Engine::Adaptive] {
+            let ran = std::sync::atomic::AtomicBool::new(false);
+            let body = |_: &mut (), _: Range<usize>| ran.store(true, std::sync::atomic::Ordering::Relaxed);
+            let cfg = ExecCfg::default();
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                cfg.fold(engine, 100, 64, || (), body, body)
+            }));
+            assert!(result.is_err(), "{engine:?} ran a stage");
+            assert!(!ran.into_inner(), "{engine:?} ran a morsel body");
+        }
     }
 
     /// A stage assignment is one `Typer`/`Tectorwise` choice per stage;

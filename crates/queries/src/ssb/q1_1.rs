@@ -8,7 +8,7 @@
 //! ```
 //!
 //! Two stages: the date build is one body for both paradigms, the fact
-//! scan has an arm each. The four fact columns come through the arm's
+//! scan has a body each. The four fact columns come through the body's
 //! column reader (`dbep_compiled::RowScan`, `dbep_vectorized::Col`) in
 //! whichever format `lineorder` holds, and the scan is charged the
 //! widths the readers report.
@@ -53,86 +53,71 @@ fn scan_lineorder(
 ) -> i64 {
     let lo = db.table("lineorder");
     let (disc_lo, disc_hi, qty_hi) = (p.disc_lo, p.disc_hi, p.qty_hi);
-    match engine {
-        // Fused filter + probe + sum.
-        Engine::Typer => {
-            let scan = RowScan::of(
-                lo,
-                ["lo_orderdate"],
-                ["lo_discount", "lo_quantity", "lo_extendedprice"],
-            );
-            let locals = cfg.map_scan(
-                lo.len(),
-                scan.bits(),
-                |_| 0i64,
-                |local, r| {
-                    for_each_row!(scan, r, |_, [o], [d, q, e]| {
-                        if d >= disc_lo && d <= disc_hi && q < qty_hi {
-                            let o = o as i32;
-                            let h = hf.hash(o as u64);
-                            if ht_d.probe(h).any(|entry| entry.row == o) {
-                                *local += e * d;
-                            }
-                        }
-                    });
-                },
-            );
-            locals.into_iter().sum()
-        }
-        // Two selections, one probe, gather/multiply/sum.
-        Engine::Tectorwise => {
-            let policy = cfg.policy;
-            let od = tw::Col::<i32>::of(lo, "lo_orderdate");
-            let disc = tw::Col::<i64>::of(lo, "lo_discount");
-            let qty = tw::Col::<i64>::of(lo, "lo_quantity");
-            let ext = tw::Col::<i64>::of(lo, "lo_extendedprice");
-            #[derive(Default)]
-            struct Scratch {
-                local: i64,
-                s1: Vec<u32>,
-                s2: Vec<u32>,
-                hashes: Vec<u64>,
-                bufs: tw::ProbeBuffers,
-                v_od: Vec<i64>,
-                v_ext: Vec<i64>,
-                v_disc: Vec<i64>,
-                v_rev: Vec<i64>,
-            }
-            let locals = cfg.map_scan(
-                lo.len(),
-                od.bits() + disc.bits() + qty.bits() + ext.bits(),
-                |_| Scratch::default(),
-                |st, r| {
-                    for c in tw::chunks(r, cfg.vector_size) {
-                        if disc.sel_between(disc_lo, disc_hi, c, &mut st.s1, policy) == 0 {
-                            continue;
-                        }
-                        if qty.sel_lt_sparse(qty_hi, &st.s1, &mut st.s2, policy) == 0 {
-                            continue;
-                        }
-                        od.hash(&st.s2, hf, &mut st.v_od, &mut st.hashes, policy);
-                        if tw::probe::probe_join(
-                            ht_d,
-                            &st.hashes,
-                            &st.s2,
-                            |row, t| *row as i64 == od.get(t as usize),
-                            policy,
-                            &mut st.bufs,
-                        ) == 0
-                        {
-                            continue;
-                        }
-                        ext.gather(&st.bufs.match_tuple, policy, &mut st.v_ext);
-                        disc.gather(&st.bufs.match_tuple, policy, &mut st.v_disc);
-                        tw::map::map_mul_i64(&st.v_ext, &st.v_disc, &mut st.v_rev);
-                        st.local += tw::map::sum_i64(&st.v_rev, policy);
-                    }
-                },
-            );
-            locals.into_iter().map(|s| s.local).sum()
-        }
-        other => unreachable!("{} is not a per-stage candidate", other.name()),
+    let scan = RowScan::of(
+        lo,
+        ["lo_orderdate"],
+        ["lo_discount", "lo_quantity", "lo_extendedprice"],
+    );
+    let od = tw::Col::<i32>::of(lo, "lo_orderdate");
+    let disc = tw::Col::<i64>::of(lo, "lo_discount");
+    let qty = tw::Col::<i64>::of(lo, "lo_quantity");
+    let ext = tw::Col::<i64>::of(lo, "lo_extendedprice");
+    let policy = cfg.policy;
+    #[derive(Default)]
+    struct Scratch {
+        s1: Vec<u32>,
+        s2: Vec<u32>,
+        hashes: Vec<u64>,
+        bufs: tw::ProbeBuffers,
+        v_od: Vec<i64>,
+        v_ext: Vec<i64>,
+        v_disc: Vec<i64>,
+        v_rev: Vec<i64>,
     }
+    let locals = cfg.fold(
+        engine,
+        lo.len(),
+        scan.bits(),
+        <(i64, Scratch)>::default,
+        // Fused filter + probe + sum.
+        |(local, _), r| {
+            for_each_row!(scan, r, |_, [o], [d, q, e]| {
+                if d >= disc_lo && d <= disc_hi && q < qty_hi {
+                    let o = o as i32;
+                    let h = hf.hash(o as u64);
+                    if ht_d.probe(h).any(|entry| entry.row == o) {
+                        *local += e * d;
+                    }
+                }
+            });
+        },
+        // Two selections, one probe, gather/multiply/sum.
+        |(local, st), c| {
+            if disc.sel_between(disc_lo, disc_hi, c, &mut st.s1, policy) == 0 {
+                return;
+            }
+            if qty.sel_lt_sparse(qty_hi, &st.s1, &mut st.s2, policy) == 0 {
+                return;
+            }
+            od.hash(&st.s2, hf, &mut st.v_od, &mut st.hashes, policy);
+            if tw::probe::probe_join(
+                ht_d,
+                &st.hashes,
+                &st.s2,
+                |row, t| *row as i64 == od.get(t as usize),
+                policy,
+                &mut st.bufs,
+            ) == 0
+            {
+                return;
+            }
+            ext.gather(&st.bufs.match_tuple, policy, &mut st.v_ext);
+            disc.gather(&st.bufs.match_tuple, policy, &mut st.v_disc);
+            tw::map::map_mul_i64(&st.v_ext, &st.v_disc, &mut st.v_rev);
+            *local += tw::map::sum_i64(&st.v_rev, policy);
+        },
+    );
+    locals.into_iter().map(|(local, _)| local).sum()
 }
 
 /// Registry entry (see [`crate::QueryPlan`]).

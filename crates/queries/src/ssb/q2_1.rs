@@ -10,16 +10,15 @@
 //! ```
 //!
 //! Two stages: `build_dims` is one body for both paradigms,
-//! `probe_lineorder` has a Typer arm and a Tectorwise arm.
+//! `probe_lineorder` has a Typer body and a Tectorwise body.
 
 use crate::params::SsbQ21Params;
 use crate::result::{OrderBy, QueryResult, Value};
 use crate::ssb::{realign_i32, realign_u32, ProbeScratch};
 use crate::{Engine, ExecCfg, Params};
 use dbep_datagen::ssb::brand_name;
-use dbep_runtime::agg_ht::merge_partitions;
 use dbep_runtime::hash::HashFn;
-use dbep_runtime::{GroupByShard, JoinHt};
+use dbep_runtime::JoinHt;
 use dbep_storage::Database;
 use dbep_vectorized as tw;
 use dbep_volcano::{AggSpec, CmpOp, Expr, Plan, Row};
@@ -87,127 +86,102 @@ fn probe_lineorder(
     let lsk = lo.col("lo_suppkey").i32s();
     let lod = lo.col("lo_orderdate").i32s();
     let rev = lo.col("lo_revenue").i64s();
-    let shards = match engine {
+    let policy = cfg.policy;
+    #[derive(Default)]
+    struct Scratch {
+        probe: ProbeScratch,
+        gb: tw::grouping::GroupBuffers,
+        rows0: Vec<u32>,
+        rows1: Vec<u32>,
+        rows2: Vec<u32>,
+        rows3: Vec<u32>,
+        v_brand: Vec<i32>,
+        v_brand2: Vec<i32>,
+        v_brand3: Vec<i32>,
+        v_year: Vec<i32>,
+        v_rev: Vec<i64>,
+        ghash: Vec<u64>,
+        ordinals: Vec<u32>,
+    }
+    cfg.group_by(
+        engine,
+        lo.len(),
+        LO_BITS,
+        Scratch::default,
         // One fused probe chain per fact tuple.
-        Engine::Typer => {
-            let shards = cfg.map_scan(
-                lo.len(),
-                LO_BITS,
-                |_| GroupByShard::<(i32, i32), i64>::new(),
-                |shard, r| {
-                    for i in r {
-                        let hp = hf.hash(lpk[i] as u64);
-                        let Some(e_p) = dims.ht_p.probe(hp).find(|e| e.row.0 == lpk[i]) else {
-                            continue;
-                        };
-                        let hs = hf.hash(lsk[i] as u64);
-                        if !dims.ht_s.probe(hs).any(|e| e.row == lsk[i]) {
-                            continue;
-                        }
-                        let hd = hf.hash(lod[i] as u64);
-                        let Some(e_d) = dims.ht_d.probe(hd).find(|e| e.row.0 == lod[i]) else {
-                            continue;
-                        };
-                        let key = (e_d.row.1, e_p.row.1);
-                        let gh = hf.rehash(hf.hash(key.0 as u64), key.1 as u64);
-                        shard.update(gh, key, || 0, |a| *a += rev[i]);
-                    }
-                },
-            );
-            shards.into_iter().map(GroupByShard::finish).collect()
-        }
-        // Probe steps with carried-vector realignment.
-        Engine::Tectorwise => {
-            let policy = cfg.policy;
-            #[derive(Default)]
-            struct Scratch {
-                probe: ProbeScratch,
-                gb: tw::grouping::GroupBuffers,
-                rows0: Vec<u32>,
-                rows1: Vec<u32>,
-                rows2: Vec<u32>,
-                rows3: Vec<u32>,
-                v_brand: Vec<i32>,
-                v_brand2: Vec<i32>,
-                v_brand3: Vec<i32>,
-                v_year: Vec<i32>,
-                v_rev: Vec<i64>,
-                ghash: Vec<u64>,
-                ordinals: Vec<u32>,
+        |(shard, _), r| {
+            for i in r {
+                let hp = hf.hash(lpk[i] as u64);
+                let Some(e_p) = dims.ht_p.probe(hp).find(|e| e.row.0 == lpk[i]) else {
+                    continue;
+                };
+                let hs = hf.hash(lsk[i] as u64);
+                if !dims.ht_s.probe(hs).any(|e| e.row == lsk[i]) {
+                    continue;
+                }
+                let hd = hf.hash(lod[i] as u64);
+                let Some(e_d) = dims.ht_d.probe(hd).find(|e| e.row.0 == lod[i]) else {
+                    continue;
+                };
+                let key = (e_d.row.1, e_p.row.1);
+                let gh = hf.rehash(hf.hash(key.0 as u64), key.1 as u64);
+                shard.update(gh, key, || 0, |a| *a += rev[i]);
             }
-            let shards = cfg.map_scan(
-                lo.len(),
-                LO_BITS,
-                |_| (GroupByShard::<(i32, i32), i64>::new(), Scratch::default()),
-                |(shard, st), r| {
-                    for c in tw::chunks(r, cfg.vector_size) {
-                        tw::hashp::iota(c.start as u32, c.len(), &mut st.rows0);
-                        // part probe: fetch brand.
-                        if st
-                            .probe
-                            .probe_step(&dims.ht_p, lpk, &st.rows0, hf, policy, |e, k| e.0 == k)
-                            == 0
-                        {
-                            continue;
-                        }
-                        tw::gather::gather_build(
-                            &dims.ht_p,
-                            &st.probe.bufs.match_entry,
-                            |r| r.1,
-                            &mut st.v_brand,
-                        );
-                        realign_u32(&st.rows0, &st.probe.bufs.match_tuple, &mut st.rows1);
-                        // supplier semi-join.
-                        if st
-                            .probe
-                            .probe_step(&dims.ht_s, lsk, &st.rows1, hf, policy, |e, k| *e == k)
-                            == 0
-                        {
-                            continue;
-                        }
-                        realign_i32(&st.v_brand, &st.probe.bufs.match_tuple, &mut st.v_brand2);
-                        realign_u32(&st.rows1, &st.probe.bufs.match_tuple, &mut st.rows2);
-                        // date probe: fetch year.
-                        let n = st
-                            .probe
-                            .probe_step(&dims.ht_d, lod, &st.rows2, hf, policy, |e, k| e.0 == k);
-                        if n == 0 {
-                            continue;
-                        }
-                        tw::gather::gather_build(
-                            &dims.ht_d,
-                            &st.probe.bufs.match_entry,
-                            |r| r.1,
-                            &mut st.v_year,
-                        );
-                        realign_i32(&st.v_brand2, &st.probe.bufs.match_tuple, &mut st.v_brand3);
-                        realign_u32(&st.rows2, &st.probe.bufs.match_tuple, &mut st.rows3);
-                        // Aggregate by (year, brand).
-                        tw::gather::gather_i64(rev, &st.rows3, policy, &mut st.v_rev);
-                        tw::hashp::iota(0, n, &mut st.ordinals);
-                        tw::hashp::hash_i32_dense(&st.v_year, hf, &mut st.ghash);
-                        tw::hashp::rehash_i32(&st.v_brand3, &st.ordinals, hf, &mut st.ghash);
-                        let (v_year, v_brand3) = (&st.v_year, &st.v_brand3);
-                        tw::grouping::find_or_insert_groups(
-                            shard,
-                            &st.ghash,
-                            &st.ordinals,
-                            |j| {
-                                let j = j as usize;
-                                (v_year[j], v_brand3[j])
-                            },
-                            || 0,
-                            &mut st.gb,
-                        );
-                        tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_rev, |a, v| *a += v);
-                    }
+        },
+        // Probe steps with carried-vector realignment.
+        |(shard, st), c| {
+            tw::hashp::iota(c.start as u32, c.len(), &mut st.rows0);
+            // part probe: fetch brand.
+            if st
+                .probe
+                .probe_step(&dims.ht_p, lpk, &st.rows0, hf, policy, |e, k| e.0 == k)
+                == 0
+            {
+                return;
+            }
+            tw::gather::gather_build(&dims.ht_p, &st.probe.bufs.match_entry, |r| r.1, &mut st.v_brand);
+            realign_u32(&st.rows0, &st.probe.bufs.match_tuple, &mut st.rows1);
+            // supplier semi-join.
+            if st
+                .probe
+                .probe_step(&dims.ht_s, lsk, &st.rows1, hf, policy, |e, k| *e == k)
+                == 0
+            {
+                return;
+            }
+            realign_i32(&st.v_brand, &st.probe.bufs.match_tuple, &mut st.v_brand2);
+            realign_u32(&st.rows1, &st.probe.bufs.match_tuple, &mut st.rows2);
+            // date probe: fetch year.
+            let n = st
+                .probe
+                .probe_step(&dims.ht_d, lod, &st.rows2, hf, policy, |e, k| e.0 == k);
+            if n == 0 {
+                return;
+            }
+            tw::gather::gather_build(&dims.ht_d, &st.probe.bufs.match_entry, |r| r.1, &mut st.v_year);
+            realign_i32(&st.v_brand2, &st.probe.bufs.match_tuple, &mut st.v_brand3);
+            realign_u32(&st.rows2, &st.probe.bufs.match_tuple, &mut st.rows3);
+            // Aggregate by (year, brand).
+            tw::gather::gather_i64(rev, &st.rows3, policy, &mut st.v_rev);
+            tw::hashp::iota(0, n, &mut st.ordinals);
+            tw::hashp::hash_i32_dense(&st.v_year, hf, &mut st.ghash);
+            tw::hashp::rehash_i32(&st.v_brand3, &st.ordinals, hf, &mut st.ghash);
+            let (v_year, v_brand3) = (&st.v_year, &st.v_brand3);
+            tw::grouping::find_or_insert_groups(
+                shard,
+                &st.ghash,
+                &st.ordinals,
+                |j| {
+                    let j = j as usize;
+                    (v_year[j], v_brand3[j])
                 },
+                || 0,
+                &mut st.gb,
             );
-            shards.into_iter().map(|(shard, _)| shard.finish()).collect()
-        }
-        other => unreachable!("{} is not a per-stage candidate", other.name()),
-    };
-    merge_partitions(shards, &cfg.exec(), |a, b| *a += b)
+            tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_rev, |a, v| *a += v);
+        },
+        |a, b| *a += b,
+    )
 }
 
 /// Registry entry (see [`crate::QueryPlan`]).

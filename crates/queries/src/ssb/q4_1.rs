@@ -11,16 +11,15 @@
 //! ```
 //!
 //! Two stages: `build_dims` is one body for both paradigms,
-//! `probe_lineorder` has a Typer arm and a Tectorwise arm.
+//! `probe_lineorder` has a Typer body and a Tectorwise body.
 
 use crate::params::SsbQ41Params;
 use crate::result::{OrderBy, QueryResult, Value};
 use crate::ssb::{realign_i32, realign_u32, ProbeScratch};
 use crate::{Engine, ExecCfg, Params};
 use dbep_datagen::ssb::NATIONS;
-use dbep_runtime::agg_ht::merge_partitions;
 use dbep_runtime::hash::HashFn;
-use dbep_runtime::{GroupByShard, JoinHt};
+use dbep_runtime::JoinHt;
 use dbep_storage::Database;
 use dbep_vectorized as tw;
 use dbep_volcano::{AggSpec, BinOp, CmpOp, Expr, Plan, Row};
@@ -103,142 +102,115 @@ fn probe_lineorder(db: &Database, cfg: &ExecCfg, engine: Engine, hf: HashFn, dim
     let lod = lo.col("lo_orderdate").i32s();
     let rev = lo.col("lo_revenue").i64s();
     let cost = lo.col("lo_supplycost").i64s();
-    let shards = match engine {
+    let policy = cfg.policy;
+    #[derive(Default)]
+    struct Scratch {
+        probe: ProbeScratch,
+        gb: tw::grouping::GroupBuffers,
+        rows0: Vec<u32>,
+        rows1: Vec<u32>,
+        rows2: Vec<u32>,
+        rows3: Vec<u32>,
+        rows4: Vec<u32>,
+        v_cnat: Vec<i32>,
+        v_cnat2: Vec<i32>,
+        v_cnat3: Vec<i32>,
+        v_year: Vec<i32>,
+        v_rev: Vec<i64>,
+        v_cost: Vec<i64>,
+        v_profit: Vec<i64>,
+        ghash: Vec<u64>,
+        ordinals: Vec<u32>,
+    }
+    cfg.group_by(
+        engine,
+        lo.len(),
+        LO_BITS,
+        Scratch::default,
         // Fused probe chain over four tables.
-        Engine::Typer => {
-            let shards = cfg.map_scan(
-                lo.len(),
-                LO_BITS,
-                |_| GroupByShard::<Key, i64>::new(),
-                |shard, r| {
-                    for i in r {
-                        let hs = hf.hash(lsk[i] as u64);
-                        if !dims.ht_s.probe(hs).any(|e| e.row == lsk[i]) {
-                            continue;
-                        }
-                        let hc = hf.hash(lck[i] as u64);
-                        let Some(e_c) = dims.ht_c.probe(hc).find(|e| e.row.0 == lck[i]) else {
-                            continue;
-                        };
-                        let hp = hf.hash(lpk[i] as u64);
-                        if !dims.ht_p.probe(hp).any(|e| e.row == lpk[i]) {
-                            continue;
-                        }
-                        let hd = hf.hash(lod[i] as u64);
-                        let Some(e_d) = dims.ht_d.probe(hd).find(|e| e.row.0 == lod[i]) else {
-                            continue;
-                        };
-                        let key = (e_d.row.1, e_c.row.1);
-                        let gh = hf.rehash(hf.hash(key.0 as u64), key.1 as u64);
-                        shard.update(gh, key, || 0, |a| *a += rev[i] - cost[i]);
-                    }
-                },
-            );
-            shards.into_iter().map(GroupByShard::finish).collect()
-        }
-        // Probe steps with realignment.
-        Engine::Tectorwise => {
-            let policy = cfg.policy;
-            #[derive(Default)]
-            struct Scratch {
-                probe: ProbeScratch,
-                gb: tw::grouping::GroupBuffers,
-                rows0: Vec<u32>,
-                rows1: Vec<u32>,
-                rows2: Vec<u32>,
-                rows3: Vec<u32>,
-                rows4: Vec<u32>,
-                v_cnat: Vec<i32>,
-                v_cnat2: Vec<i32>,
-                v_cnat3: Vec<i32>,
-                v_year: Vec<i32>,
-                v_rev: Vec<i64>,
-                v_cost: Vec<i64>,
-                v_profit: Vec<i64>,
-                ghash: Vec<u64>,
-                ordinals: Vec<u32>,
+        |(shard, _), r| {
+            for i in r {
+                let hs = hf.hash(lsk[i] as u64);
+                if !dims.ht_s.probe(hs).any(|e| e.row == lsk[i]) {
+                    continue;
+                }
+                let hc = hf.hash(lck[i] as u64);
+                let Some(e_c) = dims.ht_c.probe(hc).find(|e| e.row.0 == lck[i]) else {
+                    continue;
+                };
+                let hp = hf.hash(lpk[i] as u64);
+                if !dims.ht_p.probe(hp).any(|e| e.row == lpk[i]) {
+                    continue;
+                }
+                let hd = hf.hash(lod[i] as u64);
+                let Some(e_d) = dims.ht_d.probe(hd).find(|e| e.row.0 == lod[i]) else {
+                    continue;
+                };
+                let key = (e_d.row.1, e_c.row.1);
+                let gh = hf.rehash(hf.hash(key.0 as u64), key.1 as u64);
+                shard.update(gh, key, || 0, |a| *a += rev[i] - cost[i]);
             }
-            let shards = cfg.map_scan(
-                lo.len(),
-                LO_BITS,
-                |_| (GroupByShard::<Key, i64>::new(), Scratch::default()),
-                |(shard, st), r| {
-                    for c in tw::chunks(r, cfg.vector_size) {
-                        tw::hashp::iota(c.start as u32, c.len(), &mut st.rows0);
-                        if st
-                            .probe
-                            .probe_step(&dims.ht_s, lsk, &st.rows0, hf, policy, |e, k| *e == k)
-                            == 0
-                        {
-                            continue;
-                        }
-                        realign_u32(&st.rows0, &st.probe.bufs.match_tuple, &mut st.rows1);
-                        if st
-                            .probe
-                            .probe_step(&dims.ht_c, lck, &st.rows1, hf, policy, |e, k| e.0 == k)
-                            == 0
-                        {
-                            continue;
-                        }
-                        tw::gather::gather_build(
-                            &dims.ht_c,
-                            &st.probe.bufs.match_entry,
-                            |r| r.1,
-                            &mut st.v_cnat,
-                        );
-                        realign_u32(&st.rows1, &st.probe.bufs.match_tuple, &mut st.rows2);
-                        if st
-                            .probe
-                            .probe_step(&dims.ht_p, lpk, &st.rows2, hf, policy, |e, k| *e == k)
-                            == 0
-                        {
-                            continue;
-                        }
-                        realign_i32(&st.v_cnat, &st.probe.bufs.match_tuple, &mut st.v_cnat2);
-                        realign_u32(&st.rows2, &st.probe.bufs.match_tuple, &mut st.rows3);
-                        let n = st
-                            .probe
-                            .probe_step(&dims.ht_d, lod, &st.rows3, hf, policy, |e, k| e.0 == k);
-                        if n == 0 {
-                            continue;
-                        }
-                        tw::gather::gather_build(
-                            &dims.ht_d,
-                            &st.probe.bufs.match_entry,
-                            |r| r.1,
-                            &mut st.v_year,
-                        );
-                        realign_i32(&st.v_cnat2, &st.probe.bufs.match_tuple, &mut st.v_cnat3);
-                        realign_u32(&st.rows3, &st.probe.bufs.match_tuple, &mut st.rows4);
-                        tw::gather::gather_i64(rev, &st.rows4, policy, &mut st.v_rev);
-                        tw::gather::gather_i64(cost, &st.rows4, policy, &mut st.v_cost);
-                        tw::map::map_sub_i64(&st.v_rev, &st.v_cost, &mut st.v_profit);
-                        tw::hashp::iota(0, n, &mut st.ordinals);
-                        tw::hashp::hash_i32_dense(&st.v_year, hf, &mut st.ghash);
-                        tw::hashp::rehash_i32(&st.v_cnat3, &st.ordinals, hf, &mut st.ghash);
-                        let (v_year, v_cnat3) = (&st.v_year, &st.v_cnat3);
-                        tw::grouping::find_or_insert_groups(
-                            shard,
-                            &st.ghash,
-                            &st.ordinals,
-                            |j| {
-                                let j = j as usize;
-                                (v_year[j], v_cnat3[j])
-                            },
-                            || 0,
-                            &mut st.gb,
-                        );
-                        tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_profit, |a, v| {
-                            *a += v
-                        });
-                    }
+        },
+        // Probe steps with realignment.
+        |(shard, st), c| {
+            tw::hashp::iota(c.start as u32, c.len(), &mut st.rows0);
+            if st
+                .probe
+                .probe_step(&dims.ht_s, lsk, &st.rows0, hf, policy, |e, k| *e == k)
+                == 0
+            {
+                return;
+            }
+            realign_u32(&st.rows0, &st.probe.bufs.match_tuple, &mut st.rows1);
+            if st
+                .probe
+                .probe_step(&dims.ht_c, lck, &st.rows1, hf, policy, |e, k| e.0 == k)
+                == 0
+            {
+                return;
+            }
+            tw::gather::gather_build(&dims.ht_c, &st.probe.bufs.match_entry, |r| r.1, &mut st.v_cnat);
+            realign_u32(&st.rows1, &st.probe.bufs.match_tuple, &mut st.rows2);
+            if st
+                .probe
+                .probe_step(&dims.ht_p, lpk, &st.rows2, hf, policy, |e, k| *e == k)
+                == 0
+            {
+                return;
+            }
+            realign_i32(&st.v_cnat, &st.probe.bufs.match_tuple, &mut st.v_cnat2);
+            realign_u32(&st.rows2, &st.probe.bufs.match_tuple, &mut st.rows3);
+            let n = st
+                .probe
+                .probe_step(&dims.ht_d, lod, &st.rows3, hf, policy, |e, k| e.0 == k);
+            if n == 0 {
+                return;
+            }
+            tw::gather::gather_build(&dims.ht_d, &st.probe.bufs.match_entry, |r| r.1, &mut st.v_year);
+            realign_i32(&st.v_cnat2, &st.probe.bufs.match_tuple, &mut st.v_cnat3);
+            realign_u32(&st.rows3, &st.probe.bufs.match_tuple, &mut st.rows4);
+            tw::gather::gather_i64(rev, &st.rows4, policy, &mut st.v_rev);
+            tw::gather::gather_i64(cost, &st.rows4, policy, &mut st.v_cost);
+            tw::map::map_sub_i64(&st.v_rev, &st.v_cost, &mut st.v_profit);
+            tw::hashp::iota(0, n, &mut st.ordinals);
+            tw::hashp::hash_i32_dense(&st.v_year, hf, &mut st.ghash);
+            tw::hashp::rehash_i32(&st.v_cnat3, &st.ordinals, hf, &mut st.ghash);
+            let (v_year, v_cnat3) = (&st.v_year, &st.v_cnat3);
+            tw::grouping::find_or_insert_groups(
+                shard,
+                &st.ghash,
+                &st.ordinals,
+                |j| {
+                    let j = j as usize;
+                    (v_year[j], v_cnat3[j])
                 },
+                || 0,
+                &mut st.gb,
             );
-            shards.into_iter().map(|(shard, _)| shard.finish()).collect()
-        }
-        other => unreachable!("{} is not a per-stage candidate", other.name()),
-    };
-    merge_partitions(shards, &cfg.exec(), |a, b| *a += b)
+            tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_profit, |a, v| *a += v);
+        },
+        |a, b| *a += b,
+    )
 }
 
 /// Registry entry (see [`crate::QueryPlan`]).

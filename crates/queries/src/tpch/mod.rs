@@ -18,7 +18,7 @@
 //!
 //! Every query module is one unit struct implementing
 //! [`crate::QueryPlan`] that the dispatch registry ([`crate::REGISTRY`])
-//! points at: its stages (a Typer and a Tectorwise arm each) and its
+//! points at: its stages (a Typer and a Tectorwise body each) and its
 //! Volcano plan value. All three engines return identical
 //! [`crate::result::QueryResult`]s.
 

@@ -14,8 +14,8 @@
 //! off most (§4.1): the Tectorwise version must materialize every
 //! arithmetic step into vectors.
 //!
-//! The plan is one stage with an arm per paradigm; the five numeric
-//! columns come through the arm's column reader
+//! The plan is one stage with a body per paradigm; the five numeric
+//! columns come through the body's column reader
 //! (`dbep_compiled::RowScan`, `dbep_vectorized::Col`) in whichever
 //! format `lineitem` holds, and the scan is charged the widths the
 //! readers report plus the two flat char flags.
@@ -24,8 +24,6 @@ use crate::params::Q1Params;
 use crate::result::{avg_i64, OrderBy, QueryResult, Value};
 use crate::{Engine, ExecCfg, Params};
 use dbep_compiled::{for_each_row, RowScan};
-use dbep_runtime::agg_ht::merge_partitions;
-use dbep_runtime::GroupByShard;
 use dbep_storage::Database;
 use dbep_vectorized as tw;
 use dbep_volcano::{AggSpec, BinOp, CmpOp, Expr, Plan, Row, Val};
@@ -101,120 +99,96 @@ fn scan_agg(db: &Database, cfg: &ExecCfg, p: &Q1Params, engine: Engine) -> Vec<(
     let rf = li.col("l_returnflag").chars();
     let ls = li.col("l_linestatus").chars();
     let hf = cfg.hash_for(engine);
-    let shards = match engine {
+    let scan = RowScan::of(
+        li,
+        ["l_shipdate"],
+        ["l_quantity", "l_extendedprice", "l_discount", "l_tax"],
+    );
+    let ship = tw::Col::<i32>::of(li, "l_shipdate");
+    let qty = tw::Col::<i64>::of(li, "l_quantity");
+    let ext = tw::Col::<i64>::of(li, "l_extendedprice");
+    let disc = tw::Col::<i64>::of(li, "l_discount");
+    let tax = tw::Col::<i64>::of(li, "l_tax");
+    let policy = cfg.policy;
+    #[derive(Default)]
+    struct Scratch {
+        sel: Vec<u32>,
+        hashes: Vec<u64>,
+        gb: tw::grouping::GroupBuffers,
+        v_qty: Vec<i64>,
+        v_ext: Vec<i64>,
+        v_disc: Vec<i64>,
+        v_tax: Vec<i64>,
+        v_om: Vec<i64>,
+        v_dp: Vec<i64>,
+        v_ot: Vec<i64>,
+        v_ch: Vec<i64>,
+    }
+    cfg.group_by(
+        engine,
+        li.len(),
+        scan.bits() + FLAG_BITS,
+        Scratch::default,
         // The fused loop a data-centric generator emits (Fig. 2a shape).
-        Engine::Typer => {
+        |(shard, _), r| {
             let ship_cut = p.ship_cut as i64;
-            let scan = RowScan::of(
-                li,
-                ["l_shipdate"],
-                ["l_quantity", "l_extendedprice", "l_discount", "l_tax"],
-            );
-            let shards = cfg.map_scan(
-                li.len(),
-                scan.bits() + FLAG_BITS,
-                |_| GroupByShard::<(u8, u8), Q1Agg>::new(),
-                |shard, r| {
-                    for_each_row!(scan, r, |i, [s], [q, e, d, t]| {
-                        if s <= ship_cut {
-                            // All intermediates live in registers until the
-                            // single aggregate update — the fused pipeline.
-                            let disc_price = e * (100 - d);
-                            let charge = disc_price as i128 * (100 + t) as i128;
-                            let key = (rf[i], ls[i]);
-                            let h = hf.rehash(hf.hash(key.0 as u64), key.1 as u64);
-                            shard.update(h, key, Q1Agg::default, |a| {
-                                a.qty += q;
-                                a.base += e;
-                                a.disc_price += disc_price;
-                                a.charge += charge;
-                                a.disc += d;
-                                a.count += 1;
-                            });
-                        }
+            for_each_row!(scan, r, |i, [s], [q, e, d, t]| {
+                if s <= ship_cut {
+                    // All intermediates live in registers until the
+                    // single aggregate update — the fused pipeline.
+                    let disc_price = e * (100 - d);
+                    let charge = disc_price as i128 * (100 + t) as i128;
+                    let key = (rf[i], ls[i]);
+                    let h = hf.rehash(hf.hash(key.0 as u64), key.1 as u64);
+                    shard.update(h, key, Q1Agg::default, |a| {
+                        a.qty += q;
+                        a.base += e;
+                        a.disc_price += disc_price;
+                        a.charge += charge;
+                        a.disc += d;
+                        a.count += 1;
                     });
-                },
-            );
-            shards.into_iter().map(GroupByShard::finish).collect()
-        }
+                }
+            });
+        },
         // Selection → hash → find-or-insert-groups → one aggregate-update
         // primitive per sum, with every intermediate materialized
         // (Fig. 2b shape). The arithmetic and aggregate primitives only
         // ever see the dense vectors the column readers gather.
-        Engine::Tectorwise => {
-            let ship_cut = p.ship_cut;
-            let ship = tw::Col::<i32>::of(li, "l_shipdate");
-            let qty = tw::Col::<i64>::of(li, "l_quantity");
-            let ext = tw::Col::<i64>::of(li, "l_extendedprice");
-            let disc = tw::Col::<i64>::of(li, "l_discount");
-            let tax = tw::Col::<i64>::of(li, "l_tax");
-            let policy = cfg.policy;
-            #[derive(Default)]
-            struct Scratch {
-                sel: Vec<u32>,
-                hashes: Vec<u64>,
-                gb: tw::grouping::GroupBuffers,
-                v_qty: Vec<i64>,
-                v_ext: Vec<i64>,
-                v_disc: Vec<i64>,
-                v_tax: Vec<i64>,
-                v_om: Vec<i64>,
-                v_dp: Vec<i64>,
-                v_ot: Vec<i64>,
-                v_ch: Vec<i64>,
+        |(shard, st), c| {
+            if ship.sel_le(p.ship_cut, c, &mut st.sel, policy) == 0 {
+                return;
             }
-            let shards = cfg.map_scan(
-                li.len(),
-                ship.bits() + qty.bits() + ext.bits() + disc.bits() + tax.bits() + FLAG_BITS,
-                |_| (GroupByShard::<(u8, u8), Q1Agg>::new(), Scratch::default()),
-                |(shard, st), r| {
-                    for c in tw::chunks(r, cfg.vector_size) {
-                        if ship.sel_le(ship_cut, c, &mut st.sel, policy) == 0 {
-                            continue;
-                        }
-                        tw::hashp::hash_u8(rf, &st.sel, hf, &mut st.hashes);
-                        tw::hashp::rehash_u8(ls, &st.sel, hf, &mut st.hashes);
-                        tw::grouping::find_or_insert_groups(
-                            shard,
-                            &st.hashes,
-                            &st.sel,
-                            |t| (rf[t as usize], ls[t as usize]),
-                            Q1Agg::default,
-                            &mut st.gb,
-                        );
-                        // Vector-at-a-time, one primitive per step/aggregate.
-                        qty.gather(&st.sel, policy, &mut st.v_qty);
-                        tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_qty, |a, v| {
-                            a.qty += v
-                        });
-                        ext.gather(&st.sel, policy, &mut st.v_ext);
-                        tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_ext, |a, v| {
-                            a.base += v
-                        });
-                        disc.gather(&st.sel, policy, &mut st.v_disc);
-                        tw::map::map_rsub_const_i64(100, &st.v_disc, &mut st.v_om);
-                        tw::map::map_mul_i64(&st.v_ext, &st.v_om, &mut st.v_dp);
-                        tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_dp, |a, v| {
-                            a.disc_price += v
-                        });
-                        tax.gather(&st.sel, policy, &mut st.v_tax);
-                        tw::map::map_add_const_i64(100, &st.v_tax, &mut st.v_ot);
-                        tw::map::map_mul_i64(&st.v_dp, &st.v_ot, &mut st.v_ch);
-                        tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_ch, |a, v| {
-                            a.charge += v as i128
-                        });
-                        tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_disc, |a, v| {
-                            a.disc += v
-                        });
-                        tw::grouping::agg_update_unit(&mut shard.ht, &st.gb.groups, |a| a.count += 1);
-                    }
-                },
+            tw::hashp::hash_u8(rf, &st.sel, hf, &mut st.hashes);
+            tw::hashp::rehash_u8(ls, &st.sel, hf, &mut st.hashes);
+            tw::grouping::find_or_insert_groups(
+                shard,
+                &st.hashes,
+                &st.sel,
+                |t| (rf[t as usize], ls[t as usize]),
+                Q1Agg::default,
+                &mut st.gb,
             );
-            shards.into_iter().map(|(shard, _)| shard.finish()).collect()
-        }
-        other => unreachable!("{} is not a per-stage candidate", other.name()),
-    };
-    merge_partitions(shards, &cfg.exec(), Q1Agg::merge)
+            // Vector-at-a-time, one primitive per step/aggregate.
+            qty.gather(&st.sel, policy, &mut st.v_qty);
+            tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_qty, |a, v| a.qty += v);
+            ext.gather(&st.sel, policy, &mut st.v_ext);
+            tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_ext, |a, v| a.base += v);
+            disc.gather(&st.sel, policy, &mut st.v_disc);
+            tw::map::map_rsub_const_i64(100, &st.v_disc, &mut st.v_om);
+            tw::map::map_mul_i64(&st.v_ext, &st.v_om, &mut st.v_dp);
+            tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_dp, |a, v| a.disc_price += v);
+            tax.gather(&st.sel, policy, &mut st.v_tax);
+            tw::map::map_add_const_i64(100, &st.v_tax, &mut st.v_ot);
+            tw::map::map_mul_i64(&st.v_dp, &st.v_ot, &mut st.v_ch);
+            tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_ch, |a, v| {
+                a.charge += v as i128
+            });
+            tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_disc, |a, v| a.disc += v);
+            tw::grouping::agg_update_unit(&mut shard.ht, &st.gb.groups, |a| a.count += 1);
+        },
+        Q1Agg::merge,
+    )
 }
 
 /// Registry entry (see [`crate::QueryPlan`]).

@@ -20,7 +20,7 @@
 //! byte ≤ '2'); σ(lineitem, IN-list + dates) probes HT_ord; the group-by
 //! domain equals the IN-list, so aggregation is a 2×2 counter matrix
 //! `[mode][high/low]`. Two stages: `build_orders_ht` is one body for
-//! both paradigms, `probe_lineitem` has an arm each.
+//! both paradigms, `probe_lineitem` has a body each.
 
 use crate::params::Q12Params;
 use crate::result::{OrderBy, QueryResult, Value};
@@ -84,7 +84,7 @@ fn build_orders_ht(db: &Database, cfg: &ExecCfg, hf: HashFn) -> JoinHt<(i32, u8)
         ord.len(),
         ORD_BITS,
         || (),
-        |sh, _, r| {
+        |(sh, ()), r| {
             for i in r {
                 // '1-URGENT' and '2-HIGH' are exactly the priorities whose
                 // leading byte is <= '2'.
@@ -114,110 +114,99 @@ fn probe_lineitem(
     let commit = li.col("l_commitdate").dates();
     let receipt = li.col("l_receiptdate").dates();
     let mode = li.col("l_shipmode").strs();
-    match engine {
+    let policy = cfg.policy;
+    #[derive(Default)]
+    struct Scratch {
+        s1: Vec<u32>,
+        s2: Vec<u32>,
+        s3: Vec<u32>,
+        s4: Vec<u32>,
+        s5: Vec<u32>,
+        hashes: Vec<u64>,
+        bufs: tw::ProbeBuffers,
+        v_high: Vec<u8>,
+        v_mode: Vec<u8>,
+        mode_sel: Vec<u32>,
+        f_sel: Vec<u8>,
+    }
+    let parts = cfg.fold(
+        engine,
+        li.len(),
+        LI_BITS,
+        <(ModeCounts, Scratch)>::default,
         // One fused probe loop with branch-free counter updates
         // (`counts[mode][flag] += 1`).
-        Engine::Typer => merge(cfg.map_scan(
-            li.len(),
-            LI_BITS,
-            |_| [[0i64; 2]; 2],
-            |counts: &mut ModeCounts, r| {
-                for i in r {
-                    let s = mode.get_bytes(i);
-                    let g = match modes.iter().position(|&v| v == s) {
-                        Some(g) => g,
-                        None => continue,
-                    };
-                    if commit[i] < receipt[i]
-                        && ship[i] < commit[i]
-                        && receipt[i] >= receipt_lo
-                        && receipt[i] < receipt_hi
-                    {
-                        let h = hf.hash(lok[i] as u64);
-                        for e in ht_ord.probe(h) {
-                            if e.row.0 == lok[i] {
-                                counts[g][e.row.1 as usize] += 1;
-                            }
+        |(counts, _), r| {
+            for i in r {
+                let s = mode.get_bytes(i);
+                let g = match modes.iter().position(|&v| v == s) {
+                    Some(g) => g,
+                    None => continue,
+                };
+                if commit[i] < receipt[i]
+                    && ship[i] < commit[i]
+                    && receipt[i] >= receipt_lo
+                    && receipt[i] < receipt_hi
+                {
+                    let h = hf.hash(lok[i] as u64);
+                    for e in ht_ord.probe(h) {
+                        if e.row.0 == lok[i] {
+                            counts[g][e.row.1 as usize] += 1;
                         }
                     }
                 }
-            },
-        )),
+            }
+        },
         // IN-list selection, column-column compares, probe, then the
         // conditional-aggregation primitives (one char-selection per
         // mode, one flag count per CASE arm).
-        Engine::Tectorwise => {
-            let policy = cfg.policy;
-            #[derive(Default)]
-            struct Scratch {
-                s1: Vec<u32>,
-                s2: Vec<u32>,
-                s3: Vec<u32>,
-                s4: Vec<u32>,
-                s5: Vec<u32>,
-                hashes: Vec<u64>,
-                bufs: tw::ProbeBuffers,
-                v_high: Vec<u8>,
-                v_mode: Vec<u8>,
-                mode_sel: Vec<u32>,
-                f_sel: Vec<u8>,
+        |(counts, st), c| {
+            // 1 dense IN-list + 4 sparse selections.
+            if tw::sel::sel_in_str_dense(mode, &modes, c, &mut st.s1) == 0 {
+                return;
             }
-            let parts = cfg.map_scan(
-                li.len(),
-                LI_BITS,
-                |_| ([[0i64; 2]; 2], Scratch::default()),
-                |(counts, st), r| {
-                    for c in tw::chunks(r, cfg.vector_size) {
-                        // 1 dense IN-list + 4 sparse selections.
-                        if tw::sel::sel_in_str_dense(mode, &modes, c.clone(), &mut st.s1) == 0 {
-                            continue;
-                        }
-                        if tw::sel::sel_lt_i32_col_sparse(commit, receipt, &st.s1, &mut st.s2, policy) == 0 {
-                            continue;
-                        }
-                        if tw::sel::sel_lt_i32_col_sparse(ship, commit, &st.s2, &mut st.s3, policy) == 0 {
-                            continue;
-                        }
-                        if tw::sel::sel_ge_i32_sparse(receipt, receipt_lo, &st.s3, &mut st.s4, policy) == 0 {
-                            continue;
-                        }
-                        if tw::sel::sel_lt_i32_sparse(receipt, receipt_hi, &st.s4, &mut st.s5, policy) == 0 {
-                            continue;
-                        }
-                        tw::hashp::hash_i32(lok, &st.s5, hf, &mut st.hashes);
-                        if tw::probe::probe_join(
-                            ht_ord,
-                            &st.hashes,
-                            &st.s5,
-                            |row, t| row.0 == lok[t as usize],
-                            policy,
-                            &mut st.bufs,
-                        ) == 0
-                        {
-                            continue;
-                        }
-                        // Dual CASE counters: gather the build-side high flag and the
-                        // mode ordinal (full-string compare — IN-list members may
-                        // share a prefix), split per mode, count each arm.
-                        tw::gather::gather_build(ht_ord, &st.bufs.match_entry, |r| r.1, &mut st.v_high);
-                        tw::gather::gather_str_ordinal(mode, &st.bufs.match_tuple, &modes, &mut st.v_mode);
-                        for (g, count) in counts.iter_mut().enumerate() {
-                            let n = tw::sel::sel_eq_char_dense(&st.v_mode, g as u8, 0, &mut st.mode_sel);
-                            if n == 0 {
-                                continue;
-                            }
-                            tw::gather::gather_u8(&st.v_high, &st.mode_sel, &mut st.f_sel);
-                            let high = tw::map::count_nonzero_u8(&st.f_sel, policy);
-                            count[1] += high;
-                            count[0] += n as i64 - high;
-                        }
-                    }
-                },
-            );
-            merge(parts.into_iter().map(|(c, _)| c).collect())
-        }
-        other => unreachable!("{} is not a per-stage candidate", other.name()),
-    }
+            if tw::sel::sel_lt_i32_col_sparse(commit, receipt, &st.s1, &mut st.s2, policy) == 0 {
+                return;
+            }
+            if tw::sel::sel_lt_i32_col_sparse(ship, commit, &st.s2, &mut st.s3, policy) == 0 {
+                return;
+            }
+            if tw::sel::sel_ge_i32_sparse(receipt, receipt_lo, &st.s3, &mut st.s4, policy) == 0 {
+                return;
+            }
+            if tw::sel::sel_lt_i32_sparse(receipt, receipt_hi, &st.s4, &mut st.s5, policy) == 0 {
+                return;
+            }
+            tw::hashp::hash_i32(lok, &st.s5, hf, &mut st.hashes);
+            if tw::probe::probe_join(
+                ht_ord,
+                &st.hashes,
+                &st.s5,
+                |row, t| row.0 == lok[t as usize],
+                policy,
+                &mut st.bufs,
+            ) == 0
+            {
+                return;
+            }
+            // Dual CASE counters: gather the build-side high flag and the
+            // mode ordinal (full-string compare — IN-list members may
+            // share a prefix), split per mode, count each arm.
+            tw::gather::gather_build(ht_ord, &st.bufs.match_entry, |r| r.1, &mut st.v_high);
+            tw::gather::gather_str_ordinal(mode, &st.bufs.match_tuple, &modes, &mut st.v_mode);
+            for (g, count) in counts.iter_mut().enumerate() {
+                let n = tw::sel::sel_eq_char_dense(&st.v_mode, g as u8, 0, &mut st.mode_sel);
+                if n == 0 {
+                    continue;
+                }
+                tw::gather::gather_u8(&st.v_high, &st.mode_sel, &mut st.f_sel);
+                let high = tw::map::count_nonzero_u8(&st.f_sel, policy);
+                count[1] += high;
+                count[0] += n as i64 - high;
+            }
+        },
+    );
+    merge(parts.into_iter().map(|(c, _)| c).collect())
 }
 
 /// Registry entry (see [`crate::QueryPlan`]).
@@ -281,7 +270,7 @@ impl crate::QueryPlan for Q12 {
     fn stages(&self) -> &'static [crate::StageDesc] {
         use crate::{StageDesc, StageKind};
         // The build pipeline is one body for both paradigms; only the
-        // probe pipeline has an arm each.
+        // probe pipeline has a body each.
         const S: &[crate::StageDesc] = &[
             StageDesc::new("build-orders", StageKind::JoinBuild),
             StageDesc::new("probe-lineitem", StageKind::JoinProbe),

@@ -18,11 +18,11 @@
 //! final division is one shared fixed-point helper so all engines agree
 //! bit-for-bit.
 //!
-//! Each of the two stages has an arm per paradigm and reads its table
+//! Each of the two stages has a body per paradigm and reads its table
 //! in the format that table holds — a flat `part` beside an encoded
 //! `lineitem` (or the reverse) is two independent reader choices, just
 //! as a Typer build beside a Tectorwise probe is two independent
-//! engine choices. The numeric columns come through the arm's column
+//! engine choices. The numeric columns come through the body's column
 //! reader (`dbep_compiled::RowScan`, `dbep_vectorized::Col`), `p_type`
 //! through `PromoFlag`, and every scan is charged the widths its
 //! readers report.
@@ -112,51 +112,38 @@ fn finish(promo: i128, total: i128) -> QueryResult {
 fn build_part(db: &Database, cfg: &ExecCfg, p: &Q14Params, engine: Engine, hf: HashFn) -> JoinHt<(i32, u8)> {
     let part = db.table("part");
     let promo = PromoFlag::of(part, p.prefix.as_bytes());
-    match engine {
-        // A fused prefix test per row.
-        Engine::Typer => {
-            let pkey = RowScan::of(part, ["p_partkey"], []);
-            cfg.build_ht(
-                part.len(),
-                pkey.bits() + promo.bits(),
-                || (),
-                |sh, _, r| {
-                    for_each_row!(pkey, r, |i, [pk], []| {
-                        let pk = pk as i32;
-                        sh.push(hf.hash(pk as u64), (pk, promo.get(i)));
-                    });
-                },
-            )
-        }
-        // The prefix test is a flag vector per build chunk.
-        Engine::Tectorwise => {
-            let pkey = tw::Col::<i32>::of(part, "p_partkey");
-            let policy = cfg.policy;
-            #[derive(Default)]
-            struct Scratch {
-                all: Vec<u32>,
-                flags: Vec<u8>,
-                v_pk: Vec<i64>,
-                hashes: Vec<u64>,
-            }
-            cfg.build_ht(
-                part.len(),
-                pkey.bits() + promo.bits(),
-                Scratch::default,
-                |sh, st, r| {
-                    for c in tw::chunks(r, cfg.vector_size) {
-                        tw::hashp::iota(c.start as u32, c.len(), &mut st.all);
-                        promo.gather(&st.all, policy, &mut st.flags);
-                        pkey.hash(&st.all, hf, &mut st.v_pk, &mut st.hashes, policy);
-                        for (j, &t) in st.all.iter().enumerate() {
-                            sh.push(st.hashes[j], (pkey.get(t as usize) as i32, st.flags[j]));
-                        }
-                    }
-                },
-            )
-        }
-        other => unreachable!("{} is not a per-stage candidate", other.name()),
+    let scan = RowScan::of(part, ["p_partkey"], []);
+    let pkey = tw::Col::<i32>::of(part, "p_partkey");
+    let policy = cfg.policy;
+    #[derive(Default)]
+    struct Scratch {
+        all: Vec<u32>,
+        flags: Vec<u8>,
+        v_pk: Vec<i64>,
+        hashes: Vec<u64>,
     }
+    cfg.build(
+        engine,
+        part.len(),
+        scan.bits() + promo.bits(),
+        Scratch::default,
+        // A fused prefix test per row.
+        |(sh, _), r| {
+            for_each_row!(scan, r, |i, [pk], []| {
+                let pk = pk as i32;
+                sh.push(hf.hash(pk as u64), (pk, promo.get(i)));
+            });
+        },
+        // The prefix test is a flag vector per build chunk.
+        |(sh, st), c| {
+            tw::hashp::iota(c.start as u32, c.len(), &mut st.all);
+            promo.gather(&st.all, policy, &mut st.flags);
+            pkey.hash(&st.all, hf, &mut st.v_pk, &mut st.hashes, policy);
+            for (j, &t) in st.all.iter().enumerate() {
+                sh.push(st.hashes[j], (pkey.get(t as usize) as i32, st.flags[j]));
+            }
+        },
+    )
 }
 
 /// Stage 1 (`probe-lineitem`): σ(lineitem) ⋈ HT_part → `(promo,
@@ -170,97 +157,78 @@ fn probe_lineitem(
     ht_part: &JoinHt<(i32, u8)>,
 ) -> (i128, i128) {
     let li = db.table("lineitem");
-    match engine {
+    let scan = RowScan::of(li, ["l_partkey", "l_shipdate"], ["l_extendedprice", "l_discount"]);
+    let lpk = tw::Col::<i32>::of(li, "l_partkey");
+    let ship = tw::Col::<i32>::of(li, "l_shipdate");
+    let ext = tw::Col::<i64>::of(li, "l_extendedprice");
+    let disc = tw::Col::<i64>::of(li, "l_discount");
+    let policy = cfg.policy;
+    #[derive(Default)]
+    struct Scratch {
+        tmp: Vec<u32>,
+        s1: Vec<u32>,
+        hashes: Vec<u64>,
+        bufs: tw::ProbeBuffers,
+        v_pk: Vec<i64>,
+        v_flag: Vec<u8>,
+        v_ext: Vec<i64>,
+        v_disc: Vec<i64>,
+        v_om: Vec<i64>,
+        v_rev: Vec<i64>,
+    }
+    let parts = cfg.fold(
+        engine,
+        li.len(),
+        scan.bits(),
+        <((i128, i128), Scratch)>::default,
         // One probe loop with two register-resident accumulators
         // (`promo += flag * rev`).
-        Engine::Typer => {
+        |((promo, total), _), r| {
             let (ship_lo, ship_hi) = (p.ship_lo as i64, p.ship_hi as i64);
-            let scan = RowScan::of(li, ["l_partkey", "l_shipdate"], ["l_extendedprice", "l_discount"]);
-            let parts = cfg.map_scan(
-                li.len(),
-                scan.bits(),
-                |_| (0i128, 0i128),
-                |(promo, total), r| {
-                    for_each_row!(scan, r, |_, [pk, s], [e, d]| {
-                        if s >= ship_lo && s < ship_hi {
-                            let pk = pk as i32;
-                            let h = hf.hash(pk as u64);
-                            for entry in ht_part.probe(h) {
-                                if entry.row.0 == pk {
-                                    let rev = e * (100 - d);
-                                    // Branch-free CASE: the flag gates the summand.
-                                    *promo += (entry.row.1 as i64 * rev) as i128;
-                                    *total += rev as i128;
-                                }
-                            }
+            for_each_row!(scan, r, |_, [pk, s], [e, d]| {
+                if s >= ship_lo && s < ship_hi {
+                    let pk = pk as i32;
+                    let h = hf.hash(pk as u64);
+                    for entry in ht_part.probe(h) {
+                        if entry.row.0 == pk {
+                            let rev = e * (100 - d);
+                            // Branch-free CASE: the flag gates the summand.
+                            *promo += (entry.row.1 as i64 * rev) as i128;
+                            *total += rev as i128;
                         }
-                    });
-                },
-            );
-            parts.into_iter().fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
-        }
-        // The conditional-sum primitive takes the CASE arm.
-        Engine::Tectorwise => {
-            let (ship_lo, ship_hi) = (p.ship_lo, p.ship_hi);
-            let policy = cfg.policy;
-            let lpk = tw::Col::<i32>::of(li, "l_partkey");
-            let ship = tw::Col::<i32>::of(li, "l_shipdate");
-            let ext = tw::Col::<i64>::of(li, "l_extendedprice");
-            let disc = tw::Col::<i64>::of(li, "l_discount");
-            #[derive(Default)]
-            struct Scratch {
-                promo: i128,
-                total: i128,
-                tmp: Vec<u32>,
-                s1: Vec<u32>,
-                hashes: Vec<u64>,
-                bufs: tw::ProbeBuffers,
-                v_pk: Vec<i64>,
-                v_flag: Vec<u8>,
-                v_ext: Vec<i64>,
-                v_disc: Vec<i64>,
-                v_om: Vec<i64>,
-                v_rev: Vec<i64>,
-            }
-            let parts = cfg.map_scan(
-                li.len(),
-                lpk.bits() + ship.bits() + ext.bits() + disc.bits(),
-                |_| Scratch::default(),
-                |st, r| {
-                    for c in tw::chunks(r, cfg.vector_size) {
-                        // BETWEEN is inclusive: shipdate < hi becomes <= hi-1.
-                        if ship.sel_between(ship_lo, ship_hi - 1, c, &mut st.tmp, &mut st.s1, policy) == 0 {
-                            continue;
-                        }
-                        lpk.hash(&st.s1, hf, &mut st.v_pk, &mut st.hashes, policy);
-                        if tw::probe::probe_join(
-                            ht_part,
-                            &st.hashes,
-                            &st.s1,
-                            |row, t| row.0 as i64 == lpk.get(t as usize),
-                            policy,
-                            &mut st.bufs,
-                        ) == 0
-                        {
-                            continue;
-                        }
-                        tw::gather::gather_build(ht_part, &st.bufs.match_entry, |r| r.1, &mut st.v_flag);
-                        ext.gather(&st.bufs.match_tuple, policy, &mut st.v_ext);
-                        disc.gather(&st.bufs.match_tuple, policy, &mut st.v_disc);
-                        tw::map::map_rsub_const_i64(100, &st.v_disc, &mut st.v_om);
-                        tw::map::map_mul_i64(&st.v_ext, &st.v_om, &mut st.v_rev);
-                        // Conditional (CASE) and total sums, one primitive each.
-                        st.promo += tw::map::sum_i64_where_u8(&st.v_rev, &st.v_flag, policy) as i128;
-                        st.total += tw::map::sum_i64(&st.v_rev, policy) as i128;
                     }
-                },
-            );
-            parts
-                .into_iter()
-                .fold((0, 0), |a, b| (a.0 + b.promo, a.1 + b.total))
-        }
-        other => unreachable!("{} is not a per-stage candidate", other.name()),
-    }
+                }
+            });
+        },
+        // The conditional-sum primitive takes the CASE arm.
+        |((promo, total), st), c| {
+            // BETWEEN is inclusive: shipdate < hi becomes <= hi-1.
+            if ship.sel_between(p.ship_lo, p.ship_hi - 1, c, &mut st.tmp, &mut st.s1, policy) == 0 {
+                return;
+            }
+            lpk.hash(&st.s1, hf, &mut st.v_pk, &mut st.hashes, policy);
+            if tw::probe::probe_join(
+                ht_part,
+                &st.hashes,
+                &st.s1,
+                |row, t| row.0 as i64 == lpk.get(t as usize),
+                policy,
+                &mut st.bufs,
+            ) == 0
+            {
+                return;
+            }
+            tw::gather::gather_build(ht_part, &st.bufs.match_entry, |r| r.1, &mut st.v_flag);
+            ext.gather(&st.bufs.match_tuple, policy, &mut st.v_ext);
+            disc.gather(&st.bufs.match_tuple, policy, &mut st.v_disc);
+            tw::map::map_rsub_const_i64(100, &st.v_disc, &mut st.v_om);
+            tw::map::map_mul_i64(&st.v_ext, &st.v_om, &mut st.v_rev);
+            // Conditional (CASE) and total sums, one primitive each.
+            *promo += tw::map::sum_i64_where_u8(&st.v_rev, &st.v_flag, policy) as i128;
+            *total += tw::map::sum_i64(&st.v_rev, policy) as i128;
+        },
+    );
+    parts.into_iter().fold((0, 0), |a, (b, _)| (a.0 + b.0, a.1 + b.1))
 }
 
 /// Registry entry (see [`crate::QueryPlan`]).

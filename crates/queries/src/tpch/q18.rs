@@ -19,16 +19,15 @@
 //! Physical plan: Γ(lineitem by l_orderkey) → HAVING filter → HT_sel;
 //! orders ⋈ HT_sel → HT_cust (keyed by o_custkey); customer ⋈ HT_cust →
 //! result. Because `o_orderkey` is unique, the outer GROUP BY needs no
-//! second aggregation. Three stages: `agg_lineitem` has a Typer arm and
-//! a Tectorwise arm, the two join stages (`join_phases`) are one body
+//! second aggregation. Three stages: `agg_lineitem` has a Typer body and
+//! a Tectorwise body, the two join stages (`join_phases`) are one body
 //! for both paradigms.
 
 use crate::params::Q18Params;
 use crate::result::{OrderBy, QueryResult, Value};
 use crate::{Engine, ExecCfg, Params};
-use dbep_runtime::agg_ht::merge_partitions;
 use dbep_runtime::hash::HashFn;
-use dbep_runtime::{GroupByShard, JoinHt};
+use dbep_runtime::JoinHt;
 use dbep_storage::Database;
 use dbep_vectorized as tw;
 use dbep_volcano::{AggSpec, CmpOp, Expr, Plan, Row};
@@ -139,7 +138,7 @@ impl crate::QueryPlan for Q18 {
         use crate::{StageDesc, StageKind};
         // The join pipelines after the HAVING filter are one body for
         // both paradigms (`join_phases`); only the 1.5 M-group
-        // aggregation has an arm each.
+        // aggregation has a body each.
         const S: &[crate::StageDesc] = &[
             StageDesc::new("agg-lineitem", StageKind::Aggregate),
             StageDesc::new("probe-orders", StageKind::JoinProbe),
@@ -177,7 +176,7 @@ fn join_phases(db: &Database, cfg: &ExecCfg, big_orders: Vec<(i32, i64)>, hf: Ha
         ord.len(),
         ORD_BITS,
         || (),
-        |sh, _, r| {
+        |(sh, ()), r| {
             for i in r {
                 let h = hf.hash(okey[i] as u64);
                 for e in ht_sel.probe(h) {
@@ -196,79 +195,58 @@ fn join_phases(db: &Database, cfg: &ExecCfg, big_orders: Vec<(i32, i64)>, hf: Ha
     let _s2 = cfg.stage(2);
     let cust = db.table("customer");
     let ckey = cust.col("c_custkey").i32s();
-    let locals = cfg.map_scan(
-        cust.len(),
-        CUST_BITS,
-        |_| Vec::new(),
-        |local, r| {
-            for i in r {
-                let h = hf.hash(ckey[i] as u64);
-                for e in ht_cust.probe(h) {
-                    if e.row.0 == ckey[i] {
-                        local.push((i as i32, e.row));
-                    }
+    let locals = cfg.map_scan(cust.len(), CUST_BITS, Vec::new, |local, r| {
+        for i in r {
+            let h = hf.hash(ckey[i] as u64);
+            for e in ht_cust.probe(h) {
+                if e.row.0 == ckey[i] {
+                    local.push((i as i32, e.row));
                 }
             }
-        },
-    );
+        }
+    });
     finish(db, locals.into_iter().flatten().collect())
 }
 
 /// Stage 0 (`agg-lineitem`): Γ(lineitem by l_orderkey) → HAVING; the
 /// qualifying `(orderkey, sum_qty)` pairs.
 fn agg_lineitem(db: &Database, cfg: &ExecCfg, p: &Q18Params, engine: Engine) -> Vec<(i32, i64)> {
-    let qty_limit = p.qty_limit;
     let hf = cfg.hash_for(engine);
     let li = db.table("lineitem");
     let lok = li.col("l_orderkey").i32s();
     let qty = li.col("l_quantity").i64s();
-    let shards = match engine {
+    #[derive(Default)]
+    struct Scratch {
+        all: Vec<u32>,
+        hashes: Vec<u64>,
+        gb: tw::grouping::GroupBuffers,
+    }
+    let groups = cfg.group_by(
+        engine,
+        li.len(),
+        LI_BITS,
+        Scratch::default,
         // Fused 1.5 M-group aggregation; the shard flushes when full.
-        Engine::Typer => {
-            let shards = cfg.map_scan(
-                li.len(),
-                LI_BITS,
-                |_| GroupByShard::<i32, i64>::new(),
-                |shard, r| {
-                    for i in r {
-                        shard.update(hf.hash(lok[i] as u64), lok[i], || 0, |a| *a += qty[i]);
-                    }
-                },
-            );
-            shards.into_iter().map(GroupByShard::finish).collect()
-        }
-        // Vectorized find-or-insert-groups/aggregate primitives.
-        Engine::Tectorwise => {
-            #[derive(Default)]
-            struct Scratch {
-                all: Vec<u32>,
-                hashes: Vec<u64>,
-                gb: tw::grouping::GroupBuffers,
+        |(shard, _), r| {
+            for i in r {
+                shard.update(hf.hash(lok[i] as u64), lok[i], || 0, |a| *a += qty[i]);
             }
-            let shards = cfg.map_scan(
-                li.len(),
-                LI_BITS,
-                |_| (GroupByShard::<i32, i64>::new(), Scratch::default()),
-                |(shard, st), r| {
-                    for c in tw::chunks(r, cfg.vector_size) {
-                        tw::hashp::iota(c.start as u32, c.len(), &mut st.all);
-                        tw::hashp::hash_i32(lok, &st.all, hf, &mut st.hashes);
-                        tw::grouping::find_or_insert_groups(
-                            shard,
-                            &st.hashes,
-                            &st.all,
-                            |t| lok[t as usize],
-                            || 0,
-                            &mut st.gb,
-                        );
-                        tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &qty[c], |a, v| *a += v);
-                    }
-                },
+        },
+        // Vectorized find-or-insert-groups/aggregate primitives.
+        |(shard, st), c| {
+            tw::hashp::iota(c.start as u32, c.len(), &mut st.all);
+            tw::hashp::hash_i32(lok, &st.all, hf, &mut st.hashes);
+            tw::grouping::find_or_insert_groups(
+                shard,
+                &st.hashes,
+                &st.all,
+                |t| lok[t as usize],
+                || 0,
+                &mut st.gb,
             );
-            shards.into_iter().map(|(shard, _)| shard.finish()).collect()
-        }
-        other => unreachable!("{} is not a per-stage candidate", other.name()),
-    };
-    let groups = merge_partitions(shards, &cfg.exec(), |a, b| *a += b);
-    groups.into_iter().filter(|(_, q)| *q > qty_limit).collect()
+            tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &qty[c], |a, v| *a += v);
+        },
+        |a, b| *a += b,
+    );
+    groups.into_iter().filter(|(_, q)| *q > p.qty_limit).collect()
 }

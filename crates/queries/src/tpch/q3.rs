@@ -15,15 +15,14 @@
 //! Physical plan (identical in all engines): filter customer → HT₁;
 //! filter orders, probe HT₁ → HT₂; filter lineitem, probe HT₂, group by
 //! order. Three stages (`build_customer`, `probe_orders`,
-//! `probe_lineitem`), each one function with a Typer arm and a
-//! Tectorwise arm.
+//! `probe_lineitem`), each one driver call with a Typer body and a
+//! Tectorwise body.
 
 use crate::params::Q3Params;
 use crate::result::{OrderBy, QueryResult, Value};
 use crate::{Engine, ExecCfg, Params};
-use dbep_runtime::agg_ht::merge_partitions;
 use dbep_runtime::hash::HashFn;
-use dbep_runtime::{GroupByShard, JoinHt};
+use dbep_runtime::JoinHt;
 use dbep_storage::Database;
 use dbep_vectorized as tw;
 use dbep_volcano::{AggSpec, BinOp, CmpOp, Expr, Plan, Row, Val};
@@ -63,37 +62,28 @@ fn build_customer(db: &Database, cfg: &ExecCfg, engine: Engine, hf: HashFn, p: &
     let cust = db.table("customer");
     let seg = cust.col("c_mktsegment").strs();
     let ckey = cust.col("c_custkey").i32s();
-    match engine {
-        Engine::Typer => cfg.build_ht(
-            cust.len(),
-            CUST_BITS,
-            || (),
-            |sh, _, r| {
-                for i in r {
-                    if seg.get_bytes(i) == segment {
-                        sh.push(hf.hash(ckey[i] as u64), ckey[i]);
-                    }
+    cfg.build(
+        engine,
+        cust.len(),
+        CUST_BITS,
+        <(Vec<u32>, Vec<u64>)>::default,
+        |(sh, _), r| {
+            for i in r {
+                if seg.get_bytes(i) == segment {
+                    sh.push(hf.hash(ckey[i] as u64), ckey[i]);
                 }
-            },
-        ),
-        Engine::Tectorwise => cfg.build_ht(
-            cust.len(),
-            CUST_BITS,
-            || (Vec::new(), Vec::new()),
-            |sh, (sel, hashes), r| {
-                for c in tw::chunks(r, cfg.vector_size) {
-                    if tw::sel::sel_eq_str_dense(seg, segment, c, sel) == 0 {
-                        continue;
-                    }
-                    tw::hashp::hash_i32(ckey, sel, hf, hashes);
-                    for (j, &t) in sel.iter().enumerate() {
-                        sh.push(hashes[j], ckey[t as usize]);
-                    }
-                }
-            },
-        ),
-        other => unreachable!("{} is not a per-stage candidate", other.name()),
-    }
+            }
+        },
+        |(sh, (sel, hashes)), c| {
+            if tw::sel::sel_eq_str_dense(seg, segment, c, sel) == 0 {
+                return;
+            }
+            tw::hashp::hash_i32(ckey, sel, hf, hashes);
+            for (j, &t) in sel.iter().enumerate() {
+                sh.push(hashes[j], ckey[t as usize]);
+            }
+        },
+    )
 }
 
 /// Stage 1 (`probe-orders`): σ(orders) ⋈ HT_c → HT_o. Probes with
@@ -114,60 +104,52 @@ fn probe_orders(
     let ocust = ord.col("o_custkey").i32s();
     let odate = ord.col("o_orderdate").dates();
     let oprio = ord.col("o_shippriority").i32s();
-    match engine {
-        Engine::Typer => cfg.build_ht(
-            ord.len(),
-            ORD_BITS,
-            || (),
-            |sh, _, r| {
-                for i in r {
-                    if odate[i] < cut {
-                        let h = hf_c.hash(ocust[i] as u64);
-                        if ht_c.probe(h).any(|e| e.row == ocust[i]) {
-                            sh.push(hf_o.hash(okey[i] as u64), (okey[i], odate[i], oprio[i]));
-                        }
-                    }
-                }
-            },
-        ),
-        Engine::Tectorwise => {
-            let policy = cfg.policy;
-            #[derive(Default)]
-            struct P2Scratch {
-                sel: Vec<u32>,
-                hashes: Vec<u64>,
-                h2: Vec<u64>,
-                bufs: tw::ProbeBuffers,
-            }
-            cfg.build_ht(ord.len(), ORD_BITS, P2Scratch::default, |sh, st, r| {
-                for c in tw::chunks(r, cfg.vector_size) {
-                    if tw::sel::sel_lt_i32_dense(&odate[c.clone()], cut, c.start as u32, &mut st.sel, policy)
-                        == 0
-                    {
-                        continue;
-                    }
-                    tw::hashp::hash_i32(ocust, &st.sel, hf_c, &mut st.hashes);
-                    if tw::probe::probe_join(
-                        ht_c,
-                        &st.hashes,
-                        &st.sel,
-                        |row, t| *row == ocust[t as usize],
-                        policy,
-                        &mut st.bufs,
-                    ) == 0
-                    {
-                        continue;
-                    }
-                    tw::hashp::hash_i32(okey, &st.bufs.match_tuple, hf_o, &mut st.h2);
-                    for (j, &t) in st.bufs.match_tuple.iter().enumerate() {
-                        let t = t as usize;
-                        sh.push(st.h2[j], (okey[t], odate[t], oprio[t]));
-                    }
-                }
-            })
-        }
-        other => unreachable!("{} is not a per-stage candidate", other.name()),
+    let policy = cfg.policy;
+    #[derive(Default)]
+    struct Scratch {
+        sel: Vec<u32>,
+        hashes: Vec<u64>,
+        h2: Vec<u64>,
+        bufs: tw::ProbeBuffers,
     }
+    cfg.build(
+        engine,
+        ord.len(),
+        ORD_BITS,
+        Scratch::default,
+        |(sh, _), r| {
+            for i in r {
+                if odate[i] < cut {
+                    let h = hf_c.hash(ocust[i] as u64);
+                    if ht_c.probe(h).any(|e| e.row == ocust[i]) {
+                        sh.push(hf_o.hash(okey[i] as u64), (okey[i], odate[i], oprio[i]));
+                    }
+                }
+            }
+        },
+        |(sh, st), c| {
+            if tw::sel::sel_lt_i32_dense(&odate[c.clone()], cut, c.start as u32, &mut st.sel, policy) == 0 {
+                return;
+            }
+            tw::hashp::hash_i32(ocust, &st.sel, hf_c, &mut st.hashes);
+            if tw::probe::probe_join(
+                ht_c,
+                &st.hashes,
+                &st.sel,
+                |row, t| *row == ocust[t as usize],
+                policy,
+                &mut st.bufs,
+            ) == 0
+            {
+                return;
+            }
+            tw::hashp::hash_i32(okey, &st.bufs.match_tuple, hf_o, &mut st.h2);
+            for (j, &t) in st.bufs.match_tuple.iter().enumerate() {
+                let t = t as usize;
+                sh.push(st.h2[j], (okey[t], odate[t], oprio[t]));
+            }
+        },
+    )
 }
 
 /// Stage 2 (`probe-lineitem-agg`): σ(lineitem) ⋈ HT_o → Γ. Probes with
@@ -189,107 +171,85 @@ fn probe_lineitem(
     let ext = li.col("l_extendedprice").i64s();
     let disc = li.col("l_discount").i64s();
     let ship = li.col("l_shipdate").dates();
-    let shards: Vec<_> = match engine {
-        Engine::Typer => {
-            let shards = cfg.map_scan(
-                li.len(),
-                LI_BITS,
-                |_| GroupByShard::<GroupKey, i64>::new(),
-                |shard, r| {
-                    for i in r {
-                        if ship[i] > cut {
-                            let h = hf.hash(lokey[i] as u64);
-                            for e in ht_o.probe(h) {
-                                if e.row.0 == lokey[i] {
-                                    let rev = ext[i] * (100 - disc[i]);
-                                    shard.update(h, e.row, || 0, |a| *a += rev);
-                                }
-                            }
+    let policy = cfg.policy;
+    #[derive(Default)]
+    struct Scratch {
+        sel: Vec<u32>,
+        hashes: Vec<u64>,
+        bufs: tw::ProbeBuffers,
+        gb: tw::grouping::GroupBuffers,
+        k_okey: Vec<i32>,
+        k_odate: Vec<i32>,
+        k_prio: Vec<i32>,
+        v_ext: Vec<i64>,
+        v_disc: Vec<i64>,
+        v_om: Vec<i64>,
+        v_rev: Vec<i64>,
+        ghash: Vec<u64>,
+        ordinals: Vec<u32>,
+    }
+    cfg.group_by(
+        engine,
+        li.len(),
+        LI_BITS,
+        Scratch::default,
+        |(shard, _), r| {
+            for i in r {
+                if ship[i] > cut {
+                    let h = hf.hash(lokey[i] as u64);
+                    for e in ht_o.probe(h) {
+                        if e.row.0 == lokey[i] {
+                            let rev = ext[i] * (100 - disc[i]);
+                            shard.update(h, e.row, || 0, |a| *a += rev);
                         }
                     }
-                },
-            );
-            shards.into_iter().map(GroupByShard::finish).collect()
-        }
-        Engine::Tectorwise => {
-            let policy = cfg.policy;
-            #[derive(Default)]
-            struct P3Scratch {
-                sel: Vec<u32>,
-                hashes: Vec<u64>,
-                bufs: tw::ProbeBuffers,
-                gb: tw::grouping::GroupBuffers,
-                k_okey: Vec<i32>,
-                k_odate: Vec<i32>,
-                k_prio: Vec<i32>,
-                v_ext: Vec<i64>,
-                v_disc: Vec<i64>,
-                v_om: Vec<i64>,
-                v_rev: Vec<i64>,
-                ghash: Vec<u64>,
-                ordinals: Vec<u32>,
+                }
             }
-            let shards = cfg.map_scan(
-                li.len(),
-                LI_BITS,
-                |_| (GroupByShard::<GroupKey, i64>::new(), P3Scratch::default()),
-                |(shard, st), r| {
-                    for c in tw::chunks(r, cfg.vector_size) {
-                        if tw::sel::sel_gt_i32_dense(
-                            &ship[c.clone()],
-                            cut,
-                            c.start as u32,
-                            &mut st.sel,
-                            policy,
-                        ) == 0
-                        {
-                            continue;
-                        }
-                        tw::hashp::hash_i32(lokey, &st.sel, hf, &mut st.hashes);
-                        let nm = tw::probe::probe_join(
-                            ht_o,
-                            &st.hashes,
-                            &st.sel,
-                            |row, t| row.0 == lokey[t as usize],
-                            policy,
-                            &mut st.bufs,
-                        );
-                        if nm == 0 {
-                            continue;
-                        }
-                        // buildGather: key columns out of the matched entries.
-                        tw::gather::gather_build(ht_o, &st.bufs.match_entry, |r| r.0, &mut st.k_okey);
-                        tw::gather::gather_build(ht_o, &st.bufs.match_entry, |r| r.1, &mut st.k_odate);
-                        tw::gather::gather_build(ht_o, &st.bufs.match_entry, |r| r.2, &mut st.k_prio);
-                        // Probe-side values.
-                        tw::gather::gather_i64(ext, &st.bufs.match_tuple, policy, &mut st.v_ext);
-                        tw::gather::gather_i64(disc, &st.bufs.match_tuple, policy, &mut st.v_disc);
-                        tw::map::map_rsub_const_i64(100, &st.v_disc, &mut st.v_om);
-                        tw::map::map_mul_i64(&st.v_ext, &st.v_om, &mut st.v_rev);
-                        // Group lookup over match ordinals.
-                        tw::hashp::hash_i32_dense(&st.k_okey, hf, &mut st.ghash);
-                        tw::hashp::iota(0, nm, &mut st.ordinals);
-                        let (k_okey, k_odate, k_prio) = (&st.k_okey, &st.k_odate, &st.k_prio);
-                        tw::grouping::find_or_insert_groups(
-                            shard,
-                            &st.ghash,
-                            &st.ordinals,
-                            |j| {
-                                let j = j as usize;
-                                (k_okey[j], k_odate[j], k_prio[j])
-                            },
-                            || 0,
-                            &mut st.gb,
-                        );
-                        tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_rev, |a, v| *a += v);
-                    }
-                },
+        },
+        |(shard, st), c| {
+            if tw::sel::sel_gt_i32_dense(&ship[c.clone()], cut, c.start as u32, &mut st.sel, policy) == 0 {
+                return;
+            }
+            tw::hashp::hash_i32(lokey, &st.sel, hf, &mut st.hashes);
+            let nm = tw::probe::probe_join(
+                ht_o,
+                &st.hashes,
+                &st.sel,
+                |row, t| row.0 == lokey[t as usize],
+                policy,
+                &mut st.bufs,
             );
-            shards.into_iter().map(|(shard, _)| shard.finish()).collect()
-        }
-        other => unreachable!("{} is not a per-stage candidate", other.name()),
-    };
-    merge_partitions(shards, &cfg.exec(), |a, b| *a += b)
+            if nm == 0 {
+                return;
+            }
+            // buildGather: key columns out of the matched entries.
+            tw::gather::gather_build(ht_o, &st.bufs.match_entry, |r| r.0, &mut st.k_okey);
+            tw::gather::gather_build(ht_o, &st.bufs.match_entry, |r| r.1, &mut st.k_odate);
+            tw::gather::gather_build(ht_o, &st.bufs.match_entry, |r| r.2, &mut st.k_prio);
+            // Probe-side values.
+            tw::gather::gather_i64(ext, &st.bufs.match_tuple, policy, &mut st.v_ext);
+            tw::gather::gather_i64(disc, &st.bufs.match_tuple, policy, &mut st.v_disc);
+            tw::map::map_rsub_const_i64(100, &st.v_disc, &mut st.v_om);
+            tw::map::map_mul_i64(&st.v_ext, &st.v_om, &mut st.v_rev);
+            // Group lookup over match ordinals.
+            tw::hashp::hash_i32_dense(&st.k_okey, hf, &mut st.ghash);
+            tw::hashp::iota(0, nm, &mut st.ordinals);
+            let (k_okey, k_odate, k_prio) = (&st.k_okey, &st.k_odate, &st.k_prio);
+            tw::grouping::find_or_insert_groups(
+                shard,
+                &st.ghash,
+                &st.ordinals,
+                |j| {
+                    let j = j as usize;
+                    (k_okey[j], k_odate[j], k_prio[j])
+                },
+                || 0,
+                &mut st.gb,
+            );
+            tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_rev, |a, v| *a += v);
+        },
+        |a, b| *a += b,
+    )
 }
 
 /// Registry entry (see [`crate::QueryPlan`]).

@@ -17,8 +17,8 @@
 //! priorities have distinct leading bytes, so the grouping runs on a
 //! 5-slot array keyed by `o_orderpriority[0]`; a representative row per
 //! slot recovers the full string for the result. Two stages
-//! (`build_late`, `probe_orders`), each one function with a Typer arm
-//! and a Tectorwise arm.
+//! (`build_late`, `probe_orders`), each one driver call with a Typer
+//! body and a Tectorwise body.
 
 use crate::params::Q4Params;
 use crate::result::{OrderBy, QueryResult, Value};
@@ -113,50 +113,39 @@ fn build_late(db: &Database, cfg: &ExecCfg, engine: Engine, hf: HashFn) -> JoinH
     let lok = li.col("l_orderkey").i32s();
     let commit = li.col("l_commitdate").dates();
     let receipt = li.col("l_receiptdate").dates();
-    match engine {
+    let policy = cfg.policy;
+    cfg.build(
+        engine,
+        li.len(),
+        LI_BITS,
+        <(Vec<u32>, Vec<u64>)>::default,
         // Fused filter + push, one branch per tuple.
-        Engine::Typer => cfg.build_ht(
-            li.len(),
-            LI_BITS,
-            || (),
-            |sh, _, r| {
-                for i in r {
-                    if commit[i] < receipt[i] {
-                        sh.push(hf.hash(lok[i] as u64), lok[i]);
-                    }
+        |(sh, _), r| {
+            for i in r {
+                if commit[i] < receipt[i] {
+                    sh.push(hf.hash(lok[i] as u64), lok[i]);
                 }
-            },
-        ),
-        // Column-vs-column selection primitive, then hash + push.
-        Engine::Tectorwise => {
-            let policy = cfg.policy;
-            cfg.build_ht(
-                li.len(),
-                LI_BITS,
-                || (Vec::new(), Vec::new()),
-                |sh, (sel, hashes), r| {
-                    for c in tw::chunks(r, cfg.vector_size) {
-                        // Column-vs-column compare: the first selection of the cascade.
-                        if tw::sel::sel_lt_i32_col_dense(
-                            &commit[c.clone()],
-                            &receipt[c.clone()],
-                            c.start as u32,
-                            sel,
-                            policy,
-                        ) == 0
-                        {
-                            continue;
-                        }
-                        tw::hashp::hash_i32(lok, sel, hf, hashes);
-                        for (j, &t) in sel.iter().enumerate() {
-                            sh.push(hashes[j], lok[t as usize]);
-                        }
-                    }
-                },
-            )
-        }
-        other => unreachable!("{} is not a per-stage candidate", other.name()),
-    }
+            }
+        },
+        // Column-vs-column selection primitive (the first selection of
+        // the cascade), then hash + push.
+        |(sh, (sel, hashes)), c| {
+            if tw::sel::sel_lt_i32_col_dense(
+                &commit[c.clone()],
+                &receipt[c.clone()],
+                c.start as u32,
+                sel,
+                policy,
+            ) == 0
+            {
+                return;
+            }
+            tw::hashp::hash_i32(lok, sel, hf, hashes);
+            for (j, &t) in sel.iter().enumerate() {
+                sh.push(hashes[j], lok[t as usize]);
+            }
+        },
+    )
 }
 
 /// Stage 1 (`probe-orders`): σ(orders) ⋉ HT_late → Γ(priority), under
@@ -174,88 +163,67 @@ fn probe_orders(
     let okey = ord.col("o_orderkey").i32s();
     let odate = ord.col("o_orderdate").dates();
     let prio = ord.col("o_orderpriority").strs();
-    match engine {
+    let policy = cfg.policy;
+    #[derive(Default)]
+    struct Scratch {
+        s1: Vec<u32>,
+        s2: Vec<u32>,
+        hashes: Vec<u64>,
+        bufs: tw::ProbeBuffers,
+        v_byte: Vec<u8>,
+        slot_sel: Vec<u32>,
+    }
+    let parts = cfg.fold(
+        engine,
+        ord.len(),
+        ORD_BITS,
+        || (PrioCounts::new(), Scratch::default()),
         // Fused probe loop; the existence-only path stops at the first
         // witness lineitem.
-        Engine::Typer => {
-            let parts = cfg.map_scan(
-                ord.len(),
-                ORD_BITS,
-                |_| PrioCounts::new(),
-                |g, r| {
-                    for i in r {
-                        if odate[i] >= date_lo && odate[i] < date_hi {
-                            let h = hf.hash(okey[i] as u64);
-                            // Existence-only: stop at the first witness lineitem.
-                            if ht_late.contains(h, |k| *k == okey[i]) {
-                                g.add(prio.get_bytes(i)[0], i as u32, 1);
-                            }
-                        }
+        |(g, _), r| {
+            for i in r {
+                if odate[i] >= date_lo && odate[i] < date_hi {
+                    let h = hf.hash(okey[i] as u64);
+                    if ht_late.contains(h, |k| *k == okey[i]) {
+                        g.add(prio.get_bytes(i)[0], i as u32, 1);
                     }
-                },
-            );
-            PrioCounts::merge(parts)
-        }
+                }
+            }
+        },
         // Primitive chain; the probe is the dedicated semi-join
         // primitive (each order emitted at most once).
-        Engine::Tectorwise => {
-            let policy = cfg.policy;
-            #[derive(Default)]
-            struct P2Scratch {
-                s1: Vec<u32>,
-                s2: Vec<u32>,
-                hashes: Vec<u64>,
-                bufs: tw::ProbeBuffers,
-                v_byte: Vec<u8>,
-                slot_sel: Vec<u32>,
+        |(g, st), c| {
+            if tw::sel::sel_ge_i32_dense(&odate[c.clone()], date_lo, c.start as u32, &mut st.s1, policy) == 0
+            {
+                return;
             }
-            let parts = cfg.map_scan(
-                ord.len(),
-                ORD_BITS,
-                |_| (PrioCounts::new(), P2Scratch::default()),
-                |(g, st), r| {
-                    for c in tw::chunks(r, cfg.vector_size) {
-                        if tw::sel::sel_ge_i32_dense(
-                            &odate[c.clone()],
-                            date_lo,
-                            c.start as u32,
-                            &mut st.s1,
-                            policy,
-                        ) == 0
-                        {
-                            continue;
-                        }
-                        if tw::sel::sel_lt_i32_sparse(odate, date_hi, &st.s1, &mut st.s2, policy) == 0 {
-                            continue;
-                        }
-                        tw::hashp::hash_i32(okey, &st.s2, hf, &mut st.hashes);
-                        if tw::probe::probe_semijoin(
-                            ht_late,
-                            &st.hashes,
-                            &st.s2,
-                            |k, t| *k == okey[t as usize],
-                            policy,
-                            &mut st.bufs,
-                        ) == 0
-                        {
-                            continue;
-                        }
-                        // Conditional counting per priority slot: gather the leading
-                        // byte, then one char-equality selection per slot.
-                        tw::gather::gather_str_byte0(prio, &st.bufs.match_tuple, &mut st.v_byte);
-                        for s in 0..SLOTS as u8 {
-                            let n = tw::sel::sel_eq_char_dense(&st.v_byte, b'1' + s, 0, &mut st.slot_sel);
-                            if n > 0 {
-                                g.add(b'1' + s, st.bufs.match_tuple[st.slot_sel[0] as usize], n as i64);
-                            }
-                        }
-                    }
-                },
-            );
-            PrioCounts::merge(parts.into_iter().map(|(g, _)| g).collect())
-        }
-        other => unreachable!("{} is not a per-stage candidate", other.name()),
-    }
+            if tw::sel::sel_lt_i32_sparse(odate, date_hi, &st.s1, &mut st.s2, policy) == 0 {
+                return;
+            }
+            tw::hashp::hash_i32(okey, &st.s2, hf, &mut st.hashes);
+            if tw::probe::probe_semijoin(
+                ht_late,
+                &st.hashes,
+                &st.s2,
+                |k, t| *k == okey[t as usize],
+                policy,
+                &mut st.bufs,
+            ) == 0
+            {
+                return;
+            }
+            // Conditional counting per priority slot: gather the leading
+            // byte, then one char-equality selection per slot.
+            tw::gather::gather_str_byte0(prio, &st.bufs.match_tuple, &mut st.v_byte);
+            for s in 0..SLOTS as u8 {
+                let n = tw::sel::sel_eq_char_dense(&st.v_byte, b'1' + s, 0, &mut st.slot_sel);
+                if n > 0 {
+                    g.add(b'1' + s, st.bufs.match_tuple[st.slot_sel[0] as usize], n as i64);
+                }
+            }
+        },
+    );
+    PrioCounts::merge(parts.into_iter().map(|(g, _)| g).collect())
 }
 
 /// Registry entry (see [`crate::QueryPlan`]).

@@ -14,7 +14,7 @@
 //! selection, four sparse ones (§5.1) — which is also the SIMD showcase
 //! of Fig. 6c.
 //!
-//! The plan is one stage with an arm per paradigm. Which format
+//! The plan is one stage with a body per paradigm. Which format
 //! `lineitem` holds is the column reader's business
 //! (`dbep_compiled::RowScan`, `dbep_vectorized::Col`): over an encoded
 //! table the same Typer loop is fed block-wise unpacked values and the
@@ -38,88 +38,68 @@ fn finish(revenue: i64) -> QueryResult {
 fn scan_filter(db: &Database, cfg: &ExecCfg, p: &Q6Params, engine: Engine) -> i64 {
     let li = db.table("lineitem");
     let (disc_lo, disc_hi, qty_hi) = (p.disc_lo, p.disc_hi, p.qty_hi);
-    match engine {
-        // One fused, branch-free loop.
-        Engine::Typer => {
-            let (ship_lo, ship_hi) = (p.ship_lo as i64, p.ship_hi as i64);
-            let scan = RowScan::of(
-                li,
-                ["l_shipdate"],
-                ["l_discount", "l_quantity", "l_extendedprice"],
-            );
-            let locals = cfg.map_scan(
-                li.len(),
-                scan.bits(),
-                |_| 0i64,
-                |local, r| {
-                    // A morsel-local sum: with no store in the loop the bounds
-                    // stay in registers beside it.
-                    let mut revenue = 0i64;
-                    for_each_row!(scan, r, |_, [s], [d, q, e]| {
-                        // Predicated evaluation: no branches, all columns read.
-                        let ok =
-                            (s >= ship_lo) & (s < ship_hi) & (d >= disc_lo) & (d <= disc_hi) & (q < qty_hi);
-                        // `ok * (e * d)`, not `ok * e * d`: the latter becomes
-                        // `select(ok, load e, 0) * d`, which LLVM turns into a
-                        // branch on a ~50 % predicate to skip the load.
-                        revenue += (ok as i64) * (e * d);
-                    });
-                    *local += revenue;
-                },
-            );
-            locals.into_iter().sum()
-        }
-        // The selection cascade, then gather/multiply/sum of the
-        // surviving rows' measures.
-        Engine::Tectorwise => {
-            let (ship_lo, ship_hi) = (p.ship_lo, p.ship_hi);
-            let ship = tw::Col::<i32>::of(li, "l_shipdate");
-            let disc = tw::Col::<i64>::of(li, "l_discount");
-            let qty = tw::Col::<i64>::of(li, "l_quantity");
-            let ext = tw::Col::<i64>::of(li, "l_extendedprice");
-            let policy = cfg.policy;
-            #[derive(Default)]
-            struct Scratch {
-                local: i64,
-                tmp: Vec<u32>,
-                s1: Vec<u32>,
-                s2: Vec<u32>,
-                s3: Vec<u32>,
-                v_ext: Vec<i64>,
-                v_disc: Vec<i64>,
-                v_rev: Vec<i64>,
-            }
-            let locals = cfg.map_scan(
-                li.len(),
-                ship.bits() + disc.bits() + qty.bits() + ext.bits(),
-                |_| Scratch::default(),
-                |st, r| {
-                    for c in tw::chunks(r, cfg.vector_size) {
-                        // Flat: 1 dense + 4 sparse selections (§5.1's cascade);
-                        // packed: two fused BETWEENs and one sparse comparison.
-                        // BETWEEN is inclusive: shipdate < hi becomes <= hi-1.
-                        if ship.sel_between(ship_lo, ship_hi - 1, c, &mut st.tmp, &mut st.s1, policy) == 0 {
-                            continue;
-                        }
-                        if disc.sel_between_sparse(disc_lo, disc_hi, &st.s1, &mut st.tmp, &mut st.s2, policy)
-                            == 0
-                        {
-                            continue;
-                        }
-                        if qty.sel_lt_sparse(qty_hi, &st.s2, &mut st.s3, policy) == 0 {
-                            continue;
-                        }
-                        ext.gather(&st.s3, policy, &mut st.v_ext);
-                        disc.gather(&st.s3, policy, &mut st.v_disc);
-                        tw::map::map_mul_i64(&st.v_ext, &st.v_disc, &mut st.v_rev);
-                        st.local += tw::map::sum_i64(&st.v_rev, policy);
-                    }
-                },
-            );
-            locals.into_iter().map(|s| s.local).sum()
-        }
-        other => unreachable!("{} is not a per-stage candidate", other.name()),
+    let scan = RowScan::of(
+        li,
+        ["l_shipdate"],
+        ["l_discount", "l_quantity", "l_extendedprice"],
+    );
+    let ship = tw::Col::<i32>::of(li, "l_shipdate");
+    let disc = tw::Col::<i64>::of(li, "l_discount");
+    let qty = tw::Col::<i64>::of(li, "l_quantity");
+    let ext = tw::Col::<i64>::of(li, "l_extendedprice");
+    let policy = cfg.policy;
+    #[derive(Default)]
+    struct Scratch {
+        tmp: Vec<u32>,
+        s1: Vec<u32>,
+        s2: Vec<u32>,
+        s3: Vec<u32>,
+        v_ext: Vec<i64>,
+        v_disc: Vec<i64>,
+        v_rev: Vec<i64>,
     }
+    let locals = cfg.fold(
+        engine,
+        li.len(),
+        scan.bits(),
+        <(i64, Scratch)>::default,
+        // One fused, branch-free loop.
+        |(local, _), r| {
+            let (ship_lo, ship_hi) = (p.ship_lo as i64, p.ship_hi as i64);
+            // A morsel-local sum: with no store in the loop the bounds
+            // stay in registers beside it.
+            let mut revenue = 0i64;
+            for_each_row!(scan, r, |_, [s], [d, q, e]| {
+                // Predicated evaluation: no branches, all columns read.
+                let ok = (s >= ship_lo) & (s < ship_hi) & (d >= disc_lo) & (d <= disc_hi) & (q < qty_hi);
+                // `ok * (e * d)`, not `ok * e * d`: the latter becomes
+                // `select(ok, load e, 0) * d`, which LLVM turns into a
+                // branch on a ~50 % predicate to skip the load.
+                revenue += (ok as i64) * (e * d);
+            });
+            *local += revenue;
+        },
+        // The selection cascade, then gather/multiply/sum of the
+        // surviving rows' measures. Flat: 1 dense + 4 sparse selections
+        // (§5.1's cascade); packed: two fused BETWEENs and one sparse
+        // comparison. BETWEEN is inclusive: shipdate < hi becomes <= hi-1.
+        |(local, st), c| {
+            if ship.sel_between(p.ship_lo, p.ship_hi - 1, c, &mut st.tmp, &mut st.s1, policy) == 0 {
+                return;
+            }
+            if disc.sel_between_sparse(disc_lo, disc_hi, &st.s1, &mut st.tmp, &mut st.s2, policy) == 0 {
+                return;
+            }
+            if qty.sel_lt_sparse(qty_hi, &st.s2, &mut st.s3, policy) == 0 {
+                return;
+            }
+            ext.gather(&st.s3, policy, &mut st.v_ext);
+            disc.gather(&st.s3, policy, &mut st.v_disc);
+            tw::map::map_mul_i64(&st.v_ext, &st.v_disc, &mut st.v_rev);
+            *local += tw::map::sum_i64(&st.v_rev, policy);
+        },
+    );
+    locals.into_iter().map(|(local, _)| local).sum()
 }
 
 /// Registry entry (see [`crate::QueryPlan`]).

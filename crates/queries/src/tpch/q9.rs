@@ -18,16 +18,15 @@
 //! Physical plan: σ(part) → HT_p; partsupp ⋈ HT_p → HT_ps (composite);
 //! supplier → HT_s; lineitem ⋈ HT_ps ⋈ HT_s → HT_li (keyed by
 //! orderkey, the paper's 320 K-entry build); orders ⋈ HT_li → Γ(nation,
-//! year). Five stages, one function each with an arm per paradigm
+//! year). Five stages, one function each with a body per paradigm
 //! (the supplier build is one body); each table is hashed with its
 //! build stage's function and probed with the same.
 
 use crate::params::Q9Params;
 use crate::result::{OrderBy, QueryResult, Value};
 use crate::{Engine, ExecCfg, Params};
-use dbep_runtime::agg_ht::merge_partitions;
 use dbep_runtime::hash::HashFn;
-use dbep_runtime::{GroupByShard, JoinHt};
+use dbep_runtime::JoinHt;
 use dbep_storage::types::year_of;
 use dbep_storage::Database;
 use dbep_vectorized as tw;
@@ -69,44 +68,35 @@ fn build_part(db: &Database, cfg: &ExecCfg, p: &Q9Params, engine: Engine, hf: Ha
     let part = db.table("part");
     let pkey = part.col("p_partkey").i32s();
     let pname = part.col("p_name").strs();
-    match engine {
-        Engine::Typer => cfg.build_ht(
-            part.len(),
-            PART_BITS,
-            || (),
-            |sh, _, r| {
-                for i in r {
-                    if pname.get(i).contains(needle) {
-                        sh.push(hf.hash(pkey[i] as u64), pkey[i]);
-                    }
+    cfg.build(
+        engine,
+        part.len(),
+        PART_BITS,
+        <(Vec<u32>, Vec<u64>)>::default,
+        |(sh, _), r| {
+            for i in r {
+                if pname.get(i).contains(needle) {
+                    sh.push(hf.hash(pkey[i] as u64), pkey[i]);
                 }
-            },
-        ),
+            }
+        },
         // The string filter is a scalar primitive.
-        Engine::Tectorwise => cfg.build_ht(
-            part.len(),
-            PART_BITS,
-            || (Vec::new(), Vec::new()),
-            |sh, (sel, hashes), r| {
-                for c in tw::chunks(r, cfg.vector_size) {
-                    sel.clear();
-                    for i in c {
-                        if pname.get(i).contains(needle) {
-                            sel.push(i as u32);
-                        }
-                    }
-                    if sel.is_empty() {
-                        continue;
-                    }
-                    tw::hashp::hash_i32(pkey, sel, hf, hashes);
-                    for (j, &t) in sel.iter().enumerate() {
-                        sh.push(hashes[j], pkey[t as usize]);
-                    }
+        |(sh, (sel, hashes)), c| {
+            sel.clear();
+            for i in c {
+                if pname.get(i).contains(needle) {
+                    sel.push(i as u32);
                 }
-            },
-        ),
-        other => unreachable!("{} is not a per-stage candidate", other.name()),
-    }
+            }
+            if sel.is_empty() {
+                return;
+            }
+            tw::hashp::hash_i32(pkey, sel, hf, hashes);
+            for (j, &t) in sel.iter().enumerate() {
+                sh.push(hashes[j], pkey[t as usize]);
+            }
+        },
+    )
 }
 
 /// Stage 1 (`probe-partsupp`): partsupp ⋈ HT_p → HT_ps keyed
@@ -124,55 +114,49 @@ fn probe_partsupp(
     let pspk = ps.col("ps_partkey").i32s();
     let pssk = ps.col("ps_suppkey").i32s();
     let cost = ps.col("ps_supplycost").i64s();
-    match engine {
-        Engine::Typer => cfg.build_ht(
-            ps.len(),
-            PS_BITS,
-            || (),
-            |sh, _, r| {
-                for i in r {
-                    if ht_p.probe(hf_p.hash(pspk[i] as u64)).any(|e| e.row == pspk[i]) {
-                        let hc = hf_ps.rehash(hf_ps.hash(pspk[i] as u64), pssk[i] as u64);
-                        sh.push(hc, (pspk[i], pssk[i], cost[i]));
-                    }
-                }
-            },
-        ),
-        Engine::Tectorwise => {
-            let policy = cfg.policy;
-            #[derive(Default)]
-            struct Scratch {
-                all: Vec<u32>,
-                hashes: Vec<u64>,
-                hc: Vec<u64>,
-                bufs: tw::ProbeBuffers,
-            }
-            cfg.build_ht(ps.len(), PS_BITS, Scratch::default, |sh, st, r| {
-                for c in tw::chunks(r, cfg.vector_size) {
-                    tw::hashp::iota(c.start as u32, c.len(), &mut st.all);
-                    tw::hashp::hash_i32(pspk, &st.all, hf_p, &mut st.hashes);
-                    if tw::probe::probe_join(
-                        ht_p,
-                        &st.hashes,
-                        &st.all,
-                        |row, t| *row == pspk[t as usize],
-                        policy,
-                        &mut st.bufs,
-                    ) == 0
-                    {
-                        continue;
-                    }
-                    tw::hashp::hash_i32(pspk, &st.bufs.match_tuple, hf_ps, &mut st.hc);
-                    tw::hashp::rehash_i32(pssk, &st.bufs.match_tuple, hf_ps, &mut st.hc);
-                    for (j, &t) in st.bufs.match_tuple.iter().enumerate() {
-                        let t = t as usize;
-                        sh.push(st.hc[j], (pspk[t], pssk[t], cost[t]));
-                    }
-                }
-            })
-        }
-        other => unreachable!("{} is not a per-stage candidate", other.name()),
+    let policy = cfg.policy;
+    #[derive(Default)]
+    struct Scratch {
+        all: Vec<u32>,
+        hashes: Vec<u64>,
+        hc: Vec<u64>,
+        bufs: tw::ProbeBuffers,
     }
+    cfg.build(
+        engine,
+        ps.len(),
+        PS_BITS,
+        Scratch::default,
+        |(sh, _), r| {
+            for i in r {
+                if ht_p.probe(hf_p.hash(pspk[i] as u64)).any(|e| e.row == pspk[i]) {
+                    let hc = hf_ps.rehash(hf_ps.hash(pspk[i] as u64), pssk[i] as u64);
+                    sh.push(hc, (pspk[i], pssk[i], cost[i]));
+                }
+            }
+        },
+        |(sh, st), c| {
+            tw::hashp::iota(c.start as u32, c.len(), &mut st.all);
+            tw::hashp::hash_i32(pspk, &st.all, hf_p, &mut st.hashes);
+            if tw::probe::probe_join(
+                ht_p,
+                &st.hashes,
+                &st.all,
+                |row, t| *row == pspk[t as usize],
+                policy,
+                &mut st.bufs,
+            ) == 0
+            {
+                return;
+            }
+            tw::hashp::hash_i32(pspk, &st.bufs.match_tuple, hf_ps, &mut st.hc);
+            tw::hashp::rehash_i32(pssk, &st.bufs.match_tuple, hf_ps, &mut st.hc);
+            for (j, &t) in st.bufs.match_tuple.iter().enumerate() {
+                let t = t as usize;
+                sh.push(st.hc[j], (pspk[t], pssk[t], cost[t]));
+            }
+        },
+    )
 }
 
 /// Stage 2 (`build-supplier`): supplier → HT_s (suppkey → nationkey).
@@ -186,7 +170,7 @@ fn build_supplier(db: &Database, cfg: &ExecCfg, hf: HashFn) -> JoinHt<(i32, i32)
         supp.len(),
         SUPP_BITS,
         || (),
-        |sh, _, r| {
+        |(sh, ()), r| {
             for i in r {
                 sh.push(hf.hash(skey[i] as u64), (skey[i], snat[i]));
             }
@@ -215,118 +199,112 @@ fn probe_lineitem(
     let qty = li.col("l_quantity").i64s();
     let ext = li.col("l_extendedprice").i64s();
     let disc = li.col("l_discount").i64s();
-    match engine {
-        Engine::Typer => cfg.build_ht(
-            li.len(),
-            LI_BITS,
-            || (),
-            |sh, _, r| {
-                for i in r {
-                    // Composite-key probe: the generated code checks both key
-                    // parts in one expression (Fig. 2a).
-                    let hc = hf_ps.rehash(hf_ps.hash(lpk[i] as u64), lsk[i] as u64);
-                    for e in ht_ps.probe(hc) {
-                        if e.row.0 == lpk[i] && e.row.1 == lsk[i] {
-                            let hs = hf_s.hash(lsk[i] as u64);
-                            for s in ht_s.probe(hs) {
-                                if s.row.0 == lsk[i] {
-                                    // Both terms are scale-4 fixed point.
-                                    let amount = ext[i] * (100 - disc[i]) - e.row.2 * qty[i];
-                                    sh.push(hf_li.hash(lok[i] as u64), (lok[i], s.row.1, amount));
-                                }
+    let policy = cfg.policy;
+    #[derive(Default)]
+    struct Scratch {
+        all: Vec<u32>,
+        hc: Vec<u64>,
+        hs: Vec<u64>,
+        hok: Vec<u64>,
+        ordinals: Vec<u32>,
+        bufs: tw::ProbeBuffers,
+        bufs2: tw::ProbeBuffers,
+        v_cost: Vec<i64>,
+        v_ext: Vec<i64>,
+        v_disc: Vec<i64>,
+        v_qty: Vec<i64>,
+        v_om: Vec<i64>,
+        v_rev: Vec<i64>,
+        v_costq: Vec<i64>,
+        v_amount: Vec<i64>,
+        v_nat: Vec<i32>,
+    }
+    cfg.build(
+        engine,
+        li.len(),
+        LI_BITS,
+        Scratch::default,
+        |(sh, _), r| {
+            for i in r {
+                // Composite-key probe: the generated code checks both key
+                // parts in one expression (Fig. 2a).
+                let hc = hf_ps.rehash(hf_ps.hash(lpk[i] as u64), lsk[i] as u64);
+                for e in ht_ps.probe(hc) {
+                    if e.row.0 == lpk[i] && e.row.1 == lsk[i] {
+                        let hs = hf_s.hash(lsk[i] as u64);
+                        for s in ht_s.probe(hs) {
+                            if s.row.0 == lsk[i] {
+                                // Both terms are scale-4 fixed point.
+                                let amount = ext[i] * (100 - disc[i]) - e.row.2 * qty[i];
+                                sh.push(hf_li.hash(lok[i] as u64), (lok[i], s.row.1, amount));
                             }
                         }
                     }
                 }
-            },
-        ),
-        Engine::Tectorwise => {
-            let policy = cfg.policy;
-            #[derive(Default)]
-            struct Scratch {
-                all: Vec<u32>,
-                hc: Vec<u64>,
-                hs: Vec<u64>,
-                hok: Vec<u64>,
-                ordinals: Vec<u32>,
-                bufs: tw::ProbeBuffers,
-                bufs2: tw::ProbeBuffers,
-                v_cost: Vec<i64>,
-                v_ext: Vec<i64>,
-                v_disc: Vec<i64>,
-                v_qty: Vec<i64>,
-                v_om: Vec<i64>,
-                v_rev: Vec<i64>,
-                v_costq: Vec<i64>,
-                v_amount: Vec<i64>,
-                v_nat: Vec<i32>,
             }
-            cfg.build_ht(li.len(), LI_BITS, Scratch::default, |sh, st, r| {
-                for c in tw::chunks(r, cfg.vector_size) {
-                    tw::hashp::iota(c.start as u32, c.len(), &mut st.all);
-                    // Composite key: hash partkey, fold suppkey in, compare both
-                    // parts with one primitive each (§2.2).
-                    tw::hashp::hash_i32(lpk, &st.all, hf_ps, &mut st.hc);
-                    tw::hashp::rehash_i32(lsk, &st.all, hf_ps, &mut st.hc);
-                    let nm = tw::probe::probe_join(
-                        ht_ps,
-                        &st.hc,
-                        &st.all,
-                        |row, t| row.0 == lpk[t as usize] && row.1 == lsk[t as usize],
-                        policy,
-                        &mut st.bufs,
-                    );
-                    if nm == 0 {
-                        continue;
-                    }
-                    tw::gather::gather_build(ht_ps, &st.bufs.match_entry, |r| r.2, &mut st.v_cost);
-                    // Second probe: suppkey → nationkey. Tuple ids are ordinals
-                    // into the first probe's match list.
-                    tw::hashp::hash_i32(lsk, &st.bufs.match_tuple, hf_s, &mut st.hs);
-                    tw::hashp::iota(0, nm, &mut st.ordinals);
-                    let first_matches = &st.bufs.match_tuple;
-                    let n2 = tw::probe::probe_join(
-                        ht_s,
-                        &st.hs,
-                        &st.ordinals,
-                        |row, j| row.0 == lsk[first_matches[j as usize] as usize],
-                        policy,
-                        &mut st.bufs2,
-                    );
-                    if n2 == 0 {
-                        continue;
-                    }
-                    // Align everything to the second probe's matches.
-                    let rows2: Vec<u32> = st
-                        .bufs2
-                        .match_tuple
-                        .iter()
-                        .map(|&j| st.bufs.match_tuple[j as usize])
-                        .collect();
-                    tw::gather::gather_build(ht_s, &st.bufs2.match_entry, |r| r.1, &mut st.v_nat);
-                    let cost2: Vec<i64> = st
-                        .bufs2
-                        .match_tuple
-                        .iter()
-                        .map(|&j| st.v_cost[j as usize])
-                        .collect();
-                    tw::gather::gather_i64(ext, &rows2, policy, &mut st.v_ext);
-                    tw::gather::gather_i64(disc, &rows2, policy, &mut st.v_disc);
-                    tw::gather::gather_i64(qty, &rows2, policy, &mut st.v_qty);
-                    tw::map::map_rsub_const_i64(100, &st.v_disc, &mut st.v_om);
-                    tw::map::map_mul_i64(&st.v_ext, &st.v_om, &mut st.v_rev);
-                    tw::map::map_mul_i64(&cost2, &st.v_qty, &mut st.v_costq);
-                    // Both products are scale-4 fixed point.
-                    tw::map::map_sub_i64(&st.v_rev, &st.v_costq, &mut st.v_amount);
-                    tw::hashp::hash_i32(lok, &rows2, hf_li, &mut st.hok);
-                    for (j, &t) in rows2.iter().enumerate() {
-                        sh.push(st.hok[j], (lok[t as usize], st.v_nat[j], st.v_amount[j]));
-                    }
-                }
-            })
-        }
-        other => unreachable!("{} is not a per-stage candidate", other.name()),
-    }
+        },
+        |(sh, st), c| {
+            tw::hashp::iota(c.start as u32, c.len(), &mut st.all);
+            // Composite key: hash partkey, fold suppkey in, compare both
+            // parts with one primitive each (§2.2).
+            tw::hashp::hash_i32(lpk, &st.all, hf_ps, &mut st.hc);
+            tw::hashp::rehash_i32(lsk, &st.all, hf_ps, &mut st.hc);
+            let nm = tw::probe::probe_join(
+                ht_ps,
+                &st.hc,
+                &st.all,
+                |row, t| row.0 == lpk[t as usize] && row.1 == lsk[t as usize],
+                policy,
+                &mut st.bufs,
+            );
+            if nm == 0 {
+                return;
+            }
+            tw::gather::gather_build(ht_ps, &st.bufs.match_entry, |r| r.2, &mut st.v_cost);
+            // Second probe: suppkey → nationkey. Tuple ids are ordinals
+            // into the first probe's match list.
+            tw::hashp::hash_i32(lsk, &st.bufs.match_tuple, hf_s, &mut st.hs);
+            tw::hashp::iota(0, nm, &mut st.ordinals);
+            let first_matches = &st.bufs.match_tuple;
+            let n2 = tw::probe::probe_join(
+                ht_s,
+                &st.hs,
+                &st.ordinals,
+                |row, j| row.0 == lsk[first_matches[j as usize] as usize],
+                policy,
+                &mut st.bufs2,
+            );
+            if n2 == 0 {
+                return;
+            }
+            // Align everything to the second probe's matches.
+            let rows2: Vec<u32> = st
+                .bufs2
+                .match_tuple
+                .iter()
+                .map(|&j| st.bufs.match_tuple[j as usize])
+                .collect();
+            tw::gather::gather_build(ht_s, &st.bufs2.match_entry, |r| r.1, &mut st.v_nat);
+            let cost2: Vec<i64> = st
+                .bufs2
+                .match_tuple
+                .iter()
+                .map(|&j| st.v_cost[j as usize])
+                .collect();
+            tw::gather::gather_i64(ext, &rows2, policy, &mut st.v_ext);
+            tw::gather::gather_i64(disc, &rows2, policy, &mut st.v_disc);
+            tw::gather::gather_i64(qty, &rows2, policy, &mut st.v_qty);
+            tw::map::map_rsub_const_i64(100, &st.v_disc, &mut st.v_om);
+            tw::map::map_mul_i64(&st.v_ext, &st.v_om, &mut st.v_rev);
+            tw::map::map_mul_i64(&cost2, &st.v_qty, &mut st.v_costq);
+            // Both products are scale-4 fixed point.
+            tw::map::map_sub_i64(&st.v_rev, &st.v_costq, &mut st.v_amount);
+            tw::hashp::hash_i32(lok, &rows2, hf_li, &mut st.hok);
+            for (j, &t) in rows2.iter().enumerate() {
+                sh.push(st.hok[j], (lok[t as usize], st.v_nat[j], st.v_amount[j]));
+            }
+        },
+    )
 }
 
 /// Stage 4 (`probe-orders`): orders ⋈ HT_li → Γ(nation, year). `hf` is
@@ -341,89 +319,74 @@ fn probe_orders(
     let ord = db.table("orders");
     let okey = ord.col("o_orderkey").i32s();
     let odate = ord.col("o_orderdate").dates();
-    let shards = match engine {
-        Engine::Typer => {
-            let shards = cfg.map_scan(
-                ord.len(),
-                ORD_BITS,
-                |_| GroupByShard::<(i32, i32), i64>::new(),
-                |shard, r| {
-                    for i in r {
-                        let h = hf.hash(okey[i] as u64);
-                        for e in ht_li.probe(h) {
-                            if e.row.0 == okey[i] {
-                                let key = (e.row.1, year_of(odate[i]));
-                                let gh = hf.rehash(hf.hash(key.0 as u64), key.1 as u64);
-                                shard.update(gh, key, || 0, |a| *a += e.row.2);
-                            }
-                        }
+    let policy = cfg.policy;
+    #[derive(Default)]
+    struct Scratch {
+        all: Vec<u32>,
+        hashes: Vec<u64>,
+        ghash: Vec<u64>,
+        ordinals: Vec<u32>,
+        bufs: tw::ProbeBuffers,
+        gb: tw::grouping::GroupBuffers,
+        k_nat: Vec<i32>,
+        v_amt: Vec<i64>,
+        v_date: Vec<i32>,
+        k_year: Vec<i32>,
+    }
+    cfg.group_by(
+        engine,
+        ord.len(),
+        ORD_BITS,
+        Scratch::default,
+        |(shard, _), r| {
+            for i in r {
+                let h = hf.hash(okey[i] as u64);
+                for e in ht_li.probe(h) {
+                    if e.row.0 == okey[i] {
+                        let key = (e.row.1, year_of(odate[i]));
+                        let gh = hf.rehash(hf.hash(key.0 as u64), key.1 as u64);
+                        shard.update(gh, key, || 0, |a| *a += e.row.2);
                     }
-                },
-            );
-            shards.into_iter().map(GroupByShard::finish).collect()
-        }
-        Engine::Tectorwise => {
-            let policy = cfg.policy;
-            #[derive(Default)]
-            struct Scratch {
-                all: Vec<u32>,
-                hashes: Vec<u64>,
-                ghash: Vec<u64>,
-                ordinals: Vec<u32>,
-                bufs: tw::ProbeBuffers,
-                gb: tw::grouping::GroupBuffers,
-                k_nat: Vec<i32>,
-                v_amt: Vec<i64>,
-                v_date: Vec<i32>,
-                k_year: Vec<i32>,
+                }
             }
-            let shards = cfg.map_scan(
-                ord.len(),
-                ORD_BITS,
-                |_| (GroupByShard::<(i32, i32), i64>::new(), Scratch::default()),
-                |(shard, st), r| {
-                    for c in tw::chunks(r, cfg.vector_size) {
-                        tw::hashp::iota(c.start as u32, c.len(), &mut st.all);
-                        tw::hashp::hash_i32(okey, &st.all, hf, &mut st.hashes);
-                        let nm = tw::probe::probe_join(
-                            ht_li,
-                            &st.hashes,
-                            &st.all,
-                            |row, t| row.0 == okey[t as usize],
-                            policy,
-                            &mut st.bufs,
-                        );
-                        if nm == 0 {
-                            continue;
-                        }
-                        tw::gather::gather_build(ht_li, &st.bufs.match_entry, |r| r.1, &mut st.k_nat);
-                        tw::gather::gather_build(ht_li, &st.bufs.match_entry, |r| r.2, &mut st.v_amt);
-                        tw::gather::gather_i32(odate, &st.bufs.match_tuple, &mut st.v_date);
-                        tw::map::map_year(&st.v_date, &mut st.k_year);
-                        tw::hashp::iota(0, nm, &mut st.ordinals);
-                        tw::hashp::hash_i32_dense(&st.k_nat, hf, &mut st.ghash);
-                        tw::hashp::rehash_i32(&st.k_year, &st.ordinals, hf, &mut st.ghash);
-                        let (k_nat, k_year) = (&st.k_nat, &st.k_year);
-                        tw::grouping::find_or_insert_groups(
-                            shard,
-                            &st.ghash,
-                            &st.ordinals,
-                            |j| {
-                                let j = j as usize;
-                                (k_nat[j], k_year[j])
-                            },
-                            || 0,
-                            &mut st.gb,
-                        );
-                        tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_amt, |a, v| *a += v);
-                    }
-                },
+        },
+        |(shard, st), c| {
+            tw::hashp::iota(c.start as u32, c.len(), &mut st.all);
+            tw::hashp::hash_i32(okey, &st.all, hf, &mut st.hashes);
+            let nm = tw::probe::probe_join(
+                ht_li,
+                &st.hashes,
+                &st.all,
+                |row, t| row.0 == okey[t as usize],
+                policy,
+                &mut st.bufs,
             );
-            shards.into_iter().map(|(shard, _)| shard.finish()).collect()
-        }
-        other => unreachable!("{} is not a per-stage candidate", other.name()),
-    };
-    merge_partitions(shards, &cfg.exec(), |a, b| *a += b)
+            if nm == 0 {
+                return;
+            }
+            tw::gather::gather_build(ht_li, &st.bufs.match_entry, |r| r.1, &mut st.k_nat);
+            tw::gather::gather_build(ht_li, &st.bufs.match_entry, |r| r.2, &mut st.v_amt);
+            tw::gather::gather_i32(odate, &st.bufs.match_tuple, &mut st.v_date);
+            tw::map::map_year(&st.v_date, &mut st.k_year);
+            tw::hashp::iota(0, nm, &mut st.ordinals);
+            tw::hashp::hash_i32_dense(&st.k_nat, hf, &mut st.ghash);
+            tw::hashp::rehash_i32(&st.k_year, &st.ordinals, hf, &mut st.ghash);
+            let (k_nat, k_year) = (&st.k_nat, &st.k_year);
+            tw::grouping::find_or_insert_groups(
+                shard,
+                &st.ghash,
+                &st.ordinals,
+                |j| {
+                    let j = j as usize;
+                    (k_nat[j], k_year[j])
+                },
+                || 0,
+                &mut st.gb,
+            );
+            tw::grouping::agg_update_i64(&mut shard.ht, &st.gb.groups, &st.v_amt, |a, v| *a += v);
+        },
+        |a, b| *a += b,
+    )
 }
 
 /// Registry entry (see [`crate::QueryPlan`]).

@@ -82,14 +82,14 @@ impl<'a> ExecCtx<'a> {
     }
 
     /// Morsel scan with per-worker state (build shards, pre-aggregation
-    /// shards, vector scratch): `init(worker_id)` lazily creates the
+    /// shards, vector scratch): `init()` lazily creates the
     /// slot state on the first morsel a worker executes, `fold` absorbs
     /// one morsel into it. Returns the states of the workers that
     /// actually participated, in slot order.
     pub fn map_slots<T: Send>(
         &self,
         morsels: Morsels,
-        init: impl Fn(usize) -> T + Sync,
+        init: impl Fn() -> T + Sync,
         fold: impl Fn(&mut T, Range<usize>) + Sync,
     ) -> Vec<T> {
         let slots: Vec<Mutex<Option<T>>> = (0..self.workers()).map(|_| Mutex::new(None)).collect();
@@ -98,7 +98,7 @@ impl<'a> ExecCtx<'a> {
             // (one thread), morsel-at-a-time; the lock is for safety,
             // not synchronization.
             let mut slot = slots[w].lock().expect("worker slot");
-            fold(slot.get_or_insert_with(|| init(w)), r);
+            fold(slot.get_or_insert_with(&init), r);
         });
         slots
             .into_iter()
@@ -138,7 +138,7 @@ mod tests {
         let check = |exec: ExecCtx| {
             let locals = exec.map_slots(
                 Morsels::with_size(10_000, 128),
-                |_| 0u64,
+                || 0u64,
                 |acc, r| *acc += r.map(|i| i as u64).sum::<u64>(),
             );
             assert!(locals.len() <= exec.workers());
@@ -153,7 +153,7 @@ mod tests {
 
     #[test]
     fn map_slots_empty_scan_yields_no_states() {
-        let states = ExecCtx::spawn(4).map_slots(Morsels::new(0), |_| 1u32, |_, _| {});
+        let states = ExecCtx::spawn(4).map_slots(Morsels::new(0), || 1u32, |_, _| {});
         assert!(states.is_empty());
     }
 

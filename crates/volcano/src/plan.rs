@@ -214,7 +214,7 @@ impl Run<'_> {
         let morsels = self.prepare(plan, &mut built);
         let workers = self.exec.map_slots(
             morsels,
-            |_| (self.open(plan, &mut built.iter()), Drained::new(init())),
+            || (self.open(plan, &mut built.iter()), Drained::new(init())),
             |(op, drained), morsel| {
                 op.reopen(morsel);
                 drained.drain(&mut **op, keys);
