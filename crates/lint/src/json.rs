@@ -1,22 +1,9 @@
 //! Minimal JSON writer, same spirit as the bench crate's in-tree
-//! serializer: only what the `--json` report needs, no dependency.
+//! serializer: only what the `--json` report needs.
 
-/// Escape `s` as JSON string contents (no surrounding quotes).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+/// Escape `s` as JSON string contents (no surrounding quotes): the
+/// workspace's one escaper, from `dbep-obs`.
+pub use dbep_obs::json_escape as escape;
 
 /// Render the check report as a single JSON object.
 pub fn report(root: &str, files_scanned: usize, findings: &[crate::rules::Finding]) -> String {

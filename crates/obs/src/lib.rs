@@ -48,10 +48,11 @@ pub fn fingerprint64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Minimal JSON string escaping shared by the exporters (the workspace
-/// is dependency-free; values we emit are numbers, booleans and short
-/// identifier-like strings).
-pub(crate) fn json_escape(s: &str) -> String {
+/// `s` as JSON string contents (no surrounding quotes): quotes,
+/// backslashes and control characters escaped. The workspace's one JSON
+/// string escaper — the exporters here, `dbep-bench`'s report writer
+/// and `dbep-lint`'s report all call it.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {

@@ -28,7 +28,7 @@
 //! intended use reads after the traced work quiesced (end of run), when
 //! every published event is consistent by the thread-join edge.
 
-use std::sync::atomic::{fence, AtomicU16, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{fence, AtomicU16, AtomicU64, Ordering};
 use std::time::Instant;
 
 /// What a span covers, coarse-to-fine.
@@ -314,7 +314,7 @@ pub struct QueryTrace<'a> {
     sink: &'a TraceSink,
     run_seq: u32,
     query: u16,
-    engine: AtomicU8,
+    engine: u8,
     cur_stage: AtomicU16,
 }
 
@@ -328,7 +328,7 @@ impl<'a> QueryTrace<'a> {
             sink,
             run_seq,
             query,
-            engine: AtomicU8::new(engine),
+            engine,
             cur_stage: AtomicU16::new(NO_STAGE),
         }
     }
@@ -343,20 +343,11 @@ impl<'a> QueryTrace<'a> {
         self.run_seq
     }
 
-    /// Re-label the engine after dispatch resolves it (the adaptive
-    /// driver decides per run; spans recorded before the call keep the
-    /// provisional label).
-    pub fn set_engine(&self, engine: u8) {
-        // ORDERING: Relaxed — a label, read only when recording spans.
-        self.engine.store(engine, Ordering::Relaxed);
-    }
-
     fn record(&self, kind: SpanKind, stage: u16, rows: u32, t0_ns: u64) {
         self.sink.push(SpanEvent {
             kind,
             query: self.query,
-            // ORDERING: Relaxed — label read, see `set_engine`.
-            engine: self.engine.load(Ordering::Relaxed),
+            engine: self.engine,
             stage,
             tid: thread_tid(),
             run_seq: self.run_seq,

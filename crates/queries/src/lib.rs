@@ -138,11 +138,17 @@ impl<'a> ExecCfg<'a> {
     /// scheduler stats and pace against the configured storage device.
     ///
     /// `row_bits` is the per-row payload width in **bits**, one value per
-    /// stage whichever body runs it. Where a stage reads through column
-    /// readers it is the Typer reader's `RowScan::bits`, which the
-    /// Tectorwise readers' `Col::bits` match column for column (pinned
-    /// by test): packed columns contribute their packed width, flat
-    /// columns their byte width × 8. A morsel is charged the whole
+    /// stage whichever body runs it, and always what storage holds. A
+    /// stage that reads raw slices passes
+    /// [`Table::flat_bits`](dbep_storage::Table::flat_bits) of the
+    /// columns it reads — what Volcano's scan of those columns charges,
+    /// a string column's offsets included. A stage that reads through
+    /// column readers passes the Typer reader's `RowScan::bits`, which
+    /// the Tectorwise readers' `Col::bits` match column for column
+    /// (pinned by test): packed columns contribute their packed width,
+    /// flat columns their byte width × 8, the same as `flat_bits`. So
+    /// the engines charge the same bytes for the same plan (pinned by
+    /// `tests/engines_charge_equal_bytes.rs`). A morsel is charged the whole
     /// bytes between the bit offsets of its first and its end row, so a
     /// scan charges `total * row_bits / 8` however the pool cuts it into
     /// morsels.

@@ -15,10 +15,37 @@ pub mod q2_1;
 pub mod q3_1;
 pub mod q4_1;
 
+use crate::ExecCfg;
 use dbep_runtime::hash::HashFn;
 use dbep_runtime::JoinHt;
+use dbep_storage::Table;
 use dbep_vectorized as tw;
 use dbep_vectorized::SimdPolicy;
+
+/// One dimension table of a `build-date`/`build-dims` stage, one body
+/// for both paradigms: a paced scan of `dim`, charged the flat width of
+/// `columns` (the ones `entry` reads), that pushes the payload of every
+/// row `entry` keeps, hashed on its key with `hf`.
+pub(crate) fn build_dim<T: Send + Sync>(
+    cfg: &ExecCfg,
+    dim: &Table,
+    columns: &[&str],
+    hf: HashFn,
+    entry: impl Fn(usize) -> Option<(i32, T)> + Sync,
+) -> JoinHt<T> {
+    cfg.build_ht(
+        dim.len(),
+        dim.flat_bits(columns),
+        || (),
+        |(sh, ()), r| {
+            for i in r {
+                if let Some((key, row)) = entry(i) {
+                    sh.push(hf.hash(key as u64), row);
+                }
+            }
+        },
+    )
+}
 
 /// Reusable scratch for a chain of Tectorwise dimension probes over one
 /// fact chunk.

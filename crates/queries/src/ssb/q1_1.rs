@@ -8,13 +8,16 @@
 //! ```
 //!
 //! Two stages: the date build is one body for both paradigms, the fact
-//! scan has a body each. The four fact columns come through the body's
-//! column reader (`dbep_compiled::RowScan`, `dbep_vectorized::Col`) in
-//! whichever format `lineorder` holds, and the scan is charged the
-//! widths the readers report.
+//! scan has a body each. Both run on the paced driver. The date build
+//! reads the flat date columns in every layout and is charged their
+//! flat width (`Table::flat_bits`). The four fact columns come through
+//! the body's column reader (`dbep_compiled::RowScan`,
+//! `dbep_vectorized::Col`) in whichever format `lineorder` holds, and
+//! the fact scan is charged the widths the readers report.
 
 use crate::params::SsbQ11Params;
 use crate::result::{QueryResult, Value};
+use crate::ssb::build_dim;
 use crate::{Engine, ExecCfg, Params};
 use dbep_compiled::{for_each_row, RowScan};
 use dbep_runtime::hash::HashFn;
@@ -27,18 +30,15 @@ fn finish(revenue: i64) -> QueryResult {
     QueryResult::new(&["revenue"], vec![vec![Value::dec4(revenue as i128)]], &[], None)
 }
 
-/// Stage 0 (`build-date`), one body for both paradigms: the tiny date
-/// dimension is walked flat, single-threaded and uncharged in every
-/// layout — compressing it saves nothing measurable.
-fn build_date_ht(db: &Database, hf: HashFn, year: i32) -> JoinHt<i32> {
+/// Stage 0 (`build-date`), one body for both paradigms: σ(date, year)
+/// → HT_d, a paced and charged scan of the flat date columns in every
+/// layout — compressing the tiny dimension saves nothing measurable.
+fn build_date_ht(db: &Database, cfg: &ExecCfg, hf: HashFn, year: i32) -> JoinHt<i32> {
     let d = db.table("date");
-    let dk = d.col("d_datekey").i32s();
-    let dy = d.col("d_year").i32s();
-    JoinHt::build(
-        (0..d.len())
-            .filter(|&i| dy[i] == year)
-            .map(|i| (hf.hash(dk[i] as u64), dk[i])),
-    )
+    let (dk, dy) = (d.col("d_datekey").i32s(), d.col("d_year").i32s());
+    build_dim(cfg, d, &["d_datekey", "d_year"], hf, |i| {
+        (dy[i] == year).then(|| (dk[i], dk[i]))
+    })
 }
 
 /// Stage 1 (`scan-filter-lineorder`): σ(lineorder) ⋈ HT_d → SUM. `hf`
@@ -164,9 +164,9 @@ impl crate::QueryPlan for Q11 {
 
     fn stages(&self) -> &'static [crate::StageDesc] {
         use crate::{StageDesc, StageKind};
-        // The date build is a single-threaded walk over one year of a
-        // tiny dimension; the fact scan is selection-dominated (the
-        // date probe hits a table that fits in L1).
+        // The date build keeps one year of a tiny dimension; the fact
+        // scan is selection-dominated (the date probe hits a table that
+        // fits in L1).
         const S: &[crate::StageDesc] = &[
             StageDesc::new("build-date", StageKind::JoinBuild),
             StageDesc::new("scan-filter-lineorder", StageKind::ScanFilter),
@@ -180,7 +180,7 @@ impl crate::QueryPlan for Q11 {
         let hf = cfg.hash_for(build);
         let ht_d = {
             let _s = cfg.stage(0);
-            build_date_ht(db, hf, p.year)
+            build_date_ht(db, cfg, hf, p.year)
         };
         let _s = cfg.stage(1);
         finish(scan_lineorder(db, cfg, p, scan, hf, &ht_d))

@@ -9,12 +9,13 @@
 //! GROUP BY d_year, p_brand1 ORDER BY d_year, p_brand1
 //! ```
 //!
-//! Two stages: `build_dims` is one body for both paradigms,
-//! `probe_lineorder` has a Typer body and a Tectorwise body.
+//! Two stages: `build_dims` is one body for both paradigms (one paced
+//! `build_dim` per dimension table), `probe_lineorder` has a Typer body
+//! and a Tectorwise body.
 
 use crate::params::SsbQ21Params;
 use crate::result::{OrderBy, QueryResult, Value};
-use crate::ssb::{realign_i32, realign_u32, ProbeScratch};
+use crate::ssb::{build_dim, realign_i32, realign_u32, ProbeScratch};
 use crate::{Engine, ExecCfg, Params};
 use dbep_datagen::ssb::brand_name;
 use dbep_runtime::hash::HashFn;
@@ -22,8 +23,6 @@ use dbep_runtime::JoinHt;
 use dbep_storage::Database;
 use dbep_vectorized as tw;
 use dbep_volcano::{AggSpec, CmpOp, Expr, Plan, Row};
-
-const LO_BITS: usize = 8 * (4 * 3 + 8);
 
 fn finish(groups: Vec<((i32, i32), i64)>) -> QueryResult {
     let rows = groups
@@ -38,14 +37,16 @@ fn finish(groups: Vec<((i32, i32), i64)>) -> QueryResult {
     )
 }
 
-/// Dimension hash tables shared by Typer and Tectorwise (tiny builds).
+/// Dimension hash tables shared by Typer and Tectorwise.
 struct Dims {
     ht_p: JoinHt<(i32, i32)>, // partkey → brand
     ht_s: JoinHt<i32>,        // suppkey (semi-join)
     ht_d: JoinHt<(i32, i32)>, // datekey → year
 }
 
-fn build_dims(db: &Database, hf: HashFn, p0: &SsbQ21Params) -> Dims {
+/// Stage 0 (`build-dims`): one build per dimension table, hashed with
+/// `hf`.
+fn build_dims(db: &Database, cfg: &ExecCfg, hf: HashFn, p0: &SsbQ21Params) -> Dims {
     let (category, region) = (p0.category, p0.region);
     let p = db.table("ssb_part");
     let (pk, pcat, pbrand) = (
@@ -53,21 +54,19 @@ fn build_dims(db: &Database, hf: HashFn, p0: &SsbQ21Params) -> Dims {
         p.col("p_category").i32s(),
         p.col("p_brand1").i32s(),
     );
-    let ht_p = JoinHt::build(
-        (0..p.len())
-            .filter(|&i| pcat[i] == category)
-            .map(|i| (hf.hash(pk[i] as u64), (pk[i], pbrand[i]))),
-    );
+    let ht_p = build_dim(cfg, p, &["p_partkey", "p_brand1", "p_category"], hf, |i| {
+        (pcat[i] == category).then(|| (pk[i], (pk[i], pbrand[i])))
+    });
     let s = db.table("ssb_supplier");
     let (sk, sreg) = (s.col("s_suppkey").i32s(), s.col("s_region").i32s());
-    let ht_s = JoinHt::build(
-        (0..s.len())
-            .filter(|&i| sreg[i] == region)
-            .map(|i| (hf.hash(sk[i] as u64), sk[i])),
-    );
+    let ht_s = build_dim(cfg, s, &["s_suppkey", "s_region"], hf, |i| {
+        (sreg[i] == region).then(|| (sk[i], sk[i]))
+    });
     let d = db.table("date");
     let (dk, dy) = (d.col("d_datekey").i32s(), d.col("d_year").i32s());
-    let ht_d = JoinHt::build((0..d.len()).map(|i| (hf.hash(dk[i] as u64), (dk[i], dy[i]))));
+    let ht_d = build_dim(cfg, d, &["d_datekey", "d_year"], hf, |i| {
+        Some((dk[i], (dk[i], dy[i])))
+    });
     Dims { ht_p, ht_s, ht_d }
 }
 
@@ -106,7 +105,7 @@ fn probe_lineorder(
     cfg.group_by(
         engine,
         lo.len(),
-        LO_BITS,
+        lo.flat_bits(&["lo_partkey", "lo_suppkey", "lo_orderdate", "lo_revenue"]),
         Scratch::default,
         // One fused probe chain per fact tuple.
         |(shard, _), r| {
@@ -232,8 +231,9 @@ impl crate::QueryPlan for Q21 {
 
     fn stages(&self) -> &'static [crate::StageDesc] {
         use crate::{StageDesc, StageKind};
-        // The dimension builds are shared scalar code (`build_dims`);
-        // the probe chain over the fact table is the whole game.
+        // The dimension builds are one body for both paradigms
+        // (`build_dims`); the probe chain over the fact table is the
+        // whole game.
         const S: &[crate::StageDesc] = &[
             StageDesc::new("build-dims", StageKind::JoinBuild),
             StageDesc::new("probe-lineorder", StageKind::JoinProbe),
@@ -246,7 +246,7 @@ impl crate::QueryPlan for Q21 {
         let hf = cfg.hash_for(build);
         let dims = {
             let _s = cfg.stage(0);
-            build_dims(db, hf, params.ssb2_1())
+            build_dims(db, cfg, hf, params.ssb2_1())
         };
         let _s = cfg.stage(1);
         finish(probe_lineorder(db, cfg, probe, hf, &dims))

@@ -10,12 +10,13 @@
 //! GROUP BY d_year, c_nation ORDER BY d_year, c_nation
 //! ```
 //!
-//! Two stages: `build_dims` is one body for both paradigms,
-//! `probe_lineorder` has a Typer body and a Tectorwise body.
+//! Two stages: `build_dims` is one body for both paradigms (one paced
+//! `build_dim` per dimension table), `probe_lineorder` has a Typer body
+//! and a Tectorwise body.
 
 use crate::params::SsbQ41Params;
 use crate::result::{OrderBy, QueryResult, Value};
-use crate::ssb::{realign_i32, realign_u32, ProbeScratch};
+use crate::ssb::{build_dim, realign_i32, realign_u32, ProbeScratch};
 use crate::{Engine, ExecCfg, Params};
 use dbep_datagen::ssb::NATIONS;
 use dbep_runtime::hash::HashFn;
@@ -23,8 +24,6 @@ use dbep_runtime::JoinHt;
 use dbep_storage::Database;
 use dbep_vectorized as tw;
 use dbep_volcano::{AggSpec, BinOp, CmpOp, Expr, Plan, Row};
-
-const LO_BITS: usize = 8 * (4 * 4 + 8 * 2);
 
 type Key = (i32, i32); // (d_year, c_nation)
 
@@ -54,35 +53,33 @@ struct Dims {
     ht_d: JoinHt<(i32, i32)>, // datekey → year
 }
 
-fn build_dims(db: &Database, hf: HashFn, p0: &SsbQ41Params) -> Dims {
+/// Stage 0 (`build-dims`): one build per dimension table, hashed with
+/// `hf`.
+fn build_dims(db: &Database, cfg: &ExecCfg, hf: HashFn, p0: &SsbQ41Params) -> Dims {
     let s = db.table("ssb_supplier");
     let (sk, sreg) = (s.col("s_suppkey").i32s(), s.col("s_region").i32s());
-    let ht_s = JoinHt::build(
-        (0..s.len())
-            .filter(|&i| sreg[i] == p0.supp_region)
-            .map(|i| (hf.hash(sk[i] as u64), sk[i])),
-    );
+    let ht_s = build_dim(cfg, s, &["s_suppkey", "s_region"], hf, |i| {
+        (sreg[i] == p0.supp_region).then(|| (sk[i], sk[i]))
+    });
     let c = db.table("ssb_customer");
     let (ck, creg, cnat) = (
         c.col("c_custkey").i32s(),
         c.col("c_region").i32s(),
         c.col("c_nation").i32s(),
     );
-    let ht_c = JoinHt::build(
-        (0..c.len())
-            .filter(|&i| creg[i] == p0.cust_region)
-            .map(|i| (hf.hash(ck[i] as u64), (ck[i], cnat[i]))),
-    );
+    let ht_c = build_dim(cfg, c, &["c_custkey", "c_nation", "c_region"], hf, |i| {
+        (creg[i] == p0.cust_region).then(|| (ck[i], (ck[i], cnat[i])))
+    });
     let p = db.table("ssb_part");
     let (pk, mfgr) = (p.col("p_partkey").i32s(), p.col("p_mfgr").i32s());
-    let ht_p = JoinHt::build(
-        (0..p.len())
-            .filter(|&i| mfgr[i] == p0.mfgrs[0] || mfgr[i] == p0.mfgrs[1])
-            .map(|i| (hf.hash(pk[i] as u64), pk[i])),
-    );
+    let ht_p = build_dim(cfg, p, &["p_partkey", "p_mfgr"], hf, |i| {
+        (mfgr[i] == p0.mfgrs[0] || mfgr[i] == p0.mfgrs[1]).then(|| (pk[i], pk[i]))
+    });
     let d = db.table("date");
     let (dk, dy) = (d.col("d_datekey").i32s(), d.col("d_year").i32s());
-    let ht_d = JoinHt::build((0..d.len()).map(|i| (hf.hash(dk[i] as u64), (dk[i], dy[i]))));
+    let ht_d = build_dim(cfg, d, &["d_datekey", "d_year"], hf, |i| {
+        Some((dk[i], (dk[i], dy[i])))
+    });
     Dims {
         ht_s,
         ht_c,
@@ -125,7 +122,14 @@ fn probe_lineorder(db: &Database, cfg: &ExecCfg, engine: Engine, hf: HashFn, dim
     cfg.group_by(
         engine,
         lo.len(),
-        LO_BITS,
+        lo.flat_bits(&[
+            "lo_custkey",
+            "lo_suppkey",
+            "lo_partkey",
+            "lo_orderdate",
+            "lo_revenue",
+            "lo_supplycost",
+        ]),
         Scratch::default,
         // Fused probe chain over four tables.
         |(shard, _), r| {
@@ -290,7 +294,7 @@ impl crate::QueryPlan for Q41 {
         let hf = cfg.hash_for(build);
         let dims = {
             let _s = cfg.stage(0);
-            build_dims(db, hf, params.ssb4_1())
+            build_dims(db, cfg, hf, params.ssb4_1())
         };
         let _s = cfg.stage(1);
         finish(probe_lineorder(db, cfg, probe, hf, &dims))

@@ -28,10 +28,6 @@ use dbep_storage::Database;
 use dbep_vectorized as tw;
 use dbep_volcano::{AggSpec, BinOp, CmpOp, Expr, Plan, Row, Val};
 
-/// `l_returnflag` and `l_linestatus`: `Char` columns have no encoded
-/// form, so both layouts read them flat, one byte each.
-const FLAG_BITS: usize = 2 * 8;
-
 /// Per-group aggregate state (sums at scales 2/2/4/6/2 plus count).
 #[derive(Clone, Copy, Default)]
 pub struct Q1Agg {
@@ -127,7 +123,8 @@ fn scan_agg(db: &Database, cfg: &ExecCfg, p: &Q1Params, engine: Engine) -> Vec<(
     cfg.group_by(
         engine,
         li.len(),
-        scan.bits() + FLAG_BITS,
+        // The `Char` flags have no encoded form: both layouts read them flat.
+        scan.bits() + li.flat_bits(&["l_returnflag", "l_linestatus"]),
         Scratch::default,
         // The fused loop a data-centric generator emits (Fig. 2a shape).
         |(shard, _), r| {

@@ -31,9 +31,6 @@ use dbep_storage::Database;
 use dbep_vectorized as tw;
 use dbep_volcano::{AggSpec, CmpOp, Expr, Plan, Row, Val};
 
-const ORD_BITS: usize = 8 * (4 + 9); // orderkey + priority text
-const LI_BITS: usize = 8 * (4 + 3 * 4 + 5); // orderkey + 3 dates + shipmode text
-
 /// `counts[mode][1]` = high_line_count, `counts[mode][0]` = low.
 type ModeCounts = [[i64; 2]; 2];
 
@@ -82,7 +79,7 @@ fn build_orders_ht(db: &Database, cfg: &ExecCfg, hf: HashFn) -> JoinHt<(i32, u8)
     let prio = ord.col("o_orderpriority").strs();
     cfg.build_ht(
         ord.len(),
-        ORD_BITS,
+        ord.flat_bits(&["o_orderkey", "o_orderpriority"]),
         || (),
         |(sh, ()), r| {
             for i in r {
@@ -132,7 +129,13 @@ fn probe_lineitem(
     let parts = cfg.fold(
         engine,
         li.len(),
-        LI_BITS,
+        li.flat_bits(&[
+            "l_orderkey",
+            "l_shipmode",
+            "l_shipdate",
+            "l_commitdate",
+            "l_receiptdate",
+        ]),
         <(ModeCounts, Scratch)>::default,
         // One fused probe loop with branch-free counter updates
         // (`counts[mode][flag] += 1`).

@@ -24,8 +24,9 @@
 //! as a Typer build beside a Tectorwise probe is two independent
 //! engine choices. The numeric columns come through the body's column
 //! reader (`dbep_compiled::RowScan`, `dbep_vectorized::Col`), `p_type`
-//! through `PromoFlag`, and every scan is charged the widths its
-//! readers report.
+//! through `PromoFlag`. Every scan is charged the widths storage holds:
+//! the readers report the numeric columns' widths, and `PromoFlag::bits`
+//! reports `p_type`'s (text and offsets flat, one code byte encoded).
 
 use crate::params::Q14Params;
 use crate::result::{QueryResult, Value};
@@ -36,10 +37,6 @@ use dbep_runtime::JoinHt;
 use dbep_storage::{Database, StrColumn, Table};
 use dbep_vectorized as tw;
 use dbep_volcano::{AggSpec, BinOp, CmpOp, Expr, Plan, Row};
-
-/// What a scan of flat `p_type` is charged per row: its text, 21 bytes
-/// on average (offsets are not charged).
-const P_TYPE_TEXT_BITS: usize = 8 * 21;
 
 /// `p_type LIKE '<prefix>%'` as a 0/1 flag per `part` row, read from
 /// whichever form the table holds.
@@ -69,11 +66,12 @@ impl<'a> PromoFlag<'a> {
         }
     }
 
-    fn bits(&self) -> usize {
-        match self {
-            PromoFlag::Flat(..) => P_TYPE_TEXT_BITS,
-            PromoFlag::Dict { .. } => 8,
-        }
+    /// What a scan of `p_type` is charged per row in the form `part`
+    /// holds, as storage reports it: the flat text with its offsets, or
+    /// one dictionary code.
+    fn bits(part: &Table) -> usize {
+        part.encoded("p_type")
+            .map_or_else(|| part.flat_bits(&["p_type"]), |enc| enc.bits_per_value())
     }
 
     /// Row `i`'s flag (the compiled engine's per-row form).
@@ -125,7 +123,7 @@ fn build_part(db: &Database, cfg: &ExecCfg, p: &Q14Params, engine: Engine, hf: H
     cfg.build(
         engine,
         part.len(),
-        scan.bits() + promo.bits(),
+        scan.bits() + PromoFlag::bits(part),
         Scratch::default,
         // A fused prefix test per row.
         |(sh, _), r| {

@@ -32,10 +32,6 @@ use dbep_storage::Database;
 use dbep_vectorized as tw;
 use dbep_volcano::{AggSpec, CmpOp, Expr, Plan, Row};
 
-const LI_BITS: usize = 8 * (4 + 8);
-const ORD_BITS: usize = 8 * (4 + 4 + 4 + 8);
-const CUST_BITS: usize = 8 * (4 + 18);
-
 /// (custkey, orderkey, orderdate, totalprice, sum_qty)
 type OrdRow = (i32, i32, i32, i64, i64);
 
@@ -174,7 +170,7 @@ fn join_phases(db: &Database, cfg: &ExecCfg, big_orders: Vec<(i32, i64)>, hf: Ha
     let ototal = ord.col("o_totalprice").i64s();
     let ht_cust: JoinHt<OrdRow> = cfg.build_ht(
         ord.len(),
-        ORD_BITS,
+        ord.flat_bits(&["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"]),
         || (),
         |(sh, ()), r| {
             for i in r {
@@ -195,7 +191,9 @@ fn join_phases(db: &Database, cfg: &ExecCfg, big_orders: Vec<(i32, i64)>, hf: Ha
     let _s2 = cfg.stage(2);
     let cust = db.table("customer");
     let ckey = cust.col("c_custkey").i32s();
-    let locals = cfg.map_scan(cust.len(), CUST_BITS, Vec::new, |local, r| {
+    // `finish` reads `c_name` of the matching rows.
+    let bits = cust.flat_bits(&["c_custkey", "c_name"]);
+    let locals = cfg.map_scan(cust.len(), bits, Vec::new, |local, r| {
         for i in r {
             let h = hf.hash(ckey[i] as u64);
             for e in ht_cust.probe(h) {
@@ -224,7 +222,7 @@ fn agg_lineitem(db: &Database, cfg: &ExecCfg, p: &Q18Params, engine: Engine) -> 
     let groups = cfg.group_by(
         engine,
         li.len(),
-        LI_BITS,
+        li.flat_bits(&["l_orderkey", "l_quantity"]),
         Scratch::default,
         // Fused 1.5 M-group aggregation; the shard flushes when full.
         |(shard, _), r| {

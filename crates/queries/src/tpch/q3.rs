@@ -27,10 +27,6 @@ use dbep_storage::Database;
 use dbep_vectorized as tw;
 use dbep_volcano::{AggSpec, BinOp, CmpOp, Expr, Plan, Row, Val};
 
-const CUST_BITS: usize = 8 * (4 + 10); // custkey + segment text
-const ORD_BITS: usize = 8 * (4 + 4 + 4 + 4);
-const LI_BITS: usize = 8 * (4 + 8 + 8 + 4);
-
 type GroupKey = (i32, i32, i32); // (o_orderkey, o_orderdate, o_shippriority)
 
 fn finish(groups: Vec<(GroupKey, i64)>) -> QueryResult {
@@ -65,7 +61,7 @@ fn build_customer(db: &Database, cfg: &ExecCfg, engine: Engine, hf: HashFn, p: &
     cfg.build(
         engine,
         cust.len(),
-        CUST_BITS,
+        cust.flat_bits(&["c_mktsegment", "c_custkey"]),
         <(Vec<u32>, Vec<u64>)>::default,
         |(sh, _), r| {
             for i in r {
@@ -115,7 +111,7 @@ fn probe_orders(
     cfg.build(
         engine,
         ord.len(),
-        ORD_BITS,
+        ord.flat_bits(&["o_orderkey", "o_custkey", "o_orderdate", "o_shippriority"]),
         Scratch::default,
         |(sh, _), r| {
             for i in r {
@@ -191,7 +187,7 @@ fn probe_lineitem(
     cfg.group_by(
         engine,
         li.len(),
-        LI_BITS,
+        li.flat_bits(&["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"]),
         Scratch::default,
         |(shard, _), r| {
             for i in r {

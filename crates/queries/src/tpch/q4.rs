@@ -29,8 +29,6 @@ use dbep_storage::Database;
 use dbep_vectorized as tw;
 use dbep_volcano::{AggSpec, CmpOp, Expr, Plan, Row};
 
-const LI_BITS: usize = 8 * (4 + 4 + 4); // orderkey + commitdate + receiptdate
-const ORD_BITS: usize = 8 * (4 + 4 + 9); // orderkey + orderdate + priority text
 /// Priority slots: leading bytes '1'..'5'.
 const SLOTS: usize = 5;
 
@@ -117,7 +115,7 @@ fn build_late(db: &Database, cfg: &ExecCfg, engine: Engine, hf: HashFn) -> JoinH
     cfg.build(
         engine,
         li.len(),
-        LI_BITS,
+        li.flat_bits(&["l_orderkey", "l_commitdate", "l_receiptdate"]),
         <(Vec<u32>, Vec<u64>)>::default,
         // Fused filter + push, one branch per tuple.
         |(sh, _), r| {
@@ -176,7 +174,7 @@ fn probe_orders(
     let parts = cfg.fold(
         engine,
         ord.len(),
-        ORD_BITS,
+        ord.flat_bits(&["o_orderkey", "o_orderdate", "o_orderpriority"]),
         || (PrioCounts::new(), Scratch::default()),
         // Fused probe loop; the existence-only path stops at the first
         // witness lineitem.

@@ -24,6 +24,7 @@
 
 use crate::params::Q9Params;
 use crate::result::{OrderBy, QueryResult, Value};
+use crate::ssb::realign_u32;
 use crate::{Engine, ExecCfg, Params};
 use dbep_runtime::hash::HashFn;
 use dbep_runtime::JoinHt;
@@ -31,12 +32,6 @@ use dbep_storage::types::year_of;
 use dbep_storage::Database;
 use dbep_vectorized as tw;
 use dbep_volcano::{AggSpec, BinOp, Expr, Plan, Row};
-
-const PART_BITS: usize = 8 * (4 + 33);
-const PS_BITS: usize = 8 * (4 + 4 + 8);
-const SUPP_BITS: usize = 8 * (4 + 4);
-const LI_BITS: usize = 8 * (4 + 4 + 4 + 8 + 8 + 8);
-const ORD_BITS: usize = 8 * (4 + 4);
 
 type PsRow = (i32, i32, i64); // (ps_partkey, ps_suppkey, ps_supplycost)
 type LiRow = (i32, i32, i64); // (l_orderkey, nationkey, amount s4)
@@ -71,7 +66,7 @@ fn build_part(db: &Database, cfg: &ExecCfg, p: &Q9Params, engine: Engine, hf: Ha
     cfg.build(
         engine,
         part.len(),
-        PART_BITS,
+        part.flat_bits(&["p_partkey", "p_name"]),
         <(Vec<u32>, Vec<u64>)>::default,
         |(sh, _), r| {
             for i in r {
@@ -125,7 +120,7 @@ fn probe_partsupp(
     cfg.build(
         engine,
         ps.len(),
-        PS_BITS,
+        ps.flat_bits(&["ps_partkey", "ps_suppkey", "ps_supplycost"]),
         Scratch::default,
         |(sh, _), r| {
             for i in r {
@@ -168,7 +163,7 @@ fn build_supplier(db: &Database, cfg: &ExecCfg, hf: HashFn) -> JoinHt<(i32, i32)
     let snat = supp.col("s_nationkey").i32s();
     cfg.build_ht(
         supp.len(),
-        SUPP_BITS,
+        supp.flat_bits(&["s_suppkey", "s_nationkey"]),
         || (),
         |(sh, ()), r| {
             for i in r {
@@ -209,7 +204,9 @@ fn probe_lineitem(
         ordinals: Vec<u32>,
         bufs: tw::ProbeBuffers,
         bufs2: tw::ProbeBuffers,
+        rows2: Vec<u32>,
         v_cost: Vec<i64>,
+        v_cost2: Vec<i64>,
         v_ext: Vec<i64>,
         v_disc: Vec<i64>,
         v_qty: Vec<i64>,
@@ -222,7 +219,14 @@ fn probe_lineitem(
     cfg.build(
         engine,
         li.len(),
-        LI_BITS,
+        li.flat_bits(&[
+            "l_orderkey",
+            "l_partkey",
+            "l_suppkey",
+            "l_quantity",
+            "l_extendedprice",
+            "l_discount",
+        ]),
         Scratch::default,
         |(sh, _), r| {
             for i in r {
@@ -278,29 +282,19 @@ fn probe_lineitem(
                 return;
             }
             // Align everything to the second probe's matches.
-            let rows2: Vec<u32> = st
-                .bufs2
-                .match_tuple
-                .iter()
-                .map(|&j| st.bufs.match_tuple[j as usize])
-                .collect();
+            realign_u32(&st.bufs.match_tuple, &st.bufs2.match_tuple, &mut st.rows2);
             tw::gather::gather_build(ht_s, &st.bufs2.match_entry, |r| r.1, &mut st.v_nat);
-            let cost2: Vec<i64> = st
-                .bufs2
-                .match_tuple
-                .iter()
-                .map(|&j| st.v_cost[j as usize])
-                .collect();
-            tw::gather::gather_i64(ext, &rows2, policy, &mut st.v_ext);
-            tw::gather::gather_i64(disc, &rows2, policy, &mut st.v_disc);
-            tw::gather::gather_i64(qty, &rows2, policy, &mut st.v_qty);
+            tw::gather::gather_i64(&st.v_cost, &st.bufs2.match_tuple, policy, &mut st.v_cost2);
+            tw::gather::gather_i64(ext, &st.rows2, policy, &mut st.v_ext);
+            tw::gather::gather_i64(disc, &st.rows2, policy, &mut st.v_disc);
+            tw::gather::gather_i64(qty, &st.rows2, policy, &mut st.v_qty);
             tw::map::map_rsub_const_i64(100, &st.v_disc, &mut st.v_om);
             tw::map::map_mul_i64(&st.v_ext, &st.v_om, &mut st.v_rev);
-            tw::map::map_mul_i64(&cost2, &st.v_qty, &mut st.v_costq);
+            tw::map::map_mul_i64(&st.v_cost2, &st.v_qty, &mut st.v_costq);
             // Both products are scale-4 fixed point.
             tw::map::map_sub_i64(&st.v_rev, &st.v_costq, &mut st.v_amount);
-            tw::hashp::hash_i32(lok, &rows2, hf_li, &mut st.hok);
-            for (j, &t) in rows2.iter().enumerate() {
+            tw::hashp::hash_i32(lok, &st.rows2, hf_li, &mut st.hok);
+            for (j, &t) in st.rows2.iter().enumerate() {
                 sh.push(st.hok[j], (lok[t as usize], st.v_nat[j], st.v_amount[j]));
             }
         },
@@ -336,7 +330,7 @@ fn probe_orders(
     cfg.group_by(
         engine,
         ord.len(),
-        ORD_BITS,
+        ord.flat_bits(&["o_orderkey", "o_orderdate"]),
         Scratch::default,
         |(shard, _), r| {
             for i in r {

@@ -28,10 +28,6 @@ impl Database {
             .unwrap_or_else(|| panic!("database has no table {name}"))
     }
 
-    pub fn has_table(&self, name: &str) -> bool {
-        self.tables.contains_key(name)
-    }
-
     pub fn tables(&self) -> impl Iterator<Item = &Table> + '_ {
         self.tables.values()
     }
@@ -73,7 +69,6 @@ mod tests {
         let mut t = Table::new("nation");
         t.add_column("n_nationkey", ColumnData::I32(vec![0, 1]));
         db.add(t);
-        assert!(db.has_table("nation"));
         assert_eq!(db.table("nation").len(), 2);
         assert_eq!(db.tables().count(), 1);
         assert_eq!(db.byte_size(), 8);

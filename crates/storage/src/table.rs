@@ -84,10 +84,6 @@ impl Table {
         self.by_name.contains_key(name)
     }
 
-    pub fn column_names(&self) -> impl Iterator<Item = &str> + '_ {
-        self.columns.iter().map(|(n, _)| n.as_str())
-    }
-
     pub fn columns(&self) -> impl Iterator<Item = (&str, &ColumnData)> + '_ {
         self.columns.iter().map(|(n, c)| (n.as_str(), c))
     }
@@ -95,6 +91,22 @@ impl Table {
     /// Total payload bytes across all columns (Table 5 bandwidth model).
     pub fn byte_size(&self) -> usize {
         self.columns.iter().map(|(_, c)| c.byte_size()).sum()
+    }
+
+    /// What one row of the named flat columns costs to scan, in **bits**:
+    /// 8 × Σ `byte_size() / len()` over the columns, 0 on an empty table.
+    /// A string column counts its text and its offsets. This is the one
+    /// width every engine charges a scan of flat columns (Table 5
+    /// bandwidth model); a packed column is charged its packed width
+    /// instead, by the reader that decodes it.
+    pub fn flat_bits(&self, columns: &[&str]) -> usize {
+        if self.is_empty() {
+            return 0;
+        }
+        8 * columns
+            .iter()
+            .map(|c| self.col(c).byte_size() / self.len)
+            .sum::<usize>()
     }
 
     /// Build compressed companions for every column that supports one
@@ -131,8 +143,25 @@ mod tests {
         assert_eq!(t.col("p_size").i32s(), &[10, 20, 30]);
         assert!(t.has_column("p_partkey"));
         assert!(!t.has_column("p_name"));
-        assert_eq!(t.column_names().collect::<Vec<_>>(), vec!["p_partkey", "p_size"]);
         assert_eq!(t.byte_size(), 24);
+    }
+
+    #[test]
+    fn flat_bits_counts_text_and_offsets() {
+        let mut t = Table::new("part");
+        assert_eq!(t.flat_bits(&[]), 0);
+        t.add_column("p_partkey", ColumnData::I32(vec![1, 2]))
+            .add_column("p_price", ColumnData::I64(vec![10, 20]))
+            .add_column(
+                "p_type",
+                ColumnData::Str(["PROMO", "STANDARD"].into_iter().collect()),
+            );
+        assert_eq!(t.flat_bits(&["p_partkey"]), 32);
+        assert_eq!(t.flat_bits(&["p_partkey", "p_price"]), 96);
+        // 13 text bytes and three 4-byte offsets over two rows: 12 bytes a row.
+        assert_eq!(t.col("p_type").byte_size(), 13 + 12);
+        assert_eq!(t.flat_bits(&["p_type"]), 8 * 12);
+        assert_eq!(Table::new("empty").flat_bits(&["x"]), 0);
     }
 
     #[test]

@@ -15,13 +15,12 @@
 //! an auto-vectorization variant (plain loop compiled with 512-bit
 //! features enabled).
 //!
-//! The `*_packed` / `*_for` / `*_code` families fuse decompression into
-//! selection (ROADMAP item 3): they evaluate predicates directly over
-//! bit-packed frame-of-reference columns ([`PackedInts`]) and dictionary
-//! codes without materializing the flat array. Naming scheme:
-//! `sel_<op>_<ty>_packed[_sparse]` for packed comparisons,
-//! `sel_between_<ty>_for[_sparse]` for packed range predicates,
-//! `sel_eq_code_{dense,sparse}` for dictionary-code equality. Fused
+//! The `*_packed` / `*_for` families fuse decompression into selection
+//! (ROADMAP item 3): they evaluate predicates directly over bit-packed
+//! frame-of-reference columns ([`PackedInts`]) without materializing the
+//! flat array. Naming scheme: `sel_<op>_<ty>_packed[_sparse]` for packed
+//! comparisons, `sel_between_<ty>_for[_sparse]` for packed range
+//! predicates. Fused
 //! kernels decode in the 64-bit domain regardless of the source type and
 //! compare against the widened constant; SIMD variants engage for packed
 //! widths `1..=`[`MAX_PACKED_WIDTH`] (an 8-byte gather window decodes at
@@ -245,34 +244,6 @@ fn packed_between_sparse_scalar(
         // SAFETY: as in packed_sparse_scalar.
         unsafe { *p.add(k) = i };
         k += (v >= lo && v <= hi) as usize;
-    }
-    // SAFETY: the first k slots were initialized above.
-    unsafe { out.set_len(k) };
-    k
-}
-
-fn dense_code_eq_scalar(codes: &[u8], code: u8, base: u32, out: &mut Vec<u32>) -> usize {
-    let p = out_ptr(out, codes.len());
-    let mut k = 0usize;
-    for (i, &v) in codes.iter().enumerate() {
-        // SAFETY: k <= i < reserved capacity.
-        unsafe { *p.add(k) = base + i as u32 };
-        k += (v == code) as usize;
-    }
-    // SAFETY: the first k slots were initialized above.
-    unsafe { out.set_len(k) };
-    k
-}
-
-fn sparse_code_eq_scalar(codes: &[u8], code: u8, in_sel: &[u32], out: &mut Vec<u32>) -> usize {
-    let p = out_ptr(out, in_sel.len());
-    let mut k = 0usize;
-    for &i in in_sel {
-        debug_assert!((i as usize) < codes.len());
-        // SAFETY: selection vectors index their source table.
-        let v = unsafe { *codes.get_unchecked(i as usize) };
-        unsafe { *p.add(k) = i };
-        k += (v == code) as usize;
     }
     // SAFETY: the first k slots were initialized above.
     unsafe { out.set_len(k) };
@@ -809,40 +780,6 @@ mod avx512 {
         out.set_len(k);
         k
     }
-
-    /// Dictionary-code equality over a dense code chunk: 64 codes per
-    /// 512-bit compare, indices compressed in four 16-lane groups.
-    ///
-    /// # Safety
-    /// Requires the AVX-512 features named in `target_feature` — reached
-    /// only via the `Simd` dispatch arms, which check [`simd_level`].
-    #[target_feature(enable = "avx512f,avx512bw")]
-    pub unsafe fn dense_code_eq(codes: &[u8], code: u8, base: u32, out: &mut Vec<u32>) -> usize {
-        let n = codes.len();
-        let p = out_ptr(out, n);
-        let cv = _mm512_set1_epi8(code as i8);
-        let lanes = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
-        let mut k = 0usize;
-        let mut i = 0usize;
-        while i + 64 <= n {
-            let v = _mm512_loadu_si512(codes.as_ptr().add(i) as *const _);
-            let m = _mm512_cmpeq_epi8_mask(v, cv);
-            for g in 0..4usize {
-                let m16 = ((m >> (16 * g)) & 0xffff) as u16;
-                let idx = _mm512_add_epi32(_mm512_set1_epi32((base as usize + i + 16 * g) as i32), lanes);
-                _mm512_mask_compressstoreu_epi32(p.add(k) as *mut _, m16, idx);
-                k += m16.count_ones() as usize;
-            }
-            i += 64;
-        }
-        while i < n {
-            *p.add(k) = base + i as u32;
-            k += (*codes.get_unchecked(i) == code) as usize;
-            i += 1;
-        }
-        out.set_len(k);
-        k
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1104,24 +1041,6 @@ mod autovec {
         out: &mut Vec<u32>,
     ) -> usize {
         super::packed_between_sparse_scalar(col, lo, hi, in_sel, out)
-    }
-
-    /// # Safety
-    /// Requires AVX-512 (the attribute exists so LLVM may auto-vectorize
-    /// the scalar body with 512-bit registers); reached only via the
-    /// `Auto` dispatch arms, which check [`simd_level`].
-    #[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl")]
-    pub unsafe fn dense_code_eq(codes: &[u8], code: u8, base: u32, out: &mut Vec<u32>) -> usize {
-        super::dense_code_eq_scalar(codes, code, base, out)
-    }
-
-    /// # Safety
-    /// Requires AVX-512 (the attribute exists so LLVM may auto-vectorize
-    /// the scalar body with 512-bit registers); reached only via the
-    /// `Auto` dispatch arms, which check [`simd_level`].
-    #[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl")]
-    pub unsafe fn sparse_code_eq(codes: &[u8], code: u8, in_sel: &[u32], out: &mut Vec<u32>) -> usize {
-        super::sparse_code_eq_scalar(codes, code, in_sel, out)
     }
 }
 
@@ -1407,18 +1326,6 @@ pub fn sel_between_i64_for(
 }
 
 /// Fused sparse `lo <= v <= hi` refining an input selection vector.
-pub fn sel_between_i32_for_sparse(
-    col: &PackedInts,
-    lo: i32,
-    hi: i32,
-    in_sel: &[u32],
-    out: &mut Vec<u32>,
-    policy: SimdPolicy,
-) -> usize {
-    between_for_sparse(col, lo as i64, hi as i64, in_sel, out, policy)
-}
-
-/// Fused sparse `lo <= v <= hi` refining an input selection vector.
 pub fn sel_between_i64_for_sparse(
     col: &PackedInts,
     lo: i64,
@@ -1428,42 +1335,6 @@ pub fn sel_between_i64_for_sparse(
     policy: SimdPolicy,
 ) -> usize {
     between_for_sparse(col, lo, hi, in_sel, out, policy)
-}
-
-/// Dense dictionary-code equality over a code chunk slice; emits
-/// `base + i`. The AVX-512 flavor compares 64 codes per instruction
-/// (avx512bw byte compare).
-pub fn sel_eq_code_dense(codes: &[u8], code: u8, base: u32, out: &mut Vec<u32>, policy: SimdPolicy) -> usize {
-    #[cfg(target_arch = "x86_64")]
-    match (policy, simd_level()) {
-        (SimdPolicy::Simd, SimdLevel::Avx512) => {
-            // SAFETY: ISA presence checked by simd_level().
-            return unsafe { avx512::dense_code_eq(codes, code, base, out) };
-        }
-        (SimdPolicy::Auto, SimdLevel::Avx512) => {
-            // SAFETY: ISA presence checked by simd_level().
-            return unsafe { autovec::dense_code_eq(codes, code, base, out) };
-        }
-        _ => {}
-    }
-    dense_code_eq_scalar(codes, code, base, out)
-}
-
-/// Sparse dictionary-code equality refining an input selection vector
-/// (scalar and autovec only: AVX-512 has no byte gather).
-pub fn sel_eq_code_sparse(
-    codes: &[u8],
-    code: u8,
-    in_sel: &[u32],
-    out: &mut Vec<u32>,
-    policy: SimdPolicy,
-) -> usize {
-    #[cfg(target_arch = "x86_64")]
-    if policy == SimdPolicy::Auto && simd_level() >= SimdLevel::Avx512 {
-        // SAFETY: ISA presence checked by simd_level().
-        return unsafe { autovec::sparse_code_eq(codes, code, in_sel, out) };
-    }
-    sparse_code_eq_scalar(codes, code, in_sel, out)
 }
 
 /// Dense `lo <= v <= hi` on a 64-bit column.

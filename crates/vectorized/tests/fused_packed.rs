@@ -1,5 +1,5 @@
 //! Fused-vs-decode-then-select equivalence properties: every fused
-//! primitive over a bit-packed / dictionary column must produce exactly
+//! primitive over a bit-packed column must produce exactly
 //! the selection vector (or gathered values) that decoding the column
 //! and running the flat primitive would, for every [`SimdPolicy`], over
 //! randomized widths, ranges, lengths, and selection densities.
@@ -213,44 +213,6 @@ fn between_for_matches_flat() {
             .collect();
         sel_between_i32_for(&packed, 9100, 9900, 0..3000, &mut fused, policy);
         assert_eq!(fused, model, "{policy:?}");
-        let in_sel: Vec<u32> = (0..3000).step_by(3).collect();
-        let sparse_model: Vec<u32> = in_sel
-            .iter()
-            .copied()
-            .filter(|&i| (9100..=9900).contains(&dates[i as usize]))
-            .collect();
-        sel_between_i32_for_sparse(&packed, 9100, 9900, &in_sel, &mut fused, policy);
-        assert_eq!(fused, sparse_model, "{policy:?}");
-    }
-}
-
-#[test]
-fn eq_code_matches_model() {
-    let mut rng = Rng::new(0xfced_0005);
-    for len in [0usize, 1, 63, 64, 65, 127, 128, 1000, 4096] {
-        let cardinality = 1 + rng.below(7) as u8;
-        let codes: Vec<u8> = (0..len).map(|_| rng.below(cardinality as u64) as u8).collect();
-        let code = rng.below(cardinality as u64) as u8;
-        let base = rng.below(1000) as u32;
-        let model: Vec<u32> = codes
-            .iter()
-            .enumerate()
-            .filter(|(_, &v)| v == code)
-            .map(|(i, _)| base + i as u32)
-            .collect();
-        let in_sel = random_sel(&mut rng, len);
-        let sparse_model: Vec<u32> = in_sel
-            .iter()
-            .copied()
-            .filter(|&i| codes[i as usize] == code)
-            .collect();
-        for policy in POLICIES {
-            let mut out = Vec::new();
-            sel_eq_code_dense(&codes, code, base, &mut out, policy);
-            assert_eq!(out, model, "dense len={len} {policy:?}");
-            sel_eq_code_sparse(&codes, code, &in_sel, &mut out, policy);
-            assert_eq!(out, sparse_model, "sparse len={len} {policy:?}");
-        }
     }
 }
 

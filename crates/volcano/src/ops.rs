@@ -122,20 +122,14 @@ pub struct Scan<'a> {
 
 impl<'a> Scan<'a> {
     pub fn new(table: &'a Table, columns: &[&str]) -> Self {
-        let cols: Vec<&ColumnData> = columns.iter().map(|c| table.col(c)).collect();
-        let bytes_per_row = if table.is_empty() {
-            0
-        } else {
-            cols.iter().map(|c| c.byte_size() / table.len()).sum()
-        };
         Scan {
-            cols,
+            cols: columns.iter().map(|c| table.col(c)).collect(),
             len: table.len(),
             rows: 0..table.len(),
             charged: false,
             throttle: None,
             recorder: None,
-            bytes_per_row,
+            bytes_per_row: table.flat_bits(columns) / 8,
         }
     }
 
