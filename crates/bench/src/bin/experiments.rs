@@ -595,7 +595,11 @@ fn table1(a: &Args) -> Report {
 /// stage instead of whole query. Single-threaded runs so the whole-run
 /// group delta on the calling thread is an independent cross-check of
 /// the per-stage sum (the gap is glue outside stage brackets). Falls
-/// back to wall-time-only rows when perf is unavailable.
+/// back to wall-time-only rows when perf is unavailable. Each (query,
+/// engine) pair runs once to warm up, then `--reps` times: wall times
+/// are medians with their spread, counters are the last run's. The
+/// engine order flips from one query to the next, so no engine always
+/// runs first.
 fn table1_per_stage(a: &Args) -> Report {
     use dbep_core::scheduler::StageTrace;
     use dbep_runtime::counters::{with_thread_group, GroupReading, StageCounters};
@@ -611,14 +615,16 @@ fn table1_per_stage(a: &Args) -> Report {
             .with("branch_miss", g.branch_miss)
     };
     let mut rows = Vec::new();
-    for &q in &queries {
+    for (qi, &q) in queries.iter().enumerate() {
         let db = dbs.get(q);
         let stages = dbep_queries::plan(q).stages();
-        for engine in a.engines(&BLOCK) {
-            // Warm once (first-touch effects), then keep the second run,
-            // bracketed by whole-group reads on this thread.
-            let mut measured = None;
-            for _ in 0..2 {
+        let mut engines = a.engines(&BLOCK);
+        if qi % 2 == 1 {
+            engines.reverse();
+        }
+        for engine in engines {
+            // One run bracketed by whole-group reads on this thread.
+            let measure = || {
                 let counters = StageCounters::new(stages.len());
                 let trace = StageTrace::new(stages.len());
                 let cfg = ExecCfg {
@@ -634,9 +640,12 @@ fn table1_per_stage(a: &Args) -> Report {
                     .flatten()
                     .zip(before)
                     .map(|(end, start)| end.delta_since(&start));
-                measured = Some((wall_ns, whole, trace.snapshot(), counters.snapshot()));
-            }
-            let (wall_ns, whole, walls, per) = measured.expect("two runs");
+                (wall_ns, whole, trace.snapshot(), counters.snapshot())
+            };
+            measure(); // warm-up: first-touch effects
+            let runs: Vec<_> = (0..a.reps).map(|_| measure()).collect();
+            let spread = |ns: Vec<u64>| TimeSpread::of(ns.into_iter().map(Duration::from_nanos).collect());
+            let (last_wall_ns, whole, walls, per) = runs.last().expect("--reps is at least 1");
             let sum = per.iter().fold(GroupReading::default(), |acc, s| GroupReading {
                 cycles: acc.cycles + s.cycles,
                 instructions: acc.instructions + s.instructions,
@@ -645,14 +654,17 @@ fn table1_per_stage(a: &Args) -> Report {
             });
             let stage_rows: Vec<Obj> = stages
                 .iter()
-                .zip(&walls)
-                .zip(&per)
-                .map(|((desc, &wall), c)| {
+                .enumerate()
+                .zip(per)
+                .map(|((i, desc), c)| {
+                    let wall = spread(runs.iter().map(|r| r.2[i]).collect());
                     Obj::new()
                         .with("stage", desc.name)
                         .with("kind", desc.kind.name())
-                        .with("wall_ms", Duration::from_nanos(wall))
-                        .with("wall_ns", wall)
+                        .with("wall_ms", wall.median)
+                        .with("wall_ns", wall.median.as_nanos() as u64)
+                        .with("wall_min_ns", wall.min.as_nanos() as u64)
+                        .with("wall_max_ns", wall.max.as_nanos() as u64)
                         .with("cycles", c.cycles)
                         .with("instructions", c.instructions)
                         .with("llc_miss", c.llc_miss)
@@ -666,7 +678,7 @@ fn table1_per_stage(a: &Args) -> Report {
                     .with("run", format!("{}/{}", q.name(), engine.name()))
                     .with("query", q.name())
                     .with("engine", engine.name())
-                    .with("wall_ms", Duration::from_nanos(wall_ns))
+                    .with("wall_ms", spread(runs.iter().map(|r| r.0).collect()).median)
                     .with("stage_sum", group(&sum))
                     .with("whole_run", whole.as_ref().map(group))
                     // Cross-checks: the share of whole-run cycles
@@ -679,7 +691,7 @@ fn table1_per_stage(a: &Args) -> Report {
                     )
                     .with(
                         "stage_wall_share",
-                        walls.iter().sum::<u64>() as f64 / wall_ns.max(1) as f64,
+                        walls.iter().sum::<u64>() as f64 / (*last_wall_ns).max(1) as f64,
                     )
                     .with("stages", stage_rows),
             );
@@ -694,6 +706,7 @@ fn table1_per_stage(a: &Args) -> Report {
     }
     report
         .with("sf", sf)
+        .with("reps", a.reps)
         .with("hardware_counters", hw)
         .with("queries", rows)
 }

@@ -20,22 +20,30 @@ pub struct TimeSpread {
     pub max: Duration,
 }
 
+impl TimeSpread {
+    /// The spread of a non-empty set of samples.
+    pub fn of(mut times: Vec<Duration>) -> Self {
+        times.sort_unstable();
+        TimeSpread {
+            median: times[times.len() / 2],
+            min: times[0],
+            max: times[times.len() - 1],
+        }
+    }
+}
+
 /// Time `reps` runs of `f` after one warm-up run.
 pub fn time_spread(reps: usize, mut f: impl FnMut()) -> TimeSpread {
     f(); // warm-up
-    let mut times: Vec<Duration> = (0..reps.max(1))
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed()
-        })
-        .collect();
-    times.sort_unstable();
-    TimeSpread {
-        median: times[times.len() / 2],
-        min: times[0],
-        max: times[times.len() - 1],
-    }
+    TimeSpread::of(
+        (0..reps.max(1))
+            .map(|_| {
+                let t = Instant::now();
+                f();
+                t.elapsed()
+            })
+            .collect(),
+    )
 }
 
 /// Median wall time of `reps` runs after one warm-up run.

@@ -9,7 +9,8 @@
 //! removed) and its **comment** text (line, block and doc comments),
 //! tracking multi-line constructs (block comments, plain and raw
 //! strings) across lines. It also marks the lines that belong to
-//! `#[cfg(test)]`-gated items, which the audit rules exempt.
+//! `#[cfg(test)]`-gated items, which the audit rules exempt and
+//! `dbep-lint lines` does not count.
 //!
 //! Handled: nested block comments, escapes in string/char literals,
 //! raw strings (`r"…"`, `r#"…"#`, any hash depth, plus `b`/`br`
@@ -38,6 +39,16 @@ pub struct FileScan {
     pub lines: Vec<Line>,
     /// `in_test[i]` — line `i` is inside a `#[cfg(test)]`-gated item.
     pub in_test: Vec<bool>,
+}
+
+impl FileScan {
+    /// 1-based numbers of the lines `dbep-lint lines` counts: a
+    /// non-blank code channel, outside every `#[cfg(test)]` item.
+    pub fn code_lines(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.lines.len())
+            .filter(|&i| !self.in_test[i] && !self.lines[i].code.trim().is_empty())
+            .map(|i| i + 1)
+    }
 }
 
 enum Mode {
@@ -162,7 +173,11 @@ pub fn lex(path: &str, src: &str) -> FileScan {
                 }
             }
             Mode::Str => {
-                if c == '\\' {
+                if c == '\\' && at(i + 1) == '\n' {
+                    // A line continuation: the newline still ends a line.
+                    lit.push(c);
+                    i += 1;
+                } else if c == '\\' {
                     // Keep the escape verbatim (incl. \" and \\).
                     lit.push(c);
                     lit.push(at(i + 1));
@@ -212,45 +227,94 @@ pub fn lex(path: &str, src: &str) -> FileScan {
     }
 }
 
-fn prev_is_ident(code: &str) -> bool {
-    code.chars()
-        .next_back()
-        .is_some_and(|c| c.is_ascii_alphanumeric() || c == '_')
+/// `true` for a character that can continue an identifier.
+pub fn is_ident(c: char) -> bool {
+    c.is_ascii_alphanumeric() || c == '_'
 }
 
-/// Mark lines inside `#[cfg(test)]`-gated items: once the attribute is
-/// seen, the next brace-delimited block (the gated `mod`/`fn`) is a test
-/// region, tracked by brace depth over the code channel.
+/// `true` if `code` ends in an identifier character.
+pub fn prev_is_ident(code: &str) -> bool {
+    code.chars().next_back().is_some_and(is_ident)
+}
+
+/// An open `#[cfg(test)]`-gated item in [`test_regions`].
+#[derive(Default)]
+struct Gated {
+    /// Brace depth the item sits at.
+    depth: i32,
+    /// `(`/`[` nesting inside the item.
+    nest: i32,
+    /// Generic `<..>` nesting inside the item.
+    angle: i32,
+    /// A `where` clause is open: its `,` separates bounds.
+    bounds: bool,
+    /// The item's own brace block has opened.
+    block: bool,
+}
+
+/// Mark lines inside `#[cfg(test)]`-gated items, from the attribute to
+/// the item's end, tracked over the code channel. An item with its own
+/// brace block (a `mod`, `fn`, `impl` or `thread_local! { .. }`) ends at
+/// the `}` that closes that block. One without (a `use`, a `const`, a
+/// struct field, a statement) ends at its `;` or `,` outside `(`/`[`
+/// and generic `<..>`, or at the `}` that closes the block enclosing
+/// it. A `,` inside a `where` clause does not end a `fn` or `impl`.
 fn test_regions(lines: &[Line]) -> Vec<bool> {
+    const ATTR: &str = "#[cfg(test)]";
     let mut out = vec![false; lines.len()];
     let mut depth: i32 = 0;
-    let mut armed = false;
-    let mut regions: Vec<i32> = Vec::new();
+    let mut item: Option<Gated> = None;
     for (idx, line) in lines.iter().enumerate() {
-        if line.code.contains("#[cfg(test)]") {
-            armed = true;
-        }
-        let mut in_region = !regions.is_empty();
-        for c in line.code.chars() {
+        let code = line.code.as_str();
+        // A line with no code belongs to the item it sits in.
+        let mut marked = item.is_some() && code.trim().is_empty();
+        for (i, c) in code.char_indices() {
+            if item.is_none() && code[i..].starts_with(ATTR) {
+                item = Some(Gated {
+                    depth,
+                    ..Gated::default()
+                });
+            }
+            let Some(g) = item.as_mut() else {
+                depth += i32::from(c == '{') - i32::from(c == '}');
+                continue;
+            };
+            let prev = code[..i].chars().next_back().unwrap_or(' ');
+            let mut ends = false;
             match c {
                 '{' => {
-                    if armed {
-                        regions.push(depth);
-                        armed = false;
-                        in_region = true;
-                    }
+                    g.block |= g.nest == 0 && g.angle == 0 && depth == g.depth;
                     depth += 1;
                 }
                 '}' => {
                     depth -= 1;
-                    if regions.last() == Some(&depth) {
-                        regions.pop();
+                    if depth < g.depth {
+                        item = None; // the enclosing block closed, not the item's
+                        continue;
                     }
+                    ends = g.block && depth == g.depth;
                 }
+                '(' | '[' => g.nest += 1,
+                ')' | ']' => g.nest -= 1,
+                // `Vec<`, `impl<`, `::<` open a generic list; `a < b` does not.
+                '<' if is_ident(prev) || prev == ':' => g.angle += 1,
+                '>' if g.angle > 0 && prev != '-' && prev != '=' => g.angle -= 1,
+                ';' | ',' => {
+                    ends = !g.block
+                        && g.nest == 0
+                        && g.angle == 0
+                        && depth == g.depth
+                        && (c == ';' || !g.bounds);
+                }
+                'w' if word_positions(code, "where").contains(&i) => g.bounds = true,
                 _ => {}
             }
+            marked |= !c.is_whitespace();
+            if ends {
+                item = None;
+            }
         }
-        out[idx] = in_region || !regions.is_empty();
+        out[idx] = marked;
     }
     out
 }
@@ -263,12 +327,11 @@ pub fn word_positions(code: &str, word: &str) -> Vec<usize> {
     if w.is_empty() || bytes.len() < w.len() {
         return out;
     }
-    let is_ident = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
     for start in 0..=bytes.len() - w.len() {
         if &bytes[start..start + w.len()] == w {
-            let before_ok = start == 0 || !is_ident(bytes[start - 1]);
+            let before_ok = start == 0 || !is_ident(bytes[start - 1] as char);
             let after = start + w.len();
-            let after_ok = after == bytes.len() || !is_ident(bytes[after]);
+            let after_ok = after == bytes.len() || !is_ident(bytes[after] as char);
             if before_ok && after_ok {
                 out.push(start);
             }
@@ -284,7 +347,7 @@ pub fn has_word(code: &str, word: &str) -> bool {
 
 /// All identifier-shaped words in a code string.
 pub fn words(code: &str) -> impl Iterator<Item = &str> {
-    code.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+    code.split(|c: char| !is_ident(c))
         .filter(|w| !w.is_empty() && !w.chars().next().unwrap().is_ascii_digit())
 }
 
@@ -318,6 +381,12 @@ mod tests {
         assert_eq!(c[0], "let s = \"");
         assert_eq!(c[1], "\";");
         assert_eq!(c[2], "let t = 3;");
+    }
+
+    #[test]
+    fn string_line_continuations_keep_line_numbers() {
+        let c = code_of("let s = \"a \\\n     b \\\n     c\";\nlet t = 3;\n");
+        assert_eq!(c, vec!["let s = \"", "", "\";", "let t = 3;"]);
     }
 
     #[test]
@@ -370,7 +439,64 @@ mod tests {
     fn cfg_test_regions() {
         let src = "fn real() {}\n#[cfg(test)]\nmod tests {\n    fn t() {}\n}\nfn after() {}\n";
         let scan = lex("t.rs", src);
-        assert_eq!(scan.in_test, vec![false, false, true, true, true, false]);
+        assert_eq!(scan.in_test, vec![false, true, true, true, true, false]);
+    }
+
+    /// `in_test` of `src`, line by line.
+    fn gated(src: &str) -> Vec<bool> {
+        lex("t.rs", src).in_test
+    }
+
+    #[test]
+    fn cfg_test_use_ends_at_its_semicolon() {
+        let src = "#[cfg(test)]\nuse std::fmt;\n\npub fn f() {\n    g();\n}\n";
+        assert_eq!(gated(src), vec![true, true, false, false, false, false]);
+    }
+
+    #[test]
+    fn cfg_test_const_with_array_type_ends_at_its_semicolon() {
+        let src = "#[cfg(test)]\nconst X: [u8; 2] = [1, 2];\nfn f() {\n    g();\n}\n";
+        assert_eq!(gated(src), vec![true, true, false, false, false]);
+    }
+
+    #[test]
+    fn cfg_test_struct_field_ends_at_its_comma() {
+        let src =
+            "struct S {\n    #[cfg(test)]\n    x: Vec<(u8, u8)>,\n    y: u8,\n}\nfn f() {\n    g();\n}\n";
+        assert_eq!(
+            gated(src),
+            vec![false, true, true, false, false, false, false, false]
+        );
+        // The last field, without a comma, ends at the struct's `}`.
+        let src = "struct S {\n    #[cfg(test)]\n    x: u8\n}\nfn f() {\n    g();\n}\n";
+        assert_eq!(gated(src), vec![false, true, true, false, false, false, false]);
+    }
+
+    #[test]
+    fn cfg_test_statement_ends_at_its_semicolon() {
+        let src = "fn g() {\n    #[cfg(test)]\n    let x = 1;\n    run();\n}\nfn f() {\n    h();\n}\n";
+        assert_eq!(
+            gated(src),
+            vec![false, true, true, false, false, false, false, false]
+        );
+        // A comparison is not a generic list.
+        let src = "fn g() {\n    #[cfg(test)]\n    check(a > b, c < d);\n}\nfn f() {\n    h();\n}\n";
+        assert_eq!(gated(src), vec![false, true, true, false, false, false, false]);
+        // A closure body inside the statement's parentheses is not its block.
+        let src = "fn g() {\n    #[cfg(test)]\n    HOOK.with(|h| {\n        h();\n    });\n    run();\n}\nfn f() {\n    g();\n}\n";
+        assert_eq!(
+            gated(src),
+            vec![false, true, true, true, true, false, false, false, false, false]
+        );
+    }
+
+    #[test]
+    fn cfg_test_generic_fn_with_where_clause_is_one_item() {
+        let src = "#[cfg(test)]\nfn t<A, B>(a: A)\nwhere\n    A: Clone,\n    B: Copy,\n{\n    a.clone();\n}\nfn f() {}\n";
+        assert_eq!(
+            gated(src),
+            vec![true, true, true, true, true, true, true, true, false]
+        );
     }
 
     #[test]

@@ -3,19 +3,21 @@
 //! The workspace's correctness story has three legs: property tests
 //! (fast paths ≡ naive models), sanitizers/Miri in CI (dynamic), and
 //! this crate (static). It enforces the repo-specific conventions that
-//! `rustc`/clippy cannot see — see [`rules`] for the five checks and
+//! `rustc`/clippy cannot see — see [`rules`] for the six checks and
 //! DESIGN.md §"Safety invariants & static analysis" for the comment
 //! contracts they pin down.
 //!
 //! The library API takes `(path, contents)` pairs so the fixture tests
 //! can feed synthetic trees; the binary walks the workspace.
 
+pub mod arch;
 pub mod json;
 pub mod lex;
 pub mod rules;
 
 pub use rules::{Finding, RULES};
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -107,6 +109,38 @@ pub fn run_check(root: &Path) -> io::Result<Report> {
 pub fn run_list(root: &Path, rule: &str) -> io::Result<Vec<String>> {
     let files = scan_tree(root)?;
     Ok(rules::list(&files, rule))
+}
+
+/// `dbep-lint lines <path>...`: the code lines
+/// ([`lex::FileScan::code_lines`]) of the `.rs` files under `paths`,
+/// summed per crate (`crates/<name>`) or top-level directory
+/// (`benchmark`, `tests`, …) of the workspace they sit in.
+pub fn run_lines(paths: &[PathBuf]) -> io::Result<BTreeMap<String, usize>> {
+    let mut files = BTreeSet::new();
+    for path in paths {
+        let path = std::fs::canonicalize(path)?;
+        if path.is_dir() {
+            files.extend(collect_files(&path)?);
+        } else {
+            files.insert(path);
+        }
+    }
+    let mut out = BTreeMap::new();
+    for file in files {
+        let rel = match find_root(&file) {
+            Some(root) => relative(&root, &file),
+            None => file.display().to_string(),
+        };
+        let parts: Vec<&str> = rel.split('/').collect();
+        let group = match parts.as_slice() {
+            ["crates", name, _, ..] => format!("crates/{name}"),
+            [dir, _, ..] => dir.to_string(),
+            _ => rel.clone(),
+        };
+        let scan = lex::lex(&rel, &std::fs::read_to_string(&file)?);
+        *out.entry(group).or_insert(0) += scan.code_lines().count();
+    }
+    Ok(out)
 }
 
 /// Find the workspace root: ascend from `start` to the first directory

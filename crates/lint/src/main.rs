@@ -1,5 +1,6 @@
 //! `dbep-lint` CLI: `check [--json]` fails the build on any violation;
-//! `list --rule <name>` prints a rule's full tracked inventory.
+//! `list --rule <name>` prints a rule's full tracked inventory; `lines
+//! <path>...` counts code lines per crate.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -10,6 +11,7 @@ dbep-lint — in-tree safety analyzer for the db-engine-paradigms workspace
 USAGE:
     dbep-lint check [--json] [--root <dir>]
     dbep-lint list --rule <name> [--root <dir>]
+    dbep-lint lines <path>...
 
 RULES:
     unsafe        every `unsafe` carries a // SAFETY: justification
@@ -21,9 +23,18 @@ RULES:
                   oracle, and is swept by the equivalence suite
     metrics       every metric registered with a literal name is
                   snake_case and carries a non-empty help string
+    arch          no retired construct of the engines' shared shape
+                  (per-engine query body, second driver, per-plan byte
+                  constant, ...) is back; `list --rule arch` prints
+                  each guard's scope, patterns and match count
 
 `check` exits 0 on a clean tree, 1 on findings. Without --root, the
 workspace root is located by walking up from the current directory.
+
+`lines` counts the lines of the .rs files under each path (a file or a
+directory) whose code is non-blank once comments and string contents
+are removed, outside #[cfg(test)] items; it prints one total per crate
+and a grand total.
 ";
 
 struct Args {
@@ -31,6 +42,7 @@ struct Args {
     json: bool,
     rule: Option<String>,
     root: Option<PathBuf>,
+    paths: Vec<PathBuf>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -41,12 +53,14 @@ fn parse_args() -> Result<Args, String> {
         json: false,
         rule: None,
         root: None,
+        paths: Vec::new(),
     };
     while let Some(a) = argv.next() {
         match a.as_str() {
             "--json" => args.json = true,
             "--rule" => args.rule = Some(argv.next().ok_or("--rule needs a value")?),
             "--root" => args.root = Some(PathBuf::from(argv.next().ok_or("--root needs a value")?)),
+            path if args.cmd == "lines" && !path.starts_with("--") => args.paths.push(PathBuf::from(path)),
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
@@ -61,6 +75,9 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    if args.cmd == "lines" {
+        return lines(&args.paths);
+    }
     let root = match args.root.clone().or_else(|| {
         let cwd = std::env::current_dir().ok()?;
         dbep_lint::find_root(&cwd)
@@ -142,4 +159,24 @@ fn main() -> ExitCode {
             ExitCode::from(2)
         }
     }
+}
+
+fn lines(paths: &[PathBuf]) -> ExitCode {
+    if paths.is_empty() {
+        eprintln!("error: lines requires at least one <path>\n\n{USAGE}");
+        return ExitCode::from(2);
+    }
+    let totals = match dbep_lint::run_lines(paths) {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    let width = totals.keys().map(String::len).max().unwrap_or(0).max(5);
+    for (group, n) in &totals {
+        println!("{group:<width$}  {n:>6}");
+    }
+    println!("{:<width$}  {:>6}", "total", totals.values().sum::<usize>());
+    ExitCode::SUCCESS
 }

@@ -1,4 +1,4 @@
-//! The five repo-specific invariants, as checks over lexed sources.
+//! The six repo-specific invariants, as checks over lexed sources.
 //!
 //! Every rule reports `file:line`-addressable [`Finding`]s; a clean tree
 //! produces none. The rules are conventions this codebase already
@@ -22,8 +22,11 @@
 //!    local closure forwarding to one) uses a snake_case name and a
 //!    non-empty help string, so every exposition endpoint stays
 //!    Prometheus-compatible and self-describing.
+//! 6. **arch** — no retired construct of the engines' shared shape
+//!    (a per-engine query body, a second driver, a per-plan byte
+//!    constant, …) comes back; see [`crate::arch`].
 
-use crate::lex::{has_word, word_positions, words, FileScan};
+use crate::lex::{has_word, is_ident, word_positions, words, FileScan};
 use std::collections::BTreeMap;
 
 /// One rule violation at a source location.
@@ -41,7 +44,15 @@ pub const RULE_ATOMICS: &str = "atomics";
 pub const RULE_SIMD: &str = "simd-parity";
 pub const RULE_REGISTRY: &str = "registry";
 pub const RULE_METRICS: &str = "metrics";
-pub const RULES: &[&str] = &[RULE_UNSAFE, RULE_ATOMICS, RULE_SIMD, RULE_REGISTRY, RULE_METRICS];
+pub const RULE_ARCH: &str = "arch";
+pub const RULES: &[&str] = &[
+    RULE_UNSAFE,
+    RULE_ATOMICS,
+    RULE_SIMD,
+    RULE_REGISTRY,
+    RULE_METRICS,
+    RULE_ARCH,
+];
 
 /// Files whose `Ordering::Relaxed` uses must carry `// ORDERING:`.
 /// The whole scheduler plus every other file that does lock-free or
@@ -211,9 +222,7 @@ fn record(map: &mut SiteMap, name: &str, path: &str, line: usize) {
 /// Identifier starting at byte `pos` of `code`, if any.
 fn ident_at(code: &str, pos: usize) -> Option<&str> {
     let rest = &code[pos..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
-        .unwrap_or(rest.len());
+    let end = rest.find(|c: char| !is_ident(c)).unwrap_or(rest.len());
     let id = &rest[..end];
     (!id.is_empty() && !id.starts_with(|c: char| c.is_ascii_digit())).then_some(id)
 }
@@ -713,6 +722,9 @@ pub fn check(files: &[FileScan]) -> Vec<Finding> {
         }
     }
 
+    // Rule 6: the architecture guards.
+    findings.extend(crate::arch::check(files));
+
     findings.sort_by(|a, b| (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule)));
     findings
 }
@@ -817,6 +829,7 @@ pub fn list(files: &[FileScan], rule: &str) -> Vec<String> {
                 }
             }
         }
+        RULE_ARCH => out = crate::arch::list(files),
         _ => {}
     }
     out

@@ -61,6 +61,14 @@ fn unsafe_under_cfg_test_is_exempt() {
 }
 
 #[test]
+fn cfg_test_item_without_a_block_does_not_hide_the_next_one() {
+    let src = "#[cfg(test)]\nuse std::fmt;\n\npub fn f(p: *const u8) -> u8 {\n    unsafe { *p }\n}\n";
+    let report = check_sources([("crates/x/src/lib.rs", src)]);
+    assert_eq!(rules_of(&report.findings), vec![RULE_UNSAFE]);
+    assert_eq!(report.findings[0].line, 5);
+}
+
+#[test]
 fn unsafe_in_test_paths_is_exempt() {
     let src = "fn main() { unsafe { std::hint::unreachable_unchecked() } }\n";
     assert!(check_sources([("crates/x/tests/it.rs", src)]).is_clean());

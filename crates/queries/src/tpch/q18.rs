@@ -16,11 +16,13 @@
 //! ORDER BY o_totalprice DESC, o_orderdate LIMIT 100
 //! ```
 //!
-//! Physical plan: Γ(lineitem by l_orderkey) → HAVING filter → HT_sel;
-//! orders ⋈ HT_sel → HT_cust (keyed by o_custkey); customer ⋈ HT_cust →
-//! result. Because `o_orderkey` is unique, the outer GROUP BY needs no
-//! second aggregation. Three stages: `agg_lineitem` has a Typer body and
-//! a Tectorwise body, the two join stages (`join_phases`) are one body
+//! Physical plan, the same in all three engines: Γ(lineitem by
+//! l_orderkey) → HAVING filter → HT_sel; an `orders` scan probes HT_sel
+//! and builds HT_cust (keyed by `o_custkey`) from the qualifying
+//! orders; a `customer` scan probes HT_cust → result. Because
+//! `o_orderkey` is unique, the outer GROUP BY needs no second
+//! aggregation. Three stages: `agg_lineitem` has a Typer body and a
+//! Tectorwise body, the two join stages (`join_phases`) are one body
 //! for both paradigms.
 
 use crate::params::Q18Params;
@@ -81,9 +83,9 @@ impl crate::QueryPlan for Q18 {
         crate::QueryId::Q18
     }
 
-    /// The interpreted plan, HAVING as a selection over the aggregate;
-    /// the orders scan drives. `o_orderkey` is unique, so the workers'
-    /// rows are disjoint and need no re-aggregation.
+    /// The interpreted plan, HAVING as a selection over the aggregate.
+    /// `o_orderkey` is unique, so the workers' rows are disjoint and
+    /// need no re-aggregation.
     fn volcano_plan(&self, params: &Params) -> Plan {
         let p = params.q18();
         let big = Plan::scan("lineitem", &["l_orderkey", "l_quantity"])
@@ -95,11 +97,11 @@ impl crate::QueryPlan for Q18 {
         );
         // [l_orderkey, sum_qty, o_orderkey, o_custkey, o_orderdate, o_totalprice]
         let big_orders = big.hash_join(vec![Expr::col(0)], orders, vec![Expr::col(0)]);
-        // [c_custkey, c_name] ++ the 6 columns above.
-        Plan::scan("customer", &["c_custkey", "c_name"]).hash_join(
-            vec![Expr::col(0)],
-            big_orders,
+        // HT_cust: the 6 columns above ++ [c_custkey, c_name].
+        big_orders.hash_join(
             vec![Expr::col(3)],
+            Plan::scan("customer", &["c_custkey", "c_name"]),
+            vec![Expr::col(0)],
         )
     }
 
@@ -108,12 +110,12 @@ impl crate::QueryPlan for Q18 {
             .into_iter()
             .map(|r| {
                 vec![
-                    Value::Str(r[1].as_str().to_string()),
-                    Value::I32(r[0].as_i32()),
-                    Value::I32(r[4].as_i32()),
-                    Value::Date(r[6].as_i32()),
-                    Value::dec2(r[7].as_i64()),
-                    Value::dec2(r[3].as_i64()),
+                    Value::Str(r[7].as_str().to_string()),
+                    Value::I32(r[6].as_i32()),
+                    Value::I32(r[2].as_i32()),
+                    Value::Date(r[4].as_i32()),
+                    Value::dec2(r[5].as_i64()),
+                    Value::dec2(r[1].as_i64()),
                 ]
             })
             .collect();
@@ -247,4 +249,41 @@ fn agg_lineitem(db: &Database, cfg: &ExecCfg, p: &Q18Params, engine: Engine) -> 
         |a, b| *a += b,
     );
     groups.into_iter().filter(|(_, q)| *q > p.qty_limit).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{Params, QueryId, QueryPlan};
+    use dbep_volcano::Plan;
+
+    /// The scan that drives `plan`'s pipeline: the leaf reached
+    /// through probe sides.
+    fn driving_scan(plan: &Plan) -> &'static str {
+        match plan {
+            Plan::Scan { table, .. } => table,
+            Plan::HashJoin { probe, .. } | Plan::SemiJoin { probe, .. } => driving_scan(probe),
+            Plan::Select { input, .. } | Plan::Project { input, .. } | Plan::Aggregate { input, .. } => {
+                driving_scan(input)
+            }
+        }
+    }
+
+    #[test]
+    fn volcano_builds_ht_cust_from_orders_and_probes_with_customer() {
+        let plan = super::Q18.volcano_plan(&Params::default_for(QueryId::Q18));
+        let Plan::HashJoin { build, probe, .. } = &plan else {
+            panic!("Q18's root is not a hash join: {plan:?}");
+        };
+        assert!(
+            matches!(
+                probe.as_ref(),
+                Plan::Scan {
+                    table: "customer",
+                    ..
+                }
+            ),
+            "probe side: {probe:?}"
+        );
+        assert_eq!(driving_scan(build), "orders");
+    }
 }
